@@ -4,7 +4,7 @@ Subcommands:
   loss   evaluate a ranking loss on a scenario file
   eval   detection metrics (mean AP / LRP / oLRP) on an eval file
   train  run the toy trainer and write its per-epoch CSV log
-  bench  size sweep comparing naive vs fast engines, with operation counts
+  bench  size sweep timing the average-LRP loss, with operation counts
 
 Exit codes: 0 success, 2 bad input (file format, argument validation),
 3 numerical failure (non-finite results, diverged training).
@@ -13,22 +13,14 @@ Exit codes: 0 success, 2 bad input (file format, argument validation),
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
+import math
 import sys
 import time
 
 import numpy as np
 
-from .fast_alrp import (
-    _HAVE_NUMBA,
-    FastConfig,
-    complexity_bound,
-    fast_alrp,
-    operation_count,
-    pruned_size,
-)
+from .fast_alrp import FastConfig, complexity_bound, operation_count, pruned_size
 from .fileio import FileFormatError, load_eval, load_scenario
 from .losses import (
     SelfBalancer,
@@ -49,19 +41,6 @@ EXIT_NUMERICAL = 3
 
 class NumericalFailure(RuntimeError):
     """A computation produced non-finite results."""
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("RANKLOSS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"RANKLOSS_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError("RANKLOSS_THREADS must be >= 1")
-    return n
 
 
 def _step_kind(args) -> StepKind:
@@ -86,9 +65,16 @@ def _emit(doc: dict, fmt: str) -> None:
 
 
 def cmd_loss(args) -> int:
+    balancer = None
+    if args.sb_weight is not None:
+        if args.loss != "alrp":
+            raise ValueError(f"--sb-weight applies to --loss alrp only, not --loss {args.loss}")
+        if not (math.isfinite(args.sb_weight) and args.sb_weight > 0.0):
+            raise ValueError(f"--sb-weight must be finite and > 0, got {args.sb_weight!r}")
+        if args.sb_weight != 1.0:
+            balancer = SelfBalancer(active_weight=args.sb_weight)
     scenario = load_scenario(args.scenario)
     kind = _step_kind(args)
-    balancer = SelfBalancer(active_weight=args.sb_weight) if args.sb_weight != 1.0 else None
     if args.loss == "ap":
         bd = ap_loss(scenario, kind)
     elif args.loss == "ndcg":
@@ -280,47 +266,26 @@ def _time_call(fn, reps: int) -> float:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     sizes = _parse_sizes(args.sizes)
     kind = StepKind.smoothed(args.delta)
     config = FastConfig(delta=args.delta)
 
-    # Scenario generation can fan out; timing stays sequential so the
-    # measurements do not fight each other for cores.
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_thread_budget()) as pool:
-        scenarios = list(pool.map(lambda s: _bench_scenario(s[0], s[1], args.seed), sizes))
-
-    rows = []
-    previous_backend = os.environ.get("RANKLOSS_BACKEND")
-    try:
-        for (n_pos, n_neg), scenario in zip(sizes, scenarios):
-            n_kept = pruned_size(scenario, config)
-            row = {
-                "n_pos": n_pos,
-                "n_neg": n_neg,
-                "n_kept": n_kept,
-                "ops": operation_count(n_pos, n_neg, n_kept),
-                "bound": complexity_bound(n_pos, n_neg, n_kept),
-                "t_naive": _time_call(lambda: alrp_loss(scenario, kind), args.reps),
-            }
-            os.environ["RANKLOSS_BACKEND"] = "numpy"
-            row["t_fast_numpy"] = _time_call(lambda: fast_alrp(scenario, config), args.reps)
-            if _HAVE_NUMBA:
-                os.environ["RANKLOSS_BACKEND"] = "numba"
-                fast_alrp(scenario, config)  # compile outside the timer
-                row["t_fast_numba"] = _time_call(lambda: fast_alrp(scenario, config), args.reps)
-            else:
-                row["t_fast_numba"] = ""
-            rows.append(row)
-    finally:
-        if previous_backend is None:
-            os.environ.pop("RANKLOSS_BACKEND", None)
-        else:
-            os.environ["RANKLOSS_BACKEND"] = previous_backend
-
-    header = ["n_pos", "n_neg", "n_kept", "ops", "bound", "t_naive", "t_fast_numpy", "t_fast_numba"]
+    header = ["n_pos", "n_neg", "n_kept", "ops", "bound", "t_alrp"]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[k]) for k in header))
+    for n_pos, n_neg in sizes:
+        scenario = _bench_scenario(n_pos, n_neg, args.seed)
+        n_kept = pruned_size(scenario, config)
+        row = (
+            n_pos,
+            n_neg,
+            n_kept,
+            operation_count(n_pos, n_neg, n_kept),
+            complexity_bound(n_pos, n_neg, n_kept),
+            _time_call(lambda: alrp_loss(scenario, kind), args.reps),
+        )
+        lines.append(",".join(str(v) for v in row))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -347,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--loss", choices=("ap", "alrp", "ndcg"), default="alrp")
     _add_step_args(p)
-    p.add_argument("--sb-weight", type=float, default=1.0, help="self-balance weight to apply (alrp only)")
+    p.add_argument("--sb-weight", type=float, default=None, help="self-balance weight to apply, finite and > 0 (alrp only)")
     p.add_argument("--wrong-target", action="store_true", help="alrp with the broken (zero) target")
-    p.add_argument("--fast", action="store_true", help="use the sort/cumsum engine (alrp only)")
+    p.add_argument("--fast", action="store_true", help="accepted for compatibility; there is one engine")
     p.add_argument("--grads", action="store_true", help="include gradient arrays in the output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_loss)
@@ -375,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(step="smooth")
     p.add_argument("--sb", action="store_true", help="enable self-balancing (alrp only)")
     p.add_argument("--wrong-target", action="store_true")
-    p.add_argument("--fast", action="store_true", help="use the sort/cumsum engine")
+    p.add_argument("--fast", action="store_true", help="accepted for compatibility; there is one engine")
     p.add_argument("--out", help="write the per-epoch CSV log here")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("bench", help="naive-vs-fast timing and operation counts")
+    p = sub.add_parser("bench", help="average-LRP loss timing and operation counts")
     p.add_argument("--sizes", default="20x200,50x1000,100x5000", help="comma list of PxN sizes")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=int, default=3, help="timed runs per size, best kept (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--out", help="also write the CSV here")

@@ -1,56 +1,33 @@
-"""Sort/cumsum implementation of the average-LRP loss.
+"""The average-LRP loss under its configuration-object spelling.
 
-Algebraically identical to losses.alrp_loss but organized for speed:
+fast_alrp(scenario, FastConfig(...)) runs exactly the code of
+losses.alrp_loss: the sort-based ranking engine (ranking.step_sums), which
+builds every step sum from one sort, prefix sums and binary searches and
+never forms the positive x negative pair table. Results are identical to
+alrp_loss with the matching step.
 
-* negatives scoring below the step support of every positive are pruned up
-  front (threshold: lowest positive score minus the ramp half-width; with
-  the exact step, strictly below the lowest positive score),
-* positives are sorted by score (descending, ties by anchor order) so the
-  positive-positive localization sums C(i) collapse to a cumulative sum
-  (ties within a score group all count each other),
-* one pass per positive accumulates its negative-side step row into the
-  negative gradients, using the closed form: the positive's own gradient
-  magnitude is (N_FP(i) + C(i))/rank(i), distributed over negatives in
-  proportion to step mass.
-
-Time O(|N| + |P| * max(|P|, |N_kept|)), extra space O(|P| + |N|).
-
-The per-positive pass runs either as a numba-compiled kernel or as a pure
-numpy loop; RANKLOSS_BACKEND=numba|numpy forces one, the default is numba
-when importable. Both agree with the naive assembly to 1e-9.
+Also here: pruned_size, the number of negatives inside some positive's step
+support (the engine skips the others before sorting), and the operation
+count formula with its bound and a probe that sweeps sizes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import loc_error_grad
-from .ranking import GradReport
-from .losses import LossBreakdown
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+from . import losses
+from .geometry import loc_error_grad  # noqa: F401  (re-exported for callers that look it up here)
+from .ranking import StepKind
 
 
 @dataclass(frozen=True)
 class FastConfig:
     """delta: ramp half-width of the smooth step.
-    prune: drop negatives outside every positive's step support.
+    prune: whether pruned_size counts only negatives inside some positive's
+           step support; the engine skips the others either way, so results
+           never depend on it.
     exact: use the exact step (H(0)=1) instead of the ramp; delta unused."""
 
     delta: float = 1.0
@@ -63,203 +40,33 @@ class FastConfig:
 
 
 def active_backend():
-    """Which per-positive kernel runs: 'numba' or 'numpy'."""
-    choice = os.environ.get("RANKLOSS_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("RANKLOSS_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice not in ("", "auto"):
-        raise RuntimeError("RANKLOSS_BACKEND must be 'numba' or 'numpy', got %r" % choice)
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def _pass_numpy(ps, ns, rank_pos, c_loc, delta, exact):
-    """Per-positive pass, numpy rows. Returns (n_fp, neg_grad_unnormalized).
-
-    rank_pos entries < 0 mean "compute the smooth positive-side rank here"
-    (the exact variant precomputes them from the sort groups).
-    """
-    n_pos = ps.size
-    n_fp = np.zeros(n_pos)
-    neg_grad = np.zeros(ns.size)
-    inv_two_delta = 0.0 if exact else 1.0 / (2.0 * delta)
-    for i in range(n_pos):
-        if rank_pos[i] < 0.0:
-            h_pp = np.clip((ps - ps[i]) * inv_two_delta + 0.5, 0.0, 1.0)
-            h_pp[i] = 0.0
-            rank_pos[i] = 1.0 + h_pp.sum()
-        if ns.size:
-            if exact:
-                h_row = (ns >= ps[i]).astype(np.float64)
-            else:
-                h_row = np.clip((ns - ps[i]) * inv_two_delta + 0.5, 0.0, 1.0)
-            nfp = h_row.sum()
-        else:
-            h_row = None
-            nfp = 0.0
-        n_fp[i] = nfp
-        if nfp > 0.0:
-            coeff = (nfp + c_loc[i]) / ((rank_pos[i] + nfp) * nfp)
-            neg_grad += coeff * h_row
-    return n_fp, neg_grad
-
-
-@njit(cache=True)
-def _pass_numba(ps, ns, rank_pos, c_loc, delta, exact):  # pragma: no cover - numba path
-    n_pos = ps.size
-    n_neg = ns.size
-    n_fp = np.zeros(n_pos)
-    neg_grad = np.zeros(n_neg)
-    h_row = np.empty(n_neg)
-    inv_two_delta = 0.0 if exact else 1.0 / (2.0 * delta)
-    for i in range(n_pos):
-        si = ps[i]
-        if rank_pos[i] < 0.0:
-            acc = 0.0
-            for k in range(n_pos):
-                if k == i:
-                    continue
-                h = (ps[k] - si) * inv_two_delta + 0.5
-                if h < 0.0:
-                    h = 0.0
-                elif h > 1.0:
-                    h = 1.0
-                acc += h
-            rank_pos[i] = 1.0 + acc
-        nfp = 0.0
-        for j in range(n_neg):
-            if exact:
-                h = 1.0 if ns[j] >= si else 0.0
-            else:
-                h = (ns[j] - si) * inv_two_delta + 0.5
-                if h < 0.0:
-                    h = 0.0
-                elif h > 1.0:
-                    h = 1.0
-            h_row[j] = h
-            nfp += h
-        n_fp[i] = nfp
-        if nfp > 0.0:
-            coeff = (nfp + c_loc[i]) / ((rank_pos[i] + nfp) * nfp)
-            for j in range(n_neg):
-                neg_grad[j] += coeff * h_row[j]
-    return n_fp, neg_grad
-
-
-def _prepare(scenario, config):
-    """Sort positives, prune negatives, precompute cumulative loc sums."""
-    ps = scenario.pos_scores()
-    ns = scenario.neg_scores()
-    e_loc = scenario.loc_errors()
-
-    order = np.lexsort((np.arange(ps.size), -ps))
-    ps_s = ps[order]
-    e_s = e_loc[order]
-
-    if config.prune and ns.size:
-        bound = ps_s[-1] if config.exact else ps_s[-1] - config.delta
-        keep = ns >= bound if config.exact else ns > bound
-    else:
-        keep = np.ones(ns.size, dtype=bool)
-    kept_idx = np.nonzero(keep)[0]
-    ns_kept = ns[kept_idx]
-
-    # Score-tie groups in the sorted order: within a group every member's
-    # localization error counts toward every other member (exact step, ties
-    # both ways), so C(i) = (cumulative sum through the group end) - own.
-    group_end = np.empty(ps_s.size, dtype=np.intp)
-    start = 0
-    for i in range(1, ps_s.size + 1):
-        if i == ps_s.size or ps_s[i] != ps_s[start]:
-            group_end[start:i] = i
-            start = i
-    cum_e = np.concatenate(([0.0], np.cumsum(e_s)))
-    c_loc = cum_e[group_end] - e_s
-
-    if config.exact:
-        rank_pos = group_end.astype(np.float64)
-    else:
-        rank_pos = np.full(ps_s.size, -1.0)
-
-    return order, ps_s, e_s, c_loc, rank_pos, kept_idx, ns_kept
+    """The engine that runs: always 'numpy' (there is one engine)."""
+    return "numpy"
 
 
 def fast_alrp(scenario, config=FastConfig(), balancer=None):
-    """LossBreakdown matching losses.alrp_loss on every field."""
-    order, ps_s, e_s, c_loc, rank_pos, kept_idx, ns_kept = _prepare(scenario, config)
-    runner = _pass_numba if active_backend() == "numba" else _pass_numpy
-    n_fp, neg_grad_kept = runner(
-        ps_s, ns_kept, rank_pos, c_loc, float(config.delta), bool(config.exact)
-    )
-    rank = rank_pos + n_fp
-    n_pos = ps_s.size
-    z = float(n_pos)
-
-    cls_c = float((n_fp / rank).mean())
-    loc_c = float(((e_s + c_loc) / rank).mean())
-
-    grads = np.zeros(len(scenario.anchors))
-    pos_grad_s = np.where(n_fp > 0.0, -(n_fp + c_loc) / rank, 0.0) / z
-    grads[scenario.pos_index[order]] = pos_grad_s
-    neg_grad = np.zeros(scenario.n_neg)
-    neg_grad[kept_idx] = neg_grad_kept / z
-    grads[scenario.neg_index] = neg_grad
-
-    # Soft box-gradient weights: 1/rank summed over self and every positive
-    # scored at or below, which in sorted order is a suffix sum over ranks
-    # taken from the head of each score-tie group.
-    inv_rank = 1.0 / rank
-    suffix = np.concatenate((np.cumsum(inv_rank[::-1])[::-1], [0.0]))
-    group_start = np.empty(n_pos, dtype=np.intp)
-    start = 0
-    for i in range(1, n_pos + 1):
-        if i == n_pos or ps_s[i] != ps_s[start]:
-            group_start[start:i] = start
-            start = i
-    w_sorted = suffix[group_start] / z
-    w = np.empty(n_pos)
-    w[order] = w_sorted
-
-    sb = balancer.active_weight if balancer is not None else 1.0
-    boxes = scenario.pos_boxes()
-    gts = scenario.pos_gt_boxes()
-    box_grads = np.empty((n_pos, 4))
-    for i in range(n_pos):
-        g, _ = loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
-        box_grads[i] = sb * w[i] * g
-
-    ell_s = (n_fp + e_s + c_loc) / rank
-    primary = float(np.where(n_fp > 0.0, ell_s, 0.0).sum()) / z
-    direct = cls_c + loc_c
-    report = GradReport(
-        score_grads=grads,
-        loss_value=primary,
-        primary_term_sum_check=abs(direct - primary),
-    )
-    out = LossBreakdown(
-        total=direct,
-        cls_component=cls_c,
-        loc_component=loc_c,
-        score_grads=grads,
-        box_grads=box_grads,
-        sb_weight_applied=float(sb),
-    )
-    out._report = report
-    return out
+    """LossBreakdown identical to losses.alrp_loss with config's step."""
+    kind = StepKind.exact() if config.exact else StepKind.smoothed(config.delta)
+    return losses._alrp(scenario, kind, balancer, losses.ALRPLossDef())
 
 
 def pruned_size(scenario, config=FastConfig()):
-    """How many negatives survive the support-bound prune."""
-    _, _, _, _, _, kept_idx, _ = _prepare(scenario, config)
-    return int(kept_idx.size)
+    """How many negatives survive the support-bound prune: those at or above
+    the lowest positive score (exact step), or strictly above it minus
+    delta (smooth step)."""
+    ns = scenario.neg_scores()
+    if not config.prune or not ns.size:
+        return int(ns.size)
+    low = scenario.pos_scores().min()
+    keep = ns >= low if config.exact else ns > low - config.delta
+    return int(np.count_nonzero(keep))
 
 
 def operation_count(n_pos, n_neg, n_kept):
-    """Counted inner-loop operations: one prune test per negative plus, per
-    positive, one positive-side and one kept-negative-side comparison each."""
+    """Pair comparisons of a per-positive pass: one prune test per negative
+    plus, per positive, one comparison with each positive and each kept
+    negative. A formula, not a measurement; the sort-based engine does
+    O((|P| + |N|) log(|P| + |N|)) work, below this count."""
     return n_neg + n_pos * (n_pos + n_kept)
 
 
@@ -269,8 +76,8 @@ def complexity_bound(n_pos, n_neg, n_kept):
 
 
 def complexity_probe(size_pairs, seed=0, delta=1.0, prune=True, spread=10.0):
-    """Run the fast path over random scenarios of the given (n_pos, n_neg)
-    sizes and report counted operations against the bound.
+    """Run the loss over random scenarios of the given (n_pos, n_neg)
+    sizes and report the operation count against the bound.
 
     Scores are spread wider than the ramp so the prune has something to cut:
     negatives uniform over [0, spread], positives over [0.6 spread, spread].

@@ -29,10 +29,9 @@ from .ranking import (
     RankingLossDef,
     StepKind,
     assemble_gradients,
-    diff_transform,
     gradient_sums,
     rank_stats,
-    step,
+    step_sums,
 )
 
 
@@ -91,13 +90,7 @@ def self_balance_update(balancer, epoch_pairs):
 def _exact_pos_loc_sums(scenario, e_loc):
     """C(i) = sum_{k != i, s_k >= s_i} E_loc(k), exact step, ties both ways."""
     ps = scenario.pos_scores()
-    n = ps.size
-    out = np.empty(n)
-    for i in range(n):
-        above = ps >= ps[i]
-        above[i] = False
-        out[i] = float(e_loc[above].sum())
-    return out
+    return np.maximum(step_sums(ps, ps, StepKind.exact(), e_loc) - e_loc, 0.0)
 
 
 class APLossDef(RankingLossDef):
@@ -176,14 +169,8 @@ def alrp_soft_weights(scenario, kind=StepKind.exact()):
     """
     stats = rank_stats(scenario, kind)
     ps = scenario.pos_scores()
-    n = ps.size
-    inv_rank = 1.0 / stats.rank
-    w = np.empty(n)
-    for i in range(n):
-        at_or_below = ps <= ps[i]
-        at_or_below[i] = False
-        w[i] = inv_rank[i] + float(inv_rank[at_or_below].sum())
-    return w / n
+    # "Scored at or below" is the exact step on negated scores.
+    return step_sums(-ps, -ps, StepKind.exact(), 1.0 / stats.rank) / ps.size
 
 
 def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight):
@@ -210,15 +197,6 @@ def ap_loss(scenario, kind=StepKind.exact()):
     )
 
 
-def _alrp_components(scenario, kind):
-    stats = rank_stats(scenario, kind)
-    e_loc = scenario.loc_errors()
-    c = _exact_pos_loc_sums(scenario, e_loc)
-    cls_c = float((stats.n_fp / stats.rank).mean())
-    loc_c = float(((e_loc + c) / stats.rank).mean())
-    return stats, e_loc, cls_c, loc_c
-
-
 def _alrp_box_grads(scenario, kind, sb_weight):
     """d(loc_component)/d(box) via the soft weights, times the balance weight."""
     w = alrp_soft_weights(scenario, kind)
@@ -231,24 +209,34 @@ def _alrp_box_grads(scenario, kind, sb_weight):
     return sb_weight * grads
 
 
+def _alrp(scenario, kind, balancer, loss_def):
+    """The aLRP breakdown under loss_def's target; every aLRP entry point
+    (alrp_loss, wrong_target_alrp, fast_alrp) runs this."""
+    sb = balancer.active_weight if balancer is not None else 1.0
+    stats = rank_stats(scenario, kind)
+    e_loc = scenario.loc_errors()
+    c = _exact_pos_loc_sums(scenario, e_loc)
+    cls_c = float((stats.n_fp / stats.rank).mean())
+    loc_c = float(((e_loc + c) / stats.rank).mean())
+    report = assemble_gradients(scenario, loss_def, kind)
+    box = _alrp_box_grads(scenario, kind, sb)
+    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, box, sb)
+
+
 def alrp_loss(scenario, kind=StepKind.exact(), balancer=None, use_fast=False):
     """Average LRP over positives, split into a ranking (cls) part and a
     localization part, with score and box gradients.
 
-    balancer scales box gradients only. use_fast routes through the
-    sort/cumsum implementation; results agree with this direct assembly to
-    tight float tolerance.
+    balancer scales box gradients only. use_fast=True is kept as a spelling
+    that goes through fast_alrp, which runs this same code: the results are
+    identical.
     """
     if use_fast:
         from .fast_alrp import FastConfig, fast_alrp
 
         cfg = FastConfig(delta=kind.delta, exact=not kind.smooth)
         return fast_alrp(scenario, cfg, balancer)
-    sb = balancer.active_weight if balancer is not None else 1.0
-    stats, e_loc, cls_c, loc_c = _alrp_components(scenario, kind)
-    report = assemble_gradients(scenario, ALRPLossDef(), kind)
-    box = _alrp_box_grads(scenario, kind, sb)
-    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, box, sb)
+    return _alrp(scenario, kind, balancer, ALRPLossDef())
 
 
 def wrong_target_alrp(scenario, kind=StepKind.exact(), balancer=None):
@@ -258,11 +246,7 @@ def wrong_target_alrp(scenario, kind=StepKind.exact(), balancer=None):
     and their positive/negative sums stop matching once some positive has
     no negative ranked above it but still carries localization error.
     """
-    sb = balancer.active_weight if balancer is not None else 1.0
-    stats, e_loc, cls_c, loc_c = _alrp_components(scenario, kind)
-    report = assemble_gradients(scenario, WrongTargetALRPDef(), kind)
-    box = _alrp_box_grads(scenario, kind, sb)
-    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, box, sb)
+    return _alrp(scenario, kind, balancer, WrongTargetALRPDef())
 
 
 def ndcg_loss(scenario, kind=StepKind.exact()):

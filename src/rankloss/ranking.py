@@ -5,7 +5,9 @@ The central objects:
 * the difference transform x_ij = s_j - s_i between anchor scores,
 * a step function H applied to it (exact Heaviside with H(0)=1, or a
   piecewise-linear ramp of half-width delta with H(0)=0.5),
-* per-positive rank statistics built from sums of H,
+* per-positive rank statistics built from sums of H, every one of them
+  (and every gradient below) a weighted step sum from step_sums: one sort,
+  prefix sums and binary searches, never the |P| x |N| pair table,
 * an error-driven gradient assembly: every loss provides a per-positive
   local error l(i) and a target l*(i); the pairwise error
   L_ij = l(i) * H(x_ij)/N_FP(i) is distributed over the negatives ranked
@@ -16,7 +18,7 @@ The central objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,6 +155,105 @@ class Scenario:
         return Scenario(new, self.gts, self.loc_kind)
 
 
+def _prefix(v):
+    """Prefix sums of v (leading 0) as a (high, low) pair of arrays.
+
+    The high parts lie on a power-of-two grid coarse enough that their
+    running sums are exact, so the difference of two prefixes (see _sum) is
+    as precise as the terms between them, however large the prefix before
+    them."""
+    grid = np.ldexp(1.0, max(np.frexp(np.abs(v).sum())[1] - 52, -1022))
+    high = np.round(v / grid) * grid
+    return (
+        np.concatenate(([0.0], np.cumsum(high))),
+        np.concatenate(([0.0], np.cumsum(v - high))),
+    )
+
+
+def _sum(prefix, a, b):
+    """Sum of the terms a .. b-1 of a _prefix pair (a, b broadcast)."""
+    high, low = prefix
+    return (high[b] - high[a]) + (low[b] - low[a])
+
+
+def _exact_shift(values):
+    """A shift c with v - c exact for every v (Sterbenz): the smallest
+    magnitude when all values share a sign and lie within a factor 2 of it,
+    else 0. Centring scores far from zero keeps q +- delta sharp."""
+    lo, hi = float(values.min()), float(values.max())
+    if 0.0 < lo and hi <= 2.0 * lo:
+        return lo
+    if hi < 0.0 and lo >= 2.0 * hi:
+        return hi
+    return 0.0
+
+
+def step_sums(data, queries, kind, weights=None):
+    """S(q) = sum_k w_k H(data_k - q) for every query q (w_k = 1 by default).
+
+    The one ranking engine: every rank statistic and gradient is a weighted
+    step sum. One sort of the data, prefix sums of w and of w times the
+    offset of each datum from its cell, and two binary searches per query
+    cost O((K + M) log K) for K data and M queries.
+
+    exact:  S(q) is the weight of the data at or above q.
+    smooth: the data at or above q + delta count fully; those inside
+            (q - delta, q + delta) add w_k (x_k - q + delta) / (2 delta).
+            Each x_k is taken relative to the start of its cell of width
+            4 delta, which a window of width 2 delta meets at most twice,
+            so every summed term is of size delta, not of size x.
+
+    Terms are non-negative, so S is clipped at 0 against rounding at a
+    support edge; a query whose support holds no data gets exactly 0.
+    """
+    x = np.asarray(data, dtype=np.float64)
+    q = np.asarray(queries, dtype=np.float64)
+    out = np.zeros(q.size)
+    if not x.size or not q.size:
+        return out
+    shift = _exact_shift(np.concatenate((x, q)))
+    x, q = x - shift, q - shift
+    d = kind.delta if kind.smooth else 0.0
+    # Only data above the lowest support edge and queries whose support
+    # holds some datum take part; the comparisons match the searches below.
+    if kind.smooth:
+        keep, active = x > q.min() - d, q - d < x.max()
+    else:
+        keep, active = x >= q.min(), q <= x.max()
+    x, q = x[keep], q[active]
+    if not q.size:
+        return out
+    if weights is None:
+        x = np.sort(x)
+        w = np.ones(x.size)
+    else:
+        w = np.asarray(weights, dtype=np.float64)[keep]
+        order = np.argsort(x)
+        x, w = x[order], w[order]
+    n = x.size
+    pw = _prefix(w)
+    if not kind.smooth:
+        out[active] = _sum(pw, np.searchsorted(x, q, "left"), n)
+        return out
+
+    cell = np.floor(x / (4.0 * d))
+    first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    size = np.diff(np.append(first, n))
+    ref = np.append(np.repeat(x[first], size), 0.0)
+    cell_end = np.append(np.repeat(np.append(first[1:], n), size), n)
+    pt = _prefix(w * (x - ref[:-1]))
+
+    lo = np.searchsorted(x, q - d, "right")
+    hi = np.maximum(np.searchsorted(x, q + d, "left"), lo)
+    mid = np.minimum(cell_end[lo], hi)
+    ramp = (
+        _sum(pt, lo, mid) + (ref[lo] - q + d) * _sum(pw, lo, mid)
+        + _sum(pt, mid, hi) + (ref[mid] - q + d) * _sum(pw, mid, hi)
+    )
+    out[active] = np.maximum(_sum(pw, hi, n) + ramp / (2.0 * d), 0.0)
+    return out
+
+
 @dataclass
 class RankStats:
     """Per-positive rank statistics (aligned with Scenario.pos_index).
@@ -170,15 +271,10 @@ class RankStats:
 
 def rank_stats(scenario, kind):
     ps = scenario.pos_scores()
-    ns = scenario.neg_scores()
-    n_pos = ps.size
-    rank_pos = np.empty(n_pos)
-    n_fp = np.empty(n_pos)
-    for i in range(n_pos):
-        h_pp = step(diff_transform(ps[i], ps), kind)
-        h_pp[i] = 0.0  # the self pair is the +1 term, not an H comparison
-        rank_pos[i] = 1.0 + h_pp.sum()
-        n_fp[i] = step(diff_transform(ps[i], ns), kind).sum() if ns.size else 0.0
+    # The sum over all positives includes the self pair H(0); the self term
+    # of rank_pos is 1 instead.
+    rank_pos = step_sums(ps, ps, kind) + (1.0 - float(step(0.0, kind)))
+    n_fp = step_sums(scenario.neg_scores(), ps, kind)
     return RankStats(rank=rank_pos + n_fp, rank_pos=rank_pos, n_fp=n_fp)
 
 
@@ -203,9 +299,9 @@ class RankingLossDef:
     """Plug-in contract for the shared assembly routine.
 
     Subclasses provide the normalizer Z and per-positive local/target errors
-    (l(i), l*(i)); the default pairwise distribution over negatives is
-    uniform over step mass, p(j|i) = H(x_ij)/N_FP(i), defined as all-zero
-    when N_FP(i) = 0 so there is never a 0/0.
+    (l(i), l*(i)); the pairwise distribution over negatives is uniform over
+    step mass, p(j|i) = H(x_ij)/N_FP(i), defined as all-zero when
+    N_FP(i) = 0 so there is never a 0/0.
 
     unconditional_positive_grads reproduces implementations that read the
     positive gradient straight off the local error, even when there is no
@@ -222,51 +318,41 @@ class RankingLossDef:
         """Return (ell, ell_star) arrays aligned with pos_index."""
         raise NotImplementedError
 
-    def pair_distribution(self, h_row, n_fp_i):
-        """p(j|i) over negatives; zero row when no step mass."""
-        if n_fp_i <= 0.0:
-            return np.zeros_like(h_row)
-        return h_row / n_fp_i
-
 
 def assemble_gradients(scenario, loss_def, kind):
-    """Stream the pairwise error table row by row and accumulate gradients.
+    """Distribute each positive's error over the negatives ranked above it.
 
-    Never materializes the |P| x |N| matrix. Raises if any target exceeds
-    its primary term (the update would push the wrong way).
+    Never materializes the |P| x |N| table: with p(j|i) = H(x_ij)/N_FP(i),
+    a positive's row of the table sums to 1 (or 0 without step mass) and a
+    negative's column is one weighted step sum over the positives. Raises
+    if any target exceeds its primary term (the update would push the wrong
+    way).
     """
     stats = rank_stats(scenario, kind)
     ell, ell_star = loss_def.local_errors(scenario, stats, kind)
     z = float(loss_def.normalizer(scenario))
-    ps = scenario.pos_scores()
-    ns = scenario.neg_scores()
-
+    gap = ell - ell_star
+    bad = np.flatnonzero(gap < -1e-12 * np.maximum(1.0, np.abs(ell)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            "target exceeds primary term for positive %d (l=%r, l*=%r)"
+            % (i, ell[i], ell_star[i])
+        )
+    gap = np.maximum(gap, 0.0)
+    # Delta x_ij = (l*(i) - l(i)) p(j|i); positive grad is its row sum.
+    mass = (stats.n_fp > 0.0).astype(np.float64)
     grads = np.zeros(len(scenario.anchors))
-    neg_acc = np.zeros(ns.size)
-    primary_sum = 0.0
-    for i in range(ps.size):
-        if ns.size:
-            h_row = step(diff_transform(ps[i], ns), kind)
-        else:
-            h_row = np.zeros(0)
-        p_row = loss_def.pair_distribution(h_row, stats.n_fp[i])
-        gap = ell[i] - ell_star[i]
-        if gap < -1e-12 * max(1.0, abs(ell[i])):
-            raise ValueError(
-                "target exceeds primary term for positive %d (l=%r, l*=%r)"
-                % (i, ell[i], ell_star[i])
-            )
-        # Delta x_ij = (l*(i) - l(i)) p(j|i); positive grad is its row sum.
-        mass = p_row.sum()
-        if loss_def.unconditional_positive_grads:
-            grads[scenario.pos_index[i]] = -gap / z
-        else:
-            grads[scenario.pos_index[i]] = -gap * mass / z
-        neg_acc += gap * p_row / z
-        primary_sum += ell[i] * mass
-
-    grads[scenario.neg_index] = neg_acc
-    loss_value = primary_sum / z
+    if loss_def.unconditional_positive_grads:
+        grads[scenario.pos_index] = -gap / z
+    else:
+        grads[scenario.pos_index] = -gap * mass / z
+    share = np.divide(gap, stats.n_fp * z, out=np.zeros_like(gap), where=mass > 0.0)
+    # H(s_j - s_i) as a sum over positives: the step on negated scores.
+    grads[scenario.neg_index] = step_sums(
+        -scenario.pos_scores(), -scenario.neg_scores(), kind, share
+    )
+    loss_value = float((ell * mass).sum()) / z
     direct = float(ell.sum()) / z
     return GradReport(
         score_grads=grads,
@@ -276,7 +362,7 @@ def assemble_gradients(scenario, loss_def, kind):
 
 
 def primary_term_sum(scenario, loss_def, kind):
-    """(1/Z) * sum_ij L_ij, computed from the same streamed rows."""
+    """(1/Z) * sum_ij L_ij, as assemble_gradients reports it."""
     return assemble_gradients(scenario, loss_def, kind).loss_value
 
 

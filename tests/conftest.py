@@ -1,17 +1,27 @@
-"""Shared helpers for the test suite: randomized scenarios and a naive
-pairwise-table oracle that materializes what the streaming assembly never
-builds."""
+"""Shared helpers for the test suite: randomized scenarios, a naive
+pairwise-table oracle that materializes what the assembly never builds, and
+the per-positive loops that define every rank statistic and gradient, kept
+as oracles for the sort-based engine (rankloss.ranking.step_sums)."""
 
 import numpy as np
 
-from rankloss.geometry import LocErrorKind
+from rankloss.geometry import LocErrorKind, loc_error_grad
+from rankloss.losses import (
+    ALRPLossDef,
+    APLossDef,
+    NDCGLossDef,
+    WrongTargetALRPDef,
+    _breakdown_from,
+    ndcg_ideal_gain,
+)
 from rankloss.ranking import (
     NEG,
     POS,
     AnchorRecord,
+    GradReport,
+    RankStats,
     Scenario,
     diff_transform,
-    rank_stats,
     step,
 )
 
@@ -57,7 +67,7 @@ def naive_pair_tables(scenario, loss_def, kind):
     L_star[i, j] = l*(i) * p(j|i); the streaming assembly must agree with
     sums over these tables without ever building them.
     """
-    stats = rank_stats(scenario, kind)
+    stats = oracle_rank_stats(scenario, kind)
     ell, ell_star = loss_def.local_errors(scenario, stats, kind)
     z = float(loss_def.normalizer(scenario))
     ps, ns = scenario.pos_scores(), scenario.neg_scores()
@@ -69,3 +79,140 @@ def naive_pair_tables(scenario, loss_def, kind):
         table[i] = ell[i] * p_row
         table_star[i] = ell_star[i] * p_row
     return table, table_star, z
+
+
+# ---------------------------------------------------------------------------
+# Per-positive oracles: one pass over all negatives (and all positives) for
+# each positive, straight from the definitions.
+# ---------------------------------------------------------------------------
+
+
+def oracle_rank_stats(scenario, kind):
+    ps = scenario.pos_scores()
+    ns = scenario.neg_scores()
+    n_pos = ps.size
+    rank_pos = np.empty(n_pos)
+    n_fp = np.empty(n_pos)
+    for i in range(n_pos):
+        h_pp = step(diff_transform(ps[i], ps), kind)
+        h_pp[i] = 0.0  # the self pair is the +1 term, not an H comparison
+        rank_pos[i] = 1.0 + h_pp.sum()
+        n_fp[i] = step(diff_transform(ps[i], ns), kind).sum() if ns.size else 0.0
+    return RankStats(rank=rank_pos + n_fp, rank_pos=rank_pos, n_fp=n_fp)
+
+
+def oracle_exact_pos_loc_sums(scenario, e_loc):
+    """C(i) = sum_{k != i, s_k >= s_i} E_loc(k), exact step, ties both ways."""
+    ps = scenario.pos_scores()
+    n = ps.size
+    out = np.empty(n)
+    for i in range(n):
+        above = ps >= ps[i]
+        above[i] = False
+        out[i] = float(e_loc[above].sum())
+    return out
+
+
+def oracle_alrp_soft_weights(scenario, kind):
+    stats = oracle_rank_stats(scenario, kind)
+    ps = scenario.pos_scores()
+    n = ps.size
+    inv_rank = 1.0 / stats.rank
+    w = np.empty(n)
+    for i in range(n):
+        at_or_below = ps <= ps[i]
+        at_or_below[i] = False
+        w[i] = inv_rank[i] + float(inv_rank[at_or_below].sum())
+    return w / n
+
+
+class OracleALRPDef(ALRPLossDef):
+    """ALRPLossDef with C(i) from the per-positive loop."""
+
+    def local_errors(self, scenario, stats, kind):
+        e_loc = scenario.loc_errors()
+        c = oracle_exact_pos_loc_sums(scenario, e_loc)
+        ell = (stats.n_fp + e_loc + c) / stats.rank
+        ell_star = e_loc / stats.rank
+        return ell, ell_star
+
+
+class OracleWrongTargetDef(WrongTargetALRPDef, OracleALRPDef):
+    """WrongTargetALRPDef on top of OracleALRPDef's local errors."""
+
+
+def oracle_assemble_gradients(scenario, loss_def, kind):
+    """Stream the pairwise error table row by row and accumulate gradients."""
+    stats = oracle_rank_stats(scenario, kind)
+    ell, ell_star = loss_def.local_errors(scenario, stats, kind)
+    z = float(loss_def.normalizer(scenario))
+    ps = scenario.pos_scores()
+    ns = scenario.neg_scores()
+
+    grads = np.zeros(len(scenario.anchors))
+    neg_acc = np.zeros(ns.size)
+    primary_sum = 0.0
+    for i in range(ps.size):
+        if ns.size:
+            h_row = step(diff_transform(ps[i], ns), kind)
+        else:
+            h_row = np.zeros(0)
+        # p(j|i) = H(x_ij)/N_FP(i), an all-zero row without step mass
+        p_row = h_row / stats.n_fp[i] if stats.n_fp[i] > 0.0 else np.zeros_like(h_row)
+        gap = ell[i] - ell_star[i]
+        if gap < -1e-12 * max(1.0, abs(ell[i])):
+            raise ValueError(
+                "target exceeds primary term for positive %d (l=%r, l*=%r)"
+                % (i, ell[i], ell_star[i])
+            )
+        # Delta x_ij = (l*(i) - l(i)) p(j|i); positive grad is its row sum.
+        mass = p_row.sum()
+        if loss_def.unconditional_positive_grads:
+            grads[scenario.pos_index[i]] = -gap / z
+        else:
+            grads[scenario.pos_index[i]] = -gap * mass / z
+        neg_acc += gap * p_row / z
+        primary_sum += ell[i] * mass
+
+    grads[scenario.neg_index] = neg_acc
+    loss_value = primary_sum / z
+    direct = float(ell.sum()) / z
+    return GradReport(
+        score_grads=grads,
+        loss_value=loss_value,
+        primary_term_sum_check=abs(direct - loss_value),
+    )
+
+
+ORACLE_DEFS = {
+    "ap": APLossDef(),
+    "alrp": OracleALRPDef(),
+    "alrp-wrong-target": OracleWrongTargetDef(),
+    "ndcg": NDCGLossDef(),
+}
+
+
+def oracle_loss(name, scenario, kind, balancer=None):
+    """The LossBreakdown of loss `name` (a key of ORACLE_DEFS) built from
+    the per-positive oracles only."""
+    stats = oracle_rank_stats(scenario, kind)
+    report = oracle_assemble_gradients(scenario, ORACLE_DEFS[name], kind)
+    n = scenario.n_pos
+    if name == "ap":
+        total = float((stats.n_fp / stats.rank).mean())
+        return _breakdown_from(total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+    if name == "ndcg":
+        total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / ndcg_ideal_gain(n)
+        return _breakdown_from(total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+    sb = balancer.active_weight if balancer is not None else 1.0
+    e_loc = scenario.loc_errors()
+    c = oracle_exact_pos_loc_sums(scenario, e_loc)
+    cls_c = float((stats.n_fp / stats.rank).mean())
+    loc_c = float(((e_loc + c) / stats.rank).mean())
+    w = oracle_alrp_soft_weights(scenario, kind)
+    boxes, gts = scenario.pos_boxes(), scenario.pos_gt_boxes()
+    box = np.empty((n, 4))
+    for i in range(n):
+        g, _ = loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
+        box[i] = w[i] * g
+    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, sb * box, sb)

@@ -278,6 +278,17 @@ class TestCLILoss:
             np.array(weighted["box_grads"]), 3.0 * np.array(plain["box_grads"]), rtol=1e-12
         )
 
+    def test_sb_weight_must_be_finite_and_positive(self, scenario_file, capsys):
+        for bad in ("0", "-1.5", "nan", "inf"):
+            assert main(["loss", "--scenario", scenario_file, "--sb-weight", bad]) == EXIT_INVALID
+            assert "--sb-weight" in capsys.readouterr().err
+
+    def test_sb_weight_refused_for_ap_and_ndcg(self, scenario_file, capsys):
+        for loss in ("ap", "ndcg"):
+            rc = main(["loss", "--scenario", scenario_file, "--loss", loss, "--sb-weight", "2"])
+            assert rc == EXIT_INVALID
+            assert "--sb-weight" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["loss", "--scenario", str(tmp_path / "nope.json")]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
@@ -418,35 +429,23 @@ class TestCLIBench:
         rc = main(["bench", "--sizes", "5x50,8x100", "--reps", "1", "--out", str(out)])
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n_pos,n_neg,n_kept,ops,bound,t_naive,t_fast_numpy,t_fast_numba"
+        assert lines[0] == "n_pos,n_neg,n_kept,ops,bound,t_alrp"
         assert len(lines) == 3
         for line in lines[1:]:
             parts = line.split(",")
             n_pos, n_neg, n_kept, ops = (int(v) for v in parts[:4])
             assert ops == operation_count(n_pos, n_neg, n_kept)
-            assert float(parts[5]) > 0.0  # naive timing
+            assert float(parts[5]) > 0.0  # loss timing
         assert out.read_text().splitlines() == lines
-
-    def test_backend_env_restored(self, monkeypatch, capsys):
-        monkeypatch.setenv("RANKLOSS_BACKEND", "numpy")
-        assert main(["bench", "--sizes", "4x20", "--reps", "1"]) == EXIT_OK
-        import os
-
-        assert os.environ["RANKLOSS_BACKEND"] == "numpy"
-        capsys.readouterr()
 
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "5by50"]) == EXIT_INVALID
         assert main(["bench", "--sizes", ""]) == EXIT_INVALID
 
-    def test_thread_budget_validation(self, monkeypatch, capsys):
-        monkeypatch.setenv("RANKLOSS_THREADS", "zero")
-        assert main(["bench", "--sizes", "4x20", "--reps", "1"]) == EXIT_INVALID
-        monkeypatch.setenv("RANKLOSS_THREADS", "0")
-        assert main(["bench", "--sizes", "4x20", "--reps", "1"]) == EXIT_INVALID
-        monkeypatch.setenv("RANKLOSS_THREADS", "2")
-        assert main(["bench", "--sizes", "4x20", "--reps", "1"]) == EXIT_OK
-        capsys.readouterr()
+    def test_reps_must_be_positive(self, capsys):
+        for reps in ("0", "-2"):
+            assert main(["bench", "--sizes", "4x20", "--reps", reps]) == EXIT_INVALID
+            assert "--reps" in capsys.readouterr().err
 
 
 class TestConsoleScript:
