@@ -6,8 +6,8 @@ The central objects:
 * a step function H applied to it (exact Heaviside with H(0)=1, or a
   piecewise-linear ramp of half-width delta with H(0)=0.5),
 * per-positive rank statistics built from sums of H, every one of them
-  (and every gradient below) a weighted step sum from step_sums: one sort,
-  prefix sums and binary searches, never the |P| x |N| pair table,
+  (and every gradient below) a row or column sum of a StepRelation: one
+  sort, prefix sums and binary searches, never the |P| x |N| pair table,
 * an error-driven gradient assembly: every loss provides a per-positive
   local error l(i) and a target l*(i); the pairwise error
   L_ij = l(i) * H(x_ij)/N_FP(i) is distributed over the negatives ranked
@@ -19,6 +19,7 @@ The central objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,82 +177,166 @@ def _sum(prefix, a, b):
     return (high[b] - high[a]) + (low[b] - low[a])
 
 
-def _exact_shift(values):
-    """A shift c with v - c exact for every v (Sterbenz): the smallest
-    magnitude when all values share a sign and lie within a factor 2 of it,
-    else 0. Centring scores far from zero keeps q +- delta sharp."""
-    lo, hi = float(values.min()), float(values.max())
-    if 0.0 < lo and hi <= 2.0 * lo:
-        return lo
-    if hi < 0.0 and lo >= 2.0 * hi:
-        return hi
-    return 0.0
+def _running(v):
+    """Running sums v_0, v_0 + v_1, ... as precise as _sum."""
+    high, low = _prefix(v)
+    return high[1:] + low[1:]
+
+
+def _first(x, q, test, guess):
+    """Per query q_i, the first position k of sorted x with test(x_k - q_i)
+    true (x.size if none); test must be monotone in x. guess is kept where
+    it is that position and replaced by bisection elsewhere."""
+    n = x.size
+
+    def holds(k, qq):
+        return (k >= n) | test(x[np.minimum(k, n - 1)] - qq)
+
+    k = guess.copy()
+    bad = np.flatnonzero(~holds(k, q) | ((k > 0) & holds(k - 1, q)))
+    lo, hi, qb = np.zeros(bad.size, np.intp), np.full(bad.size, n, np.intp), q[bad]
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        found, open_ = holds(mid, qb), lo < hi
+        hi = np.where(open_ & found, mid, hi)
+        lo = np.where(open_ & ~found, mid + 1, lo)
+    k[bad] = lo
+    return k
+
+
+class StepRelation:
+    """The step values H(x_k - q_i) between data x and queries q, held as
+    windows of the sorted data instead of a table: per query, the data at
+    sorted positions [hi, n) are at full height and those in [lo, hi) on
+    the ramp. One sort and two binary searches per query, O((K + M) log K)
+    for K data and M queries.
+
+    lo and hi are found by evaluating step() itself, so whether a pair is
+    in the support, or at full height, agrees with step() bit for bit at
+    any distance of the scores from zero. A ramp value x_k - q_i + delta is
+    summed as (x_k - ref) + (ref - q_i + delta), with ref the first datum of
+    x_k's cell of width 4 delta; a window of width 2 delta meets at most two
+    cells (split at mid), so every summed term is of size delta, not of
+    size x.
+
+    Row sums (one per query) and column sums (one per datum) use the same
+    windows and the same terms, so the weight of a query is spread over
+    exactly the data its row sum counts. A query whose step mass is below 1
+    has its pairs evaluated one by one with step(): such a mass can be of
+    the size of the rounding in the prefix sums, and dividing a gradient by
+    it would magnify that rounding.
+    """
+
+    def __init__(self, data, queries, kind):
+        x = np.asarray(data, dtype=np.float64)
+        q = np.asarray(queries, dtype=np.float64)
+        self.kind, self.q, self.size = kind, q, x.size
+        # The lowest query has the widest support: data outside it take no part.
+        self._kept = np.flatnonzero(step(x - q.min(), kind) > 0.0) if q.size else np.zeros(0, np.intp)
+        self._data = x
+        self.x = x = np.sort(x[self._kept])
+        self.ill, self.mass = np.zeros(q.size, dtype=bool), None
+        n = x.size
+        if not (kind.smooth and n):
+            self.lo = self.mid = self.hi = np.searchsorted(x, q, "left")
+            return
+        d = kind.delta
+        self.lo = _first(x, q, lambda v: step(v, kind) > 0.0, np.searchsorted(x, q - d, "right"))
+        self.hi = _first(x, q, lambda v: step(v, kind) >= 1.0, np.searchsorted(x, q + d, "left"))
+
+        cell = np.floor(x / (4.0 * d))
+        first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+        size = np.diff(np.append(first, n))
+        ref = np.append(np.repeat(x[first], size), 0.0)
+        cell_end = np.append(np.repeat(np.append(first[1:], n), size), n)
+        self.t = x - ref[:-1]
+        self.mid = np.minimum(cell_end[self.lo], self.hi)
+        # Zero on an empty segment, where ref may lie far from q.
+        self.c1 = np.where(self.lo < self.mid, ref[self.lo] - q + d, 0.0)
+        self.c2 = np.where(self.mid < self.hi, ref[self.mid] - q + d, 0.0)
+
+        self.mass = self._sums(np.ones(n))
+        self.ill = (self.mass < 1.0) & (self.lo < self.hi)
+        ill = np.flatnonzero(self.ill)
+        count = self.hi[ill] - self.lo[ill]
+        self.pair_q = np.repeat(ill, count)
+        self.pair_k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - self.lo[ill], count)
+        self.pair_h = step(x[self.pair_k] - q[self.pair_q], kind)
+
+    @cached_property
+    def idx(self):
+        """Positions in the data of the sorted data x (on first use only:
+        unweighted row sums need just the sorted values)."""
+        return self._kept[np.argsort(self._data[self._kept])]
+
+    def _sums(self, w):
+        """Row sums of the windows for weights w (sorted data order)."""
+        n, lo, mid, hi = self.x.size, self.lo, self.mid, self.hi
+        pw = _prefix(w)
+        out = _sum(pw, hi, n)
+        if self.kind.smooth and n:
+            pt = _prefix(w * self.t)
+            ramp = (
+                _sum(pt, lo, mid) + self.c1 * _sum(pw, lo, mid)
+                + _sum(pt, mid, hi) + self.c2 * _sum(pw, mid, hi)
+            )
+            out = out + ramp / (2.0 * self.kind.delta)
+        return out
+
+    def row_sums(self, weights=None):
+        """sum_k w_k H(x_k - q_i) for every query (w_k = 1 by default)."""
+        if weights is None:
+            w = np.ones(self.x.size)
+            out = self._sums(w) if self.mass is None else self.mass.copy()
+        else:
+            w = np.asarray(weights, dtype=np.float64)[self.idx]
+            out = self._sums(w)
+        if self.ill.any():
+            out[self.ill] = np.bincount(self.pair_q, w[self.pair_k] * self.pair_h, self.q.size)[self.ill]
+        # Terms are non-negative: clip rounding at a support edge.
+        return np.maximum(out, 0.0)
+
+    def col_sums(self, weights):
+        """sum_i w_i H(x_k - q_i) for every datum, in data order: each
+        query's weight, spread over its own windows by running sums."""
+        w = np.asarray(weights, dtype=np.float64)
+        n, lo, mid, hi = self.x.size, self.lo, self.mid, self.hi
+        out = np.zeros(self.size)
+        if not n:
+            return out
+        u = np.where(self.ill, 0.0, w)
+
+        def steps(at, v):
+            return np.bincount(at, v, n + 1)[:n]
+
+        g = _running(steps(hi, u))
+        if self.kind.smooth:
+            uc1, uc2 = u * self.c1, u * self.c2
+            a = _running(steps(lo, u) - steps(hi, u))
+            b = _running(steps(lo, uc1) - steps(mid, uc1) + steps(mid, uc2) - steps(hi, uc2))
+            g = g + (self.t * a + b) / (2.0 * self.kind.delta)
+        reached = np.cumsum(np.bincount(lo[~self.ill], minlength=n + 1)[:n]) > 0
+        g = np.where(reached, np.maximum(g, 0.0), 0.0)
+        if self.ill.any():
+            g += np.bincount(self.pair_k, w[self.pair_q] * self.pair_h, n)
+        out[self.idx] = g
+        return out
 
 
 def step_sums(data, queries, kind, weights=None):
-    """S(q) = sum_k w_k H(data_k - q) for every query q (w_k = 1 by default).
-
-    The one ranking engine: every rank statistic and gradient is a weighted
-    step sum. One sort of the data, prefix sums of w and of w times the
-    offset of each datum from its cell, and two binary searches per query
-    cost O((K + M) log K) for K data and M queries.
+    """S(q) = sum_k w_k H(data_k - q) for every query q (w_k = 1 by default):
+    the row sums of StepRelation, the one ranking engine. Every rank
+    statistic is such a sum, and every negative's gradient a column sum of
+    the same relation.
 
     exact:  S(q) is the weight of the data at or above q.
-    smooth: the data at or above q + delta count fully; those inside
-            (q - delta, q + delta) add w_k (x_k - q + delta) / (2 delta).
-            Each x_k is taken relative to the start of its cell of width
-            4 delta, which a window of width 2 delta meets at most twice,
-            so every summed term is of size delta, not of size x.
+    smooth: the data at full height count fully; those on the ramp add
+            w_k (x_k - q + delta) / (2 delta).
 
     Terms are non-negative, so S is clipped at 0 against rounding at a
     support edge; a query whose support holds no data gets exactly 0.
     """
-    x = np.asarray(data, dtype=np.float64)
-    q = np.asarray(queries, dtype=np.float64)
-    out = np.zeros(q.size)
-    if not x.size or not q.size:
-        return out
-    shift = _exact_shift(np.concatenate((x, q)))
-    x, q = x - shift, q - shift
-    d = kind.delta if kind.smooth else 0.0
-    # Only data above the lowest support edge and queries whose support
-    # holds some datum take part; the comparisons match the searches below.
-    if kind.smooth:
-        keep, active = x > q.min() - d, q - d < x.max()
-    else:
-        keep, active = x >= q.min(), q <= x.max()
-    x, q = x[keep], q[active]
-    if not q.size:
-        return out
-    if weights is None:
-        x = np.sort(x)
-        w = np.ones(x.size)
-    else:
-        w = np.asarray(weights, dtype=np.float64)[keep]
-        order = np.argsort(x)
-        x, w = x[order], w[order]
-    n = x.size
-    pw = _prefix(w)
-    if not kind.smooth:
-        out[active] = _sum(pw, np.searchsorted(x, q, "left"), n)
-        return out
-
-    cell = np.floor(x / (4.0 * d))
-    first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-    size = np.diff(np.append(first, n))
-    ref = np.append(np.repeat(x[first], size), 0.0)
-    cell_end = np.append(np.repeat(np.append(first[1:], n), size), n)
-    pt = _prefix(w * (x - ref[:-1]))
-
-    lo = np.searchsorted(x, q - d, "right")
-    hi = np.maximum(np.searchsorted(x, q + d, "left"), lo)
-    mid = np.minimum(cell_end[lo], hi)
-    ramp = (
-        _sum(pt, lo, mid) + (ref[lo] - q + d) * _sum(pw, lo, mid)
-        + _sum(pt, mid, hi) + (ref[mid] - q + d) * _sum(pw, mid, hi)
-    )
-    out[active] = np.maximum(_sum(pw, hi, n) + ramp / (2.0 * d), 0.0)
-    return out
+    return StepRelation(data, queries, kind).row_sums(weights)
 
 
 @dataclass
@@ -270,12 +355,18 @@ class RankStats:
 
 
 def rank_stats(scenario, kind):
+    return _rank_stats(scenario, kind)[0]
+
+
+def _rank_stats(scenario, kind):
+    """RankStats and the negatives-to-positives StepRelation behind N_FP."""
     ps = scenario.pos_scores()
     # The sum over all positives includes the self pair H(0); the self term
     # of rank_pos is 1 instead.
     rank_pos = step_sums(ps, ps, kind) + (1.0 - float(step(0.0, kind)))
-    n_fp = step_sums(scenario.neg_scores(), ps, kind)
-    return RankStats(rank=rank_pos + n_fp, rank_pos=rank_pos, n_fp=n_fp)
+    neg_vs_pos = StepRelation(scenario.neg_scores(), ps, kind)
+    n_fp = neg_vs_pos.row_sums()
+    return RankStats(rank=rank_pos + n_fp, rank_pos=rank_pos, n_fp=n_fp), neg_vs_pos
 
 
 @dataclass
@@ -324,11 +415,12 @@ def assemble_gradients(scenario, loss_def, kind):
 
     Never materializes the |P| x |N| table: with p(j|i) = H(x_ij)/N_FP(i),
     a positive's row of the table sums to 1 (or 0 without step mass) and a
-    negative's column is one weighted step sum over the positives. Raises
+    negative's column is a column sum of the StepRelation that gave N_FP,
+    so each positive's error goes to exactly the negatives it counts. Raises
     if any target exceeds its primary term (the update would push the wrong
     way).
     """
-    stats = rank_stats(scenario, kind)
+    stats, neg_vs_pos = _rank_stats(scenario, kind)
     ell, ell_star = loss_def.local_errors(scenario, stats, kind)
     z = float(loss_def.normalizer(scenario))
     gap = ell - ell_star
@@ -348,10 +440,8 @@ def assemble_gradients(scenario, loss_def, kind):
     else:
         grads[scenario.pos_index] = -gap * mass / z
     share = np.divide(gap, stats.n_fp * z, out=np.zeros_like(gap), where=mass > 0.0)
-    # H(s_j - s_i) as a sum over positives: the step on negated scores.
-    grads[scenario.neg_index] = step_sums(
-        -scenario.pos_scores(), -scenario.neg_scores(), kind, share
-    )
+    # Each negative's gradient: the column sums of the relation behind N_FP.
+    grads[scenario.neg_index] = neg_vs_pos.col_sums(share)
     loss_value = float((ell * mass).sum()) / z
     direct = float(ell.sum()) / z
     return GradReport(

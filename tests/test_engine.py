@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_loss
-from rankloss.losses import alrp_loss, ap_loss, ndcg_loss, wrong_target_alrp
-from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, step, step_sums
+from rankloss.losses import alrp_loss, ap_loss, balance_ratio, ndcg_loss, wrong_target_alrp
+from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, StepRelation, step, step_sums
 
 ALL_FIELDS_RTOL = 1e-12
 GRAD_ATOL = 1e-14
@@ -108,7 +108,7 @@ class TestStepSums:
     @given(
         data=st.lists(unit_scores, max_size=40),
         queries=st.lists(unit_scores, min_size=1, max_size=20),
-        offset=st.sampled_from([0.0, -50.0, 1e6, 2e6]),
+        offset=st.sampled_from([0.0, -50.0, 1e6, 2e6, None]),
         smooth=st.booleans(),
         delta=st.sampled_from([1e-3, 0.3, 1.0, 10.0]),
         on_edges=st.booleans(),
@@ -116,20 +116,30 @@ class TestStepSums:
         seed=st.integers(0, 2**16),
     )
     def test_matches_brute_force(self, data, queries, offset, smooth, delta, on_edges, weight_range, seed):
+        """Row sums (per query) and column sums (per datum) against the
+        table; offset None puts each score near 1e6 or near 3e6."""
         kind = StepKind(smooth=smooth, delta=delta)
-        q = np.array(queries) + offset
-        x = np.array(data) + offset
+        rng = np.random.default_rng(seed)
+        if offset is None:
+            q = np.array(queries) + rng.choice([1e6, 3e6], len(queries))
+            x = np.array(data) + rng.choice([1e6, 3e6], len(data))
+        else:
+            q = np.array(queries) + offset
+            x = np.array(data) + offset
         if on_edges:  # data exactly on each query's rounded support edges
             x = np.concatenate((x, q - delta, q + delta))
-        rng = np.random.default_rng(seed)
         w = rng.uniform(0.0, 2.0, x.size) * np.exp(rng.uniform(-weight_range, weight_range, x.size))
+        v = rng.uniform(0.0, 2.0, q.size) * np.exp(rng.uniform(-weight_range, weight_range, q.size))
         h = step(x[None, :] - q[:, None], kind)
-        want = (h * w).sum(axis=1)
-        # the engine is accurate to a few ulps of the weight in each support
-        support = (w * (h > 0.0)).sum(axis=1)
-        got = step_sums(x, q, kind, w)
-        assert np.all(np.abs(got - want) <= ALL_FIELDS_RTOL * want + 1e-13 * support)
-        assert np.all(got[support == 0.0] == 0.0)
+        rel = StepRelation(x, q, kind)
+        for got, want, support in (
+            # the engine is accurate to a few ulps of the weight in each support
+            (rel.row_sums(w), (h * w).sum(axis=1), (w * (h > 0.0)).sum(axis=1)),
+            (rel.col_sums(v), (h * v[:, None]).sum(axis=0), (v[:, None] * (h > 0.0)).sum(axis=0)),
+        ):
+            assert np.all(np.abs(got - want) <= ALL_FIELDS_RTOL * want + 1e-13 * support)
+            assert np.all(got[support == 0.0] == 0.0)
+        np.testing.assert_array_equal(step_sums(x, q, kind, w), rel.row_sums(w))
 
     def test_exact_counts_are_integers(self):
         rng = np.random.default_rng(5)
@@ -168,16 +178,26 @@ class TestLossesAgainstOracle:
         """Negatives at fl(s_i - delta) and fl(s_i + delta) for s_i near 1e6
         or 2e6 and delta = 1e-3: the rounding puts them a few 1e-11 outside
         (near 1e6) or inside (near 2e6) the support, where the step is a few
-        1e-8 away from 0 or 1. One
-        negative above every positive keeps each positive's step mass of
-        order 1: a mass that is itself a rounding artefact splits the
-        gradient by a ratio of two artefacts, which no two summation orders
-        reproduce alike."""
+        1e-8 away from 0 or 1. A positive whose only negatives sit just
+        inside its lower edge has a step mass of that size, and its whole
+        gradient still goes to those negatives."""
         delta = 1e-3
         ps = [offset + u for u in pos]
         neg = [ps[k % len(ps)] + sign * delta for k in picks for sign in (-1.0, 1.0)]
-        scn = make_scenario(ps, neg + [max(ps) + 1.0], fr)
+        scn = make_scenario(ps, neg, fr)
         assert_matches_oracle(scn, StepKind.smoothed(delta))
+
+    def test_step_mass_of_one_rounding_error(self):
+        """delta 0.5, positives 0.9 and 0.7, one negative at 0.2: 0.2 lies
+        above fl(0.7 - 0.5) but fl(0.2 + 0.5) == 0.7, so positive 0.7's step
+        mass is 2**-54 and all of its error must still reach the negative."""
+        scn = make_scenario([0.9, 0.7], [0.2], [0.8, 0.6])
+        kind = StepKind.smoothed(0.5)
+        for name in ("ap", "alrp", "ndcg"):
+            bd = LOSSES[name](scn, kind)
+            assert balance_ratio(bd, scn) == 1.0
+            assert bd.score_grads[scn.neg_index[0]] > 0.0
+        assert_matches_oracle(scn, kind)
 
     @SETTINGS
     @given(neg=st.lists(unit_scores, max_size=30), pos=unit_scores, frac=st.floats(0.55, 0.95))
