@@ -54,7 +54,13 @@ def _emit(doc: dict, fmt: str) -> None:
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        flat = {k: v for k, v in doc.items() if not isinstance(v, (list, dict))}
+        # One level of nesting becomes dotted columns (by_tau.0.5, components.loc).
+        flat = {}
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                flat.update((f"{key}.{k}", v) for k, v in value.items())
+            else:
+                flat[key] = value
         sys.stdout.write(",".join(flat.keys()) + "\n")
         sys.stdout.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in flat.values()) + "\n")
 
@@ -65,6 +71,8 @@ def _emit(doc: dict, fmt: str) -> None:
 
 
 def cmd_loss(args) -> int:
+    if args.grads and args.format == "csv":
+        raise ValueError("--grads has no CSV form (gradient lists); use --format json")
     balancer = None
     if args.sb_weight is not None:
         if args.loss != "alrp":

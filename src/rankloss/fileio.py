@@ -10,6 +10,7 @@ round-trip float64 losslessly via repr.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 import numpy as np
@@ -40,9 +41,15 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _finite(value, path: str) -> float:
+    number = _number(value, path)
+    _expect(math.isfinite(number), path, "expected a finite number")
+    return number
+
+
 def _box_array(value, path: str) -> np.ndarray:
     _expect(isinstance(value, list) and len(value) == 4, path, "expected a list of four numbers")
-    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)], dtype=np.float64)
+    return np.array([_finite(v, f"{path}[{i}]") for i, v in enumerate(value)], dtype=np.float64)
 
 
 def _integer(value, path: str) -> int:

@@ -103,6 +103,36 @@ def iou(pred, gt):
     return inter / union
 
 
+def _min(p, q):
+    # Python's min(p, q) elementwise: p unless q < p (so NaN and signed
+    # zeros come out as they do in the scalar functions).
+    return np.where(q < p, q, p)
+
+
+def _max(p, q):
+    # Python's max(p, q) elementwise: p unless q > p.
+    return np.where(q > p, q, p)
+
+
+def iou_array(pred, gt):
+    """``iou`` over corner-form box arrays of shape (..., 4) that broadcast.
+
+    ``iou_array(dets[:, None], gts[None])`` is the (D, G) IoU matrix;
+    ``iou_array(pred, gt)`` on two (P, 4) arrays is the row-wise IoU. The
+    float operations and their order are those of ``iou``, so every entry
+    equals the scalar value exactly.
+    """
+    a = np.asarray(pred, dtype=np.float64)
+    b = np.asarray(gt, dtype=np.float64)
+    iw = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
+    ih = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
+    inter = _max(0.0, iw) * _max(0.0, ih)
+    area_a = _max(0.0, a[..., 2] - a[..., 0]) * _max(0.0, a[..., 3] - a[..., 1])
+    area_b = _max(0.0, b[..., 2] - b[..., 0]) * _max(0.0, b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros(union.shape), where=~(union <= 0.0))
+
+
 def giou(pred, gt):
     """Generalized IoU: IoU minus (hull \\ union) / hull, in [-1, 1]."""
     a = _as_box_array(pred)

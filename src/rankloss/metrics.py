@@ -9,11 +9,11 @@ rank-vector utilities shared with the trainer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, iou
+from .geometry import Box, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
 from .ranking import NEG, POS, Scenario
 
 # Default IoU thresholds for the mean-AP sweep.
@@ -78,18 +78,54 @@ class MatchResult:
     n_gt: int
 
 
-def _sorted_detection_order(scores: np.ndarray) -> np.ndarray:
-    # Descending score; ties broken by original (ascending) index so the
-    # outcome never depends on container ordering quirks.
-    return np.lexsort((np.arange(scores.size), -scores))
+def _corner_array(boxes) -> np.ndarray:
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def match_class(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    cls: int,
-    tau: float,
-) -> MatchResult:
+@dataclass(frozen=True)
+class _ClassTable:
+    """A class's detections in matching order with their scores, its ground
+    truths in ascending order, and the (D, G) IoU matrix.  The matching of
+    the detections scoring >= s is a prefix of the full matching, so one
+    table serves every threshold, on IoU and on score."""
+
+    det_indices: np.ndarray
+    scores: np.ndarray
+    gt_indices: np.ndarray
+    ious: np.ndarray
+
+
+def _class_table(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth], cls: int) -> _ClassTable:
+    det_idx = np.array([i for i, d in enumerate(detections) if d.cls == cls], dtype=np.int64)
+    gt_idx = np.array([i for i, g in enumerate(ground_truths) if g.cls == cls], dtype=np.int64)
+    scores = np.array([detections[i].score for i in det_idx], dtype=np.float64)
+    # Descending score, ties by original index: no container ordering quirks.
+    order = np.lexsort((np.arange(scores.size), -scores))
+    det_idx, scores = det_idx[order], scores[order]
+    det_boxes = _corner_array(detections[i].box for i in det_idx)
+    gt_boxes = _corner_array(ground_truths[i].box for i in gt_idx)
+    return _ClassTable(det_idx, scores, gt_idx, iou_array(det_boxes[:, None], gt_boxes[None]))
+
+
+def _match(table: _ClassTable, tau: float) -> MatchResult:
+    """Greedy matching on a class table; see ``match_class``."""
+    n_det, n_gt = table.ious.shape
+    is_tp = np.zeros(n_det, dtype=bool)
+    match_iou = np.zeros(n_det, dtype=np.float64)
+    match_gt = np.full(n_det, -1, dtype=np.int64)
+    # Claimed columns and NaN IoUs read -1, below the floor (real IoUs are >= 0);
+    # claiming only lowers entries, so rows starting below it are skipped.
+    free = np.nan_to_num(table.ious, nan=-1.0)
+    floor = max(tau, 0.0)
+    for k in np.flatnonzero(free.max(axis=1, initial=-1.0) >= floor):
+        j = int(free[k].argmax())  # the first maximum: ties go to the lower index
+        if free[k, j] >= floor:
+            is_tp[k], match_iou[k], match_gt[k] = True, free[k, j], table.gt_indices[j]
+            free[:, j] = -1.0
+    return MatchResult(table.det_indices, is_tp, match_iou, match_gt, n_gt=int(n_gt))
+
+
+def match_class(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth], cls: int, tau: float) -> MatchResult:
     """Greedily match one class's detections to its ground-truth boxes.
 
     Detections are visited in descending score order.  Each one claims the
@@ -97,38 +133,7 @@ def match_class(
     that IoU reaches ``tau``; IoU ties go to the lower ground-truth index.
     Every ground-truth box can be claimed at most once.
     """
-    det_idx = np.array([i for i, d in enumerate(detections) if d.cls == cls], dtype=np.int64)
-    gt_idx = [i for i, g in enumerate(ground_truths) if g.cls == cls]
-    scores = np.array([detections[i].score for i in det_idx], dtype=np.float64)
-    order = _sorted_detection_order(scores) if det_idx.size else np.empty(0, dtype=np.int64)
-    det_idx = det_idx[order]
-
-    n_det = det_idx.size
-    is_tp = np.zeros(n_det, dtype=bool)
-    match_iou = np.zeros(n_det, dtype=np.float64)
-    match_gt = np.full(n_det, -1, dtype=np.int64)
-    claimed = set()
-
-    for k in range(n_det):
-        det_box = detections[det_idx[k]].box
-        best_iou = -1.0
-        best_gt = -1
-        for g in gt_idx:
-            if g in claimed:
-                continue
-            ov = iou(det_box, ground_truths[g].box)
-            # Strictly-better IoU wins; an exact tie keeps the earlier
-            # (lower-index) ground-truth box because gt_idx is ascending.
-            if ov >= tau and ov > best_iou:
-                best_iou = ov
-                best_gt = g
-        if best_gt >= 0:
-            is_tp[k] = True
-            match_iou[k] = best_iou
-            match_gt[k] = best_gt
-            claimed.add(best_gt)
-
-    return MatchResult(det_idx, is_tp, match_iou, match_gt, n_gt=len(gt_idx))
+    return _match(_class_table(detections, ground_truths, cls), tau)
 
 
 @dataclass(frozen=True)
@@ -141,16 +146,13 @@ class PRCurve:
 
     def interpolated_precision(self, recall_points: np.ndarray) -> np.ndarray:
         """Highest precision achieved at or beyond each queried recall."""
-        if self.recall.size == 0:
-            return np.zeros(recall_points.size, dtype=np.float64)
         # Monotone envelope: precision at recall r is the max precision over
-        # all operating points whose recall is >= r.
+        # all operating points whose recall is >= r. Recall never falls along
+        # the curve, so the first such point is a binary search away; a recall
+        # the curve never reaches reads the appended 0.
         envelope = np.maximum.accumulate(self.precision[::-1])[::-1]
-        out = np.zeros(recall_points.size, dtype=np.float64)
-        for i, r in enumerate(recall_points):
-            ok = self.recall >= r - 1e-12
-            out[i] = envelope[np.argmax(ok)] if ok.any() else 0.0
-        return out
+        first = np.searchsorted(self.recall, recall_points - 1e-12, "left")
+        return np.append(envelope, 0.0)[first]
 
 
 def pr_curve(match: MatchResult) -> PRCurve:
@@ -179,21 +181,23 @@ def ap_at_iou(inputs: EvalInput, tau: float, recall_points=TEN_POINT_RECALLS) ->
     the recall grid; the samples' mean is that class's AP.  Classes present
     in the ground truth but absent from the detections contribute zero.
     """
-    classes = inputs.classes()
-    if not classes:
-        raise ValueError("cannot evaluate without ground-truth objects")
-    grid = _recall_grid(recall_points)
-    per_class = []
-    for cls in classes:
-        match = match_class(inputs.detections, inputs.ground_truths, cls, tau)
-        curve = pr_curve(match)
-        per_class.append(float(curve.interpolated_precision(grid).mean()))
-    return float(np.mean(per_class))
+    return mean_ap(inputs, (tau,), recall_points)["mean_ap"]
 
 
 def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_points=TEN_POINT_RECALLS) -> dict:
-    """AP averaged over IoU thresholds; returns the per-threshold table too."""
-    by_tau = {float(t): ap_at_iou(inputs, float(t), recall_points) for t in taus}
+    """AP averaged over IoU thresholds; returns the per-threshold table too.
+
+    Each class's IoU table is built once and matched at every threshold.
+    """
+    classes = inputs.classes()
+    if not classes:
+        raise ValueError("cannot evaluate without ground-truth objects")
+    tables = [_class_table(inputs.detections, inputs.ground_truths, cls) for cls in classes]
+    grid = _recall_grid(recall_points)
+    by_tau = {}
+    for tau in map(float, taus):
+        per_class = [float(pr_curve(_match(t, tau)).interpolated_precision(grid).mean()) for t in tables]
+        by_tau[tau] = float(np.mean(per_class))
     return {"mean_ap": float(np.mean(list(by_tau.values()))), "by_tau": by_tau}
 
 
@@ -218,6 +222,30 @@ class LRPResult:
         }
 
 
+def _lrp_tallies(inputs: EvalInput, tau: float, thresholds: np.ndarray):
+    """(n_tp, n_fp, n_fn, loc_sum) arrays, one entry per score threshold.
+
+    Each class is matched once; at threshold s its tallies are those of the
+    prefix scoring >= s, and it adds ``vals[:tp].sum()`` to the localisation
+    sum in sorted class order: the sums that matching the kept detections
+    alone would give, added in the same order.
+    """
+    if not 0.0 <= tau < 1.0:
+        raise ValueError("LRP needs an IoU threshold in [0, 1)")
+    classes = sorted({g.cls for g in inputs.ground_truths} | {d.cls for d in inputs.detections})
+    n_tp = n_fp = n_fn = np.zeros(thresholds.size, dtype=np.int64)
+    loc_sum = np.zeros(thresholds.size, dtype=np.float64)
+    for cls in classes:
+        table = _class_table(inputs.detections, inputs.ground_truths, cls)
+        match = _match(table, tau)
+        vals = (1.0 - match.match_iou[match.is_tp]) / (1.0 - tau)
+        kept = np.count_nonzero(table.scores[None, :] >= thresholds[:, None], axis=1)
+        tp = np.concatenate(([0], np.cumsum(match.is_tp)))[kept]
+        n_tp, n_fp, n_fn = n_tp + tp, n_fp + (kept - tp), n_fn + (match.n_gt - tp)
+        loc_sum = loc_sum + np.array([float(vals[:t].sum()) for t in range(vals.size + 1)])[tp]
+    return n_tp, n_fp, n_fn, loc_sum
+
+
 def lrp_at(inputs: EvalInput, tau: float = 0.5, score_threshold: float = float("-inf")) -> LRPResult:
     """Localisation-recall-precision at a score threshold.
 
@@ -229,23 +257,8 @@ def lrp_at(inputs: EvalInput, tau: float = 0.5, score_threshold: float = float("
     where each true positive contributes (1 - IoU) / (1 - tau), which lies
     in [0, 1) because a match requires IoU >= tau.
     """
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("LRP needs an IoU threshold in [0, 1)")
-    kept = [d for d in inputs.detections if d.score >= score_threshold]
-    n_tp = 0
-    n_fp = 0
-    n_fn = 0
-    loc_sum = 0.0
-    classes = sorted({g.cls for g in inputs.ground_truths} | {d.cls for d in kept})
-    for cls in classes:
-        gts = [g for g in inputs.ground_truths if g.cls == cls]
-        match = match_class(tuple(kept), tuple(gts), cls, tau)
-        tp = int(match.is_tp.sum())
-        n_tp += tp
-        n_fp += int(match.det_indices.size - tp)
-        n_fn += len(gts) - tp
-        if tp:
-            loc_sum += float(((1.0 - match.match_iou[match.is_tp]) / (1.0 - tau)).sum())
+    tallies = _lrp_tallies(inputs, tau, np.array([score_threshold], dtype=np.float64))
+    n_tp, n_fp, n_fn, loc_sum = (v.item() for v in tallies)
     total = n_tp + n_fp + n_fn
     if total == 0:
         raise ValueError("LRP is undefined with no detections and no ground truth")
@@ -262,16 +275,11 @@ def olrp(inputs: EvalInput, tau: float = 0.5) -> LRPResult:
     """
     if not inputs.ground_truths:
         raise ValueError("oLRP needs ground-truth objects")
-    scores = sorted({d.score for d in inputs.detections}, reverse=True)
-    if not scores:
-        n_fn = len(inputs.ground_truths)
-        return LRPResult(1.0, 0, 0, n_fn, 0.0, float("inf"))
-    best: Optional[LRPResult] = None
-    for s in scores:
-        res = lrp_at(inputs, tau, score_threshold=s)
-        if best is None or res.value < best.value:
-            best = res
-    return best
+    scores = sorted({d.score for d in inputs.detections}, reverse=True) or [float("inf")]
+    n_tp, n_fp, n_fn, loc_sum = _lrp_tallies(inputs, tau, np.array(scores, dtype=np.float64))
+    values = (loc_sum + n_fp + n_fn) / (n_tp + n_fp + n_fn)
+    k = int(np.argmin(values))  # the first minimum: the highest threshold
+    return LRPResult(float(values[k]), int(n_tp[k]), int(n_fp[k]), int(n_fn[k]), float(loc_sum[k]), scores[k])
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +306,7 @@ def reference_losses(scenario: Scenario) -> dict:
     gt = scenario.pos_gt_boxes()
     l1 = float(np.abs(pred - gt).sum(axis=1).mean())
 
-    ious = np.array(
-        [iou(Box.from_array(p), Box.from_array(g)) for p, g in zip(pred, gt)],
-        dtype=np.float64,
-    )
+    ious = iou_array(pred, gt)
     return {"ce": ce, "l1": l1, "iou_loss": float((1.0 - ious).mean())}
 
 
@@ -328,12 +333,7 @@ def average_ranks_desc(values: np.ndarray) -> np.ndarray:
 
 def positive_ious(scenario: Scenario) -> np.ndarray:
     """IoU of each positive's box against its assigned ground-truth box."""
-    pred = scenario.pos_boxes()
-    gt = scenario.pos_gt_boxes()
-    return np.array(
-        [iou(Box.from_array(p), Box.from_array(g)) for p, g in zip(pred, gt)],
-        dtype=np.float64,
-    )
+    return iou_array(scenario.pos_boxes(), scenario.pos_gt_boxes())
 
 
 def ranking_correlation(scenario: Scenario) -> float:

@@ -1,11 +1,15 @@
 """Shared helpers for the test suite: randomized scenarios, a naive
-pairwise-table oracle that materializes what the assembly never builds, and
-the per-positive loops that define every rank statistic and gradient, kept
-as oracles for the sort-based engine (rankloss.ranking.step_sums)."""
+pairwise-table oracle that materializes what the assembly never builds, the
+per-positive loops that define every rank statistic and gradient, kept as
+oracles for the sort-based engine (rankloss.ranking.step_sums), and the
+per-threshold evaluator (scalar IoU per pair, one matching per score
+threshold), kept as the oracle for rankloss.metrics."""
+
+from typing import Optional
 
 import numpy as np
 
-from rankloss.geometry import LocErrorKind, loc_error_grad
+from rankloss.geometry import LocErrorKind, iou, loc_error_grad
 from rankloss.losses import (
     ALRPLossDef,
     APLossDef,
@@ -14,6 +18,7 @@ from rankloss.losses import (
     _breakdown_from,
     ndcg_ideal_gain,
 )
+from rankloss.metrics import LRPResult, MatchResult, _recall_grid, pr_curve
 from rankloss.ranking import (
     NEG,
     POS,
@@ -216,3 +221,121 @@ def oracle_loss(name, scenario, kind, balancer=None):
         g, _ = loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
         box[i] = w[i] * g
     return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, sb * box, sb)
+
+
+# ---------------------------------------------------------------------------
+# Evaluator oracles: the greedy double loop with the scalar IoU, and LRP /
+# oLRP / AP that re-match from scratch for every threshold.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_sorted_detection_order(scores: np.ndarray) -> np.ndarray:
+    # Descending score; ties broken by original (ascending) index so the
+    # outcome never depends on container ordering quirks.
+    return np.lexsort((np.arange(scores.size), -scores))
+
+
+def oracle_match_class(detections, ground_truths, cls, tau):
+    det_idx = np.array([i for i, d in enumerate(detections) if d.cls == cls], dtype=np.int64)
+    gt_idx = [i for i, g in enumerate(ground_truths) if g.cls == cls]
+    scores = np.array([detections[i].score for i in det_idx], dtype=np.float64)
+    order = _oracle_sorted_detection_order(scores) if det_idx.size else np.empty(0, dtype=np.int64)
+    det_idx = det_idx[order]
+
+    n_det = det_idx.size
+    is_tp = np.zeros(n_det, dtype=bool)
+    match_iou = np.zeros(n_det, dtype=np.float64)
+    match_gt = np.full(n_det, -1, dtype=np.int64)
+    claimed = set()
+
+    for k in range(n_det):
+        det_box = detections[det_idx[k]].box
+        best_iou = -1.0
+        best_gt = -1
+        for g in gt_idx:
+            if g in claimed:
+                continue
+            ov = iou(det_box, ground_truths[g].box)
+            # Strictly-better IoU wins; an exact tie keeps the earlier
+            # (lower-index) ground-truth box because gt_idx is ascending.
+            if ov >= tau and ov > best_iou:
+                best_iou = ov
+                best_gt = g
+        if best_gt >= 0:
+            is_tp[k] = True
+            match_iou[k] = best_iou
+            match_gt[k] = best_gt
+            claimed.add(best_gt)
+
+    return MatchResult(det_idx, is_tp, match_iou, match_gt, n_gt=len(gt_idx))
+
+
+def oracle_interpolated_precision(curve, recall_points):
+    if curve.recall.size == 0:
+        return np.zeros(recall_points.size, dtype=np.float64)
+    # Monotone envelope: precision at recall r is the max precision over
+    # all operating points whose recall is >= r.
+    envelope = np.maximum.accumulate(curve.precision[::-1])[::-1]
+    out = np.zeros(recall_points.size, dtype=np.float64)
+    for i, r in enumerate(recall_points):
+        ok = curve.recall >= r - 1e-12
+        out[i] = envelope[np.argmax(ok)] if ok.any() else 0.0
+    return out
+
+
+def oracle_ap_at_iou(inputs, tau, recall_points):
+    classes = inputs.classes()
+    if not classes:
+        raise ValueError("cannot evaluate without ground-truth objects")
+    grid = _recall_grid(recall_points)
+    per_class = []
+    for cls in classes:
+        match = oracle_match_class(inputs.detections, inputs.ground_truths, cls, tau)
+        curve = pr_curve(match)
+        per_class.append(float(oracle_interpolated_precision(curve, grid).mean()))
+    return float(np.mean(per_class))
+
+
+def oracle_mean_ap(inputs, taus, recall_points):
+    by_tau = {float(t): oracle_ap_at_iou(inputs, float(t), recall_points) for t in taus}
+    return {"mean_ap": float(np.mean(list(by_tau.values()))), "by_tau": by_tau}
+
+
+def oracle_lrp_at(inputs, tau=0.5, score_threshold=float("-inf")):
+    if not 0.0 <= tau < 1.0:
+        raise ValueError("LRP needs an IoU threshold in [0, 1)")
+    kept = [d for d in inputs.detections if d.score >= score_threshold]
+    n_tp = 0
+    n_fp = 0
+    n_fn = 0
+    loc_sum = 0.0
+    classes = sorted({g.cls for g in inputs.ground_truths} | {d.cls for d in kept})
+    for cls in classes:
+        gts = [g for g in inputs.ground_truths if g.cls == cls]
+        match = oracle_match_class(tuple(kept), tuple(gts), cls, tau)
+        tp = int(match.is_tp.sum())
+        n_tp += tp
+        n_fp += int(match.det_indices.size - tp)
+        n_fn += len(gts) - tp
+        if tp:
+            loc_sum += float(((1.0 - match.match_iou[match.is_tp]) / (1.0 - tau)).sum())
+    total = n_tp + n_fp + n_fn
+    if total == 0:
+        raise ValueError("LRP is undefined with no detections and no ground truth")
+    value = (loc_sum + n_fp + n_fn) / total
+    return LRPResult(value, n_tp, n_fp, n_fn, loc_sum, score_threshold)
+
+
+def oracle_olrp(inputs, tau=0.5):
+    if not inputs.ground_truths:
+        raise ValueError("oLRP needs ground-truth objects")
+    scores = sorted({d.score for d in inputs.detections}, reverse=True)
+    if not scores:
+        n_fn = len(inputs.ground_truths)
+        return LRPResult(1.0, 0, 0, n_fn, 0.0, float("inf"))
+    best: Optional[LRPResult] = None
+    for s in scores:
+        res = oracle_lrp_at(inputs, tau, score_threshold=s)
+        if best is None or res.value < best.value:
+            best = res
+    return best

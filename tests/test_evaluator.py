@@ -1,0 +1,188 @@
+"""Property tests of the evaluator (one IoU table and one greedy matching
+per class) against the per-threshold oracles in conftest, asserting exact
+equality on hostile inputs: score ties, exact IoU ties (coordinates on a
+0.5 grid), zero-area and zero-union boxes, classes with detections but no
+ground truth and the reverse, no detections, tau = 0 (where IoU 0
+qualifies) and both recall grids."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    oracle_interpolated_precision,
+    oracle_lrp_at,
+    oracle_match_class,
+    oracle_mean_ap,
+    oracle_olrp,
+)
+from rankloss.geometry import Box, iou, iou_array
+from rankloss.metrics import (
+    TEN_POINT_RECALLS,
+    Detection,
+    EvalInput,
+    GroundTruth,
+    MatchResult,
+    lrp_at,
+    match_class,
+    mean_ap,
+    olrp,
+    pr_curve,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+TAUS = (0.0, 0.3, 0.5, 0.75)
+# Matching and AP take any tau; at -1 every unclaimed box qualifies.
+MATCH_TAUS = (-1.0, *TAUS)
+GRIDS = (TEN_POINT_RECALLS, "coco101")
+
+# Corners on a 0.5 grid over a 4x4 area: many overlaps, exact IoU ties,
+# zero-width and zero-height boxes, and pairs of points (zero union).
+half_steps = st.integers(0, 8).map(lambda k: 0.5 * k)
+sides = st.sampled_from((0.0, 0.5, 1.0, 2.0))
+
+
+@st.composite
+def boxes(draw):
+    x1, y1 = draw(half_steps), draw(half_steps)
+    return Box(x1, y1, x1 + draw(sides), y1 + draw(sides))
+
+
+# Quarter steps: many detections share a score.
+scores = st.integers(0, 8).map(lambda k: 0.25 * k)
+classes = st.integers(0, 2)
+detections = st.builds(Detection, scores, boxes(), classes)
+ground_truths = st.builds(GroundTruth, boxes(), classes)
+
+
+@st.composite
+def eval_inputs(draw, min_gts=0):
+    dets = draw(st.lists(detections, max_size=24))
+    gts = draw(st.lists(ground_truths, min_size=min_gts, max_size=8))
+    return EvalInput.build(dets, gts)
+
+
+def assert_same_lrp(got, want):
+    assert got == want
+    # Same Python types too: the CLI writes these fields to JSON.
+    assert [type(v) for v in dataclasses.astuple(got)] == [type(v) for v in dataclasses.astuple(want)]
+
+
+class TestIoUArray:
+    @SETTINGS
+    @given(st.lists(boxes(), min_size=1, max_size=6), st.lists(boxes(), min_size=1, max_size=6))
+    def test_matrix_equals_scalar_on_grid_boxes(self, preds, gts):
+        a = np.array([b.as_array() for b in preds])
+        g = np.array([b.as_array() for b in gts])
+        table = iou_array(a[:, None], g[None])
+        assert table.shape == (len(preds), len(gts))
+        for i, p in enumerate(preds):
+            for j, q in enumerate(gts):
+                assert table[i, j] == iou(p, q)
+        rowwise = iou_array(a[: len(g)], g[: len(a)])
+        assert all(rowwise[k] == iou(a[k], g[k]) for k in range(rowwise.size))
+
+    @SETTINGS
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8))
+    def test_equals_scalar_on_any_finite_corners(self, v):
+        # Corners in any order: inverted widths are clamped as in iou.
+        a, b = np.array(v[:4]), np.array(v[4:])
+        assert iou_array(a, b) == iou(a, b)
+
+    def test_equals_scalar_on_non_finite_and_overflowing_corners(self):
+        values = (0.0, -0.0, 1.0, np.inf, -np.inf, 1e300, -1e300)
+        rng = np.random.default_rng(0)
+        a = rng.choice(values, size=(400, 4))
+        b = rng.choice(values, size=(400, 4))
+        with np.errstate(all="ignore"):
+            got = iou_array(a, b)
+            want = np.array([iou(p, q) for p, q in zip(a, b)])
+        np.testing.assert_array_equal(got, want)
+
+
+class TestMatchingAgainstOracle:
+    @SETTINGS
+    @given(eval_inputs(), st.sampled_from(MATCH_TAUS))
+    def test_match_class(self, inputs, tau):
+        for cls in (0, 1, 2, 3):
+            got = match_class(inputs.detections, inputs.ground_truths, cls, tau)
+            want = oracle_match_class(inputs.detections, inputs.ground_truths, cls, tau)
+            for field in ("det_indices", "is_tp", "match_iou", "match_gt"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.dtype == w.dtype and np.array_equal(g, w), field
+            assert got.n_gt == want.n_gt
+
+    def test_iou_tie_goes_to_lower_index_and_zero_iou_matches_at_tau_zero(self):
+        # The first detection overlaps both ground truths with IoU 0.6 exactly;
+        # the second overlaps nothing, which still qualifies at tau = 0.
+        gts = (GroundTruth(Box(0.0, 0.0, 2.0, 1.0)), GroundTruth(Box(1.0, 0.0, 3.0, 1.0)))
+        dets = (Detection(0.9, Box(0.5, 0.0, 2.5, 1.0)), Detection(0.8, Box(10.0, 0.0, 11.0, 1.0)))
+        res = match_class(dets, gts, 0, 0.0)
+        assert res.match_gt.tolist() == [0, 1]
+        assert res.match_iou.tolist() == [0.6, 0.0]
+
+
+    def test_nan_iou_never_matches(self):
+        # Finite corners whose areas overflow: the first ground truth's IoU
+        # with the detection is inf / NaN = NaN; the second's is 1 / inf = 0.
+        huge = Box(-1e308, 0.0, 1e308, 1.0)
+        gts = (GroundTruth(huge), GroundTruth(Box(0.0, 0.0, 1.0, 1.0)))
+        dets = (Detection(0.9, huge),)
+        with np.errstate(all="ignore"):
+            got = match_class(dets, gts, 0, 0.0)
+            want = oracle_match_class(dets, gts, 0, 0.0)
+        assert got.match_gt.tolist() == want.match_gt.tolist() == [1]
+
+
+class TestInterpolatedPrecision:
+    @SETTINGS
+    @given(st.lists(st.booleans(), max_size=30), st.integers(0, 5), st.sampled_from(GRIDS))
+    def test_matches_loop(self, hits, extra_gts, grid):
+        is_tp = np.array(hits, dtype=bool)
+        n = is_tp.size
+        match = MatchResult(np.arange(n), is_tp, np.zeros(n), np.full(n, -1), n_gt=int(is_tp.sum()) + extra_gts or 1)
+        curve = pr_curve(match)
+        points = np.linspace(0.0, 1.0, 101) if grid == "coco101" else np.asarray(grid)
+        assert np.array_equal(curve.interpolated_precision(points), oracle_interpolated_precision(curve, points))
+
+
+class TestMetricsAgainstOracle:
+    @SETTINGS
+    @given(eval_inputs(min_gts=1), st.lists(st.sampled_from(MATCH_TAUS), min_size=1, max_size=4), st.sampled_from(GRIDS))
+    def test_mean_ap(self, inputs, taus, grid):
+        assert mean_ap(inputs, taus, grid) == oracle_mean_ap(inputs, taus, grid)
+
+    @SETTINGS
+    @given(eval_inputs(), st.sampled_from(TAUS), st.sampled_from((float("-inf"), 0.0, 0.25, 0.6, 1.0, 3.0)))
+    def test_lrp_at(self, inputs, tau, threshold):
+        try:
+            want = oracle_lrp_at(inputs, tau, threshold)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lrp_at(inputs, tau, threshold)
+            return
+        assert_same_lrp(lrp_at(inputs, tau, threshold), want)
+
+    @SETTINGS
+    @given(eval_inputs(min_gts=1), st.sampled_from(TAUS))
+    def test_olrp(self, inputs, tau):
+        assert_same_lrp(olrp(inputs, tau), oracle_olrp(inputs, tau))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lrp_and_olrp_with_many_matches(self, seed):
+        # 40 jittered matches in one class: the localisation sums run over
+        # more terms than numpy's pairwise summation adds one by one.
+        rng = np.random.default_rng(seed)
+        gts = [GroundTruth(Box(4.0 * k, 0.0, 4.0 * k + 2.0, 2.0)) for k in range(40)]
+        dets = []
+        for k in range(40):
+            j = rng.uniform(-0.4, 0.4, 4)
+            box = Box(4.0 * k + j[0], j[1], 4.0 * k + 2.0 + j[2], 2.0 + j[3])
+            dets.append(Detection(float(np.round(rng.uniform(), 2)), box))
+        dets += [Detection(float(np.round(rng.uniform(), 2)), Box(500.0 + k, 0.0, 501.0 + k, 1.0)) for k in range(20)]
+        inputs = EvalInput.build(dets, gts)
+        assert_same_lrp(lrp_at(inputs, 0.3), oracle_lrp_at(inputs, 0.3))
+        assert_same_lrp(olrp(inputs, 0.3), oracle_olrp(inputs, 0.3))

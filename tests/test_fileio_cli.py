@@ -108,6 +108,15 @@ class TestScenarioErrors:
         doc["anchors"][0]["box"][2] = "wide"
         self.expect_path(doc, "anchors[0].box[2]")
 
+    def test_box_coordinates_must_be_finite(self):
+        doc = valid_scenario_doc()
+        doc["anchors"][0]["box"][3] = float("inf")
+        err = self.expect_path(doc, "anchors[0].box[3]")
+        assert str(err) == "anchors[0].box[3]: expected a finite number"
+        doc = valid_scenario_doc()
+        doc["gts"][0][1] = float("nan")
+        self.expect_path(doc, "gts[0][1]")
+
     def test_gts_checked(self):
         doc = valid_scenario_doc()
         doc["gts"][0] = [0.0, 0.0, 1.0]
@@ -184,6 +193,17 @@ class TestEvalRoundTrip:
         with pytest.raises(FileFormatError) as err:
             eval_from_dict(doc)
         assert err.value.path == "detections[0]"
+
+    def test_non_finite_box_rejected_with_path(self, tmp_path):
+        # json reads the non-standard Infinity literal as a float.
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"version": 1, "detections": [{"score": 0.9, "box": [0, 0, 1, 1]},'
+            ' {"score": 0.8, "box": [0, 0, Infinity, 1]}], "ground_truths": [{"box": [0, 0, 1, 1]}]}'
+        )
+        with pytest.raises(FileFormatError) as err:
+            load_eval(path)
+        assert str(err.value) == "detections[1].box[2]: expected a finite number"
 
     def test_class_defaults_to_zero(self):
         doc = {
@@ -268,6 +288,10 @@ class TestCLILoss:
         row = dict(zip(header, values))
         np.testing.assert_allclose(float(row["total"]), 0.53, rtol=1e-12)
 
+    def test_grads_refused_in_csv(self, scenario_file, capsys):
+        assert main(["loss", "--scenario", scenario_file, "--grads", "--format", "csv"]) == EXIT_INVALID
+        assert "--grads" in capsys.readouterr().err
+
     def test_sb_weight_flag(self, scenario_file, capsys):
         assert main(["loss", "--scenario", scenario_file, "--sb-weight", "3.0", "--grads"]) == EXIT_OK
         weighted = json.loads(capsys.readouterr().out)
@@ -305,7 +329,8 @@ class TestCLILoss:
             "loc_kind": {"variant": "giou", "tau": 0.0},
             "gts": [[0.0, 0.0, 1.0, 1.0]],
             "anchors": [
-                {"label": "pos", "score": 0.9, "gt": 0, "box": [0.0, 0.0, 1e999, 1.0]},
+                # Finite corners whose width overflows: the GIoU is NaN.
+                {"label": "pos", "score": 0.9, "gt": 0, "box": [-1e308, 0.0, 1e308, 1.0]},
                 {"label": "neg", "score": 0.5},
             ],
         }
@@ -353,6 +378,24 @@ class TestCLIEval:
         doc = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(doc["value"], 0.75, rtol=1e-12)
         assert (doc["n_tp"], doc["n_fp"], doc["n_fn"]) == (2, 1, 3)
+
+    def test_csv_keeps_nested_fields(self, eval_file, capsys):
+        assert main(["eval", "--input", eval_file, "--format", "csv"]) == EXIT_OK
+        header, values = capsys.readouterr().out.strip().splitlines()
+        row = dict(zip(header.split(","), values.split(",")))
+        assert [k for k in row if k.startswith("by_tau.")] == ["by_tau.0.5", "by_tau.0.65", "by_tau.0.8", "by_tau.0.95"]
+        np.testing.assert_allclose(float(row["by_tau.0.5"]), 0.5133333333333333, rtol=1e-12)
+        assert main(["eval", "--input", eval_file, "--metric", "olrp", "--format", "csv"]) == EXIT_OK
+        header, values = capsys.readouterr().out.strip().splitlines()
+        row = dict(zip(header.split(","), values.split(",")))
+        comp = {k: float(row[f"components.{k}"]) for k in ("loc", "fp", "fn")}
+        np.testing.assert_allclose(sum(comp.values()), float(row["value"]), rtol=1e-12)
+
+    def test_olrp_tau_checked_without_detections(self, tmp_path, capsys):
+        path = tmp_path / "no_dets.json"
+        path.write_text('{"version": 1, "detections": [], "ground_truths": [{"box": [0, 0, 1, 1]}]}')
+        assert main(["eval", "--input", str(path), "--metric", "olrp", "--tau", "1.5"]) == EXIT_INVALID
+        assert "IoU threshold" in capsys.readouterr().err
 
     def test_bad_taus(self, eval_file, capsys):
         assert main(["eval", "--input", eval_file, "--taus", "a,b"]) == EXIT_INVALID

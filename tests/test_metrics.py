@@ -241,6 +241,10 @@ class TestOLRP:
         with pytest.raises(ValueError):
             olrp(EvalInput.build((det(0.9),), ()))
 
+    def test_tau_validated_without_detections(self):
+        with pytest.raises(ValueError, match="IoU threshold"):
+            olrp(EvalInput.build((), (unit_gt(),)), 1.5)
+
 
 class TestReferenceLosses:
     def expected_ce(self):
