@@ -101,6 +101,7 @@ def cmd_loss(args) -> int:
         "loc": bd.loc_component,
         "balance_ratio": balance_ratio(bd, scenario),
         "sb_weight": bd.sb_weight_applied,
+        "n_nonsmooth": bd.n_nonsmooth,
     }
     if args.grads:
         doc["score_grads"] = [float(g) for g in bd.score_grads]

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
 
 import numpy as np
 
 from .geometry import Box, LocErrorKind
 from .metrics import Detection, EvalInput, GroundTruth
-from .ranking import IGNORE, NEG, POS, AnchorRecord, Scenario
+from .ranking import IGNORE, NEG, POS, Scenario
 
 SCENARIO_VERSION = 1
 EVAL_VERSION = 1
@@ -77,18 +76,15 @@ def _load_json(path) -> dict:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    anchors = []
-    for a in scenario.anchors:
-        entry = {"label": a.label, "score": float(a.score)}
-        if a.gt is not None:
-            entry["gt"] = int(a.gt)
-        if a.box is not None:
-            entry["box"] = [float(v) for v in np.asarray(a.box).reshape(-1)]
-        anchors.append(entry)
+    labels, scores = scenario.labels.tolist(), scenario.scores.tolist()
+    anchors = [{"label": label, "score": score} for label, score in zip(labels, scores)]
+    for i, gt, box in zip(scenario.pos_index.tolist(), scenario.pos_gt.tolist(), scenario.pos_box.tolist()):
+        anchors[i]["gt"] = gt
+        anchors[i]["box"] = box
     return {
         "version": SCENARIO_VERSION,
         "loc_kind": {"variant": scenario.loc_kind.variant, "tau": float(scenario.loc_kind.tau)},
-        "gts": [[float(v) for v in g] for g in scenario.gts],
+        "gts": scenario.gts.tolist(),
         "anchors": anchors,
     }
 
@@ -112,26 +108,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     anchors_doc = doc.get("anchors")
     _expect(isinstance(anchors_doc, list) and anchors_doc, "anchors", "expected a non-empty list")
-    anchors = []
+    labels, scores, pos_gt, pos_box = [], [], [], []
     for i, entry in enumerate(anchors_doc):
         path = f"anchors[{i}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         label = entry.get("label")
         _expect(label in (POS, NEG, IGNORE), f"{path}.label", f"expected 'pos', 'neg', or 'ignore', got {label!r}")
         _expect("score" in entry, f"{path}.score", "missing")
-        score = _number(entry["score"], f"{path}.score")
-        gt: Optional[int] = None
-        box = None
+        labels.append(label)
+        scores.append(_number(entry["score"], f"{path}.score"))
         if label == POS:
             _expect("gt" in entry, f"{path}.gt", "missing (positives must reference a ground-truth index)")
             gt = _integer(entry["gt"], f"{path}.gt")
             _expect(0 <= gt < len(gts), f"{path}.gt", f"index {gt} out of range for {len(gts)} ground truths")
             _expect("box" in entry, f"{path}.box", "missing (positives carry a predicted box)")
-            box = _box_array(entry["box"], f"{path}.box")
-        anchors.append(AnchorRecord(label, score, gt, box))
+            pos_gt.append(gt)
+            pos_box.append(_box_array(entry["box"], f"{path}.box"))
 
     try:
-        return Scenario(anchors, gts, loc_kind)
+        return Scenario.from_columns(labels, scores, pos_gt, np.reshape(pos_box, (-1, 4)), gts, loc_kind)
     except ValueError as exc:
         raise FileFormatError("$", str(exc)) from exc
 

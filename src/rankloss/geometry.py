@@ -103,6 +103,14 @@ def iou(pred, gt):
     return inter / union
 
 
+# --- array forms -------------------------------------------------------------
+#
+# Every function below takes corner-form box arrays of shape (..., 4) and
+# performs the float operations of the scalar iou (and of the gradient
+# definitions it stands for) in the same order, so each entry, and each tie
+# flag, equals the scalar value exactly.
+
+
 def _min(p, q):
     # Python's min(p, q) elementwise: p unless q < p (so NaN and signed
     # zeros come out as they do in the scalar functions).
@@ -114,40 +122,140 @@ def _max(p, q):
     return np.where(q > p, q, p)
 
 
-def iou_array(pred, gt):
-    """``iou`` over corner-form box arrays of shape (..., 4) that broadcast.
+def _slope(p, q):
+    """(d/dp of min(p, q), tie mask) for constant q: 1 where p < q, 0 where
+    p > q, and the mean 0.5 of both branches, flagged, where neither holds.
+    d max(p, q)/dp is _slope(q, p) and d max(0, x)/dx is _slope(0.0, x)."""
+    d = np.where(p < q, 1.0, np.where(p > q, 0.0, 0.5))
+    return d, d == 0.5
 
-    ``iou_array(dets[:, None], gts[None])`` is the (D, G) IoU matrix;
-    ``iou_array(pred, gt)`` on two (P, 4) arrays is the row-wise IoU. The
-    float operations and their order are those of ``iou``, so every entry
-    equals the scalar value exactly.
-    """
-    a = np.asarray(pred, dtype=np.float64)
-    b = np.asarray(gt, dtype=np.float64)
+
+def _inter_union(a, b):
     iw = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
     ih = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
     inter = _max(0.0, iw) * _max(0.0, ih)
     area_a = _max(0.0, a[..., 2] - a[..., 0]) * _max(0.0, a[..., 3] - a[..., 1])
     area_b = _max(0.0, b[..., 2] - b[..., 0]) * _max(0.0, b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
+    return inter, area_a + area_b - inter
+
+
+def iou_array(pred, gt):
+    """``iou`` over box arrays of shape (..., 4) that broadcast.
+
+    ``iou_array(dets[:, None], gts[None])`` is the (D, G) IoU matrix;
+    ``iou_array(pred, gt)`` on two (P, 4) arrays is the row-wise IoU.
+    """
+    inter, union = _inter_union(np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64))
     return np.divide(inter, union, out=np.zeros(union.shape), where=~(union <= 0.0))
+
+
+def giou_array(pred, gt):
+    """Generalized IoU over box arrays: IoU minus (hull \\ union) / hull,
+    in [-1, 1]; the IoU term is 0 unless union > 0, the hull term applies
+    only where hull > 0."""
+    a = np.asarray(pred, dtype=np.float64)
+    b = np.asarray(gt, dtype=np.float64)
+    inter, union = _inter_union(a, b)
+    hull = (_max(a[..., 2], b[..., 2]) - _min(a[..., 0], b[..., 0])) * (
+        _max(a[..., 3], b[..., 3]) - _min(a[..., 1], b[..., 1])
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(union > 0.0, inter / union, 0.0)
+        return np.where(hull > 0.0, value - (hull - union) / hull, value)
+
+
+def loc_error_array(pred, gt, kind):
+    """E_loc = (1 - overlap) / (1 - tau) over box arrays, unchecked: the
+    loss path tolerates values above 1 (a box drifting below tau)."""
+    if kind.variant == "iou":
+        v = iou_array(pred, gt)
+    else:
+        v = 0.5 * (1.0 + giou_array(pred, gt))
+    return (1.0 - v) / (1.0 - kind.tau)
+
+
+def _overlap_grad_array(pred, gt, variant):
+    """(d overlap / d pred, tie mask) for IoU or GIoU over (P, 4) arrays.
+
+    The tie mask flags a branch tie of any min/max or clamp that reaches
+    the value (a clamp tie counts only where the other side of the
+    intersection is nonzero), and every zero-union (or, for GIoU,
+    zero-hull) box, whose gradient is set to zero.
+    """
+    a = np.asarray(pred, dtype=np.float64)
+    b = np.asarray(gt, dtype=np.float64)
+    a0, a1, a2, a3 = (a[..., k] for k in range(4))
+    b0, b1, b2, b3 = (b[..., k] for k in range(4))
+
+    # Intersection width/height and their derivative through the clamp.
+    ix2, t1 = _slope(a2, b2)
+    ix1, t2 = _slope(b0, a0)
+    iy2, t3 = _slope(a3, b3)
+    iy1, t4 = _slope(b1, a1)
+    iw_raw = _min(a2, b2) - _max(a0, b0)
+    ih_raw = _min(a3, b3) - _max(a1, b1)
+    rw, t5 = _slope(0.0, iw_raw)
+    rh, t6 = _slope(0.0, ih_raw)
+    iw = _max(0.0, iw_raw)
+    ih = _max(0.0, ih_raw)
+    tie = t1 | t2 | t3 | t4 | (t5 & (ih > 0.0)) | (t6 & (iw > 0.0))
+
+    inter = iw * ih
+    d_inter = np.stack([-ix1 * rw * ih, -iy1 * rh * iw, ix2 * rw * ih, iy2 * rh * iw], axis=-1)
+
+    w, h = a2 - a0, a3 - a1
+    area_a = w * h
+    area_b = (b2 - b0) * (b3 - b1)
+    d_area_a = np.stack([-h, -w, h, w], axis=-1)
+    union = area_a + area_b - inter
+    d_union = d_area_a - d_inter
+
+    hx1, t7 = _slope(a0, b0)
+    hy1, t8 = _slope(a1, b1)
+    hx2, t9 = _slope(b2, a2)
+    hy2, t10 = _slope(b3, a3)
+    hw = _max(a2, b2) - _min(a0, b0)
+    hh = _max(a3, b3) - _min(a1, b1)
+    hull = hw * hh
+    d_hull = np.stack([-hx1 * hh, -hy1 * hw, hx2 * hh, hy2 * hw], axis=-1)
+    tie = tie | t7 | t8 | t9 | t10
+
+    u, i, hl = union[..., None], inter[..., None], hull[..., None]
+    degenerate = union <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (d_inter * u - i * d_union) / (u * u)
+        if variant == "giou":
+            # GIoU = IoU - (hull - union)/hull = IoU - 1 + union/hull
+            g = g + (d_union * hl - u * d_hull) / (hl * hl)
+            degenerate = degenerate | (hull <= 0.0)
+    return np.where(degenerate[..., None], 0.0, g), tie | degenerate
+
+
+def loc_error_grad_array(pred, gt, kind):
+    """(dE_loc/dpred, tie mask) over (P, 4) box arrays: (P, 4) gradients and
+    a (P,) boolean mask; chain rule through the overlap only."""
+    scale = 1.0 / (1.0 - kind.tau)
+    if kind.variant == "iou":
+        g, tie = _overlap_grad_array(pred, gt, "iou")
+        return -scale * g, tie
+    g, tie = _overlap_grad_array(pred, gt, "giou")
+    return -0.5 * scale * g, tie
+
+
+# --- scalar forms ----------------------------------------------------------
+#
+# One pair of boxes at a time, computed by the array forms above. Gradients
+# are (length-4 array, nonsmooth flag); at a branch tie the derivative is the
+# mean of the two one-sided derivatives.
+
+
+def _single(fn, pred, gt, *rest):
+    return fn(_as_box_array(pred)[None], _as_box_array(gt)[None], *rest)
 
 
 def giou(pred, gt):
     """Generalized IoU: IoU minus (hull \\ union) / hull, in [-1, 1]."""
-    a = _as_box_array(pred)
-    b = _as_box_array(gt)
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    inter = max(0.0, iw) * max(0.0, ih)
-    area_a = max(0.0, a[2] - a[0]) * max(0.0, a[3] - a[1])
-    area_b = max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
-    union = area_a + area_b - inter
-    hull = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
-    value = inter / union if union > 0.0 else 0.0
-    if hull > 0.0:
-        value = value - (hull - union) / hull
-    return value
+    return float(_single(giou_array, pred, gt)[0])
 
 
 def overlap_unit(pred, gt, kind):
@@ -176,118 +284,21 @@ def loc_error(pred, gt, kind, check=True):
     return (1.0 - v) / (1.0 - kind.tau)
 
 
-# --- gradients -------------------------------------------------------------
-#
-# Each primitive returns (value, d/d pred coordinates, tie flag). Branch
-# selectors at exact ties contribute the mean of both branch derivatives.
-
-
-def _d_min(pa, qb):
-    # d/d pa of min(pa, qb); qb is constant.
-    if pa < qb:
-        return 1.0, False
-    if pa > qb:
-        return 0.0, False
-    return 0.5, True
-
-
-def _d_max(pa, qb):
-    # d/d pa of max(pa, qb); qb is constant.
-    if pa > qb:
-        return 1.0, False
-    if pa < qb:
-        return 0.0, False
-    return 0.5, True
-
-
-def _d_relu(x):
-    # d/dx of max(0, x).
-    if x > 0.0:
-        return 1.0, False
-    if x < 0.0:
-        return 0.0, False
-    return 0.5, True
-
-
-def _overlap_pieces(pred, gt):
-    """Shared geometry terms and their per-coordinate derivatives.
-
-    Returns (inter, union, hull, d_inter, d_union, d_hull, tie) where the
-    d_* entries are length-4 arrays of derivatives wrt the predicted box.
-    """
-    a = _as_box_array(pred)
-    b = _as_box_array(gt)
-    tie = False
-
-    # Intersection width/height and their derivative through the clamp.
-    ix2, t1 = _d_min(a[2], b[2])
-    ix1, t2 = _d_max(a[0], b[0])
-    iy2, t3 = _d_min(a[3], b[3])
-    iy1, t4 = _d_max(a[1], b[1])
-    iw_raw = min(a[2], b[2]) - max(a[0], b[0])
-    ih_raw = min(a[3], b[3]) - max(a[1], b[1])
-    rw, t5 = _d_relu(iw_raw)
-    rh, t6 = _d_relu(ih_raw)
-    iw = max(0.0, iw_raw)
-    ih = max(0.0, ih_raw)
-    tie = tie or t1 or t2 or t3 or t4 or (t5 and ih > 0.0) or (t6 and iw > 0.0)
-
-    inter = iw * ih
-    d_inter = np.array(
-        [
-            -ix1 * rw * ih,
-            -iy1 * rh * iw,
-            ix2 * rw * ih,
-            iy2 * rh * iw,
-        ]
-    )
-
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    d_area_a = np.array([-(a[3] - a[1]), -(a[2] - a[0]), a[3] - a[1], a[2] - a[0]])
-
-    union = area_a + area_b - inter
-    d_union = d_area_a - d_inter
-
-    hx1, t7 = _d_min(a[0], b[0])
-    hy1, t8 = _d_min(a[1], b[1])
-    hx2, t9 = _d_max(a[2], b[2])
-    hy2, t10 = _d_max(a[3], b[3])
-    hw = max(a[2], b[2]) - min(a[0], b[0])
-    hh = max(a[3], b[3]) - min(a[1], b[1])
-    hull = hw * hh
-    d_hull = np.array([-hx1 * hh, -hy1 * hw, hx2 * hh, hy2 * hw])
-    tie = tie or t7 or t8 or t9 or t10
-
-    return inter, union, hull, d_inter, d_union, d_hull, tie
+def _first_row(g, tie):
+    return g[0], bool(tie[0])
 
 
 def iou_grad(pred, gt):
     """(dIoU/dpred, nonsmooth flag). Zero-union configurations get a zero
     gradient (both boxes degenerate)."""
-    inter, union, _, d_inter, d_union, _, tie = _overlap_pieces(pred, gt)
-    if union <= 0.0:
-        return np.zeros(4), True
-    g = (d_inter * union - inter * d_union) / (union * union)
-    return g, tie
+    return _first_row(*_single(_overlap_grad_array, pred, gt, "iou"))
 
 
 def giou_grad(pred, gt):
     """(dGIoU/dpred, nonsmooth flag)."""
-    inter, union, hull, d_inter, d_union, d_hull, tie = _overlap_pieces(pred, gt)
-    if union <= 0.0 or hull <= 0.0:
-        return np.zeros(4), True
-    g = (d_inter * union - inter * d_union) / (union * union)
-    # GIoU = IoU - (hull - union)/hull = IoU - 1 + union/hull
-    g = g + (d_union * hull - union * d_hull) / (hull * hull)
-    return g, tie
+    return _first_row(*_single(_overlap_grad_array, pred, gt, "giou"))
 
 
 def loc_error_grad(pred, gt, kind):
     """(dE_loc/dpred, nonsmooth flag), chain rule through the overlap only."""
-    scale = 1.0 / (1.0 - kind.tau)
-    if kind.variant == "iou":
-        g, tie = iou_grad(pred, gt)
-        return -scale * g, tie
-    g, tie = giou_grad(pred, gt)
-    return -0.5 * scale * g, tie
+    return _first_row(*_single(loc_error_grad_array, pred, gt, kind))

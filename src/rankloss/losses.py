@@ -23,11 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import loc_error_grad
-from .ranking import (
+# perfbench traces ``loc_error_grad`` and ``assemble_gradients`` by this
+# module's names, so both stay bound here.
+from .geometry import loc_error_grad, loc_error_grad_array  # noqa: F401
+from .ranking import (  # noqa: F401
     GradReport,
     RankingLossDef,
     StepKind,
+    _assemble,
+    _rank_stats,
     assemble_gradients,
     gradient_sums,
     rank_stats,
@@ -42,6 +46,9 @@ class LossBreakdown:
     total = cls_component + loc_component (exactly; ap/ndcg have loc 0).
     score_grads is per anchor; box_grads is per positive (4 columns) and
     already includes any self-balance weight, recorded in sb_weight_applied.
+    n_nonsmooth counts the positives whose box gradient sits on a branch tie
+    of the overlap (the tie-averaged derivative; see geometry); 0 for ap and
+    ndcg, which have no box gradients.
     """
 
     total: float
@@ -50,6 +57,7 @@ class LossBreakdown:
     score_grads: np.ndarray
     box_grads: np.ndarray
     sb_weight_applied: float = 1.0
+    n_nonsmooth: int = 0
 
     @property
     def grad_report(self):
@@ -112,7 +120,10 @@ class ALRPLossDef(RankingLossDef):
 
     def local_errors(self, scenario, stats, kind):
         e_loc = scenario.loc_errors()
-        c = _exact_pos_loc_sums(scenario, e_loc)
+        return self.errors(stats, e_loc, _exact_pos_loc_sums(scenario, e_loc))
+
+    def errors(self, stats, e_loc, c):
+        """(l, l*) from E_loc and C(i)."""
         ell = (stats.n_fp + e_loc + c) / stats.rank
         ell_star = e_loc / stats.rank
         return ell, ell_star
@@ -127,8 +138,8 @@ class WrongTargetALRPDef(ALRPLossDef):
     name = "alrp-wrong-target"
     unconditional_positive_grads = True
 
-    def local_errors(self, scenario, stats, kind):
-        ell, _ = super().local_errors(scenario, stats, kind)
+    def errors(self, stats, e_loc, c):
+        ell, _ = super().errors(stats, e_loc, c)
         return ell, np.zeros_like(ell)
 
 
@@ -167,13 +178,15 @@ def alrp_soft_weights(scenario, kind=StepKind.exact()):
     each positive it outranks, so the top-scored positive carries the
     largest weight.
     """
-    stats = rank_stats(scenario, kind)
-    ps = scenario.pos_scores()
+    return _soft_weights(scenario.pos_scores(), rank_stats(scenario, kind).rank)
+
+
+def _soft_weights(ps, rank):
     # "Scored at or below" is the exact step on negated scores.
-    return step_sums(-ps, -ps, StepKind.exact(), 1.0 / stats.rank) / ps.size
+    return step_sums(-ps, -ps, StepKind.exact(), 1.0 / rank) / ps.size
 
 
-def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight):
+def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmooth=0):
     b = LossBreakdown(
         total=float(total),
         cls_component=float(cls_c),
@@ -181,6 +194,7 @@ def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight):
         score_grads=report.score_grads,
         box_grads=box_grads,
         sb_weight_applied=float(sb_weight),
+        n_nonsmooth=int(n_nonsmooth),
     )
     b._report = report
     return b
@@ -189,38 +203,32 @@ def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight):
 def ap_loss(scenario, kind=StepKind.exact()):
     """One minus average precision under the ranking interpretation:
     mean over positives of N_FP(i)/rank(i)."""
-    stats = rank_stats(scenario, kind)
+    loss_def = APLossDef()
+    stats, neg_vs_pos = _rank_stats(scenario, kind)
     total = float((stats.n_fp / stats.rank).mean())
-    report = assemble_gradients(scenario, APLossDef(), kind)
+    report = _assemble(scenario, loss_def, stats, neg_vs_pos, *loss_def.local_errors(scenario, stats, kind))
     return _breakdown_from(
         total, total, 0.0, report, np.zeros((scenario.n_pos, 4)), 1.0
     )
 
 
-def _alrp_box_grads(scenario, kind, sb_weight):
-    """d(loc_component)/d(box) via the soft weights, times the balance weight."""
-    w = alrp_soft_weights(scenario, kind)
-    grads = np.empty((scenario.n_pos, 4))
-    boxes = scenario.pos_boxes()
-    gts = scenario.pos_gt_boxes()
-    for i in range(scenario.n_pos):
-        g, _ = loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
-        grads[i] = w[i] * g
-    return sb_weight * grads
-
-
 def _alrp(scenario, kind, balancer, loss_def):
     """The aLRP breakdown under loss_def's target; every aLRP entry point
-    (alrp_loss, wrong_target_alrp, fast_alrp) runs this."""
+    (alrp_loss, wrong_target_alrp, fast_alrp) runs this. The rank
+    statistics, E_loc and C(i) are computed once and feed the components,
+    the score gradients and the box gradients."""
     sb = balancer.active_weight if balancer is not None else 1.0
-    stats = rank_stats(scenario, kind)
+    stats, neg_vs_pos = _rank_stats(scenario, kind)
     e_loc = scenario.loc_errors()
     c = _exact_pos_loc_sums(scenario, e_loc)
     cls_c = float((stats.n_fp / stats.rank).mean())
     loc_c = float(((e_loc + c) / stats.rank).mean())
-    report = assemble_gradients(scenario, loss_def, kind)
-    box = _alrp_box_grads(scenario, kind, sb)
-    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, box, sb)
+    report = _assemble(scenario, loss_def, stats, neg_vs_pos, *loss_def.errors(stats, e_loc, c))
+    # d(loc_component)/d(box) via the soft weights, times the balance weight.
+    w = _soft_weights(scenario.pos_scores(), stats.rank)
+    g, tie = loc_error_grad_array(scenario.pos_boxes(), scenario.pos_gt_boxes(), scenario.loc_kind)
+    box = sb * (w[:, None] * g)
+    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, box, sb, np.count_nonzero(tie))
 
 
 def alrp_loss(scenario, kind=StepKind.exact(), balancer=None, use_fast=False):
@@ -251,11 +259,12 @@ def wrong_target_alrp(scenario, kind=StepKind.exact(), balancer=None):
 
 def ndcg_loss(scenario, kind=StepKind.exact()):
     """1 - sum of positive gains over the ideal gain."""
-    stats = rank_stats(scenario, kind)
+    loss_def = NDCGLossDef()
+    stats, neg_vs_pos = _rank_stats(scenario, kind)
     n = scenario.n_pos
     g_max = ndcg_ideal_gain(n)
     total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / g_max
-    report = assemble_gradients(scenario, NDCGLossDef(), kind)
+    report = _assemble(scenario, loss_def, stats, neg_vs_pos, *loss_def.local_errors(scenario, stats, kind))
     return _breakdown_from(
         total, total, 0.0, report, np.zeros((scenario.n_pos, 4)), 1.0
     )

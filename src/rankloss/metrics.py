@@ -8,6 +8,7 @@ rank-vector utilities shared with the trainer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -188,14 +189,21 @@ def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_poin
     """AP averaged over IoU thresholds; returns the per-threshold table too.
 
     Each class's IoU table is built once and matched at every threshold.
+    Needs at least one threshold, each in [0, 1].
     """
+    taus = [float(t) for t in taus]
+    if not taus:
+        raise ValueError("mean AP needs at least one IoU threshold")
+    bad = [t for t in taus if not 0.0 <= t <= 1.0]
+    if bad:
+        raise ValueError(f"mean AP needs IoU thresholds in [0, 1], got {bad[0]!r}")
     classes = inputs.classes()
     if not classes:
         raise ValueError("cannot evaluate without ground-truth objects")
     tables = [_class_table(inputs.detections, inputs.ground_truths, cls) for cls in classes]
     grid = _recall_grid(recall_points)
     by_tau = {}
-    for tau in map(float, taus):
+    for tau in taus:
         per_class = [float(pr_curve(_match(t, tau)).interpolated_precision(grid).mean()) for t in tables]
         by_tau[tau] = float(np.mean(per_class))
     return {"mean_ap": float(np.mean(list(by_tau.values()))), "by_tau": by_tau}
@@ -255,8 +263,11 @@ def lrp_at(inputs: EvalInput, tau: float = 0.5, score_threshold: float = float("
         (sum of scaled localisation errors + #FP + #FN) / (#TP + #FP + #FN)
 
     where each true positive contributes (1 - IoU) / (1 - tau), which lies
-    in [0, 1) because a match requires IoU >= tau.
+    in [0, 1) because a match requires IoU >= tau. A NaN threshold keeps
+    no detection and is refused.
     """
+    if math.isnan(score_threshold):
+        raise ValueError("LRP needs a score threshold that is not NaN")
     tallies = _lrp_tallies(inputs, tau, np.array([score_threshold], dtype=np.float64))
     n_tp, n_fp, n_fn, loc_sum = (v.item() for v in tallies)
     total = n_tp + n_fp + n_fn

@@ -18,12 +18,12 @@ The central objects:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box, LocErrorKind, loc_error
+from .geometry import Box, LocErrorKind, loc_error_array
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
 
@@ -80,35 +80,116 @@ class AnchorRecord:
             raise ValueError("unknown anchor label: %r" % (self.label,))
 
 
-class Scenario:
-    """A frozen mini-batch of anchors plus ground-truth boxes.
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
-    Positives must reference a valid GT index and carry a predicted box;
-    negatives and ignored anchors carry only a score. Ignored anchors are
-    excluded from every sum and always receive zero gradient.
+
+def _gt_array(gts):
+    rows = [g.as_array() if isinstance(g, Box) else np.asarray(g, dtype=np.float64) for g in gts]
+    for j, row in enumerate(rows):
+        if row.shape != (4,):
+            raise ValueError("gts[%d]: expected four entries, got shape %s" % (j, row.shape))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+
+
+class Scenario:
+    """A frozen mini-batch of anchors plus ground-truth boxes, held as columns.
+
+    Columns (read-only arrays, shared between copies):
+      labels     (n,)   POS / NEG / IGNORE per anchor
+      scores     (n,)   float64
+      pos_index, neg_index   anchor indices of the positives / negatives
+      pos_gt     (P,)   each positive's ground-truth index
+      pos_box    (P, 4) each positive's predicted box (order of pos_index)
+      gts        (G, 4) ground-truth boxes
+    plus loc_kind.
+
+    Positives must reference a valid GT index and carry a four-entry
+    predicted box; negatives and ignored anchors carry only a score. Ignored
+    anchors are excluded from every sum and always receive zero gradient.
+    The constructor takes AnchorRecords; from_columns takes the columns.
+    Both validate once; with_scores and with_positive_boxes check only the
+    column they replace and share the others.
     """
 
     def __init__(self, anchors, gts, loc_kind=None):
-        self.anchors = list(anchors)
-        self.gts = [g.as_array() if isinstance(g, Box) else np.asarray(g, np.float64) for g in gts]
-        self.loc_kind = loc_kind if loc_kind is not None else LocErrorKind.iou()
-        self._validate()
-        labels = [a.label for a in self.anchors]
-        self.scores = np.array([a.score for a in self.anchors], dtype=np.float64)
-        self.pos_index = np.array([i for i, l in enumerate(labels) if l == POS], dtype=np.intp)
-        self.neg_index = np.array([i for i, l in enumerate(labels) if l == NEG], dtype=np.intp)
+        anchors = list(anchors)
+        pos = [(i, a) for i, a in enumerate(anchors) if a.label == POS]
+        pos_box = np.zeros((len(pos), 4))
+        box_errors = []
+        for k, (i, a) in enumerate(pos):
+            box = None if a.box is None else np.asarray(a.box, dtype=np.float64)
+            if box is None:
+                box_errors.append((i, "anchors[%d]: positive needs a predicted box" % i))
+            elif box.shape != (4,):
+                box_errors.append((i, "anchors[%d].box: expected four entries, got shape %s" % (i, box.shape)))
+            else:
+                pos_box[k] = box
+        self._set_columns(
+            [a.label for a in anchors],
+            [a.score for a in anchors],
+            [-1 if a.gt is None else a.gt for _, a in pos],
+            pos_box,
+            gts,
+            loc_kind,
+            box_errors,
+        )
 
-    def _validate(self):
-        if not any(a.label == POS for a in self.anchors):
+    @classmethod
+    def from_columns(cls, labels, scores, pos_gt, pos_box, gts, loc_kind=None):
+        """A scenario from its columns: labels and scores per anchor, and the
+        positives' ground-truth indices and (P, 4) boxes in anchor order."""
+        new = cls.__new__(cls)
+        new._set_columns(labels, scores, pos_gt, pos_box, gts, loc_kind)
+        return new
+
+    def _set_columns(self, labels, scores, pos_gt, pos_box, gts, loc_kind, box_errors=()):
+        labels = np.array(labels, dtype=str)
+        unknown = np.flatnonzero(~np.isin(labels, (POS, NEG, IGNORE)))
+        if unknown.size:
+            raise ValueError("unknown anchor label: %r" % (labels[unknown[0]].item(),))
+        pos_index = np.flatnonzero(labels == POS)
+        if not pos_index.size:
             raise ValueError("scenario has no positive anchors")
-        for i, a in enumerate(self.anchors):
-            if not np.isfinite(a.score):
-                raise ValueError("anchors[%d].score is not finite" % i)
-            if a.label == POS:
-                if a.gt is None or not (0 <= a.gt < len(self.gts)):
-                    raise ValueError("anchors[%d]: positive needs a valid gt index" % i)
-                if a.box is None:
-                    raise ValueError("anchors[%d]: positive needs a predicted box" % i)
+        scores = np.array(scores, dtype=np.float64)
+        pos_gt = np.array(pos_gt, dtype=np.intp)
+        pos_box = np.array(pos_box, dtype=np.float64)
+        gts = _gt_array(gts)
+        for name, column, shape in (
+            ("scores", scores, labels.shape),
+            ("pos_gt", pos_gt, pos_index.shape),
+            ("pos_box", pos_box, (pos_index.size, 4)),
+        ):
+            if column.shape != shape:
+                raise ValueError("%s: expected shape %s, got %s" % (name, shape, column.shape))
+        # Report the first offending anchor and, for it, the first failed
+        # check in the order score, gt index, box.
+        problems = [(i, 2, message) for i, message in box_errors]
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            problems.append((bad[0], 0, "anchors[%d].score is not finite" % bad[0]))
+        bad = pos_index[(pos_gt < 0) | (pos_gt >= len(gts))]
+        if bad.size:
+            problems.append((bad[0], 1, "anchors[%d]: positive needs a valid gt index" % bad[0]))
+        if problems:
+            raise ValueError(min(problems)[2])
+        self.labels = _frozen(labels)
+        self.scores = _frozen(scores)
+        self.pos_index = _frozen(pos_index)
+        self.neg_index = _frozen(np.flatnonzero(labels == NEG))
+        self.pos_gt = _frozen(pos_gt)
+        self.pos_box = _frozen(pos_box)
+        self.gts = _frozen(gts)
+        self.loc_kind = loc_kind if loc_kind is not None else LocErrorKind.iou()
+
+    @property
+    def anchors(self):
+        """The anchors as AnchorRecords, built on each access (not stored)."""
+        out = [AnchorRecord(label, score) for label, score in zip(self.labels.tolist(), self.scores.tolist())]
+        for i, gt, box in zip(self.pos_index.tolist(), self.pos_gt.tolist(), self.pos_box):
+            out[i] = AnchorRecord(POS, out[i].score, gt, box.copy())
+        return out
 
     @property
     def n_pos(self):
@@ -125,35 +206,39 @@ class Scenario:
         return self.scores[self.neg_index]
 
     def pos_boxes(self):
-        return np.stack([np.asarray(self.anchors[i].box, np.float64) for i in self.pos_index])
+        return self.pos_box.copy()
 
     def pos_gt_boxes(self):
-        return np.stack([self.gts[self.anchors[i].gt] for i in self.pos_index])
+        return self.gts[self.pos_gt]
 
     def loc_errors(self):
         """E_loc per positive, unchecked (may exceed 1 for an overlap that
         has drifted below tau; the metric-side check lives in geometry)."""
-        out = np.empty(self.n_pos)
-        for k, i in enumerate(self.pos_index):
-            a = self.anchors[i]
-            out[k] = loc_error(a.box, self.gts[a.gt], self.loc_kind, check=False)
-        return out
+        return loc_error_array(self.pos_box, self.gts[self.pos_gt], self.loc_kind)
+
+    def _replace(self, **columns):
+        new = copy.copy(self)
+        for name, value in columns.items():
+            setattr(new, name, _frozen(value))
+        return new
 
     def with_positive_boxes(self, boxes):
         """Copy of the scenario with the positives' predicted boxes replaced
         (order follows pos_index)."""
-        boxes = np.asarray(boxes, dtype=np.float64)
-        new = list(self.anchors)
-        for k, i in enumerate(self.pos_index):
-            a = new[i]
-            new[i] = AnchorRecord(a.label, a.score, a.gt, boxes[k].copy())
-        return Scenario(new, self.gts, self.loc_kind)
+        boxes = np.array(boxes, dtype=np.float64)
+        if boxes.shape != self.pos_box.shape:
+            raise ValueError("boxes: expected shape %s, got %s" % (self.pos_box.shape, boxes.shape))
+        return self._replace(pos_box=boxes)
 
     def with_scores(self, scores):
         """Copy of the scenario with every anchor's score replaced."""
-        scores = np.asarray(scores, dtype=np.float64)
-        new = [AnchorRecord(a.label, float(scores[i]), a.gt, a.box) for i, a in enumerate(self.anchors)]
-        return Scenario(new, self.gts, self.loc_kind)
+        scores = np.array(scores, dtype=np.float64)
+        if scores.shape != self.scores.shape:
+            raise ValueError("scores: expected shape %s, got %s" % (self.scores.shape, scores.shape))
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise ValueError("anchors[%d].score is not finite" % bad[0])
+        return self._replace(scores=scores)
 
 
 def _prefix(v):
@@ -232,9 +317,10 @@ class StepRelation:
         q = np.asarray(queries, dtype=np.float64)
         self.kind, self.q, self.size = kind, q, x.size
         # The lowest query has the widest support: data outside it take no part.
-        self._kept = np.flatnonzero(step(x - q.min(), kind) > 0.0) if q.size else np.zeros(0, np.intp)
-        self._data = x
-        self.x = x = np.sort(x[self._kept])
+        kept = np.flatnonzero(step(x - q.min(), kind) > 0.0) if q.size else np.zeros(0, np.intp)
+        # idx: the positions in the data of the sorted data x.
+        self.idx = kept[np.argsort(x[kept])]
+        self.x = x = x[self.idx]
         self.ill, self.mass = np.zeros(q.size, dtype=bool), None
         n = x.size
         if not (kind.smooth and n):
@@ -262,12 +348,6 @@ class StepRelation:
         self.pair_q = np.repeat(ill, count)
         self.pair_k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - self.lo[ill], count)
         self.pair_h = step(x[self.pair_k] - q[self.pair_q], kind)
-
-    @cached_property
-    def idx(self):
-        """Positions in the data of the sorted data x (on first use only:
-        unweighted row sums need just the sorted values)."""
-        return self._kept[np.argsort(self._data[self._kept])]
 
     def _sums(self, w):
         """Row sums of the windows for weights w (sorted data order)."""
@@ -422,6 +502,12 @@ def assemble_gradients(scenario, loss_def, kind):
     """
     stats, neg_vs_pos = _rank_stats(scenario, kind)
     ell, ell_star = loss_def.local_errors(scenario, stats, kind)
+    return _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star)
+
+
+def _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star):
+    """assemble_gradients from a loss's rank statistics (with the relation
+    behind N_FP) and its local errors and targets, computed by the caller."""
     z = float(loss_def.normalizer(scenario))
     gap = ell - ell_star
     bad = np.flatnonzero(gap < -1e-12 * np.maximum(1.0, np.abs(ell)))
@@ -434,7 +520,7 @@ def assemble_gradients(scenario, loss_def, kind):
     gap = np.maximum(gap, 0.0)
     # Delta x_ij = (l*(i) - l(i)) p(j|i); positive grad is its row sum.
     mass = (stats.n_fp > 0.0).astype(np.float64)
-    grads = np.zeros(len(scenario.anchors))
+    grads = np.zeros(scenario.scores.size)
     if loss_def.unconditional_positive_grads:
         grads[scenario.pos_index] = -gap / z
     else:

@@ -28,7 +28,7 @@ from .losses import (
     wrong_target_alrp,
 )
 from .metrics import positive_ious, ranking_correlation
-from .ranking import NEG, POS, AnchorRecord, Scenario, StepKind
+from .ranking import NEG, POS, Scenario, StepKind
 
 LOG_COLUMNS = ("epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou")
 
@@ -74,16 +74,18 @@ class ScenarioGenSpec:
             raise ValueError("score_low and score_high must be given together")
 
 
-def _gt_box(k: int) -> np.ndarray:
+def _gt_boxes(n: int) -> np.ndarray:
     # Unit squares three units apart: no pair of ground truths overlaps.
-    return np.array([3.0 * k, 0.0, 3.0 * k + 1.0, 1.0], dtype=np.float64)
+    x = 3.0 * np.arange(n)
+    return np.stack([x, np.zeros(n), x + 1.0, np.ones(n)], axis=1)
 
 
-def _pred_box_with_iou(gt: np.ndarray, target: float) -> np.ndarray:
+def _pred_boxes_with_iou(gts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     # Shrink the top edge only: IoU with the unit ground truth is exactly
     # the retained height fraction.
-    x1, y1, x2, y2 = gt
-    return np.array([x1, y1, x2, y1 + target * (y2 - y1)], dtype=np.float64)
+    boxes = gts.copy()
+    boxes[:, 3] = gts[:, 1] + targets * (gts[:, 3] - gts[:, 1])
+    return boxes
 
 
 def generate_scenario(spec: ScenarioGenSpec) -> Scenario:
@@ -109,13 +111,15 @@ def generate_scenario(spec: ScenarioGenSpec) -> Scenario:
         out[score_order] = sorted_ious
         ious = out
 
-    gts = [_gt_box(k) for k in range(spec.n_pos)]
-    anchors = [
-        AnchorRecord(POS, float(pos_scores[k]), gt=k, box=_pred_box_with_iou(gts[k], float(ious[k])))
-        for k in range(spec.n_pos)
-    ]
-    anchors.extend(AnchorRecord(NEG, float(s)) for s in neg_scores)
-    return Scenario(anchors, gts, spec.loc_kind)
+    gts = _gt_boxes(spec.n_pos)
+    return Scenario.from_columns(
+        np.repeat([POS, NEG], [spec.n_pos, spec.n_neg]),
+        np.concatenate((pos_scores, neg_scores)),
+        np.arange(spec.n_pos),
+        _pred_boxes_with_iou(gts, ious),
+        gts,
+        spec.loc_kind,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +293,7 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
             vel_box = cfg.momentum * vel_box + bd.box_grads
             model.boxes = model.boxes - box_lr * vel_box
             # Keep corner order valid: a step can push an edge past its
-            # partner, which the scenario constructor rejects.
+            # partner, and an inverted box has no meaningful overlap.
             model.boxes[:, 2] = np.maximum(model.boxes[:, 2], model.boxes[:, 0])
             model.boxes[:, 3] = np.maximum(model.boxes[:, 3], model.boxes[:, 1])
 

@@ -1,21 +1,25 @@
 """Shared helpers for the test suite: randomized scenarios, a naive
 pairwise-table oracle that materializes what the assembly never builds, the
 per-positive loops that define every rank statistic and gradient, kept as
-oracles for the sort-based engine (rankloss.ranking.step_sums), and the
-per-threshold evaluator (scalar IoU per pair, one matching per score
-threshold), kept as the oracle for rankloss.metrics."""
+oracles for the sort-based engine (rankloss.ranking.step_sums), the
+AnchorRecord-list Scenario and the scalar box geometry, kept as oracles for
+the columnar Scenario and the geometry array forms, and the per-threshold
+evaluator (scalar IoU per pair, one matching per score threshold), kept as
+the oracle for rankloss.metrics."""
 
 from typing import Optional
 
 import numpy as np
 
-from rankloss.geometry import LocErrorKind, iou, loc_error_grad
+from rankloss.geometry import Box, LocErrorKind, _as_box_array, iou
 from rankloss.losses import (
     ALRPLossDef,
     APLossDef,
     NDCGLossDef,
     WrongTargetALRPDef,
     _breakdown_from,
+    _exact_pos_loc_sums,
+    alrp_soft_weights,
     ndcg_ideal_gain,
 )
 from rankloss.metrics import LRPResult, MatchResult, _recall_grid, pr_curve
@@ -26,7 +30,9 @@ from rankloss.ranking import (
     GradReport,
     RankStats,
     Scenario,
+    assemble_gradients,
     diff_transform,
+    rank_stats,
     step,
 )
 
@@ -143,7 +149,12 @@ class OracleALRPDef(ALRPLossDef):
 
 
 class OracleWrongTargetDef(WrongTargetALRPDef, OracleALRPDef):
-    """WrongTargetALRPDef on top of OracleALRPDef's local errors."""
+    """WrongTargetALRPDef on top of OracleALRPDef's local errors: the
+    target forced to zero."""
+
+    def local_errors(self, scenario, stats, kind):
+        ell, _ = super().local_errors(scenario, stats, kind)
+        return ell, np.zeros_like(ell)
 
 
 def oracle_assemble_gradients(scenario, loss_def, kind):
@@ -217,10 +228,290 @@ def oracle_loss(name, scenario, kind, balancer=None):
     w = oracle_alrp_soft_weights(scenario, kind)
     boxes, gts = scenario.pos_boxes(), scenario.pos_gt_boxes()
     box = np.empty((n, 4))
+    n_nonsmooth = 0
     for i in range(n):
-        g, _ = loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
+        g, tie = oracle_loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
         box[i] = w[i] * g
-    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, sb * box, sb)
+        n_nonsmooth += bool(tie)
+    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, sb * box, sb, n_nonsmooth)
+
+
+# ---------------------------------------------------------------------------
+# Scenario and geometry oracles: the AnchorRecord-list Scenario, validated
+# anchor by anchor and rebuilt on every copy, and the scalar overlap,
+# localisation error and branch-by-branch gradient code, one box pair at a
+# time. rankloss.ranking.Scenario (columns) and the geometry array forms
+# must equal them exactly.
+# ---------------------------------------------------------------------------
+
+
+class OracleScenario:
+    """A frozen mini-batch of anchors plus ground-truth boxes.
+
+    Positives must reference a valid GT index and carry a predicted box;
+    negatives and ignored anchors carry only a score. Ignored anchors are
+    excluded from every sum and always receive zero gradient.
+    """
+
+    def __init__(self, anchors, gts, loc_kind=None):
+        self.anchors = list(anchors)
+        self.gts = [g.as_array() if isinstance(g, Box) else np.asarray(g, np.float64) for g in gts]
+        self.loc_kind = loc_kind if loc_kind is not None else LocErrorKind.iou()
+        self._validate()
+        labels = [a.label for a in self.anchors]
+        self.scores = np.array([a.score for a in self.anchors], dtype=np.float64)
+        self.pos_index = np.array([i for i, l in enumerate(labels) if l == POS], dtype=np.intp)
+        self.neg_index = np.array([i for i, l in enumerate(labels) if l == NEG], dtype=np.intp)
+
+    def _validate(self):
+        if not any(a.label == POS for a in self.anchors):
+            raise ValueError("scenario has no positive anchors")
+        for i, a in enumerate(self.anchors):
+            if not np.isfinite(a.score):
+                raise ValueError("anchors[%d].score is not finite" % i)
+            if a.label == POS:
+                if a.gt is None or not (0 <= a.gt < len(self.gts)):
+                    raise ValueError("anchors[%d]: positive needs a valid gt index" % i)
+                if a.box is None:
+                    raise ValueError("anchors[%d]: positive needs a predicted box" % i)
+
+    @property
+    def n_pos(self):
+        return len(self.pos_index)
+
+    @property
+    def n_neg(self):
+        return len(self.neg_index)
+
+    def pos_scores(self):
+        return self.scores[self.pos_index]
+
+    def neg_scores(self):
+        return self.scores[self.neg_index]
+
+    def pos_boxes(self):
+        return np.stack([np.asarray(self.anchors[i].box, np.float64) for i in self.pos_index])
+
+    def pos_gt_boxes(self):
+        return np.stack([self.gts[self.anchors[i].gt] for i in self.pos_index])
+
+    def loc_errors(self):
+        """E_loc per positive, unchecked (may exceed 1 for an overlap that
+        has drifted below tau; the metric-side check lives in geometry)."""
+        out = np.empty(self.n_pos)
+        for k, i in enumerate(self.pos_index):
+            a = self.anchors[i]
+            out[k] = oracle_loc_error(a.box, self.gts[a.gt], self.loc_kind, check=False)
+        return out
+
+    def with_positive_boxes(self, boxes):
+        """Copy of the scenario with the positives' predicted boxes replaced
+        (order follows pos_index)."""
+        boxes = np.asarray(boxes, dtype=np.float64)
+        new = list(self.anchors)
+        for k, i in enumerate(self.pos_index):
+            a = new[i]
+            new[i] = AnchorRecord(a.label, a.score, a.gt, boxes[k].copy())
+        return OracleScenario(new, self.gts, self.loc_kind)
+
+    def with_scores(self, scores):
+        """Copy of the scenario with every anchor's score replaced."""
+        scores = np.asarray(scores, dtype=np.float64)
+        new = [AnchorRecord(a.label, float(scores[i]), a.gt, a.box) for i, a in enumerate(self.anchors)]
+        return OracleScenario(new, self.gts, self.loc_kind)
+
+
+def oracle_giou(pred, gt):
+    """Generalized IoU: IoU minus (hull \\ union) / hull, in [-1, 1]."""
+    a = _as_box_array(pred)
+    b = _as_box_array(gt)
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    inter = max(0.0, iw) * max(0.0, ih)
+    area_a = max(0.0, a[2] - a[0]) * max(0.0, a[3] - a[1])
+    area_b = max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
+    union = area_a + area_b - inter
+    hull = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
+    value = inter / union if union > 0.0 else 0.0
+    if hull > 0.0:
+        value = value - (hull - union) / hull
+    return value
+
+
+def oracle_overlap_unit(pred, gt, kind):
+    """The [0, 1]-normalized overlap the error formula consumes.
+
+    IoU directly for the "iou" variant; (1 + GIoU)/2 for "giou".
+    """
+    if kind.variant == "iou":
+        return iou(pred, gt)
+    return 0.5 * (1.0 + oracle_giou(pred, gt))
+
+
+def oracle_loc_error(pred, gt, kind, check=True):
+    """Localization error E_loc = (1 - overlap) / (1 - tau).
+
+    With check=True (the metric-side contract) an "iou"-variant overlap below
+    tau raises, because the pair is not a valid true positive and the error
+    would leave [0, 1]. The loss path passes check=False and tolerates
+    transient values above 1 (e.g. a box drifting below tau mid-training).
+    """
+    v = oracle_overlap_unit(pred, gt, kind)
+    if check and kind.variant == "iou" and v < kind.tau:
+        raise ValueError(
+            "overlap %.6f below tau %.2f: not a valid matched positive" % (v, kind.tau)
+        )
+    return (1.0 - v) / (1.0 - kind.tau)
+
+
+def _oracle_d_min(pa, qb):
+    # d/d pa of min(pa, qb); qb is constant.
+    if pa < qb:
+        return 1.0, False
+    if pa > qb:
+        return 0.0, False
+    return 0.5, True
+
+
+def _oracle_d_max(pa, qb):
+    # d/d pa of max(pa, qb); qb is constant.
+    if pa > qb:
+        return 1.0, False
+    if pa < qb:
+        return 0.0, False
+    return 0.5, True
+
+
+def _oracle_d_relu(x):
+    # d/dx of max(0, x).
+    if x > 0.0:
+        return 1.0, False
+    if x < 0.0:
+        return 0.0, False
+    return 0.5, True
+
+
+def _oracle_overlap_pieces(pred, gt):
+    """Shared geometry terms and their per-coordinate derivatives.
+
+    Returns (inter, union, hull, d_inter, d_union, d_hull, tie) where the
+    d_* entries are length-4 arrays of derivatives wrt the predicted box.
+    """
+    a = _as_box_array(pred)
+    b = _as_box_array(gt)
+    tie = False
+
+    # Intersection width/height and their derivative through the clamp.
+    ix2, t1 = _oracle_d_min(a[2], b[2])
+    ix1, t2 = _oracle_d_max(a[0], b[0])
+    iy2, t3 = _oracle_d_min(a[3], b[3])
+    iy1, t4 = _oracle_d_max(a[1], b[1])
+    iw_raw = min(a[2], b[2]) - max(a[0], b[0])
+    ih_raw = min(a[3], b[3]) - max(a[1], b[1])
+    rw, t5 = _oracle_d_relu(iw_raw)
+    rh, t6 = _oracle_d_relu(ih_raw)
+    iw = max(0.0, iw_raw)
+    ih = max(0.0, ih_raw)
+    tie = tie or t1 or t2 or t3 or t4 or (t5 and ih > 0.0) or (t6 and iw > 0.0)
+
+    inter = iw * ih
+    d_inter = np.array(
+        [
+            -ix1 * rw * ih,
+            -iy1 * rh * iw,
+            ix2 * rw * ih,
+            iy2 * rh * iw,
+        ]
+    )
+
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    d_area_a = np.array([-(a[3] - a[1]), -(a[2] - a[0]), a[3] - a[1], a[2] - a[0]])
+
+    union = area_a + area_b - inter
+    d_union = d_area_a - d_inter
+
+    hx1, t7 = _oracle_d_min(a[0], b[0])
+    hy1, t8 = _oracle_d_min(a[1], b[1])
+    hx2, t9 = _oracle_d_max(a[2], b[2])
+    hy2, t10 = _oracle_d_max(a[3], b[3])
+    hw = max(a[2], b[2]) - min(a[0], b[0])
+    hh = max(a[3], b[3]) - min(a[1], b[1])
+    hull = hw * hh
+    d_hull = np.array([-hx1 * hh, -hy1 * hw, hx2 * hh, hy2 * hw])
+    tie = tie or t7 or t8 or t9 or t10
+
+    return inter, union, hull, d_inter, d_union, d_hull, tie
+
+
+def oracle_iou_grad(pred, gt):
+    """(dIoU/dpred, nonsmooth flag). Zero-union configurations get a zero
+    gradient (both boxes degenerate)."""
+    inter, union, _, d_inter, d_union, _, tie = _oracle_overlap_pieces(pred, gt)
+    if union <= 0.0:
+        return np.zeros(4), True
+    g = (d_inter * union - inter * d_union) / (union * union)
+    return g, tie
+
+
+def oracle_giou_grad(pred, gt):
+    """(dGIoU/dpred, nonsmooth flag)."""
+    inter, union, hull, d_inter, d_union, d_hull, tie = _oracle_overlap_pieces(pred, gt)
+    if union <= 0.0 or hull <= 0.0:
+        return np.zeros(4), True
+    g = (d_inter * union - inter * d_union) / (union * union)
+    # GIoU = IoU - (hull - union)/hull = IoU - 1 + union/hull
+    g = g + (d_union * hull - union * d_hull) / (hull * hull)
+    return g, tie
+
+
+def oracle_loc_error_grad(pred, gt, kind):
+    """(dE_loc/dpred, nonsmooth flag), chain rule through the overlap only."""
+    scale = 1.0 / (1.0 - kind.tau)
+    if kind.variant == "iou":
+        g, tie = oracle_iou_grad(pred, gt)
+        return -scale * g, tie
+    g, tie = oracle_giou_grad(pred, gt)
+    return -0.5 * scale * g, tie
+
+
+def oracle_loc_error_grad_rows(pred, gt, kind):
+    """oracle_loc_error_grad row by row, shaped like
+    geometry.loc_error_grad_array: ((P, 4) gradients, (P,) tie mask)."""
+    rows = [oracle_loc_error_grad(p, g, kind) for p, g in zip(pred, gt)]
+    grads = np.array([g for g, _ in rows], dtype=np.float64).reshape(-1, 4)
+    return grads, np.array([tie for _, tie in rows], dtype=bool)
+
+
+def separate_pass_loss(name, scenario, kind, balancer=None):
+    """The LossBreakdown of loss `name` with every part computed by its own
+    public entry point: assemble_gradients and alrp_soft_weights each
+    recompute the rank statistics, E_loc and C(i) are recomputed for the
+    assembly, and box gradients come from the scalar oracle one positive at
+    a time. The losses share these passes and must give the same bits."""
+    n = scenario.n_pos
+    stats = rank_stats(scenario, kind)
+    if name == "ap":
+        total = float((stats.n_fp / stats.rank).mean())
+        report = assemble_gradients(scenario, APLossDef(), kind)
+        return _breakdown_from(total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+    if name == "ndcg":
+        total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / ndcg_ideal_gain(n)
+        report = assemble_gradients(scenario, NDCGLossDef(), kind)
+        return _breakdown_from(total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+    loss_def = ALRPLossDef() if name == "alrp" else WrongTargetALRPDef()
+    sb = balancer.active_weight if balancer is not None else 1.0
+    e_loc = scenario.loc_errors()
+    c = _exact_pos_loc_sums(scenario, e_loc)
+    cls_c = float((stats.n_fp / stats.rank).mean())
+    loc_c = float(((e_loc + c) / stats.rank).mean())
+    report = assemble_gradients(scenario, loss_def, kind)
+    w = alrp_soft_weights(scenario, kind)
+    grads, tie = oracle_loc_error_grad_rows(scenario.pos_boxes(), scenario.pos_gt_boxes(), scenario.loc_kind)
+    box = np.empty((n, 4))
+    for i in range(n):
+        box[i] = w[i] * grads[i]
+    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, sb * box, sb, int(tie.sum()))
 
 
 # ---------------------------------------------------------------------------

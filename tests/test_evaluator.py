@@ -151,7 +151,7 @@ class TestInterpolatedPrecision:
 
 class TestMetricsAgainstOracle:
     @SETTINGS
-    @given(eval_inputs(min_gts=1), st.lists(st.sampled_from(MATCH_TAUS), min_size=1, max_size=4), st.sampled_from(GRIDS))
+    @given(eval_inputs(min_gts=1), st.lists(st.sampled_from(TAUS), min_size=1, max_size=4), st.sampled_from(GRIDS))
     def test_mean_ap(self, inputs, taus, grid):
         assert mean_ap(inputs, taus, grid) == oracle_mean_ap(inputs, taus, grid)
 

@@ -288,6 +288,13 @@ class TestCLILoss:
         row = dict(zip(header, values))
         np.testing.assert_allclose(float(row["total"]), 0.53, rtol=1e-12)
 
+    def test_nonsmooth_count_reported(self, scenario_file, capsys):
+        # Every fixture box shares three edges with its ground truth.
+        assert main(["loss", "--scenario", scenario_file]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_nonsmooth"] == 4
+        assert main(["loss", "--scenario", scenario_file, "--loss", "ap"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_nonsmooth"] == 0
+
     def test_grads_refused_in_csv(self, scenario_file, capsys):
         assert main(["loss", "--scenario", scenario_file, "--grads", "--format", "csv"]) == EXIT_INVALID
         assert "--grads" in capsys.readouterr().err
@@ -399,6 +406,16 @@ class TestCLIEval:
 
     def test_bad_taus(self, eval_file, capsys):
         assert main(["eval", "--input", eval_file, "--taus", "a,b"]) == EXIT_INVALID
+
+    def test_taus_outside_unit_interval(self, eval_file, capsys):
+        assert main(["eval", "--input", eval_file, "--taus=-0.5,1.5"]) == EXIT_INVALID
+        assert "IoU thresholds in [0, 1]" in capsys.readouterr().err
+
+    def test_nan_score_threshold(self, eval_file, capsys):
+        rc = main(["eval", "--input", eval_file, "--metric", "lrp", "--score-threshold", "nan"])
+        assert rc == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and "score threshold" in captured.err
 
 
 class TestCLITrain:

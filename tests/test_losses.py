@@ -189,6 +189,25 @@ class TestSoftWeights:
             g, _ = loc_error_grad(boxes[i], gts[i], scn.loc_kind)
             np.testing.assert_allclose(bd.box_grads[i], w[i] * g, rtol=1e-14)
 
+    def test_nonsmooth_count(self):
+        # Positive 0's box shares its left, bottom and right edges with the
+        # ground truth (branch ties); positive 1's box lies strictly inside.
+        gts = [np.array([0.0, 0.0, 1.0, 1.0]), np.array([3.0, 0.0, 4.0, 1.0])]
+        anchors = [
+            AnchorRecord(POS, 0.9, gt=0, box=np.array([0.0, 0.0, 1.0, 0.7])),
+            AnchorRecord(POS, 0.8, gt=1, box=np.array([3.1, 0.1, 3.9, 0.8])),
+            AnchorRecord(NEG, 0.85),
+        ]
+        scn = Scenario(anchors, gts)
+        for kind in (EXACT, StepKind.smoothed(0.5)):
+            assert alrp_loss(scn, kind).n_nonsmooth == 1
+            assert wrong_target_alrp(scn, kind).n_nonsmooth == 1
+            assert ap_loss(scn, kind).n_nonsmooth == 0
+            assert ndcg_loss(scn, kind).n_nonsmooth == 0
+        # Moving the shared edges off the ground truth removes the tie.
+        inside = scn.with_positive_boxes(np.array([[0.1, 0.1, 0.9, 0.7], [3.1, 0.1, 3.9, 0.8]]))
+        assert alrp_loss(inside, EXACT).n_nonsmooth == 0
+
 
 class TestLossTargetIdentity:
     """loss - sum of positive |grad| equals the normalized target table sum;

@@ -175,6 +175,14 @@ class TestGoldenAPTables:
         with pytest.raises(ValueError):
             ap_at_iou(EvalInput.build((det(0.9),), ()), 0.5)
 
+    @pytest.mark.parametrize("taus", ((-0.5,), (0.5, 1.5), (float("nan"),), ()))
+    def test_thresholds_outside_unit_interval_or_none_rejected(self, taus):
+        with pytest.raises(ValueError, match="IoU threshold"):
+            mean_ap(fixture_eval("aligned"), taus)
+
+    def test_thresholds_at_the_ends_accepted(self):
+        assert set(mean_ap(fixture_eval("aligned"), (0.0, 1.0))["by_tau"]) == {0.0, 1.0}
+
 
 class TestLRP:
     def test_aligned_all_detections(self):
@@ -201,6 +209,10 @@ class TestLRP:
     def test_empty_everything_rejected(self):
         with pytest.raises(ValueError):
             lrp_at(EvalInput.build((), ()), tau=0.5)
+
+    def test_nan_score_threshold_rejected(self):
+        with pytest.raises(ValueError, match="score threshold"):
+            lrp_at(fixture_eval("aligned"), tau=0.5, score_threshold=float("nan"))
 
     def test_perfect_detector_scores_zero(self):
         inputs = EvalInput.build((det(0.9),), (unit_gt(),))

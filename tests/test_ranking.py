@@ -126,6 +126,70 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario([AnchorRecord(POS, 0.5, gt=0, box=None)], self._gt())
 
+    def test_positive_box_needs_four_entries(self):
+        with pytest.raises(ValueError, match=r"anchors\[1\]\.box"):
+            Scenario(
+                [AnchorRecord(NEG, 0.5), AnchorRecord(POS, 0.5, gt=0, box=np.zeros(3))], self._gt()
+            )
+
+    def test_first_offending_anchor_is_named(self):
+        # anchor 1 fails its gt check before anchor 2 fails its score check;
+        # within one anchor the score is checked first.
+        anchors = [
+            AnchorRecord(POS, 0.5, gt=0, box=self._box()),
+            AnchorRecord(POS, 0.5, gt=7, box=None),
+            AnchorRecord(NEG, float("inf")),
+        ]
+        with pytest.raises(ValueError, match=r"^anchors\[1\]: positive needs a valid gt index$"):
+            Scenario(anchors, self._gt())
+        anchors[1] = AnchorRecord(POS, float("nan"), gt=7, box=None)
+        with pytest.raises(ValueError, match=r"^anchors\[1\]\.score is not finite$"):
+            Scenario(anchors, self._gt())
+
+    def test_with_scores_refuses_a_longer_array(self):
+        scn = fixture_scenario("shuffled")
+        with pytest.raises(ValueError, match="scores"):
+            scn.with_scores(np.append(scn.scores, 0.5))
+
+    def test_with_scores_refuses_a_shorter_array(self):
+        scn = fixture_scenario("shuffled")
+        with pytest.raises(ValueError, match="scores"):
+            scn.with_scores(scn.scores[:-1])
+
+    def test_with_scores_refuses_non_finite_scores(self):
+        scn = fixture_scenario("shuffled")
+        with pytest.raises(ValueError, match=r"^anchors\[7\]\.score is not finite$"):
+            scn.with_scores(np.where(np.arange(scn.scores.size) == 7, np.inf, scn.scores))
+
+    def test_with_positive_boxes_refuses_extra_rows(self):
+        scn = fixture_scenario("shuffled")
+        with pytest.raises(ValueError, match="boxes"):
+            scn.with_positive_boxes(np.vstack([scn.pos_boxes(), [[0.0, 0.0, 1.0, 1.0]]]))
+
+    def test_with_positive_boxes_refuses_three_columns(self):
+        scn = fixture_scenario("shuffled")
+        with pytest.raises(ValueError, match="boxes"):
+            scn.with_positive_boxes(scn.pos_boxes()[:, :3])
+
+    def test_columns_are_read_only_and_shared_by_copies(self):
+        scn = fixture_scenario("shuffled")
+        new = scn.with_scores(scn.scores * 0.5)
+        assert new.pos_box is scn.pos_box and new.labels is scn.labels
+        with pytest.raises(ValueError):
+            new.scores[0] = 1.0
+        with pytest.raises(ValueError):
+            scn.pos_box[0, 0] = 1.0
+
+    def test_from_columns_matches_the_constructor(self):
+        scn = fixture_scenario("shuffled")
+        again = Scenario.from_columns(scn.labels, scn.scores, scn.pos_gt, scn.pos_box, scn.gts, scn.loc_kind)
+        for column in ("labels", "scores", "pos_index", "neg_index", "pos_gt", "pos_box", "gts"):
+            np.testing.assert_array_equal(getattr(again, column), getattr(scn, column))
+        with pytest.raises(ValueError, match="pos_box"):
+            Scenario.from_columns(scn.labels, scn.scores, scn.pos_gt, scn.pos_box[:, :3], scn.gts)
+        with pytest.raises(ValueError, match="unknown anchor label: 'background'"):
+            Scenario.from_columns(["background", *scn.labels[1:]], scn.scores, scn.pos_gt, scn.pos_box, scn.gts)
+
     def test_rejects_unknown_label(self):
         with pytest.raises(ValueError):
             AnchorRecord("background", 0.5)
