@@ -4,7 +4,7 @@ Subcommands:
   loss   evaluate a ranking loss on a scenario file
   eval   detection metrics (mean AP / LRP / oLRP) on an eval file
   train  run the toy trainer and write its per-epoch CSV log
-  bench  size sweep timing the average-LRP loss, with operation counts
+  bench  size sweep timing the average-LRP loss, with kept negatives
 
 Exit codes: 0 success, 2 bad input (file format, argument validation),
 3 numerical failure (non-finite results, diverged training).
@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .fast_alrp import FastConfig, complexity_bound, operation_count, pruned_size
+from .fast_alrp import FastConfig, pruned_size
 from .fileio import FileFormatError, load_eval, load_scenario
 from .losses import (
     SelfBalancer,
@@ -73,6 +73,8 @@ def _emit(doc: dict, fmt: str) -> None:
 def cmd_loss(args) -> int:
     if args.grads and args.format == "csv":
         raise ValueError("--grads has no CSV form (gradient lists); use --format json")
+    if args.wrong_target and args.loss != "alrp":
+        raise ValueError(f"--wrong-target applies to --loss alrp only, not --loss {args.loss}")
     balancer = None
     if args.sb_weight is not None:
         if args.loss != "alrp":
@@ -90,7 +92,7 @@ def cmd_loss(args) -> int:
     elif args.wrong_target:
         bd = wrong_target_alrp(scenario, kind, balancer=balancer)
     else:
-        bd = alrp_loss(scenario, kind, balancer=balancer, use_fast=args.fast)
+        bd = alrp_loss(scenario, kind, balancer=balancer)
     if not np.isfinite(bd.total):
         raise NumericalFailure("loss is not finite")
     doc = {
@@ -207,7 +209,6 @@ def cmd_train(args) -> int:
         step=_step_kind(args),
         self_balance=args.sb,
         wrong_target=args.wrong_target,
-        use_fast=args.fast,
     )
     log = train(scenario, cfg)
     if args.out:
@@ -281,17 +282,13 @@ def cmd_bench(args) -> int:
     kind = StepKind.smoothed(args.delta)
     config = FastConfig(delta=args.delta)
 
-    header = ["n_pos", "n_neg", "n_kept", "ops", "bound", "t_alrp"]
-    lines = [",".join(header)]
+    lines = ["n_pos,n_neg,n_kept,t_alrp"]
     for n_pos, n_neg in sizes:
         scenario = _bench_scenario(n_pos, n_neg, args.seed)
-        n_kept = pruned_size(scenario, config)
         row = (
             n_pos,
             n_neg,
-            n_kept,
-            operation_count(n_pos, n_neg, n_kept),
-            complexity_bound(n_pos, n_neg, n_kept),
+            pruned_size(scenario, config),
             _time_call(lambda: alrp_loss(scenario, kind), args.reps),
         )
         lines.append(",".join(str(v) for v in row))
@@ -323,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step_args(p)
     p.add_argument("--sb-weight", type=float, default=None, help="self-balance weight to apply, finite and > 0 (alrp only)")
     p.add_argument("--wrong-target", action="store_true", help="alrp with the broken (zero) target")
-    p.add_argument("--fast", action="store_true", help="accepted for compatibility; there is one engine")
     p.add_argument("--grads", action="store_true", help="include gradient arrays in the output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_loss)
@@ -349,11 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(step="smooth")
     p.add_argument("--sb", action="store_true", help="enable self-balancing (alrp only)")
     p.add_argument("--wrong-target", action="store_true")
-    p.add_argument("--fast", action="store_true", help="accepted for compatibility; there is one engine")
     p.add_argument("--out", help="write the per-epoch CSV log here")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("bench", help="average-LRP loss timing and operation counts")
+    p = sub.add_parser("bench", help="average-LRP loss timing and kept negatives")
     p.add_argument("--sizes", default="20x200,50x1000,100x5000", help="comma list of PxN sizes")
     p.add_argument("--reps", type=int, default=3, help="timed runs per size, best kept (>= 1)")
     p.add_argument("--seed", type=int, default=0)

@@ -19,15 +19,15 @@ import numpy as np
 
 from . import losses
 from .geometry import loc_error_grad  # noqa: F401  (re-exported for callers that look it up here)
-from .ranking import StepKind
+from .ranking import StepKind, step
 
 
 @dataclass(frozen=True)
 class FastConfig:
     """delta: ramp half-width of the smooth step.
-    prune: whether pruned_size counts only negatives inside some positive's
-           step support; the engine skips the others either way, so results
-           never depend on it.
+    prune: whether pruned_size counts only the negatives the engine keeps
+           (those inside some positive's step support); the engine skips
+           the others either way, so results never depend on it.
     exact: use the exact step (H(0)=1) instead of the ramp; delta unused."""
 
     delta: float = 1.0
@@ -44,22 +44,23 @@ def active_backend():
     return "numpy"
 
 
+def _step_kind(config):
+    return StepKind.exact() if config.exact else StepKind.smoothed(config.delta)
+
+
 def fast_alrp(scenario, config=FastConfig(), balancer=None):
     """LossBreakdown identical to losses.alrp_loss with config's step."""
-    kind = StepKind.exact() if config.exact else StepKind.smoothed(config.delta)
-    return losses._alrp(scenario, kind, balancer, losses.ALRPLossDef())
+    return losses._loss(scenario, _step_kind(config), losses.ALRPLossDef(), balancer)
 
 
 def pruned_size(scenario, config=FastConfig()):
-    """How many negatives survive the support-bound prune: those at or above
-    the lowest positive score (exact step), or strictly above it minus
-    delta (smooth step)."""
+    """How many negatives the engine keeps: those with a nonzero step value
+    against the lowest positive score, by the test ranking.StepRelation
+    applies. Every negative when config.prune is False."""
     ns = scenario.neg_scores()
     if not config.prune or not ns.size:
         return int(ns.size)
-    low = scenario.pos_scores().min()
-    keep = ns >= low if config.exact else ns > low - config.delta
-    return int(np.count_nonzero(keep))
+    return int(np.count_nonzero(step(ns - scenario.pos_scores().min(), _step_kind(config)) > 0.0))
 
 
 def operation_count(n_pos, n_neg, n_kept):

@@ -124,6 +124,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
             _expect("box" in entry, f"{path}.box", "missing (positives carry a predicted box)")
             pos_gt.append(gt)
             pos_box.append(_box_array(entry["box"], f"{path}.box"))
+        elif "gt" in entry or "box" in entry:
+            _expect("gt" not in entry, f"{path}.gt", "only positive anchors carry a ground-truth index")
+            raise FileFormatError(f"{path}.box", "only positive anchors carry a predicted box")
 
     try:
         return Scenario.from_columns(labels, scores, pos_gt, np.reshape(pos_box, (-1, 4)), gts, loc_kind)

@@ -84,36 +84,17 @@ def _as_box_array(b):
     return a
 
 
-def iou(pred, gt):
-    """Intersection over union of two corner-form boxes, in [0, 1].
-
-    Degenerate (inverted) widths are clamped to zero so a malformed
-    prediction scores 0 instead of producing a negative area.
-    """
-    a = _as_box_array(pred)
-    b = _as_box_array(gt)
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    inter = max(0.0, iw) * max(0.0, ih)
-    area_a = max(0.0, a[2] - a[0]) * max(0.0, a[3] - a[1])
-    area_b = max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 # --- array forms -------------------------------------------------------------
 #
 # Every function below takes corner-form box arrays of shape (..., 4) and
-# performs the float operations of the scalar iou (and of the gradient
-# definitions it stands for) in the same order, so each entry, and each tie
-# flag, equals the scalar value exactly.
+# performs the float operations of the one-pair definitions (Python min/max
+# on scalars, kept as oracles in tests/conftest.py) in the same order, so
+# each entry, and each tie flag, equals the one-pair value exactly.
 
 
 def _min(p, q):
     # Python's min(p, q) elementwise: p unless q < p (so NaN and signed
-    # zeros come out as they do in the scalar functions).
+    # zeros come out as they do in the one-pair definitions).
     return np.where(q < p, q, p)
 
 
@@ -251,6 +232,15 @@ def loc_error_grad_array(pred, gt, kind):
 
 def _single(fn, pred, gt, *rest):
     return fn(_as_box_array(pred)[None], _as_box_array(gt)[None], *rest)
+
+
+def iou(pred, gt):
+    """Intersection over union of two corner-form boxes, in [0, 1].
+
+    Degenerate (inverted) widths are clamped to zero so a malformed
+    prediction scores 0 instead of producing a negative area.
+    """
+    return float(_single(iou_array, pred, gt)[0])
 
 
 def giou(pred, gt):

@@ -1,6 +1,8 @@
 """Ranking losses over a scenario: AP, average-LRP, NDCG.
 
-Every loss shares the error-driven assembly in ranking.py. The average-LRP
+Every loss runs one body, _loss: a loss definition (RankingLossDef.terms)
+gives l(i), l*(i) and the cls / loc components, and the error-driven
+assembly in ranking.py turns them into score gradients. The average-LRP
 loss additionally carries localization error into the ranking objective and
 produces box gradients (chain rule through E_loc only; ranks and step values
 are constants with respect to the boxes).
@@ -48,7 +50,8 @@ class LossBreakdown:
     already includes any self-balance weight, recorded in sb_weight_applied.
     n_nonsmooth counts the positives whose box gradient sits on a branch tie
     of the overlap (the tie-averaged derivative; see geometry); 0 for ap and
-    ndcg, which have no box gradients.
+    ndcg, which have no box gradients. grad_report is the assembly's
+    GradReport (its score_grads is the same array as score_grads).
     """
 
     total: float
@@ -56,15 +59,9 @@ class LossBreakdown:
     loc_component: float
     score_grads: np.ndarray
     box_grads: np.ndarray
+    grad_report: GradReport
     sb_weight_applied: float = 1.0
     n_nonsmooth: int = 0
-
-    @property
-    def grad_report(self):
-        return self._report
-
-    # set by the constructors below; kept off the dataclass signature
-    _report: GradReport = None
 
 
 @dataclass(frozen=True)
@@ -107,9 +104,9 @@ class APLossDef(RankingLossDef):
     def normalizer(self, scenario):
         return scenario.n_pos
 
-    def local_errors(self, scenario, stats, kind):
+    def terms(self, scenario, stats, kind):
         ell = stats.n_fp / stats.rank
-        return ell, np.zeros_like(ell)
+        return ell, np.zeros_like(ell), float(ell.mean()), 0.0
 
 
 class ALRPLossDef(RankingLossDef):
@@ -118,9 +115,12 @@ class ALRPLossDef(RankingLossDef):
     def normalizer(self, scenario):
         return scenario.n_pos
 
-    def local_errors(self, scenario, stats, kind):
+    def terms(self, scenario, stats, kind):
         e_loc = scenario.loc_errors()
-        return self.errors(stats, e_loc, _exact_pos_loc_sums(scenario, e_loc))
+        c = _exact_pos_loc_sums(scenario, e_loc)
+        cls_c = float((stats.n_fp / stats.rank).mean())
+        loc_c = float(((e_loc + c) / stats.rank).mean())
+        return (*self.errors(stats, e_loc, c), cls_c, loc_c)
 
     def errors(self, stats, e_loc, c):
         """(l, l*) from E_loc and C(i)."""
@@ -149,13 +149,13 @@ class NDCGLossDef(RankingLossDef):
     def normalizer(self, scenario):
         return 1.0
 
-    def local_errors(self, scenario, stats, kind):
+    def terms(self, scenario, stats, kind):
         n = scenario.n_pos
         g_max = ndcg_ideal_gain(n)
         gains = 1.0 / np.log2(1.0 + stats.rank)
         ell = (g_max / n - gains) / g_max
         ell_star = np.full_like(ell, (g_max / n - 1.0) / g_max)
-        return ell, ell_star
+        return ell, ell_star, 1.0 - float(gains.sum()) / g_max, 0.0
 
 
 def ndcg_ideal_gain(n_pos):
@@ -186,49 +186,37 @@ def _soft_weights(ps, rank):
     return step_sums(-ps, -ps, StepKind.exact(), 1.0 / rank) / ps.size
 
 
-def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmooth=0):
-    b = LossBreakdown(
-        total=float(total),
-        cls_component=float(cls_c),
-        loc_component=float(loc_c),
+def _loss(scenario, kind, loss_def, balancer=None):
+    """The LossBreakdown of loss_def: every loss entry point runs this. The
+    rank statistics are computed once and feed the loss terms, the score
+    gradients and (aLRP only) the box gradients; balancer scales the box
+    gradients only."""
+    stats, neg_vs_pos = _rank_stats(scenario, kind)
+    ell, ell_star, cls_c, loc_c = loss_def.terms(scenario, stats, kind)
+    report = _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star)
+    sb = balancer.active_weight if balancer is not None else 1.0
+    box, n_nonsmooth = np.zeros((scenario.n_pos, 4)), 0
+    if isinstance(loss_def, ALRPLossDef):
+        # d(loc_component)/d(box) via the soft weights, times the balance weight.
+        w = _soft_weights(scenario.pos_scores(), stats.rank)
+        g, tie = loc_error_grad_array(scenario.pos_boxes(), scenario.pos_gt_boxes(), scenario.loc_kind)
+        box, n_nonsmooth = sb * (w[:, None] * g), np.count_nonzero(tie)
+    return LossBreakdown(
+        total=cls_c + loc_c,
+        cls_component=cls_c,
+        loc_component=loc_c,
         score_grads=report.score_grads,
-        box_grads=box_grads,
-        sb_weight_applied=float(sb_weight),
+        box_grads=box,
+        grad_report=report,
+        sb_weight_applied=float(sb),
         n_nonsmooth=int(n_nonsmooth),
     )
-    b._report = report
-    return b
 
 
 def ap_loss(scenario, kind=StepKind.exact()):
     """One minus average precision under the ranking interpretation:
     mean over positives of N_FP(i)/rank(i)."""
-    loss_def = APLossDef()
-    stats, neg_vs_pos = _rank_stats(scenario, kind)
-    total = float((stats.n_fp / stats.rank).mean())
-    report = _assemble(scenario, loss_def, stats, neg_vs_pos, *loss_def.local_errors(scenario, stats, kind))
-    return _breakdown_from(
-        total, total, 0.0, report, np.zeros((scenario.n_pos, 4)), 1.0
-    )
-
-
-def _alrp(scenario, kind, balancer, loss_def):
-    """The aLRP breakdown under loss_def's target; every aLRP entry point
-    (alrp_loss, wrong_target_alrp, fast_alrp) runs this. The rank
-    statistics, E_loc and C(i) are computed once and feed the components,
-    the score gradients and the box gradients."""
-    sb = balancer.active_weight if balancer is not None else 1.0
-    stats, neg_vs_pos = _rank_stats(scenario, kind)
-    e_loc = scenario.loc_errors()
-    c = _exact_pos_loc_sums(scenario, e_loc)
-    cls_c = float((stats.n_fp / stats.rank).mean())
-    loc_c = float(((e_loc + c) / stats.rank).mean())
-    report = _assemble(scenario, loss_def, stats, neg_vs_pos, *loss_def.errors(stats, e_loc, c))
-    # d(loc_component)/d(box) via the soft weights, times the balance weight.
-    w = _soft_weights(scenario.pos_scores(), stats.rank)
-    g, tie = loc_error_grad_array(scenario.pos_boxes(), scenario.pos_gt_boxes(), scenario.loc_kind)
-    box = sb * (w[:, None] * g)
-    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, box, sb, np.count_nonzero(tie))
+    return _loss(scenario, kind, APLossDef())
 
 
 def alrp_loss(scenario, kind=StepKind.exact(), balancer=None, use_fast=False):
@@ -242,9 +230,8 @@ def alrp_loss(scenario, kind=StepKind.exact(), balancer=None, use_fast=False):
     if use_fast:
         from .fast_alrp import FastConfig, fast_alrp
 
-        cfg = FastConfig(delta=kind.delta, exact=not kind.smooth)
-        return fast_alrp(scenario, cfg, balancer)
-    return _alrp(scenario, kind, balancer, ALRPLossDef())
+        return fast_alrp(scenario, FastConfig(delta=kind.delta, exact=not kind.smooth), balancer)
+    return _loss(scenario, kind, ALRPLossDef(), balancer)
 
 
 def wrong_target_alrp(scenario, kind=StepKind.exact(), balancer=None):
@@ -254,20 +241,12 @@ def wrong_target_alrp(scenario, kind=StepKind.exact(), balancer=None):
     and their positive/negative sums stop matching once some positive has
     no negative ranked above it but still carries localization error.
     """
-    return _alrp(scenario, kind, balancer, WrongTargetALRPDef())
+    return _loss(scenario, kind, WrongTargetALRPDef(), balancer)
 
 
 def ndcg_loss(scenario, kind=StepKind.exact()):
     """1 - sum of positive gains over the ideal gain."""
-    loss_def = NDCGLossDef()
-    stats, neg_vs_pos = _rank_stats(scenario, kind)
-    n = scenario.n_pos
-    g_max = ndcg_ideal_gain(n)
-    total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / g_max
-    report = _assemble(scenario, loss_def, stats, neg_vs_pos, *loss_def.local_errors(scenario, stats, kind))
-    return _breakdown_from(
-        total, total, 0.0, report, np.zeros((scenario.n_pos, 4)), 1.0
-    )
+    return _loss(scenario, kind, NDCGLossDef())
 
 
 def balance_ratio(breakdown, scenario):

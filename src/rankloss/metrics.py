@@ -330,15 +330,12 @@ def average_ranks_desc(values: np.ndarray) -> np.ndarray:
     """Descending ranks (1 = largest) with ties sharing their mean rank."""
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(-v, kind="stable")
+    s = v[order]
+    # A group of ties starts where sorted neighbours differ (each NaN alone).
+    start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    end = np.append(start[1:], v.size) - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    pos = 0
-    while pos < v.size:
-        end = pos
-        while end + 1 < v.size and v[order[end + 1]] == v[order[pos]]:
-            end += 1
-        mean_rank = 0.5 * (pos + end) + 1.0
-        ranks[order[pos : end + 1]] = mean_rank
-        pos = end + 1
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 

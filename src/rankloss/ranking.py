@@ -469,10 +469,11 @@ class GradReport:
 class RankingLossDef:
     """Plug-in contract for the shared assembly routine.
 
-    Subclasses provide the normalizer Z and per-positive local/target errors
-    (l(i), l*(i)); the pairwise distribution over negatives is uniform over
-    step mass, p(j|i) = H(x_ij)/N_FP(i), defined as all-zero when
-    N_FP(i) = 0 so there is never a 0/0.
+    Subclasses provide the normalizer Z and terms(): the per-positive
+    local/target errors (l(i), l*(i)) and the loss components. The pairwise
+    distribution over negatives is uniform over step mass,
+    p(j|i) = H(x_ij)/N_FP(i), defined as all-zero when N_FP(i) = 0 so there
+    is never a 0/0.
 
     unconditional_positive_grads reproduces implementations that read the
     positive gradient straight off the local error, even when there is no
@@ -485,9 +486,15 @@ class RankingLossDef:
     def normalizer(self, scenario):
         raise NotImplementedError
 
+    def terms(self, scenario, stats, kind):
+        """(ell, ell_star, cls, loc): the local errors and targets (arrays
+        aligned with pos_index) and the loss value as its classification
+        and localisation components (floats)."""
+        raise NotImplementedError
+
     def local_errors(self, scenario, stats, kind):
         """Return (ell, ell_star) arrays aligned with pos_index."""
-        raise NotImplementedError
+        return self.terms(scenario, stats, kind)[:2]
 
 
 def assemble_gradients(scenario, loss_def, kind):

@@ -215,7 +215,6 @@ class TrainConfig:
     step: StepKind = field(default_factory=lambda: StepKind.smoothed(1.0))
     self_balance: bool = False
     wrong_target: bool = False
-    use_fast: bool = False
 
     def __post_init__(self):
         if self.loss not in ("ap", "alrp", "ndcg"):
@@ -237,7 +236,7 @@ def _evaluate(model: ToyModel, cfg: TrainConfig, balancer: SelfBalancer):
     elif cfg.wrong_target:
         bd = wrong_target_alrp(scn, cfg.step, balancer=balancer)
     else:
-        bd = alrp_loss(scn, cfg.step, balancer=balancer, use_fast=cfg.use_fast)
+        bd = alrp_loss(scn, cfg.step, balancer=balancer)
     return scn, bd
 
 

@@ -4,20 +4,20 @@ per-positive loops that define every rank statistic and gradient, kept as
 oracles for the sort-based engine (rankloss.ranking.step_sums), the
 AnchorRecord-list Scenario and the scalar box geometry, kept as oracles for
 the columnar Scenario and the geometry array forms, and the per-threshold
-evaluator (scalar IoU per pair, one matching per score threshold), kept as
-the oracle for rankloss.metrics."""
+evaluator (scalar IoU per pair, one matching per score threshold) and the
+average-rank loop, kept as the oracles for rankloss.metrics."""
 
 from typing import Optional
 
 import numpy as np
 
-from rankloss.geometry import Box, LocErrorKind, _as_box_array, iou
+from rankloss.geometry import Box, LocErrorKind, _as_box_array
 from rankloss.losses import (
     ALRPLossDef,
     APLossDef,
+    LossBreakdown,
     NDCGLossDef,
     WrongTargetALRPDef,
-    _breakdown_from,
     _exact_pos_loc_sums,
     alrp_soft_weights,
     ndcg_ideal_gain,
@@ -200,6 +200,20 @@ def oracle_assemble_gradients(scenario, loss_def, kind):
     )
 
 
+def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmooth=0):
+    """A LossBreakdown with the field types the losses return."""
+    return LossBreakdown(
+        total=float(total),
+        cls_component=float(cls_c),
+        loc_component=float(loc_c),
+        score_grads=report.score_grads,
+        box_grads=box_grads,
+        grad_report=report,
+        sb_weight_applied=float(sb_weight),
+        n_nonsmooth=int(n_nonsmooth),
+    )
+
+
 ORACLE_DEFS = {
     "ap": APLossDef(),
     "alrp": OracleALRPDef(),
@@ -321,6 +335,25 @@ class OracleScenario:
         return OracleScenario(new, self.gts, self.loc_kind)
 
 
+def oracle_iou(pred, gt):
+    """Intersection over union of two corner-form boxes, in [0, 1].
+
+    Degenerate (inverted) widths are clamped to zero so a malformed
+    prediction scores 0 instead of producing a negative area.
+    """
+    a = _as_box_array(pred)
+    b = _as_box_array(gt)
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    inter = max(0.0, iw) * max(0.0, ih)
+    area_a = max(0.0, a[2] - a[0]) * max(0.0, a[3] - a[1])
+    area_b = max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
 def oracle_giou(pred, gt):
     """Generalized IoU: IoU minus (hull \\ union) / hull, in [-1, 1]."""
     a = _as_box_array(pred)
@@ -344,7 +377,7 @@ def oracle_overlap_unit(pred, gt, kind):
     IoU directly for the "iou" variant; (1 + GIoU)/2 for "giou".
     """
     if kind.variant == "iou":
-        return iou(pred, gt)
+        return oracle_iou(pred, gt)
     return 0.5 * (1.0 + oracle_giou(pred, gt))
 
 
@@ -515,8 +548,9 @@ def separate_pass_loss(name, scenario, kind, balancer=None):
 
 
 # ---------------------------------------------------------------------------
-# Evaluator oracles: the greedy double loop with the scalar IoU, and LRP /
-# oLRP / AP that re-match from scratch for every threshold.
+# Evaluator oracles: the greedy double loop with the scalar IoU, LRP /
+# oLRP / AP that re-match from scratch for every threshold, and the
+# average-rank loop behind the ranking correlation.
 # ---------------------------------------------------------------------------
 
 
@@ -546,7 +580,7 @@ def oracle_match_class(detections, ground_truths, cls, tau):
         for g in gt_idx:
             if g in claimed:
                 continue
-            ov = iou(det_box, ground_truths[g].box)
+            ov = oracle_iou(det_box, ground_truths[g].box)
             # Strictly-better IoU wins; an exact tie keeps the earlier
             # (lower-index) ground-truth box because gt_idx is ascending.
             if ov >= tau and ov > best_iou:
@@ -630,3 +664,19 @@ def oracle_olrp(inputs, tau=0.5):
         if best is None or res.value < best.value:
             best = res
     return best
+
+
+def oracle_average_ranks_desc(values):
+    """Descending ranks (1 = largest) with ties sharing their mean rank."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(-v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    pos = 0
+    while pos < v.size:
+        end = pos
+        while end + 1 < v.size and v[order[end + 1]] == v[order[pos]]:
+            end += 1
+        mean_rank = 0.5 * (pos + end) + 1.0
+        ranks[order[pos : end + 1]] = mean_rank
+        pos = end + 1
+    return ranks

@@ -18,6 +18,7 @@ from conftest import (
     OracleScenario,
     oracle_giou,
     oracle_giou_grad,
+    oracle_iou,
     oracle_iou_grad,
     oracle_loc_error,
     oracle_loc_error_grad,
@@ -30,6 +31,8 @@ from rankloss.geometry import (
     giou,
     giou_array,
     giou_grad,
+    iou,
+    iou_array,
     iou_grad,
     loc_error,
     loc_error_array,
@@ -90,11 +93,13 @@ class TestGeometryAgainstOracle:
         gt = np.array([g for _, g in pairs], dtype=np.float64)
         grads, tie = loc_error_grad_array(pred, gt, kind)
         assert grads.shape == (len(pairs), 4) and tie.shape == (len(pairs),) and tie.dtype == bool
+        ious = iou_array(pred, gt)
         values = giou_array(pred, gt)
         errors = loc_error_array(pred, gt, kind)
         for k, (p, g) in enumerate(pairs):
             want_g, want_tie = oracle_loc_error_grad(p, g, kind)
             assert same(grads[k], want_g) and tie[k] == want_tie
+            assert same(ious[k], oracle_iou(p, g))
             assert same(values[k], oracle_giou(p, g))
             assert same(errors[k], oracle_loc_error(p, g, kind, check=False))
 
@@ -108,6 +113,7 @@ class TestGeometryAgainstOracle:
         ):
             assert got[0].shape == (4,) and same(got[0], want[0])
             assert type(got[1]) is bool and got[1] == want[1]
+        assert same(iou(p, g), oracle_iou(p, g))
         assert same(giou(p, g), oracle_giou(p, g))
         assert same(loc_error(p, g, kind, check=False), oracle_loc_error(p, g, kind, check=False))
 

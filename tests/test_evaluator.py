@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     oracle_interpolated_precision,
+    oracle_iou,
     oracle_lrp_at,
     oracle_match_class,
     oracle_mean_ap,
     oracle_olrp,
 )
-from rankloss.geometry import Box, iou, iou_array
+from rankloss.geometry import Box, iou_array
 from rankloss.metrics import (
     TEN_POINT_RECALLS,
     Detection,
@@ -81,16 +82,16 @@ class TestIoUArray:
         assert table.shape == (len(preds), len(gts))
         for i, p in enumerate(preds):
             for j, q in enumerate(gts):
-                assert table[i, j] == iou(p, q)
+                assert table[i, j] == oracle_iou(p, q)
         rowwise = iou_array(a[: len(g)], g[: len(a)])
-        assert all(rowwise[k] == iou(a[k], g[k]) for k in range(rowwise.size))
+        assert all(rowwise[k] == oracle_iou(a[k], g[k]) for k in range(rowwise.size))
 
     @SETTINGS
     @given(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8))
     def test_equals_scalar_on_any_finite_corners(self, v):
-        # Corners in any order: inverted widths are clamped as in iou.
+        # Corners in any order: inverted widths are clamped as in oracle_iou.
         a, b = np.array(v[:4]), np.array(v[4:])
-        assert iou_array(a, b) == iou(a, b)
+        assert iou_array(a, b) == oracle_iou(a, b)
 
     def test_equals_scalar_on_non_finite_and_overflowing_corners(self):
         values = (0.0, -0.0, 1.0, np.inf, -np.inf, 1e300, -1e300)
@@ -99,7 +100,7 @@ class TestIoUArray:
         b = rng.choice(values, size=(400, 4))
         with np.errstate(all="ignore"):
             got = iou_array(a, b)
-            want = np.array([iou(p, q) for p, q in zip(a, b)])
+            want = np.array([oracle_iou(p, q) for p, q in zip(a, b)])
         np.testing.assert_array_equal(got, want)
 
 

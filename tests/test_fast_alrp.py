@@ -16,7 +16,7 @@ from rankloss.fast_alrp import (
     pruned_size,
 )
 from rankloss.losses import SelfBalancer, alrp_loss
-from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind
+from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, StepRelation, rank_stats
 
 ALL_FIELDS_RTOL = 1e-12
 GRAD_ATOL = 1e-14
@@ -137,6 +137,25 @@ class TestPruning:
     def test_exact_bound_keeps_ties(self):
         scn = self._two_pos_scenario([4.999, 5.0, 5.001])
         assert pruned_size(scn, FastConfig(exact=True)) == 2
+
+    def test_counts_a_negative_with_rounding_sized_step_mass(self):
+        # fl(0.7 - 0.1) == 0.6, yet the ramp gives the pair step mass 1.1e-16:
+        # the engine keeps that negative, so the count includes it.
+        gts = [np.array([0.0, 0.0, 1.0, 1.0])]
+        scn = Scenario(
+            [AnchorRecord(POS, 0.7, gt=0, box=np.array([0.0, 0.0, 1.0, 0.9])), AnchorRecord(NEG, 0.7 - 0.1)], gts
+        )
+        assert rank_stats(scn, StepKind.smoothed(0.1)).n_fp[0] > 0.0
+        assert pruned_size(scn, FastConfig(delta=0.1)) == 1
+
+    def test_count_equals_the_engines_kept_negatives(self):
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            scn = random_scenario(rng, n_pos=4, n_neg=100, spread=3.0, tie_fraction=0.2)
+            scn = scn.with_scores(np.round(scn.scores, 1))
+            for kind in (StepKind.exact(), StepKind.smoothed(0.1), StepKind.smoothed(0.3)):
+                kept = StepRelation(scn.neg_scores(), scn.pos_scores(), kind).idx.size
+                assert pruned_size(scn, config_for(kind)) == kept
 
     def test_pruning_never_changes_results(self):
         rng = np.random.default_rng(36)

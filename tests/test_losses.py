@@ -342,6 +342,6 @@ class TestBalanceRatioConventions:
             loc_component=0.0,
             score_grads=fake,
             box_grads=np.zeros((4, 4)),
+            grad_report=report,
         )
-        doctored._report = report
         assert balance_ratio(doctored, scn) == float("inf")

@@ -3,7 +3,10 @@ losses, rank correlation, and the ranking-bound transforms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_average_ranks_desc
 from rankloss.fixtures import fixture_eval, fixture_scenario
 from rankloss.geometry import Box
 from rankloss.metrics import (
@@ -292,6 +295,22 @@ class TestRankVectors:
         np.testing.assert_allclose(average_ranks_desc(np.array([5.0, 4.0, 3.0])), [1, 2, 3])
         np.testing.assert_allclose(average_ranks_desc(np.array([3.0, 1.0, 3.0])), [1.5, 3.0, 1.5])
         np.testing.assert_allclose(average_ranks_desc(np.array([2.0, 2.0])), [1.5, 1.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from((0.0, -0.0, 1.0, 2.5, float("nan"), float("inf"), -float("inf"))),
+                st.floats(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_average_ranks_equal_the_loop(self, values):
+        # Ties (+0 and -0 among them) share one rank; each NaN ranks alone.
+        got = average_ranks_desc(np.array(values, dtype=np.float64))
+        want = oracle_average_ranks_desc(np.array(values, dtype=np.float64))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_correlation_extremes(self):
         assert ranking_correlation(fixture_scenario("aligned")) == 1.0

@@ -132,13 +132,6 @@ class TestTrainLoop:
         log = train(generate_scenario(SMALL_SPEC), SMALL_CFG)
         np.testing.assert_allclose(log.values("ratio"), 1.0, rtol=1e-9)
 
-    def test_fast_path_reproduces_training(self):
-        scn = generate_scenario(SMALL_SPEC)
-        slow = train(scn, SMALL_CFG)
-        fast = train(scn, TrainConfig(**{**SMALL_CFG.__dict__, "use_fast": True}))
-        for column in ("total", "cls", "loc", "mean_iou"):
-            np.testing.assert_allclose(fast.values(column), slow.values(column), rtol=1e-9)
-
     def test_score_only_losses_leave_boxes_alone(self):
         for loss in ("ap", "ndcg"):
             cfg = TrainConfig(loss=loss, epochs=30, lr=2.5, step=StepKind.smoothed(0.5))
