@@ -30,7 +30,7 @@ from .losses import (
     ndcg_loss,
     wrong_target_alrp,
 )
-from .metrics import DEFAULT_TAUS, lrp_at, mean_ap, olrp
+from .metrics import DEFAULT_TAUS, TEN_POINT_RECALLS, lrp_at, mean_ap, olrp
 from .ranking import StepKind
 from .trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
 
@@ -70,15 +70,19 @@ def _emit(doc: dict, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _alrp_only(loss: str, flags: dict) -> None:
+    """Refuse each flag given (name -> whether it is set) unless --loss is alrp."""
+    for name, given in flags.items():
+        if given and loss != "alrp":
+            raise ValueError(f"{name} applies to --loss alrp only, not --loss {loss}")
+
+
 def cmd_loss(args) -> int:
     if args.grads and args.format == "csv":
         raise ValueError("--grads has no CSV form (gradient lists); use --format json")
-    if args.wrong_target and args.loss != "alrp":
-        raise ValueError(f"--wrong-target applies to --loss alrp only, not --loss {args.loss}")
+    _alrp_only(args.loss, {"--wrong-target": args.wrong_target, "--sb-weight": args.sb_weight is not None})
     balancer = None
     if args.sb_weight is not None:
-        if args.loss != "alrp":
-            raise ValueError(f"--sb-weight applies to --loss alrp only, not --loss {args.loss}")
         if not (math.isfinite(args.sb_weight) and args.sb_weight > 0.0):
             raise ValueError(f"--sb-weight must be finite and > 0, got {args.sb_weight!r}")
         if args.sb_weight != 1.0:
@@ -130,28 +134,17 @@ def _parse_taus(raw: str):
 def cmd_eval(args) -> int:
     inputs = load_eval(args.input)
     if args.metric == "map":
-        recall = "coco101" if args.recall_points == "coco101" else None
-        out = mean_ap(inputs, _parse_taus(args.taus), recall) if recall else mean_ap(inputs, _parse_taus(args.taus))
+        grid = "coco101" if args.recall_points == "coco101" else TEN_POINT_RECALLS
+        out = mean_ap(inputs, _parse_taus(args.taus), grid)
         doc = {
             "metric": "map",
             "value": out["mean_ap"],
             "by_tau": {f"{t:g}": v for t, v in out["by_tau"].items()},
         }
-    elif args.metric == "olrp":
-        res = olrp(inputs, args.tau)
+    else:
+        res = olrp(inputs, args.tau) if args.metric == "olrp" else lrp_at(inputs, args.tau, args.score_threshold)
         doc = {
-            "metric": "olrp",
-            "value": res.value,
-            "threshold": res.threshold,
-            "n_tp": res.n_tp,
-            "n_fp": res.n_fp,
-            "n_fn": res.n_fn,
-            "components": res.components,
-        }
-    else:  # lrp
-        res = lrp_at(inputs, args.tau, args.score_threshold)
-        doc = {
-            "metric": "lrp",
+            "metric": args.metric,
             "value": res.value,
             "threshold": res.threshold,
             "n_tp": res.n_tp,
@@ -200,6 +193,7 @@ def _parse_gen(raw: str) -> ScenarioGenSpec:
 def cmd_train(args) -> int:
     if (args.scenario is None) == (args.gen is None):
         raise ValueError("train needs exactly one of --scenario or --gen")
+    _alrp_only(args.loss, {"--sb": args.sb, "--wrong-target": args.wrong_target})
     scenario = load_scenario(args.scenario) if args.scenario else generate_scenario(_parse_gen(args.gen))
     cfg = TrainConfig(
         loss=args.loss,

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .geometry import Box, LocErrorKind
-from .metrics import Detection, EvalInput, GroundTruth
+from .geometry import CORNER_ORDER, LocErrorKind
+from .metrics import EvalInput
 from .ranking import IGNORE, NEG, POS, Scenario
 
 SCENARIO_VERSION = 1
@@ -46,9 +46,9 @@ def _finite(value, path: str) -> float:
     return number
 
 
-def _box_array(value, path: str) -> np.ndarray:
+def _corners(value, path: str) -> list:
     _expect(isinstance(value, list) and len(value) == 4, path, "expected a list of four numbers")
-    return np.array([_finite(v, f"{path}[{i}]") for i, v in enumerate(value)], dtype=np.float64)
+    return [_finite(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _integer(value, path: str) -> int:
@@ -104,7 +104,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     gts_doc = doc.get("gts")
     _expect(isinstance(gts_doc, list) and gts_doc, "gts", "expected a non-empty list of boxes")
-    gts = [_box_array(g, f"gts[{i}]") for i, g in enumerate(gts_doc)]
+    gts = [_corners(g, f"gts[{i}]") for i, g in enumerate(gts_doc)]
 
     anchors_doc = doc.get("anchors")
     _expect(isinstance(anchors_doc, list) and anchors_doc, "anchors", "expected a non-empty list")
@@ -123,7 +123,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             _expect(0 <= gt < len(gts), f"{path}.gt", f"index {gt} out of range for {len(gts)} ground truths")
             _expect("box" in entry, f"{path}.box", "missing (positives carry a predicted box)")
             pos_gt.append(gt)
-            pos_box.append(_box_array(entry["box"], f"{path}.box"))
+            pos_box.append(_corners(entry["box"], f"{path}.box"))
         elif "gt" in entry or "box" in entry:
             _expect("gt" not in entry, f"{path}.gt", "only positive anchors carry a ground-truth index")
             raise FileFormatError(f"{path}.box", "only positive anchors carry a predicted box")
@@ -150,17 +150,23 @@ def load_scenario(path) -> Scenario:
 
 
 def eval_to_dict(inputs: EvalInput) -> dict:
+    dets = zip(inputs.det_scores.tolist(), inputs.det_boxes.tolist(), inputs.det_cls.tolist())
+    gts = zip(inputs.gt_boxes.tolist(), inputs.gt_cls.tolist())
     return {
         "version": EVAL_VERSION,
-        "detections": [
-            {"score": float(d.score), "box": [float(v) for v in d.box.as_array()], "class": int(d.cls)}
-            for d in inputs.detections
-        ],
-        "ground_truths": [
-            {"box": [float(v) for v in g.box.as_array()], "class": int(g.cls)}
-            for g in inputs.ground_truths
-        ],
+        "detections": [{"score": score, "box": box, "class": cls} for score, box, cls in dets],
+        "ground_truths": [{"box": box, "class": cls} for box, cls in gts],
     }
+
+
+def _append_box_and_class(entry: dict, path: str, boxes: list, classes: list) -> None:
+    """Append an entry's corners and class to the columns; corners out of
+    order are refused at the entry's path with Box's message."""
+    box = _corners(entry["box"], f"{path}.box")
+    classes.append(_integer(entry.get("class", 0), f"{path}.class"))
+    if not (box[0] <= box[2] and box[1] <= box[3]):
+        raise FileFormatError(path, CORNER_ORDER % tuple(box))
+    boxes.append(box)
 
 
 def eval_from_dict(doc: dict) -> EvalInput:
@@ -168,35 +174,25 @@ def eval_from_dict(doc: dict) -> EvalInput:
 
     dets_doc = doc.get("detections")
     _expect(isinstance(dets_doc, list), "detections", "expected a list")
-    detections = []
+    scores, det_boxes, det_cls = [], [], []
     for i, entry in enumerate(dets_doc):
         path = f"detections[{i}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         _expect("score" in entry, f"{path}.score", "missing")
         _expect("box" in entry, f"{path}.box", "missing")
-        score = _number(entry["score"], f"{path}.score")
-        arr = _box_array(entry["box"], f"{path}.box")
-        cls = _integer(entry.get("class", 0), f"{path}.class")
-        try:
-            detections.append(Detection(score, Box.from_array(arr), cls))
-        except ValueError as exc:
-            raise FileFormatError(path, str(exc)) from exc
+        scores.append(_finite(entry["score"], f"{path}.score"))
+        _append_box_and_class(entry, path, det_boxes, det_cls)
 
     gts_doc = doc.get("ground_truths")
     _expect(isinstance(gts_doc, list) and gts_doc, "ground_truths", "expected a non-empty list")
-    gts = []
+    gt_boxes, gt_cls = [], []
     for i, entry in enumerate(gts_doc):
         path = f"ground_truths[{i}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         _expect("box" in entry, f"{path}.box", "missing")
-        arr = _box_array(entry["box"], f"{path}.box")
-        cls = _integer(entry.get("class", 0), f"{path}.class")
-        try:
-            gts.append(GroundTruth(Box.from_array(arr), cls))
-        except ValueError as exc:
-            raise FileFormatError(path, str(exc)) from exc
+        _append_box_and_class(entry, path, gt_boxes, gt_cls)
 
-    return EvalInput.build(detections, gts)
+    return EvalInput(scores, det_cls, det_boxes, gt_cls, gt_boxes)
 
 
 def save_eval(inputs: EvalInput, path) -> None:

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+CORNER_ORDER = "box corners out of order: (%r, %r, %r, %r)"
+
+
 @dataclass(frozen=True)
 class Box:
     """Corner-form box. Validates corner ordering on construction."""
@@ -28,10 +31,7 @@ class Box:
 
     def __post_init__(self):
         if not (self.x1 <= self.x2 and self.y1 <= self.y2):
-            raise ValueError(
-                "box corners out of order: (%r, %r, %r, %r)"
-                % (self.x1, self.y1, self.x2, self.y2)
-            )
+            raise ValueError(CORNER_ORDER % (self.x1, self.y1, self.x2, self.y2))
 
     def as_array(self):
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
@@ -118,6 +118,17 @@ def _inter_union(a, b):
     area_a = _max(0.0, a[..., 2] - a[..., 0]) * _max(0.0, a[..., 3] - a[..., 1])
     area_b = _max(0.0, b[..., 2] - b[..., 0]) * _max(0.0, b[..., 3] - b[..., 1])
     return inter, area_a + area_b - inter
+
+
+def boxes_with_iou(gts, ious):
+    """Boxes inside the (n, 4) ground truths whose IoU with them is exactly
+    ious (n,): only the top edge moves, to y1 + iou * (y2 - y1), so the
+    intersection is iou times the area and the union is the area."""
+    if not np.all((0.0 <= ious) & (ious <= 1.0)):
+        raise ValueError("target IoU must lie in [0, 1]")
+    boxes = np.array(gts, dtype=np.float64)
+    boxes[:, 3] = boxes[:, 1] + ious * (boxes[:, 3] - boxes[:, 1])
+    return boxes
 
 
 def iou_array(pred, gt):

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
-from .ranking import NEG, POS, Scenario
+from .geometry import CORNER_ORDER, Box, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
+from .ranking import IGNORE, Scenario, _frozen
 
 # Default IoU thresholds for the mean-AP sweep.
 DEFAULT_TAUS = (0.50, 0.65, 0.80, 0.95)
@@ -45,27 +45,59 @@ class GroundTruth:
     cls: int = 0
 
 
-@dataclass(frozen=True)
-class EvalInput:
-    """Everything the evaluator needs: detections plus ground truth."""
+def _corner_array(boxes) -> np.ndarray:
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
-    detections: tuple
-    ground_truths: tuple
+
+class EvalInput:
+    """Everything the evaluator needs, as read-only columns: det_scores (D,)
+    float64, det_cls (D,) int64, det_boxes (D, 4), gt_cls (G,) int64 and
+    gt_boxes (G, 4). The constructor takes the columns and refuses what
+    Detection and Box refuse (ground-truth boxes first); build() gathers
+    them from Detection / GroundTruth objects, and detections /
+    ground_truths build those objects on each access."""
+
+    def __init__(self, det_scores, det_cls, det_boxes, gt_cls, gt_boxes):
+        self.det_scores = _frozen(np.array(det_scores, dtype=np.float64))
+        self.det_cls = _frozen(np.array(det_cls, dtype=np.int64))
+        self.det_boxes = _frozen(np.array(det_boxes, dtype=np.float64).reshape(-1, 4))
+        self.gt_cls = _frozen(np.array(gt_cls, dtype=np.int64))
+        self.gt_boxes = _frozen(np.array(gt_boxes, dtype=np.float64).reshape(-1, 4))
+        if not np.isfinite(self.det_scores).all():
+            raise ValueError("detection score must be finite")
+        boxes = np.concatenate((self.gt_boxes, self.det_boxes))
+        bad = np.flatnonzero(~((boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])))
+        if bad.size:
+            raise ValueError(CORNER_ORDER % tuple(boxes[bad[0]].tolist()))
 
     @staticmethod
     def build(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth]) -> "EvalInput":
-        return EvalInput(tuple(detections), tuple(ground_truths))
+        return EvalInput(
+            [d.score for d in detections],
+            [d.cls for d in detections],
+            _corner_array(d.box for d in detections),
+            [g.cls for g in ground_truths],
+            _corner_array(g.box for g in ground_truths),
+        )
+
+    @property
+    def detections(self) -> tuple:
+        columns = (self.det_scores.tolist(), self.det_boxes.tolist(), self.det_cls.tolist())
+        return tuple(Detection(s, Box(*b), c) for s, b, c in zip(*columns))
+
+    @property
+    def ground_truths(self) -> tuple:
+        return tuple(GroundTruth(Box(*b), c) for b, c in zip(self.gt_boxes.tolist(), self.gt_cls.tolist()))
 
     def classes(self) -> tuple:
-        seen = sorted({g.cls for g in self.ground_truths})
-        return tuple(seen)
+        return tuple(sorted(set(self.gt_cls.tolist())))
 
 
 @dataclass(frozen=True)
 class MatchResult:
     """Greedy matching outcome for one class at one IoU threshold.
 
-    ``det_indices`` are indices into the original detection tuple, sorted by
+    ``det_indices`` are indices into the detection columns, sorted by
     descending score.  ``is_tp[k]`` says whether the k-th of those detections
     matched a ground-truth box; ``match_iou[k]`` carries the matched IoU (zero
     for false positives) and ``match_gt[k]`` the matched ground-truth index
@@ -77,10 +109,6 @@ class MatchResult:
     match_iou: np.ndarray
     match_gt: np.ndarray
     n_gt: int
-
-
-def _corner_array(boxes) -> np.ndarray:
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -96,16 +124,14 @@ class _ClassTable:
     ious: np.ndarray
 
 
-def _class_table(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth], cls: int) -> _ClassTable:
-    det_idx = np.array([i for i, d in enumerate(detections) if d.cls == cls], dtype=np.int64)
-    gt_idx = np.array([i for i, g in enumerate(ground_truths) if g.cls == cls], dtype=np.int64)
-    scores = np.array([detections[i].score for i in det_idx], dtype=np.float64)
+def _class_table(inputs: EvalInput, cls: int) -> _ClassTable:
+    det_idx = np.flatnonzero(inputs.det_cls == cls)
+    gt_idx = np.flatnonzero(inputs.gt_cls == cls)
+    scores = inputs.det_scores[det_idx]
     # Descending score, ties by original index: no container ordering quirks.
     order = np.lexsort((np.arange(scores.size), -scores))
     det_idx, scores = det_idx[order], scores[order]
-    det_boxes = _corner_array(detections[i].box for i in det_idx)
-    gt_boxes = _corner_array(ground_truths[i].box for i in gt_idx)
-    return _ClassTable(det_idx, scores, gt_idx, iou_array(det_boxes[:, None], gt_boxes[None]))
+    return _ClassTable(det_idx, scores, gt_idx, iou_array(inputs.det_boxes[det_idx][:, None], inputs.gt_boxes[gt_idx][None]))
 
 
 def _match(table: _ClassTable, tau: float) -> MatchResult:
@@ -134,7 +160,7 @@ def match_class(detections: Sequence[Detection], ground_truths: Sequence[GroundT
     that IoU reaches ``tau``; IoU ties go to the lower ground-truth index.
     Every ground-truth box can be claimed at most once.
     """
-    return _match(_class_table(detections, ground_truths, cls), tau)
+    return _match(_class_table(EvalInput.build(detections, ground_truths), cls), tau)
 
 
 @dataclass(frozen=True)
@@ -200,7 +226,7 @@ def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_poin
     classes = inputs.classes()
     if not classes:
         raise ValueError("cannot evaluate without ground-truth objects")
-    tables = [_class_table(inputs.detections, inputs.ground_truths, cls) for cls in classes]
+    tables = [_class_table(inputs, cls) for cls in classes]
     grid = _recall_grid(recall_points)
     by_tau = {}
     for tau in taus:
@@ -240,14 +266,15 @@ def _lrp_tallies(inputs: EvalInput, tau: float, thresholds: np.ndarray):
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError("LRP needs an IoU threshold in [0, 1)")
-    classes = sorted({g.cls for g in inputs.ground_truths} | {d.cls for d in inputs.detections})
+    classes = sorted(set(inputs.gt_cls.tolist()) | set(inputs.det_cls.tolist()))
     n_tp = n_fp = n_fn = np.zeros(thresholds.size, dtype=np.int64)
     loc_sum = np.zeros(thresholds.size, dtype=np.float64)
     for cls in classes:
-        table = _class_table(inputs.detections, inputs.ground_truths, cls)
+        table = _class_table(inputs, cls)
         match = _match(table, tau)
         vals = (1.0 - match.match_iou[match.is_tp]) / (1.0 - tau)
-        kept = np.count_nonzero(table.scores[None, :] >= thresholds[:, None], axis=1)
+        # The count of scores >= each threshold, on the ascending -scores.
+        kept = np.searchsorted(-table.scores, -thresholds, "right")
         tp = np.concatenate(([0], np.cumsum(match.is_tp)))[kept]
         n_tp, n_fp, n_fn = n_tp + tp, n_fp + (kept - tp), n_fn + (match.n_gt - tp)
         loc_sum = loc_sum + np.array([float(vals[:t].sum()) for t in range(vals.size + 1)])[tp]
@@ -284,9 +311,9 @@ def olrp(inputs: EvalInput, tau: float = 0.5) -> LRPResult:
     minimum go to the highest threshold.  With no detections the value is
     1.0 at threshold +inf (everything is a false negative).
     """
-    if not inputs.ground_truths:
+    if not inputs.gt_cls.size:
         raise ValueError("oLRP needs ground-truth objects")
-    scores = sorted({d.score for d in inputs.detections}, reverse=True) or [float("inf")]
+    scores = sorted(set(inputs.det_scores.tolist()), reverse=True) or [float("inf")]
     n_tp, n_fp, n_fn, loc_sum = _lrp_tallies(inputs, tau, np.array(scores, dtype=np.float64))
     values = (loc_sum + n_fp + n_fn) / (n_tp + n_fp + n_fn)
     k = int(np.argmin(values))  # the first minimum: the highest threshold
@@ -362,16 +389,12 @@ def ranking_correlation(scenario: Scenario) -> float:
     return float(c[0, 1])
 
 
-def _box_with_iou(gt: np.ndarray, target: float) -> np.ndarray:
-    """A box contained in ``gt`` whose IoU with ``gt`` is exactly ``target``.
-
-    Shrinks only the top edge: [x1, y1, x2, y1 + t * (y2 - y1)] has
-    intersection t * area and union 1 * area, hence IoU exactly t.
-    """
-    if not 0.0 <= target <= 1.0:
-        raise ValueError("target IoU must lie in [0, 1]")
-    x1, y1, x2, y2 = (float(v) for v in gt)
-    return np.array([x1, y1, x2, y1 + target * (y2 - y1)], dtype=np.float64)
+def _ious_by_score(scores: np.ndarray, ious: np.ndarray, best_first: bool) -> np.ndarray:
+    """The IoU multiset handed out in descending score order (ties by
+    index): highest IoU first when best_first, lowest first otherwise."""
+    out = np.empty_like(ious)
+    out[np.lexsort((np.arange(scores.size), -scores))] = np.sort(ious)[::-1] if best_first else np.sort(ious)
+    return out
 
 
 def ranking_bound_transform(scenario: Scenario, mode: str) -> Scenario:
@@ -385,16 +408,8 @@ def ranking_bound_transform(scenario: Scenario, mode: str) -> Scenario:
     """
     if mode not in ("upper", "lower"):
         raise ValueError(f"mode must be 'upper' or 'lower', got {mode!r}")
-    ious = positive_ious(scenario)
-    scores = scenario.pos_scores()
-    # Highest score first; ties by original order for determinism.
-    score_order = np.lexsort((np.arange(scores.size), -scores))
-    sorted_ious = np.sort(ious)[::-1] if mode == "upper" else np.sort(ious)
-    targets = np.empty_like(ious)
-    targets[score_order] = sorted_ious
-    gt = scenario.pos_gt_boxes()
-    new_boxes = np.stack([_box_with_iou(gt[i], targets[i]) for i in range(len(targets))])
-    return scenario.with_positive_boxes(new_boxes)
+    targets = _ious_by_score(scenario.pos_scores(), positive_ious(scenario), mode == "upper")
+    return scenario.with_positive_boxes(boxes_with_iou(scenario.pos_gt_boxes(), targets))
 
 
 def scenario_to_eval(scenario: Scenario, extra_gts: Sequence[GroundTruth] = ()) -> EvalInput:
@@ -403,16 +418,14 @@ def scenario_to_eval(scenario: Scenario, extra_gts: Sequence[GroundTruth] = ()) 
     Positive anchors keep their boxes; negative anchors get unit boxes far
     from every ground-truth box so they can never match (their IoU with any
     ground truth is zero).  Extra unmatched ground truths may be appended to
-    model missed objects.
+    model missed objects.  Ignored anchors are left out.
     """
-    gts = [GroundTruth(Box.from_array(g)) for g in scenario.gts]
-    gts.extend(extra_gts)
-    far_x = max(float(g.box.x2) for g in gts) + 10.0
-    detections = []
-    for i, rec in enumerate(scenario.anchors):
-        if rec.label == POS:
-            detections.append(Detection(rec.score, Box.from_array(np.asarray(rec.box))))
-        elif rec.label == NEG:
-            x = far_x + 3.0 * i
-            detections.append(Detection(rec.score, Box(x, 0.0, x + 1.0, 1.0)))
-    return EvalInput.build(detections, gts)
+    extra = EvalInput.build((), extra_gts)
+    gt_boxes = np.concatenate((scenario.gts, extra.gt_boxes))
+    x = float(gt_boxes[:, 2].max()) + 10.0 + 3.0 * scenario.neg_index
+    boxes = np.zeros((scenario.labels.size, 4))
+    boxes[scenario.neg_index] = np.stack((x, np.zeros(x.size), x + 1.0, np.ones(x.size)), axis=1)
+    boxes[scenario.pos_index] = scenario.pos_box
+    kept = scenario.labels != IGNORE
+    gt_cls = np.concatenate((np.zeros(len(scenario.gts)), extra.gt_cls))
+    return EvalInput(scenario.scores[kept], np.zeros(np.count_nonzero(kept)), boxes[kept], gt_cls, gt_boxes)

@@ -538,7 +538,7 @@ def _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star):
     loss_value = float((ell * mass).sum()) / z
     direct = float(ell.sum()) / z
     return GradReport(
-        score_grads=grads,
+        score_grads=_frozen(grads),
         loss_value=loss_value,
         primary_term_sum_check=abs(direct - loss_value),
     )

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import LocErrorKind
+from .geometry import LocErrorKind, boxes_with_iou
 from .losses import (
     LossBreakdown,
     SelfBalancer,
@@ -27,7 +27,7 @@ from .losses import (
     self_balance_update,
     wrong_target_alrp,
 )
-from .metrics import positive_ious, ranking_correlation
+from .metrics import _ious_by_score, positive_ious, ranking_correlation
 from .ranking import NEG, POS, Scenario, StepKind
 
 LOG_COLUMNS = ("epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou")
@@ -80,14 +80,6 @@ def _gt_boxes(n: int) -> np.ndarray:
     return np.stack([x, np.zeros(n), x + 1.0, np.ones(n)], axis=1)
 
 
-def _pred_boxes_with_iou(gts: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    # Shrink the top edge only: IoU with the unit ground truth is exactly
-    # the retained height fraction.
-    boxes = gts.copy()
-    boxes[:, 3] = gts[:, 1] + targets * (gts[:, 3] - gts[:, 1])
-    return boxes
-
-
 def generate_scenario(spec: ScenarioGenSpec) -> Scenario:
     """Draw a seeded scenario: scores, ground truths, and positive boxes."""
     rng = np.random.default_rng(spec.seed)
@@ -101,22 +93,14 @@ def generate_scenario(spec: ScenarioGenSpec) -> Scenario:
 
     ious = rng.uniform(spec.iou_low, spec.iou_high, spec.n_pos)
     if spec.iou_order != "random":
-        # Rank positives by score (descending, ties by index) and hand out
-        # the sorted IoUs accordingly.
-        score_order = np.lexsort((np.arange(spec.n_pos), -pos_scores))
-        sorted_ious = np.sort(ious)
-        if spec.iou_order == "aligned":
-            sorted_ious = sorted_ious[::-1]
-        out = np.empty_like(ious)
-        out[score_order] = sorted_ious
-        ious = out
+        ious = _ious_by_score(pos_scores, ious, spec.iou_order == "aligned")
 
     gts = _gt_boxes(spec.n_pos)
     return Scenario.from_columns(
         np.repeat([POS, NEG], [spec.n_pos, spec.n_neg]),
         np.concatenate((pos_scores, neg_scores)),
         np.arange(spec.n_pos),
-        _pred_boxes_with_iou(gts, ious),
+        boxes_with_iou(gts, ious),
         gts,
         spec.loc_kind,
     )

@@ -4,8 +4,10 @@ per-positive loops that define every rank statistic and gradient, kept as
 oracles for the sort-based engine (rankloss.ranking.step_sums), the
 AnchorRecord-list Scenario and the scalar box geometry, kept as oracles for
 the columnar Scenario and the geometry array forms, and the per-threshold
-evaluator (scalar IoU per pair, one matching per score threshold) and the
-average-rank loop, kept as the oracles for rankloss.metrics."""
+evaluator (scalar IoU per pair, one matching per score threshold), the
+average-rank loop, the one-box IoU target and the object-based
+scenario_to_eval, kept as the oracles for rankloss.metrics and
+rankloss.geometry.boxes_with_iou."""
 
 from typing import Optional
 
@@ -22,7 +24,15 @@ from rankloss.losses import (
     alrp_soft_weights,
     ndcg_ideal_gain,
 )
-from rankloss.metrics import LRPResult, MatchResult, _recall_grid, pr_curve
+from rankloss.metrics import (
+    Detection,
+    EvalInput,
+    GroundTruth,
+    LRPResult,
+    MatchResult,
+    _recall_grid,
+    pr_curve,
+)
 from rankloss.ranking import (
     NEG,
     POS,
@@ -680,3 +690,30 @@ def oracle_average_ranks_desc(values):
         ranks[order[pos : end + 1]] = mean_rank
         pos = end + 1
     return ranks
+
+
+def oracle_box_with_iou(gt, target):
+    """A box contained in ``gt`` whose IoU with ``gt`` is exactly ``target``.
+
+    Shrinks only the top edge: [x1, y1, x2, y1 + t * (y2 - y1)] has
+    intersection t * area and union 1 * area, hence IoU exactly t.
+    """
+    if not 0.0 <= target <= 1.0:
+        raise ValueError("target IoU must lie in [0, 1]")
+    x1, y1, x2, y2 = (float(v) for v in gt)
+    return np.array([x1, y1, x2, y1 + target * (y2 - y1)], dtype=np.float64)
+
+
+def oracle_scenario_to_eval(scenario, extra_gts=()):
+    """scenario_to_eval through AnchorRecords, Boxes and Detections."""
+    gts = [GroundTruth(Box.from_array(g)) for g in scenario.gts]
+    gts.extend(extra_gts)
+    far_x = max(float(g.box.x2) for g in gts) + 10.0
+    detections = []
+    for i, rec in enumerate(scenario.anchors):
+        if rec.label == POS:
+            detections.append(Detection(rec.score, Box.from_array(np.asarray(rec.box))))
+        elif rec.label == NEG:
+            x = far_x + 3.0 * i
+            detections.append(Detection(rec.score, Box(x, 0.0, x + 1.0, 1.0)))
+    return EvalInput.build(detections, gts)

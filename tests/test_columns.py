@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     OracleScenario,
+    oracle_box_with_iou,
     oracle_giou,
     oracle_giou_grad,
     oracle_iou,
@@ -28,6 +29,7 @@ from conftest import (
 from rankloss import losses
 from rankloss.geometry import (
     LocErrorKind,
+    boxes_with_iou,
     giou,
     giou_array,
     giou_grad,
@@ -153,6 +155,27 @@ def assert_same_breakdown(got, want):
                 assert same(getattr(a, g.name), getattr(b, g.name)), f"{f.name}.{g.name}"
         else:
             assert type(a) is type(b) and same(a, b), f.name
+
+
+iou_targets = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, -0.0, 1.0)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBoxesWithIoU:
+    @SETTINGS
+    @given(st.lists(st.tuples(st.one_of(grid_boxes(), any_boxes, odd_boxes), iou_targets), min_size=1, max_size=8))
+    def test_equal_the_one_box_oracle(self, rows):
+        gts = np.array([g for g, _ in rows])
+        targets = np.array([t for _, t in rows])
+        want = np.stack([oracle_box_with_iou(g, t) for g, t in rows])
+        assert same(boxes_with_iou(gts, targets), want)
+
+    @pytest.mark.parametrize("bad", (-0.25, 1.5, float("nan")))
+    def test_target_outside_unit_interval_refused(self, bad):
+        gts = np.array([[0.0, 0.0, 1.0, 1.0], [3.0, 0.0, 4.0, 1.0]])
+        for fn in (lambda: boxes_with_iou(gts, np.array([0.5, bad])), lambda: oracle_box_with_iou(gts[1], bad)):
+            with pytest.raises(ValueError, match=r"^target IoU must lie in \[0, 1\]$"):
+                fn()
 
 
 class TestScenarioAgainstOracle:

@@ -3,9 +3,12 @@ per class) against the per-threshold oracles in conftest, asserting exact
 equality on hostile inputs: score ties, exact IoU ties (coordinates on a
 0.5 grid), zero-area and zero-union boxes, classes with detections but no
 ground truth and the reverse, no detections, tau = 0 (where IoU 0
-qualifies) and both recall grids."""
+qualifies) and both recall grids. Also the columnar EvalInput (its object
+views and read-only columns) and scenario_to_eval against the object-based
+oracle, on ignored anchors, extra ground truths and bad positive boxes."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from conftest import (
     oracle_match_class,
     oracle_mean_ap,
     oracle_olrp,
+    oracle_scenario_to_eval,
 )
+from rankloss.fileio import eval_to_dict
 from rankloss.geometry import Box, iou_array
 from rankloss.metrics import (
     TEN_POINT_RECALLS,
@@ -32,7 +37,9 @@ from rankloss.metrics import (
     mean_ap,
     olrp,
     pr_curve,
+    scenario_to_eval,
 )
+from rankloss.ranking import IGNORE, NEG, POS, Scenario
 
 SETTINGS = settings(max_examples=150, deadline=None)
 TAUS = (0.0, 0.3, 0.5, 0.75)
@@ -64,6 +71,21 @@ def eval_inputs(draw, min_gts=0):
     dets = draw(st.lists(detections, max_size=24))
     gts = draw(st.lists(ground_truths, min_size=min_gts, max_size=8))
     return EvalInput.build(dets, gts)
+
+
+@st.composite
+def scenarios(draw):
+    """Positives, negatives and ignored anchors interleaved, scores on a
+    quarter grid (ties), unit ground truths, and positive boxes near them
+    that are sometimes out of order or NaN."""
+    n_gt = draw(st.integers(1, 4))
+    gts = [[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(n_gt)]
+    labels = draw(st.lists(st.sampled_from((POS, NEG, IGNORE)), min_size=1, max_size=16).filter(lambda v: POS in v))
+    pos_gt = [draw(st.integers(0, n_gt - 1)) for label in labels if label == POS]
+    corner = st.one_of(st.integers(-2, 4).map(lambda k: 0.5 * k), st.just(float("nan")))
+    pos_box = [[3.0 * g + draw(corner), draw(corner), 3.0 * g + draw(corner), draw(corner)] for g in pos_gt]
+    anchor_scores = [draw(scores) for _ in labels]
+    return Scenario.from_columns(labels, anchor_scores, pos_gt, np.reshape(pos_box, (-1, 4)), gts)
 
 
 def assert_same_lrp(got, want):
@@ -187,3 +209,39 @@ class TestMetricsAgainstOracle:
         inputs = EvalInput.build(dets, gts)
         assert_same_lrp(lrp_at(inputs, 0.3), oracle_lrp_at(inputs, 0.3))
         assert_same_lrp(olrp(inputs, 0.3), oracle_olrp(inputs, 0.3))
+
+
+class TestEvalInputColumns:
+    @SETTINGS
+    @given(st.lists(detections, max_size=12), st.lists(ground_truths, max_size=6))
+    def test_views_give_back_the_objects_and_columns_are_read_only(self, dets, gts):
+        inputs = EvalInput.build(dets, gts)
+        assert inputs.detections == tuple(dets)
+        assert inputs.ground_truths == tuple(gts)
+        assert inputs.classes() == tuple(sorted({g.cls for g in gts}))
+        for name in ("det_scores", "det_cls", "det_boxes", "gt_cls", "gt_boxes"):
+            column = getattr(inputs, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0
+
+    def test_constructor_refuses_what_the_objects_refuse(self):
+        box = [0.0, 0.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="detection score must be finite"):
+            EvalInput([float("inf")], [0], [box], [0], [box])
+        with pytest.raises(ValueError, match=r"^box corners out of order: \(1.0, 0.0, 0.0, 1.0\)$"):
+            EvalInput([0.5], [0], [[1.0, 0.0, 0.0, 1.0]], [0], [box])
+
+
+class TestScenarioToEvalAgainstOracle:
+    @SETTINGS
+    @given(scenarios(), st.lists(ground_truths, max_size=4))
+    def test_same_file_document_or_same_refusal(self, scenario, extra_gts):
+        try:
+            want = eval_to_dict(oracle_scenario_to_eval(scenario, extra_gts))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                scenario_to_eval(scenario, extra_gts)
+            assert str(err.value) == str(exc)
+            return
+        # json text: signs of zero and int / float types count too.
+        assert json.dumps(eval_to_dict(scenario_to_eval(scenario, extra_gts))) == json.dumps(want)

@@ -218,6 +218,17 @@ class TestEvalRoundTrip:
             load_eval(path)
         assert str(err.value) == "detections[1].box[2]: expected a finite number"
 
+    @pytest.mark.parametrize("literal", ("Infinity", "-Infinity", "NaN"))
+    def test_non_finite_score_rejected_with_path(self, tmp_path, literal):
+        path = tmp_path / "score.json"
+        path.write_text(
+            '{"version": 1, "detections": [{"score": 0.9, "box": [0, 0, 1, 1]},'
+            f' {{"score": {literal}, "box": [0, 0, 1, 1]}}], "ground_truths": [{{"box": [0, 0, 1, 1]}}]}}'
+        )
+        with pytest.raises(FileFormatError) as err:
+            load_eval(path)
+        assert str(err.value) == "detections[1].score: expected a finite number"
+
     def test_class_defaults_to_zero(self):
         doc = {
             "version": 1,
@@ -487,6 +498,17 @@ class TestCLITrain:
             main(["train", "--gen", "P=4,N=10", "--epochs", "2", "--fast"])
         assert exc.value.code == EXIT_INVALID
         assert "--fast" in capsys.readouterr().err
+
+    def test_sb_refused_for_ap_and_ndcg(self, capsys):
+        for loss in ("ap", "ndcg"):
+            assert main(["train", "--gen", "P=4,N=10", "--epochs", "2", "--loss", loss, "--sb"]) == EXIT_INVALID
+            assert f"--sb applies to --loss alrp only, not --loss {loss}" in capsys.readouterr().err
+
+    def test_wrong_target_refused_for_ap_and_ndcg(self, capsys):
+        for loss in ("ap", "ndcg"):
+            rc = main(["train", "--gen", "P=4,N=10", "--epochs", "2", "--loss", loss, "--wrong-target"])
+            assert rc == EXIT_INVALID
+            assert f"--wrong-target applies to --loss alrp only, not --loss {loss}" in capsys.readouterr().err
 
     def test_bad_gen_strings(self, capsys):
         assert main(["train", "--gen", "P=6", "--epochs", "5"]) == EXIT_INVALID

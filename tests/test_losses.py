@@ -345,3 +345,15 @@ class TestBalanceRatioConventions:
             grad_report=report,
         )
         assert balance_ratio(doctored, scn) == float("inf")
+
+
+class TestScoreGradsReadOnly:
+    def test_writing_raises_through_either_name(self):
+        scn = fixture_scenario("shuffled")
+        for bd in (alrp_loss(scn), wrong_target_alrp(scn), ap_loss(scn), ndcg_loss(scn, StepKind.smoothed(0.5))):
+            assert bd.score_grads is bd.grad_report.score_grads
+            for grads in (bd.score_grads, bd.grad_report.score_grads):
+                with pytest.raises(ValueError, match="read-only"):
+                    grads[scn.pos_index[0]] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            assemble_gradients(scn, ALRPLossDef(), EXACT).score_grads[:] = 0.0
