@@ -4,10 +4,10 @@ Subcommands:
   loss   evaluate a ranking loss on a scenario file
   eval   detection metrics (mean AP / LRP / oLRP) on an eval file
   train  run the toy trainer and write its per-epoch CSV log
-  bench  size sweep timing the average-LRP loss, with kept negatives
 
-Exit codes: 0 success, 2 bad input (file format, argument validation),
-3 numerical failure (non-finite results, diverged training).
+Exit codes: 0 success, 2 bad input (file format, argument validation, a
+flag the chosen options would ignore), 3 numerical failure (non-finite
+results, diverged training).
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import argparse
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
-from .fast_alrp import FastConfig, pruned_size
 from .fileio import FileFormatError, load_eval, load_scenario
 from .losses import (
     SelfBalancer,
@@ -37,6 +35,7 @@ from .trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+TAUS = ",".join(str(t) for t in DEFAULT_TAUS)
 
 
 class NumericalFailure(RuntimeError):
@@ -47,6 +46,20 @@ def _step_kind(args) -> StepKind:
     if args.step == "exact":
         return StepKind.exact()
     return StepKind.smoothed(args.delta)
+
+
+def _only_with(args, option: str, allowed: tuple, defaults: dict) -> None:
+    """Refuse each flag of defaults (its dest -> its value when not given)
+    that is given while --option is not one of allowed; give the others
+    their default. A flag not given is None (False for a switch)."""
+    value = getattr(args, option)
+    for dest, default in defaults.items():
+        given = getattr(args, dest)
+        if given is None or given is False:
+            setattr(args, dest, default)
+        elif value not in allowed:
+            flag, opt = "--" + dest.replace("_", "-"), "--" + option
+            raise ValueError(f"{flag} applies to {opt} {' or '.join(allowed)} only, not {opt} {value}")
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -70,17 +83,11 @@ def _emit(doc: dict, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _alrp_only(loss: str, flags: dict) -> None:
-    """Refuse each flag given (name -> whether it is set) unless --loss is alrp."""
-    for name, given in flags.items():
-        if given and loss != "alrp":
-            raise ValueError(f"{name} applies to --loss alrp only, not --loss {loss}")
-
-
 def cmd_loss(args) -> int:
     if args.grads and args.format == "csv":
         raise ValueError("--grads has no CSV form (gradient lists); use --format json")
-    _alrp_only(args.loss, {"--wrong-target": args.wrong_target, "--sb-weight": args.sb_weight is not None})
+    _only_with(args, "loss", ("alrp",), {"wrong_target": False, "sb_weight": None})
+    _only_with(args, "step", ("smooth",), {"delta": 1.0})
     balancer = None
     if args.sb_weight is not None:
         if not (math.isfinite(args.sb_weight) and args.sb_weight > 0.0):
@@ -108,6 +115,7 @@ def cmd_loss(args) -> int:
         "balance_ratio": balance_ratio(bd, scenario),
         "sb_weight": bd.sb_weight_applied,
         "n_nonsmooth": bd.n_nonsmooth,
+        "n_kept": bd.n_kept,
     }
     if args.grads:
         doc["score_grads"] = [float(g) for g in bd.score_grads]
@@ -132,6 +140,9 @@ def _parse_taus(raw: str):
 
 
 def cmd_eval(args) -> int:
+    _only_with(args, "metric", ("map",), {"taus": TAUS, "recall_points": "ten"})
+    _only_with(args, "metric", ("olrp", "lrp"), {"tau": 0.5})
+    _only_with(args, "metric", ("lrp",), {"score_threshold": float("-inf")})
     inputs = load_eval(args.input)
     if args.metric == "map":
         grid = "coco101" if args.recall_points == "coco101" else TEN_POINT_RECALLS
@@ -193,7 +204,8 @@ def _parse_gen(raw: str) -> ScenarioGenSpec:
 def cmd_train(args) -> int:
     if (args.scenario is None) == (args.gen is None):
         raise ValueError("train needs exactly one of --scenario or --gen")
-    _alrp_only(args.loss, {"--sb": args.sb, "--wrong-target": args.wrong_target})
+    _only_with(args, "loss", ("alrp",), {"sb": False, "wrong_target": False, "box_lr": None})
+    _only_with(args, "step", ("smooth",), {"delta": 1.0})
     scenario = load_scenario(args.scenario) if args.scenario else generate_scenario(_parse_gen(args.gen))
     cfg = TrainConfig(
         loss=args.loss,
@@ -228,91 +240,24 @@ def cmd_train(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def _parse_sizes(raw: str):
-    sizes = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            p, n = part.split("x")
-            sizes.append((int(p), int(n)))
-        except ValueError:
-            raise ValueError(f"--sizes entries look like 20x200, got {part!r}")
-    if not sizes:
-        raise ValueError("--sizes is empty")
-    return sizes
-
-
-def _bench_scenario(n_pos: int, n_neg: int, seed: int):
-    spec = ScenarioGenSpec(
-        n_pos=n_pos,
-        n_neg=n_neg,
-        seed=seed,
-        score_low=0.0,
-        score_high=10.0,
-        pos_score_low=6.0,
-    )
-    return generate_scenario(spec)
-
-
-def _time_call(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise ValueError(f"--reps must be >= 1, got {args.reps}")
-    sizes = _parse_sizes(args.sizes)
-    kind = StepKind.smoothed(args.delta)
-    config = FastConfig(delta=args.delta)
-
-    lines = ["n_pos,n_neg,n_kept,t_alrp"]
-    for n_pos, n_neg in sizes:
-        scenario = _bench_scenario(n_pos, n_neg, args.seed)
-        row = (
-            n_pos,
-            n_neg,
-            pruned_size(scenario, config),
-            _time_call(lambda: alrp_loss(scenario, kind), args.reps),
-        )
-        lines.append(",".join(str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # Parser wiring.
 # ---------------------------------------------------------------------------
 
 
 def _add_step_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step", choices=("exact", "smooth"), default="exact", help="step function (default exact)")
-    p.add_argument("--delta", type=float, default=1.0, help="ramp half-width for the smooth step")
+    p.add_argument("--delta", type=float, help="ramp half-width of the smooth step (default 1.0; --step smooth only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rankloss", description="Ranking-loss toolkit: losses, metrics, trainer, bench.")
+    parser = argparse.ArgumentParser(prog="rankloss", description="Ranking-loss toolkit: losses, metrics, trainer.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("loss", help="evaluate a ranking loss on a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--loss", choices=("ap", "alrp", "ndcg"), default="alrp")
     _add_step_args(p)
-    p.add_argument("--sb-weight", type=float, default=None, help="self-balance weight to apply, finite and > 0 (alrp only)")
+    p.add_argument("--sb-weight", type=float, help="self-balance weight to apply, finite and > 0 (alrp only)")
     p.add_argument("--wrong-target", action="store_true", help="alrp with the broken (zero) target")
     p.add_argument("--grads", action="store_true", help="include gradient arrays in the output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -321,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="detection metrics on an eval file")
     p.add_argument("--input", required=True, help="eval JSON file")
     p.add_argument("--metric", choices=("map", "olrp", "lrp"), default="map")
-    p.add_argument("--taus", default=",".join(str(t) for t in DEFAULT_TAUS), help="IoU thresholds for map")
-    p.add_argument("--tau", type=float, default=0.5, help="IoU threshold for lrp/olrp")
-    p.add_argument("--score-threshold", type=float, default=float("-inf"), help="detection score cutoff for lrp")
-    p.add_argument("--recall-points", choices=("ten", "coco101"), default="ten")
+    p.add_argument("--taus", help=f"IoU thresholds for map (default {TAUS})")
+    p.add_argument("--tau", type=float, help="IoU threshold for lrp/olrp (default 0.5)")
+    p.add_argument("--score-threshold", type=float, help="detection score cutoff for lrp (default -inf)")
+    p.add_argument("--recall-points", choices=("ten", "coco101"), help="recall grid for map (default ten)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_eval)
 
@@ -334,21 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=("ap", "alrp", "ndcg"), default="alrp")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--box-lr", type=float, default=None, help="box learning rate (defaults to --lr)")
+    p.add_argument("--box-lr", type=float, help="box learning rate (default --lr; alrp only)")
     _add_step_args(p)
     p.set_defaults(step="smooth")
     p.add_argument("--sb", action="store_true", help="enable self-balancing (alrp only)")
     p.add_argument("--wrong-target", action="store_true")
     p.add_argument("--out", help="write the per-epoch CSV log here")
     p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("bench", help="average-LRP loss timing and kept negatives")
-    p.add_argument("--sizes", default="20x200,50x1000,100x5000", help="comma list of PxN sizes")
-    p.add_argument("--reps", type=int, default=3, help="timed runs per size, best kept (>= 1)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--out", help="also write the CSV here")
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

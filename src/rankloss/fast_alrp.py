@@ -7,19 +7,18 @@ never forms the positive x negative pair table. Results are identical to
 alrp_loss with the matching step.
 
 Also here: pruned_size, the number of negatives inside some positive's step
-support (the engine skips the others before sorting), and the operation
-count formula with its bound and a probe that sweeps sizes.
+support (the engine skips the others before sorting; every loss reports the
+same count as LossBreakdown.n_kept), and the operation count formula with
+its bound and a probe that sweeps sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import losses
 from .geometry import loc_error_grad  # noqa: F401  (re-exported for callers that look it up here)
-from .ranking import StepKind, step
+from .ranking import StepKind, support
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,12 @@ def fast_alrp(scenario, config=FastConfig(), balancer=None):
 
 
 def pruned_size(scenario, config=FastConfig()):
-    """How many negatives the engine keeps: those with a nonzero step value
-    against the lowest positive score, by the test ranking.StepRelation
-    applies. Every negative when config.prune is False."""
-    ns = scenario.neg_scores()
-    if not config.prune or not ns.size:
-        return int(ns.size)
-    return int(np.count_nonzero(step(ns - scenario.pos_scores().min(), _step_kind(config)) > 0.0))
+    """How many negatives the engine keeps (ranking.support of the
+    negatives against the positives), the n_kept of fast_alrp's result.
+    Every negative when config.prune is False."""
+    if not config.prune:
+        return scenario.n_neg
+    return int(support(scenario.neg_scores(), scenario.pos_scores(), _step_kind(config)).size)
 
 
 def operation_count(n_pos, n_neg, n_kept):

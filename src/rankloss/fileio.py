@@ -51,6 +51,13 @@ def _corners(value, path: str) -> list:
     return [_finite(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _ordered(box: list, path: str) -> list:
+    """box, refused at path with Box's message unless x1 <= x2 and y1 <= y2."""
+    if not (box[0] <= box[2] and box[1] <= box[3]):
+        raise FileFormatError(path, CORNER_ORDER % tuple(box))
+    return box
+
+
 def _integer(value, path: str) -> int:
     _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
     return int(value)
@@ -104,7 +111,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     gts_doc = doc.get("gts")
     _expect(isinstance(gts_doc, list) and gts_doc, "gts", "expected a non-empty list of boxes")
-    gts = [_corners(g, f"gts[{i}]") for i, g in enumerate(gts_doc)]
+    gts = [_ordered(_corners(g, f"gts[{i}]"), f"gts[{i}]") for i, g in enumerate(gts_doc)]
 
     anchors_doc = doc.get("anchors")
     _expect(isinstance(anchors_doc, list) and anchors_doc, "anchors", "expected a non-empty list")
@@ -123,7 +130,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             _expect(0 <= gt < len(gts), f"{path}.gt", f"index {gt} out of range for {len(gts)} ground truths")
             _expect("box" in entry, f"{path}.box", "missing (positives carry a predicted box)")
             pos_gt.append(gt)
-            pos_box.append(_corners(entry["box"], f"{path}.box"))
+            pos_box.append(_ordered(_corners(entry["box"], f"{path}.box"), f"{path}.box"))
         elif "gt" in entry or "box" in entry:
             _expect("gt" not in entry, f"{path}.gt", "only positive anchors carry a ground-truth index")
             raise FileFormatError(f"{path}.box", "only positive anchors carry a predicted box")
@@ -161,12 +168,10 @@ def eval_to_dict(inputs: EvalInput) -> dict:
 
 def _append_box_and_class(entry: dict, path: str, boxes: list, classes: list) -> None:
     """Append an entry's corners and class to the columns; corners out of
-    order are refused at the entry's path with Box's message."""
+    order are refused at the entry's path, after its class is checked."""
     box = _corners(entry["box"], f"{path}.box")
     classes.append(_integer(entry.get("class", 0), f"{path}.class"))
-    if not (box[0] <= box[2] and box[1] <= box[3]):
-        raise FileFormatError(path, CORNER_ORDER % tuple(box))
-    boxes.append(box)
+    boxes.append(_ordered(box, path))
 
 
 def eval_from_dict(doc: dict) -> EvalInput:

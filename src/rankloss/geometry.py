@@ -202,15 +202,12 @@ def _overlap_grad_array(pred, gt, variant):
     union = area_a + area_b - inter
     d_union = d_area_a - d_inter
 
-    hx1, t7 = _slope(a0, b0)
-    hy1, t8 = _slope(a1, b1)
-    hx2, t9 = _slope(b2, a2)
-    hy2, t10 = _slope(b3, a3)
+    # The hull edges are the other branches of the intersection's min/max:
+    # their slopes are 1 minus those above, with the same tie masks.
     hw = _max(a2, b2) - _min(a0, b0)
     hh = _max(a3, b3) - _min(a1, b1)
     hull = hw * hh
-    d_hull = np.stack([-hx1 * hh, -hy1 * hw, hx2 * hh, hy2 * hw], axis=-1)
-    tie = tie | t7 | t8 | t9 | t10
+    d_hull = np.stack([-(1.0 - ix1) * hh, -(1.0 - iy1) * hw, (1.0 - ix2) * hh, (1.0 - iy2) * hw], axis=-1)
 
     u, i, hl = union[..., None], inter[..., None], hull[..., None]
     degenerate = union <= 0.0

@@ -50,8 +50,11 @@ class LossBreakdown:
     already includes any self-balance weight, recorded in sb_weight_applied.
     n_nonsmooth counts the positives whose box gradient sits on a branch tie
     of the overlap (the tie-averaged derivative; see geometry); 0 for ap and
-    ndcg, which have no box gradients. grad_report is the assembly's
-    GradReport (its score_grads is the same array as score_grads).
+    ndcg, which have no box gradients. n_kept counts the negatives inside
+    some positive's step support, the ones the engine keeps for N_FP and
+    the negative gradients (fast_alrp.pruned_size). grad_report is the
+    assembly's GradReport (its score_grads is the same array as
+    score_grads).
     """
 
     total: float
@@ -62,6 +65,7 @@ class LossBreakdown:
     grad_report: GradReport
     sb_weight_applied: float = 1.0
     n_nonsmooth: int = 0
+    n_kept: int = 0
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,7 @@ def _loss(scenario, kind, loss_def, balancer=None):
         grad_report=report,
         sb_weight_applied=float(sb),
         n_nonsmooth=int(n_nonsmooth),
+        n_kept=int(neg_vs_pos.idx.size),
     )
 
 

@@ -289,6 +289,17 @@ def _first(x, q, test, guess):
     return k
 
 
+def support(data, queries, kind):
+    """Positions of the data with a nonzero step value against the lowest
+    query. The lowest query has the widest support (H is monotone), so
+    these are the data inside some query's support; the others take no
+    part in any sum. Without queries, no data are kept."""
+    x = np.asarray(data, dtype=np.float64)
+    if not np.size(queries):
+        return np.zeros(0, np.intp)
+    return np.flatnonzero(step(x - np.min(queries), kind) > 0.0)
+
+
 class StepRelation:
     """The step values H(x_k - q_i) between data x and queries q, held as
     windows of the sorted data instead of a table: per query, the data at
@@ -316,9 +327,8 @@ class StepRelation:
         x = np.asarray(data, dtype=np.float64)
         q = np.asarray(queries, dtype=np.float64)
         self.kind, self.q, self.size = kind, q, x.size
-        # The lowest query has the widest support: data outside it take no part.
-        kept = np.flatnonzero(step(x - q.min(), kind) > 0.0) if q.size else np.zeros(0, np.intp)
-        # idx: the positions in the data of the sorted data x.
+        kept = support(x, q, kind)
+        # idx: the positions in the data of the sorted kept data x.
         self.idx = kept[np.argsort(x[kept])]
         self.x = x = x[self.idx]
         self.ill, self.mass = np.zeros(q.size, dtype=bool), None

@@ -31,6 +31,7 @@ from .metrics import _ious_by_score, positive_ious, ranking_correlation
 from .ranking import NEG, POS, Scenario, StepKind
 
 LOG_COLUMNS = ("epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou")
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class ScenarioGenSpec:
     trainer starts from rank correlation -1, "aligned" the reverse, and
     "random" leaves the drawn order.
 
-    Scores default to sigmoid(score_noise * standard normal), which keeps
+    Scores default to sigmoid(standard normal), which keeps
     them strictly inside (0, 1) so a trainer can recover logits.  Passing
     ``score_low``/``score_high`` switches to uniform scores on that range
     (``pos_score_low`` optionally raises the positives' floor), which the
@@ -54,7 +55,6 @@ class ScenarioGenSpec:
     n_pos: int
     n_neg: int
     seed: int
-    score_noise: float = 1.0
     iou_low: float = 0.5
     iou_high: float = 0.7
     iou_order: str = "anti"
@@ -88,8 +88,8 @@ def generate_scenario(spec: ScenarioGenSpec) -> Scenario:
         lo = spec.pos_score_low if spec.pos_score_low is not None else spec.score_low
         pos_scores = rng.uniform(lo, spec.score_high, spec.n_pos)
     else:
-        pos_scores = 1.0 / (1.0 + np.exp(-spec.score_noise * rng.standard_normal(spec.n_pos)))
-        neg_scores = 1.0 / (1.0 + np.exp(-spec.score_noise * rng.standard_normal(spec.n_neg)))
+        pos_scores = 1.0 / (1.0 + np.exp(-rng.standard_normal(spec.n_pos)))
+        neg_scores = 1.0 / (1.0 + np.exp(-rng.standard_normal(spec.n_neg)))
 
     ious = rng.uniform(spec.iou_low, spec.iou_high, spec.n_pos)
     if spec.iou_order != "random":
@@ -195,7 +195,6 @@ class TrainConfig:
     epochs: int = 100
     lr: float = 1.0
     box_lr: Optional[float] = None
-    momentum: float = 0.9
     step: StepKind = field(default_factory=lambda: StepKind.smoothed(1.0))
     self_balance: bool = False
     wrong_target: bool = False
@@ -232,7 +231,7 @@ def _safe_rho(scn: Scenario) -> float:
 
 
 def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
-    """Full-batch gradient descent with momentum on the toy model.
+    """Full-batch gradient descent with momentum MOMENTUM on the toy model.
 
     Box gradients move only the positives' boxes; score gradients move the
     logits of every positive and negative anchor.  With self-balancing on,
@@ -270,10 +269,10 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
         record(epoch, scn, bd)
 
         g_logit = model.score_grad_to_logit_grad(bd.score_grads)
-        vel_logit = cfg.momentum * vel_logit + g_logit
+        vel_logit = MOMENTUM * vel_logit + g_logit
         model.logits = model.logits - cfg.lr * vel_logit
         if bd.box_grads.size:
-            vel_box = cfg.momentum * vel_box + bd.box_grads
+            vel_box = MOMENTUM * vel_box + bd.box_grads
             model.boxes = model.boxes - box_lr * vel_box
             # Keep corner order valid: a step can push an edge past its
             # partner, and an inverted box has no meaningful overlap.

@@ -210,8 +210,16 @@ def oracle_assemble_gradients(scenario, loss_def, kind):
     )
 
 
-def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmooth=0):
-    """A LossBreakdown with the field types the losses return."""
+def oracle_kept(scenario, kind):
+    """Negatives with a nonzero step value against some positive, counted
+    over the full |P| x |N| step table."""
+    table = step(diff_transform(scenario.pos_scores()[:, None], scenario.neg_scores()[None, :]), kind)
+    return int(np.count_nonzero((table > 0.0).any(axis=0)))
+
+
+def _breakdown_from(scenario, kind, total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmooth=0):
+    """A LossBreakdown with the field types the losses return; n_kept is
+    counted by oracle_kept."""
     return LossBreakdown(
         total=float(total),
         cls_component=float(cls_c),
@@ -221,6 +229,7 @@ def _breakdown_from(total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmoo
         grad_report=report,
         sb_weight_applied=float(sb_weight),
         n_nonsmooth=int(n_nonsmooth),
+        n_kept=oracle_kept(scenario, kind),
     )
 
 
@@ -240,10 +249,10 @@ def oracle_loss(name, scenario, kind, balancer=None):
     n = scenario.n_pos
     if name == "ap":
         total = float((stats.n_fp / stats.rank).mean())
-        return _breakdown_from(total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)), 1.0)
     if name == "ndcg":
         total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / ndcg_ideal_gain(n)
-        return _breakdown_from(total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)), 1.0)
     sb = balancer.active_weight if balancer is not None else 1.0
     e_loc = scenario.loc_errors()
     c = oracle_exact_pos_loc_sums(scenario, e_loc)
@@ -257,7 +266,7 @@ def oracle_loss(name, scenario, kind, balancer=None):
         g, tie = oracle_loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
         box[i] = w[i] * g
         n_nonsmooth += bool(tie)
-    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, sb * box, sb, n_nonsmooth)
+    return _breakdown_from(scenario, kind, cls_c + loc_c, cls_c, loc_c, report, sb * box, sb, n_nonsmooth)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +546,11 @@ def separate_pass_loss(name, scenario, kind, balancer=None):
     if name == "ap":
         total = float((stats.n_fp / stats.rank).mean())
         report = assemble_gradients(scenario, APLossDef(), kind)
-        return _breakdown_from(total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)), 1.0)
     if name == "ndcg":
         total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / ndcg_ideal_gain(n)
         report = assemble_gradients(scenario, NDCGLossDef(), kind)
-        return _breakdown_from(total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)), 1.0)
     loss_def = ALRPLossDef() if name == "alrp" else WrongTargetALRPDef()
     sb = balancer.active_weight if balancer is not None else 1.0
     e_loc = scenario.loc_errors()
@@ -554,7 +563,7 @@ def separate_pass_loss(name, scenario, kind, balancer=None):
     box = np.empty((n, 4))
     for i in range(n):
         box[i] = w[i] * grads[i]
-    return _breakdown_from(cls_c + loc_c, cls_c, loc_c, report, sb * box, sb, int(tie.sum()))
+    return _breakdown_from(scenario, kind, cls_c + loc_c, cls_c, loc_c, report, sb * box, sb, int(tie.sum()))
 
 
 # ---------------------------------------------------------------------------

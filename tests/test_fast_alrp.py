@@ -4,8 +4,10 @@ pruning; use_fast and FastConfig must reproduce alrp_loss exactly."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_loss, random_scenario
+from conftest import oracle_kept, oracle_loss, random_scenario
 from rankloss.fast_alrp import (
     FastConfig,
     active_backend,
@@ -15,7 +17,7 @@ from rankloss.fast_alrp import (
     operation_count,
     pruned_size,
 )
-from rankloss.losses import SelfBalancer, alrp_loss
+from rankloss.losses import SelfBalancer, alrp_loss, ap_loss, ndcg_loss, wrong_target_alrp
 from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, StepRelation, rank_stats
 
 ALL_FIELDS_RTOL = 1e-12
@@ -165,6 +167,32 @@ class TestPruning:
                 pruned = fast_alrp(scn, config_for(kind, prune=True))
                 full = fast_alrp(scn, config_for(kind, prune=False))
                 assert_breakdowns_identical(pruned, full)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from((StepKind.exact(), StepKind.smoothed(0.1), StepKind.smoothed(0.5), StepKind.smoothed(1.0))),
+    )
+    def test_every_loss_reports_the_count(self, data, kind):
+        """n_kept of every loss, pruned_size and the count over the full step
+        table agree: on tenths (ties, and fl(s - delta) edges such as
+        0.7 - 0.1, whose step mass is a rounding error), one ulp either side
+        of a positive's lower support edge, and with no negatives."""
+        tenths = st.integers(0, 20).map(lambda k: k / 10.0)
+        pos = data.draw(st.lists(tenths, min_size=1, max_size=5))
+        edge = st.tuples(st.sampled_from(pos), st.sampled_from((-np.inf, None, np.inf))).map(
+            lambda e: e[0] - kind.delta if e[1] is None else float(np.nextafter(e[0] - kind.delta, e[1]))
+        )
+        neg = data.draw(st.lists(st.one_of(tenths, edge, st.floats(-2.0, 3.0)), max_size=12))
+        gts = np.array([[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(len(pos))])
+        scn = Scenario.from_columns(
+            [POS] * len(pos) + [NEG] * len(neg), pos + neg, np.arange(len(pos)), gts * [1.0, 1.0, 1.0, 0.8], gts
+        )
+        kept = oracle_kept(scn, kind)
+        assert pruned_size(scn, config_for(kind)) == kept
+        assert pruned_size(scn, config_for(kind, prune=False)) == len(neg)
+        for loss in (ap_loss, alrp_loss, wrong_target_alrp, ndcg_loss):
+            assert loss(scn, kind).n_kept == kept
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):

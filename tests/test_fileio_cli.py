@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rankloss.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
+from rankloss.fast_alrp import FastConfig, pruned_size
 from rankloss.fileio import (
     FileFormatError,
     eval_from_dict,
@@ -130,6 +131,18 @@ class TestScenarioErrors:
         doc["gts"][0][1] = float("nan")
         self.expect_path(doc, "gts[0][1]")
 
+    def test_gt_corners_out_of_order(self):
+        doc = valid_scenario_doc()
+        doc["gts"][4] = [13.0, 0.0, 12.0, 1.0]
+        err = self.expect_path(doc, "gts[4]")
+        assert str(err) == "gts[4]: box corners out of order: (13.0, 0.0, 12.0, 1.0)"
+
+    def test_anchor_box_corners_out_of_order(self):
+        doc = valid_scenario_doc()
+        doc["anchors"][0]["box"] = [1.0, 0.0, 0.0, 1.0]
+        err = self.expect_path(doc, "anchors[0].box")
+        assert str(err) == "anchors[0].box: box corners out of order: (1.0, 0.0, 0.0, 1.0)"
+
     def test_gts_checked(self):
         doc = valid_scenario_doc()
         doc["gts"][0] = [0.0, 0.0, 1.0]
@@ -206,6 +219,20 @@ class TestEvalRoundTrip:
         with pytest.raises(FileFormatError) as err:
             eval_from_dict(doc)
         assert err.value.path == "detections[0]"
+
+    def test_class_checked_before_corner_order(self):
+        doc = {
+            "version": 1,
+            "detections": [{"score": 0.9, "box": [0.0, 0.0, 1.0, 1.0]}],
+            "ground_truths": [{"box": [1.0, 0.0, 0.0, 1.0], "class": "car"}],
+        }
+        with pytest.raises(FileFormatError) as err:
+            eval_from_dict(doc)
+        assert str(err.value) == "ground_truths[0].class: expected an integer"
+        doc["ground_truths"][0]["class"] = 0
+        with pytest.raises(FileFormatError) as err:
+            eval_from_dict(doc)
+        assert str(err.value) == "ground_truths[0]: box corners out of order: (1.0, 0.0, 0.0, 1.0)"
 
     def test_non_finite_box_rejected_with_path(self, tmp_path):
         # json reads the non-standard Infinity literal as a float.
@@ -311,6 +338,30 @@ class TestCLILoss:
         assert json.loads(capsys.readouterr().out)["n_nonsmooth"] == 4
         assert main(["loss", "--scenario", scenario_file, "--loss", "ap"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["n_nonsmooth"] == 0
+
+    def test_kept_count_reported(self, tmp_path, capsys):
+        # Positives score in [6, 10], negatives in [0, 10]: the ones below
+        # 5 are outside every positive's support.
+        scn = generate_scenario(ScenarioGenSpec(n_pos=5, n_neg=60, seed=2, score_low=0.0, score_high=10.0, pos_score_low=6.0))
+        path = tmp_path / "spread.json"
+        save_scenario(scn, path)
+        assert main(["loss", "--scenario", str(path), "--step", "smooth", "--delta", "1"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc)[-2:] == ["n_nonsmooth", "n_kept"]
+        assert 0 < doc["n_kept"] == pruned_size(scn, FastConfig(delta=1.0)) < scn.n_neg
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--delta", "0.3"], "--delta applies to --step smooth only, not --step exact"),
+            (["--step", "exact", "--delta", "0.3"], "--delta applies to --step smooth only, not --step exact"),
+        ),
+        ids=("delta-default-step", "delta-exact"),
+    )
+    def test_flags_the_options_ignore_are_refused(self, scenario_file, capsys, flags, message):
+        assert main(["loss", "--scenario", scenario_file, *flags]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_grads_refused_in_csv(self, scenario_file, capsys):
         assert main(["loss", "--scenario", scenario_file, "--grads", "--format", "csv"]) == EXIT_INVALID
@@ -440,6 +491,23 @@ class TestCLIEval:
         assert main(["eval", "--input", eval_file, "--taus=-0.5,1.5"]) == EXIT_INVALID
         assert "IoU thresholds in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--tau", "0.7"], "--tau applies to --metric olrp or lrp only, not --metric map"),
+            (["--score-threshold", "0.5"], "--score-threshold applies to --metric lrp only, not --metric map"),
+            (["--metric", "olrp", "--score-threshold", "0.5"], "--score-threshold applies to --metric lrp only, not --metric olrp"),
+            (["--metric", "olrp", "--taus", "0.3"], "--taus applies to --metric map only, not --metric olrp"),
+            (["--metric", "olrp", "--recall-points", "coco101"], "--recall-points applies to --metric map only, not --metric olrp"),
+            (["--metric", "lrp", "--recall-points", "ten"], "--recall-points applies to --metric map only, not --metric lrp"),
+        ),
+        ids=("map-tau", "map-score-threshold", "olrp-score-threshold", "olrp-taus", "olrp-recall-points", "lrp-recall-points"),
+    )
+    def test_flags_the_metric_ignores_are_refused(self, eval_file, capsys, flags, message):
+        assert main(["eval", "--input", eval_file, *flags]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_nan_score_threshold(self, eval_file, capsys):
         rc = main(["eval", "--input", eval_file, "--metric", "lrp", "--score-threshold", "nan"])
         assert rc == EXIT_INVALID
@@ -510,6 +578,20 @@ class TestCLITrain:
             assert rc == EXIT_INVALID
             assert f"--wrong-target applies to --loss alrp only, not --loss {loss}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--step", "exact", "--delta", "0.3"], "--delta applies to --step smooth only, not --step exact"),
+            (["--loss", "ap", "--box-lr", "0.1"], "--box-lr applies to --loss alrp only, not --loss ap"),
+            (["--loss", "ndcg", "--box-lr", "0.1"], "--box-lr applies to --loss alrp only, not --loss ndcg"),
+        ),
+        ids=("delta-exact", "ap-box-lr", "ndcg-box-lr"),
+    )
+    def test_flags_the_options_ignore_are_refused(self, capsys, flags, message):
+        assert main(["train", "--gen", "P=4,N=10", "--epochs", "2", *flags]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_bad_gen_strings(self, capsys):
         assert main(["train", "--gen", "P=6", "--epochs", "5"]) == EXIT_INVALID
         assert main(["train", "--gen", "P=a,N=2", "--epochs", "5"]) == EXIT_INVALID
@@ -529,29 +611,11 @@ class TestCLITrain:
         assert "diverged" in capsys.readouterr().err
 
 
-class TestCLIBench:
-    def test_small_bench(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--sizes", "5x50,8x100", "--reps", "1", "--out", str(out)])
-        assert rc == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n_pos,n_neg,n_kept,t_alrp"
-        assert len(lines) == 3
-        for line, size in zip(lines[1:], ((5, 50), (8, 100))):
-            parts = line.split(",")
-            n_pos, n_neg, n_kept = (int(v) for v in parts[:3])
-            assert (n_pos, n_neg) == size and 0 <= n_kept <= n_neg
-            assert float(parts[3]) > 0.0  # loss timing
-        assert out.read_text().splitlines() == lines
-
-    def test_bad_sizes(self, capsys):
-        assert main(["bench", "--sizes", "5by50"]) == EXIT_INVALID
-        assert main(["bench", "--sizes", ""]) == EXIT_INVALID
-
-    def test_reps_must_be_positive(self, capsys):
-        for reps in ("0", "-2"):
-            assert main(["bench", "--sizes", "4x20", "--reps", reps]) == EXIT_INVALID
-            assert "--reps" in capsys.readouterr().err
+def test_bench_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == EXIT_INVALID
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestConsoleScript:
