@@ -19,15 +19,8 @@ import sys
 
 import numpy as np
 
-from .fileio import FileFormatError, load_eval, load_scenario
-from .losses import (
-    SelfBalancer,
-    alrp_loss,
-    ap_loss,
-    balance_ratio,
-    ndcg_loss,
-    wrong_target_alrp,
-)
+from .fileio import load_eval, load_scenario
+from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio
 from .metrics import DEFAULT_TAUS, TEN_POINT_RECALLS, lrp_at, mean_ap, olrp
 from .ranking import StepKind
 from .trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
@@ -62,9 +55,19 @@ def _only_with(args, option: str, allowed: tuple, defaults: dict) -> None:
             raise ValueError(f"{flag} applies to {opt} {' or '.join(allowed)} only, not {opt} {value}")
 
 
+def _strict(value):
+    """value with every non-finite float in it, nested ones included, as
+    None: JSON has no NaN or Infinity, so they are written as null."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        json.dump(doc, sys.stdout, indent=2)
+        json.dump(_strict(doc), sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
     else:
         # One level of nesting becomes dotted columns (by_tau.0.5, components.loc).
@@ -95,15 +98,7 @@ def cmd_loss(args) -> int:
         if args.sb_weight != 1.0:
             balancer = SelfBalancer(active_weight=args.sb_weight)
     scenario = load_scenario(args.scenario)
-    kind = _step_kind(args)
-    if args.loss == "ap":
-        bd = ap_loss(scenario, kind)
-    elif args.loss == "ndcg":
-        bd = ndcg_loss(scenario, kind)
-    elif args.wrong_target:
-        bd = wrong_target_alrp(scenario, kind, balancer=balancer)
-    else:
-        bd = alrp_loss(scenario, kind, balancer=balancer)
+    bd = _named_loss(args.loss, scenario, _step_kind(args), args.wrong_target, balancer)
     if not np.isfinite(bd.total):
         raise NumericalFailure("loss is not finite")
     doc = {
@@ -244,8 +239,8 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_step_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--step", choices=("exact", "smooth"), default="exact", help="step function (default exact)")
+def _add_step_args(p: argparse.ArgumentParser, default: str) -> None:
+    p.add_argument("--step", choices=("exact", "smooth"), default=default, help=f"step function (default {default})")
     p.add_argument("--delta", type=float, help="ramp half-width of the smooth step (default 1.0; --step smooth only)")
 
 
@@ -255,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loss", help="evaluate a ranking loss on a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--loss", choices=("ap", "alrp", "ndcg"), default="alrp")
-    _add_step_args(p)
+    p.add_argument("--loss", choices=LOSS_NAMES, default="alrp")
+    _add_step_args(p, "exact")
     p.add_argument("--sb-weight", type=float, help="self-balance weight to apply, finite and > 0 (alrp only)")
     p.add_argument("--wrong-target", action="store_true", help="alrp with the broken (zero) target")
     p.add_argument("--grads", action="store_true", help="include gradient arrays in the output")
@@ -276,12 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the toy trainer")
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--gen", help="generate a scenario, e.g. P=20,N=200,seed=7[,order=anti]")
-    p.add_argument("--loss", choices=("ap", "alrp", "ndcg"), default="alrp")
+    p.add_argument("--loss", choices=LOSS_NAMES, default="alrp")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=1.0)
     p.add_argument("--box-lr", type=float, help="box learning rate (default --lr; alrp only)")
-    _add_step_args(p)
-    p.set_defaults(step="smooth")
+    _add_step_args(p, "smooth")
     p.add_argument("--sb", action="store_true", help="enable self-balancing (alrp only)")
     p.add_argument("--wrong-target", action="store_true")
     p.add_argument("--out", help="write the per-epoch CSV log here")
@@ -295,9 +289,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

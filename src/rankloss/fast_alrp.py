@@ -34,8 +34,7 @@ class FastConfig:
     exact: bool = False
 
     def __post_init__(self):
-        if not self.exact and not self.delta > 0.0:
-            raise ValueError("delta must be > 0 for the smooth step")
+        _step_kind(self)  # StepKind refuses a delta the smooth step cannot use
 
 
 def active_backend():
@@ -95,9 +94,8 @@ def complexity_probe(size_pairs, seed=0, delta=1.0, prune=True, spread=10.0):
             pos_score_low=0.6 * spread,
         )
         sc = generate_scenario(spec)
-        cfg = FastConfig(delta=delta, prune=prune)
-        fast_alrp(sc, cfg)
-        n_kept = pruned_size(sc, cfg)
+        kept = fast_alrp(sc, FastConfig(delta=delta)).n_kept
+        n_kept = kept if prune else n_neg
         ops = operation_count(n_pos, n_neg, n_kept)
         bound = complexity_bound(n_pos, n_neg, n_kept)
         rows.append(

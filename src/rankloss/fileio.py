@@ -123,7 +123,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _expect(label in (POS, NEG, IGNORE), f"{path}.label", f"expected 'pos', 'neg', or 'ignore', got {label!r}")
         _expect("score" in entry, f"{path}.score", "missing")
         labels.append(label)
-        scores.append(_number(entry["score"], f"{path}.score"))
+        scores.append(_finite(entry["score"], f"{path}.score"))
         if label == POS:
             _expect("gt" in entry, f"{path}.gt", "missing (positives must reference a ground-truth index)")
             gt = _integer(entry["gt"], f"{path}.gt")
@@ -141,10 +141,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise FileFormatError("$", str(exc)) from exc
 
 
-def save_scenario(scenario: Scenario, path) -> None:
+def _save_json(doc: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def save_scenario(scenario: Scenario, path) -> None:
+    _save_json(scenario_to_dict(scenario), path)
 
 
 def load_scenario(path) -> Scenario:
@@ -201,9 +205,7 @@ def eval_from_dict(doc: dict) -> EvalInput:
 
 
 def save_eval(inputs: EvalInput, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(eval_to_dict(inputs), fh, indent=2)
-        fh.write("\n")
+    _save_json(eval_to_dict(inputs), path)
 
 
 def load_eval(path) -> EvalInput:

@@ -224,11 +224,8 @@ def loc_error_grad_array(pred, gt, kind):
     """(dE_loc/dpred, tie mask) over (P, 4) box arrays: (P, 4) gradients and
     a (P,) boolean mask; chain rule through the overlap only."""
     scale = 1.0 / (1.0 - kind.tau)
-    if kind.variant == "iou":
-        g, tie = _overlap_grad_array(pred, gt, "iou")
-        return -scale * g, tie
-    g, tie = _overlap_grad_array(pred, gt, "giou")
-    return -0.5 * scale * g, tie
+    g, tie = _overlap_grad_array(pred, gt, kind.variant)
+    return (-scale if kind.variant == "iou" else -0.5 * scale) * g, tie
 
 
 # --- scalar forms ----------------------------------------------------------
@@ -279,7 +276,7 @@ def loc_error(pred, gt, kind, check=True):
         raise ValueError(
             "overlap %.6f below tau %.2f: not a valid matched positive" % (v, kind.tau)
         )
-    return (1.0 - v) / (1.0 - kind.tau)
+    return float(_single(loc_error_array, pred, gt, kind)[0])
 
 
 def _first_row(g, tie):

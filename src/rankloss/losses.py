@@ -40,6 +40,8 @@ from .ranking import (  # noqa: F401
     step_sums,
 )
 
+LOSS_NAMES = ("ap", "alrp", "ndcg")
+
 
 @dataclass
 class LossBreakdown:
@@ -252,6 +254,19 @@ def wrong_target_alrp(scenario, kind=StepKind.exact(), balancer=None):
 def ndcg_loss(scenario, kind=StepKind.exact()):
     """1 - sum of positive gains over the ideal gain."""
     return _loss(scenario, kind, NDCGLossDef())
+
+
+def _named_loss(name, scenario, kind, wrong_target=False, balancer=None):
+    """The loss the CLI and the trainer choose by name (one of LOSS_NAMES);
+    wrong_target and balancer apply to "alrp" only. Calls go through this
+    module's names, which perfbench wraps."""
+    if name == "ap":
+        return ap_loss(scenario, kind)
+    if name == "ndcg":
+        return ndcg_loss(scenario, kind)
+    if wrong_target:
+        return wrong_target_alrp(scenario, kind, balancer=balancer)
+    return alrp_loss(scenario, kind, balancer=balancer)
 
 
 def balance_ratio(breakdown, scenario):

@@ -34,15 +34,15 @@ class StepKind:
 
     exact:  H(x) = 1 for x >= 0, else 0. Ties count: H(0) = 1.
     smooth: H(x) = 0 below -delta, x/(2 delta) + 0.5 inside [-delta, delta],
-            1 above delta. H(0) = 0.5.
+            1 above delta. H(0) = 0.5. delta must be finite and > 0.
     """
 
     smooth: bool = False
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.smooth and not self.delta > 0.0:
-            raise ValueError("smooth step needs delta > 0, got %r" % (self.delta,))
+        if self.smooth and not 0.0 < self.delta < np.inf:
+            raise ValueError("smooth step needs a finite delta > 0, got %r" % (self.delta,))
 
     @classmethod
     def exact(cls):
@@ -405,8 +405,8 @@ class StepRelation:
             a = _running(steps(lo, u) - steps(hi, u))
             b = _running(steps(lo, uc1) - steps(mid, uc1) + steps(mid, uc2) - steps(hi, uc2))
             g = g + (self.t * a + b) / (2.0 * self.kind.delta)
-        reached = np.cumsum(np.bincount(lo[~self.ill], minlength=n + 1)[:n]) > 0
-        g = np.where(reached, np.maximum(g, 0.0), 0.0)
+        # Before the first window every running sum is exactly +0 already.
+        g = np.maximum(g, 0.0)
         if self.ill.any():
             g += np.bincount(self.pair_k, w[self.pair_q] * self.pair_h, n)
         out[self.idx] = g

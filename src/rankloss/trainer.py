@@ -17,16 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .geometry import LocErrorKind, boxes_with_iou
-from .losses import (
-    LossBreakdown,
-    SelfBalancer,
-    alrp_loss,
-    ap_loss,
-    balance_ratio,
-    ndcg_loss,
-    self_balance_update,
-    wrong_target_alrp,
-)
+# perfbench wraps alrp_loss, ap_loss and ndcg_loss by this module's names
+# too, so they stay bound here; _named_loss calls them through losses.
+from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
+from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio, self_balance_update
 from .metrics import _ious_by_score, positive_ious, ranking_correlation
 from .ranking import NEG, POS, Scenario, StepKind
 
@@ -200,7 +194,7 @@ class TrainConfig:
     wrong_target: bool = False
 
     def __post_init__(self):
-        if self.loss not in ("ap", "alrp", "ndcg"):
+        if self.loss not in LOSS_NAMES:
             raise ValueError("loss must be 'ap', 'alrp', or 'ndcg'")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -208,19 +202,8 @@ class TrainConfig:
             raise ValueError("the wrong-target variant only applies to the alrp loss")
         if self.self_balance and self.loss != "alrp":
             raise ValueError("self-balancing only applies to the alrp loss")
-
-
-def _evaluate(model: ToyModel, cfg: TrainConfig, balancer: SelfBalancer):
-    scn = model.current_scenario()
-    if cfg.loss == "ap":
-        bd = ap_loss(scn, cfg.step)
-    elif cfg.loss == "ndcg":
-        bd = ndcg_loss(scn, cfg.step)
-    elif cfg.wrong_target:
-        bd = wrong_target_alrp(scn, cfg.step, balancer=balancer)
-    else:
-        bd = alrp_loss(scn, cfg.step, balancer=balancer)
-    return scn, bd
+        if self.box_lr is not None and self.loss != "alrp":
+            raise ValueError("box_lr only applies to the alrp loss (ap and ndcg have no box gradients)")
 
 
 def _safe_rho(scn: Scenario) -> float:
@@ -246,7 +229,12 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
     vel_logit = np.zeros_like(model.logits)
     vel_box = np.zeros_like(model.boxes)
 
-    def record(epoch: int, scn: Scenario, bd: LossBreakdown) -> None:
+    for epoch in range(cfg.epochs + 1):
+        scn = model.current_scenario()
+        bd = _named_loss(cfg.loss, scn, cfg.step, cfg.wrong_target, balancer)
+        if not np.isfinite(bd.total):
+            log.diverged_at = epoch
+            break
         log.rows.append(
             {
                 "epoch": epoch,
@@ -260,13 +248,8 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
             }
         )
         log.extras.append({"box_grad_norm": float(np.linalg.norm(bd.box_grads))})
-
-    for epoch in range(cfg.epochs):
-        scn, bd = _evaluate(model, cfg, balancer)
-        if not np.isfinite(bd.total):
-            log.diverged_at = epoch
+        if epoch == cfg.epochs:
             break
-        record(epoch, scn, bd)
 
         g_logit = model.score_grad_to_logit_grad(bd.score_grads)
         vel_logit = MOMENTUM * vel_logit + g_logit
@@ -281,13 +264,6 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
 
         if cfg.self_balance:
             balancer = self_balance_update(balancer, [(bd.total, bd.loc_component)])
-
-    if log.diverged_at is None:
-        scn, bd = _evaluate(model, cfg, balancer)
-        if np.isfinite(bd.total):
-            record(cfg.epochs, scn, bd)
-        else:
-            log.diverged_at = cfg.epochs
     return log
 
 

@@ -2,13 +2,17 @@
 interface's output and exit-code contract."""
 
 import json
+import re
+import shlex
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankloss.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
+from rankloss.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from rankloss.fast_alrp import FastConfig, pruned_size
 from rankloss.fileio import (
     FileFormatError,
@@ -23,14 +27,26 @@ from rankloss.fileio import (
 )
 from rankloss.fixtures import fixture_eval, fixture_scenario, write_fixture_files
 from rankloss.geometry import LocErrorKind
-from rankloss.losses import alrp_loss
+from rankloss.losses import alrp_loss, balance_ratio, wrong_target_alrp
 from rankloss.metrics import mean_ap
 from rankloss.ranking import IGNORE, AnchorRecord, Scenario
 from rankloss.trainer import ScenarioGenSpec, generate_scenario
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def valid_scenario_doc():
     return scenario_to_dict(fixture_scenario("aligned"))
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestScenarioRoundTrip:
@@ -142,6 +158,22 @@ class TestScenarioErrors:
         doc["anchors"][0]["box"] = [1.0, 0.0, 0.0, 1.0]
         err = self.expect_path(doc, "anchors[0].box")
         assert str(err) == "anchors[0].box: box corners out of order: (1.0, 0.0, 0.0, 1.0)"
+
+    @pytest.mark.parametrize("literal", ("NaN", "Infinity", "-Infinity"))
+    def test_non_finite_score_named_at_its_field(self, tmp_path, literal):
+        doc = valid_scenario_doc()
+        doc["anchors"][3]["score"] = float(literal.lower().replace("infinity", "inf"))
+        path = tmp_path / "score.json"
+        path.write_text(json.dumps(doc))
+        assert f'"score": {literal}' in path.read_text()
+        with pytest.raises(FileFormatError) as err:
+            load_scenario(path)
+        assert str(err.value) == "anchors[3].score: expected a finite number"
+
+    def test_loc_kind_tau_out_of_range(self):
+        doc = valid_scenario_doc()
+        doc["loc_kind"]["tau"] = 1.5
+        self.expect_path(doc, "loc_kind.tau")
 
     def test_gts_checked(self):
         doc = valid_scenario_doc()
@@ -394,6 +426,18 @@ class TestCLILoss:
             assert rc == EXIT_INVALID
             assert "--wrong-target" in capsys.readouterr().err
 
+    def test_wrong_target_on_the_shuffled_fixture(self, tmp_path, capsys):
+        scn = fixture_scenario("shuffled")
+        path = tmp_path / "shuffled.json"
+        save_scenario(scn, path)
+        assert main(["loss", "--scenario", str(path), "--wrong-target"]) == EXIT_OK
+        doc = strict_json(capsys.readouterr().out)
+        # The same value as the plain loss; only the gradient balance moves.
+        assert doc["total"] == alrp_loss(scn).total == wrong_target_alrp(scn).total
+        np.testing.assert_allclose(doc["total"], 0.6925, rtol=1e-12)
+        assert doc["balance_ratio"] == balance_ratio(wrong_target_alrp(scn), scn)
+        np.testing.assert_allclose(doc["balance_ratio"], 0.8556, atol=5e-5)
+
     def test_fast_flag_is_gone(self, scenario_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["loss", "--scenario", scenario_file, "--fast"])
@@ -486,6 +530,24 @@ class TestCLIEval:
 
     def test_bad_taus(self, eval_file, capsys):
         assert main(["eval", "--input", eval_file, "--taus", "a,b"]) == EXIT_INVALID
+        capsys.readouterr()
+        assert main(["eval", "--input", eval_file, "--taus", ","]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: --taus is empty\n"
+
+    def test_lrp_default_threshold_is_null_in_json(self, eval_file, capsys):
+        assert main(["eval", "--input", eval_file, "--metric", "lrp"]) == EXIT_OK
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["threshold"] is None
+        assert main(["eval", "--input", eval_file, "--metric", "lrp", "--format", "csv"]) == EXIT_OK
+        header, values = capsys.readouterr().out.strip().splitlines()
+        assert dict(zip(header.split(","), values.split(",")))["threshold"] == "-inf"
+
+    def test_olrp_without_detections_has_null_threshold(self, tmp_path, capsys):
+        path = tmp_path / "no_dets.json"
+        path.write_text('{"version": 1, "detections": [], "ground_truths": [{"box": [0, 0, 1, 1]}]}')
+        assert main(["eval", "--input", str(path), "--metric", "olrp"]) == EXIT_OK
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["threshold"] is None and doc["value"] == 1.0
 
     def test_taus_outside_unit_interval(self, eval_file, capsys):
         assert main(["eval", "--input", eval_file, "--taus=-0.5,1.5"]) == EXIT_INVALID
@@ -596,6 +658,16 @@ class TestCLITrain:
         assert main(["train", "--gen", "P=6", "--epochs", "5"]) == EXIT_INVALID
         assert main(["train", "--gen", "P=a,N=2", "--epochs", "5"]) == EXIT_INVALID
         assert main(["train", "--gen", "P=2,N=2,shape=big", "--epochs", "5"]) == EXIT_INVALID
+        capsys.readouterr()
+        assert main(["train", "--gen", "P=2,N=2,seven", "--epochs", "5"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: --gen entries look like key=value, got 'seven'\n"
+
+    def test_undefined_rank_correlation_is_null_in_json(self, capsys):
+        # One positive: the rank correlation is undefined (NaN in the log).
+        assert main(["train", "--gen", "P=1,N=10,seed=1", "--epochs", "2"]) == EXIT_OK
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["initial_rho"] is None and doc["final_rho"] is None
+        assert np.isfinite(doc["final_total"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
@@ -609,6 +681,50 @@ class TestCLITrain:
         )
         assert rc == EXIT_NUMERICAL
         assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("loss", "train"))
+def test_delta_must_be_finite(command, tmp_path, capsys):
+    path = tmp_path / "shuffled.json"
+    save_scenario(fixture_scenario("shuffled"), path)
+    assert main([command, "--scenario", str(path), "--step", "smooth", "--delta", "inf"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: smooth step needs a finite delta > 0, got inf\n"
+
+
+@pytest.mark.parametrize("command, default", (("loss", "exact"), ("train", "smooth")))
+def test_step_help_states_the_default(command, default, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    assert f"step function (default {default})" in " ".join(capsys.readouterr().out.split())
+    required = {"loss": ["--scenario", "s.json"], "train": ["--gen", "P=2,N=2"]}[command]
+    assert build_parser().parse_args([command, *required]).step == default
+
+
+def readme_cli_commands():
+    """The argument lists of every `rankloss ...` line in README's CLI section."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv:
+                assert argv[0] == "rankloss", line
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    shutil.copytree(ROOT / "fixtures", tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        if "csv" not in argv:
+            strict_json(out)
 
 
 def test_bench_subcommand_is_gone(capsys):

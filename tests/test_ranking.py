@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_pair_tables, random_scenario
+from rankloss.fast_alrp import FastConfig
 from rankloss.fixtures import fixture_scenario
 from rankloss.losses import ALRPLossDef, APLossDef, NDCGLossDef
 from rankloss.ranking import (
@@ -51,6 +52,15 @@ class TestStepKind:
             StepKind.smoothed(0.0)
         with pytest.raises(ValueError):
             StepKind(smooth=True, delta=-1.0)
+
+    @pytest.mark.parametrize("delta", (float("inf"), float("nan")))
+    def test_rejects_non_finite_delta(self, delta):
+        # StepKind holds the one check; FastConfig builds a StepKind.
+        with pytest.raises(ValueError, match=r"^smooth step needs a finite delta > 0, got (inf|nan)$"):
+            StepKind.smoothed(delta)
+        with pytest.raises(ValueError, match=r"^smooth step needs a finite delta > 0"):
+            FastConfig(delta=delta)
+        FastConfig(delta=delta, exact=True)  # the exact step does not use delta
 
 
 class TestDiffTransform:
@@ -125,6 +135,10 @@ class TestScenario:
             Scenario([AnchorRecord(POS, 0.5, gt=3, box=self._box())], self._gt())
         with pytest.raises(ValueError):
             Scenario([AnchorRecord(POS, 0.5, gt=0, box=None)], self._gt())
+
+    def test_ground_truth_needs_four_entries(self):
+        with pytest.raises(ValueError, match=r"^gts\[0\]: expected four entries, got shape \(3,\)$"):
+            Scenario([AnchorRecord(POS, 0.5, gt=0, box=self._box())], [np.zeros(3)])
 
     def test_positive_box_needs_four_entries(self):
         with pytest.raises(ValueError, match=r"anchors\[1\]\.box"):

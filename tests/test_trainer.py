@@ -1,10 +1,12 @@
 """Scenario generator, toy model, and the desk-scale training loop."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rankloss import losses
 from rankloss.losses import alrp_loss
 from rankloss.metrics import positive_ious, ranking_correlation
 from rankloss.ranking import IGNORE, AnchorRecord, Scenario, StepKind
@@ -155,6 +157,24 @@ class TestTrainLoop:
         assert log.diverged_at is not None
         assert len(log.rows) < cfg.epochs + 1
 
+    def test_divergence_at_the_final_state(self, monkeypatch):
+        # The loss turns non-finite on its last call, the evaluation after
+        # the final update: every update ran, the final state is not logged.
+        cfg = replace(SMALL_CFG, epochs=4)
+        calls, real = [], losses.alrp_loss
+
+        def nan_on_last_call(*args, **kwargs):
+            calls.append(1)
+            bd = real(*args, **kwargs)
+            return replace(bd, total=float("nan")) if len(calls) == cfg.epochs + 1 else bd
+
+        monkeypatch.setattr(losses, "alrp_loss", nan_on_last_call)
+        log = train(generate_scenario(SMALL_SPEC), cfg)
+        assert len(calls) == cfg.epochs + 1
+        assert log.diverged_at == cfg.epochs
+        assert len(log.rows) == len(log.extras) == cfg.epochs
+        assert [row["epoch"] for row in log.rows] == list(range(cfg.epochs))
+
     def test_write_csv(self, tmp_path):
         log = train(generate_scenario(SMALL_SPEC), TrainConfig(**{**SMALL_CFG.__dict__, "epochs": 5}))
         path = tmp_path / "log.csv"
@@ -175,6 +195,12 @@ class TestTrainLoop:
             TrainConfig(loss="ap", wrong_target=True)
         with pytest.raises(ValueError):
             TrainConfig(loss="ndcg", self_balance=True)
+
+    @pytest.mark.parametrize("loss", ("ap", "ndcg"))
+    def test_box_lr_refused_without_box_gradients(self, loss):
+        with pytest.raises(ValueError, match=r"^box_lr only applies to the alrp loss"):
+            TrainConfig(loss=loss, box_lr=0.01)
+        assert TrainConfig(loss=loss).box_lr is None
 
     def test_wrong_target_trains_worse(self):
         scn = generate_scenario(ScenarioGenSpec(n_pos=8, n_neg=60, seed=11))
