@@ -26,6 +26,7 @@ import numpy as np
 from .geometry import Box, LocErrorKind, loc_error_array
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
+MAX_DELTA = 2.0**900
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,12 @@ class StepKind:
 
     exact:  H(x) = 1 for x >= 0, else 0. Ties count: H(0) = 1.
     smooth: H(x) = 0 below -delta, x/(2 delta) + 0.5 inside [-delta, delta],
-            1 above delta. H(0) = 0.5. delta must be finite and > 0.
+            1 above delta. H(0) = 0.5. 0 < delta <= MAX_DELTA = 2**900.
+
+    StepRelation's terms and offsets are below 4 delta, so its sums over n
+    data or queries with weights |w| <= W stay below 2**5 delta W n: below
+    2**1023 for any n < 2**63 and W < 2**55 (W = 1 for the step mass; a
+    loss's gradient shares are at most 1 + 3 / (1 - tau) < 2**55).
     """
 
     smooth: bool = False
@@ -43,6 +49,8 @@ class StepKind:
     def __post_init__(self):
         if self.smooth and not 0.0 < self.delta < np.inf:
             raise ValueError("smooth step needs a finite delta > 0, got %r" % (self.delta,))
+        if self.smooth and self.delta > MAX_DELTA:
+            raise ValueError("smooth step needs a delta of at most 2**900, got %r" % (self.delta,))
 
     @classmethod
     def exact(cls):

@@ -7,12 +7,26 @@ the columnar Scenario and the geometry array forms, and the per-threshold
 evaluator (scalar IoU per pair, one matching per score threshold), the
 average-rank loop, the one-box IoU target and the object-based
 scenario_to_eval, kept as the oracles for rankloss.metrics and
-rankloss.geometry.boxes_with_iou."""
+rankloss.geometry.boxes_with_iou, and the file documents as dicts with their
+entry-by-entry readers, kept as the oracles for the column writers and
+screens of rankloss.fileio."""
 
 from typing import Optional
 
 import numpy as np
 
+from rankloss.fileio import (
+    EVAL_VERSION,
+    SCENARIO_VERSION,
+    FileFormatError,
+    _check_version,
+    _corners,
+    _expect,
+    _finite,
+    _integer,
+    _number,
+    _ordered,
+)
 from rankloss.geometry import Box, LocErrorKind, _as_box_array
 from rankloss.losses import (
     ALRPLossDef,
@@ -34,6 +48,7 @@ from rankloss.metrics import (
     pr_curve,
 )
 from rankloss.ranking import (
+    IGNORE,
     NEG,
     POS,
     AnchorRecord,
@@ -726,3 +741,114 @@ def oracle_scenario_to_eval(scenario, extra_gts=()):
             x = far_x + 3.0 * i
             detections.append(Detection(rec.score, Box(x, 0.0, x + 1.0, 1.0)))
     return EvalInput.build(detections, gts)
+
+
+# ---------------------------------------------------------------------------
+# File oracles: the documents as dicts (json.dump(doc, fh, indent=2) plus a
+# newline is a saved file) and the readers that check one entry at a time
+# with fileio's field checkers (_finite, _corners, _integer, ...).
+# rankloss.fileio writes the same bytes and reads the same columns, or
+# refuses with the same message.
+# ---------------------------------------------------------------------------
+
+
+def oracle_scenario_to_dict(scenario):
+    labels, scores = scenario.labels.tolist(), scenario.scores.tolist()
+    anchors = [{"label": label, "score": score} for label, score in zip(labels, scores)]
+    for i, gt, box in zip(scenario.pos_index.tolist(), scenario.pos_gt.tolist(), scenario.pos_box.tolist()):
+        anchors[i]["gt"] = gt
+        anchors[i]["box"] = box
+    return {
+        "version": SCENARIO_VERSION,
+        "loc_kind": {"variant": scenario.loc_kind.variant, "tau": float(scenario.loc_kind.tau)},
+        "gts": scenario.gts.tolist(),
+        "anchors": anchors,
+    }
+
+
+def oracle_eval_to_dict(inputs):
+    dets = zip(inputs.det_scores.tolist(), inputs.det_boxes.tolist(), inputs.det_cls.tolist())
+    gts = zip(inputs.gt_boxes.tolist(), inputs.gt_cls.tolist())
+    return {
+        "version": EVAL_VERSION,
+        "detections": [{"score": score, "box": box, "class": cls} for score, box, cls in dets],
+        "ground_truths": [{"box": box, "class": cls} for box, cls in gts],
+    }
+
+
+def oracle_scenario_from_dict(doc):
+    _check_version(doc, SCENARIO_VERSION, "$")
+
+    kind_doc = doc.get("loc_kind", {"variant": "iou", "tau": 0.5})
+    _expect(isinstance(kind_doc, dict), "loc_kind", "expected an object")
+    variant = kind_doc.get("variant", "iou")
+    _expect(variant in ("iou", "giou"), "loc_kind.variant", f"expected 'iou' or 'giou', got {variant!r}")
+    tau = _number(kind_doc.get("tau", 0.5 if variant == "iou" else 0.0), "loc_kind.tau")
+    try:
+        loc_kind = LocErrorKind(variant, tau)
+    except ValueError as exc:
+        raise FileFormatError("loc_kind.tau", str(exc)) from exc
+
+    gts_doc = doc.get("gts")
+    _expect(isinstance(gts_doc, list) and gts_doc, "gts", "expected a non-empty list of boxes")
+    gts = [_ordered(_corners(g, f"gts[{i}]"), f"gts[{i}]") for i, g in enumerate(gts_doc)]
+
+    anchors_doc = doc.get("anchors")
+    _expect(isinstance(anchors_doc, list) and anchors_doc, "anchors", "expected a non-empty list")
+    labels, scores, pos_gt, pos_box = [], [], [], []
+    for i, entry in enumerate(anchors_doc):
+        path = f"anchors[{i}]"
+        _expect(isinstance(entry, dict), path, "expected an object")
+        label = entry.get("label")
+        _expect(label in (POS, NEG, IGNORE), f"{path}.label", f"expected 'pos', 'neg', or 'ignore', got {label!r}")
+        _expect("score" in entry, f"{path}.score", "missing")
+        labels.append(label)
+        scores.append(_finite(entry["score"], f"{path}.score"))
+        if label == POS:
+            _expect("gt" in entry, f"{path}.gt", "missing (positives must reference a ground-truth index)")
+            gt = _integer(entry["gt"], f"{path}.gt")
+            _expect(0 <= gt < len(gts), f"{path}.gt", f"index {gt} out of range for {len(gts)} ground truths")
+            _expect("box" in entry, f"{path}.box", "missing (positives carry a predicted box)")
+            pos_gt.append(gt)
+            pos_box.append(_ordered(_corners(entry["box"], f"{path}.box"), f"{path}.box"))
+        elif "gt" in entry or "box" in entry:
+            _expect("gt" not in entry, f"{path}.gt", "only positive anchors carry a ground-truth index")
+            raise FileFormatError(f"{path}.box", "only positive anchors carry a predicted box")
+
+    try:
+        return Scenario.from_columns(labels, scores, pos_gt, np.reshape(pos_box, (-1, 4)), gts, loc_kind)
+    except ValueError as exc:
+        raise FileFormatError("$", str(exc)) from exc
+
+
+def _oracle_append_box_and_class(entry, path, boxes, classes):
+    box = _corners(entry["box"], f"{path}.box")
+    classes.append(_integer(entry.get("class", 0), f"{path}.class"))
+    _expect(classes[-1] in range(-(2**63), 2**63), f"{path}.class", "expected an integer in the int64 range")
+    boxes.append(_ordered(box, path))
+
+
+def oracle_eval_from_dict(doc):
+    _check_version(doc, EVAL_VERSION, "$")
+
+    dets_doc = doc.get("detections")
+    _expect(isinstance(dets_doc, list), "detections", "expected a list")
+    scores, det_boxes, det_cls = [], [], []
+    for i, entry in enumerate(dets_doc):
+        path = f"detections[{i}]"
+        _expect(isinstance(entry, dict), path, "expected an object")
+        _expect("score" in entry, f"{path}.score", "missing")
+        _expect("box" in entry, f"{path}.box", "missing")
+        scores.append(_finite(entry["score"], f"{path}.score"))
+        _oracle_append_box_and_class(entry, path, det_boxes, det_cls)
+
+    gts_doc = doc.get("ground_truths")
+    _expect(isinstance(gts_doc, list) and gts_doc, "ground_truths", "expected a non-empty list")
+    gt_boxes, gt_cls = [], []
+    for i, entry in enumerate(gts_doc):
+        path = f"ground_truths[{i}]"
+        _expect(isinstance(entry, dict), path, "expected an object")
+        _expect("box" in entry, f"{path}.box", "missing")
+        _oracle_append_box_and_class(entry, path, gt_boxes, gt_cls)
+
+    return EvalInput(scores, det_cls, det_boxes, gt_cls, gt_boxes)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    oracle_eval_to_dict,
     oracle_interpolated_precision,
     oracle_iou,
     oracle_lrp_at,
@@ -24,7 +25,6 @@ from conftest import (
     oracle_olrp,
     oracle_scenario_to_eval,
 )
-from rankloss.fileio import eval_to_dict
 from rankloss.geometry import Box, iou_array
 from rankloss.metrics import (
     TEN_POINT_RECALLS,
@@ -237,11 +237,11 @@ class TestScenarioToEvalAgainstOracle:
     @given(scenarios(), st.lists(ground_truths, max_size=4))
     def test_same_file_document_or_same_refusal(self, scenario, extra_gts):
         try:
-            want = eval_to_dict(oracle_scenario_to_eval(scenario, extra_gts))
+            want = oracle_eval_to_dict(oracle_scenario_to_eval(scenario, extra_gts))
         except ValueError as exc:
             with pytest.raises(ValueError) as err:
                 scenario_to_eval(scenario, extra_gts)
             assert str(err.value) == str(exc)
             return
         # json text: signs of zero and int / float types count too.
-        assert json.dumps(eval_to_dict(scenario_to_eval(scenario, extra_gts))) == json.dumps(want)
+        assert json.dumps(oracle_eval_to_dict(scenario_to_eval(scenario, extra_gts))) == json.dumps(want)

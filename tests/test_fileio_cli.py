@@ -12,24 +12,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import oracle_eval_to_dict, oracle_scenario_to_dict
 from rankloss.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from rankloss.fast_alrp import FastConfig, pruned_size
 from rankloss.fileio import (
     FileFormatError,
     eval_from_dict,
-    eval_to_dict,
     load_eval,
     load_scenario,
     save_eval,
     save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from rankloss.fixtures import fixture_eval, fixture_scenario, write_fixture_files
 from rankloss.geometry import LocErrorKind
-from rankloss.losses import alrp_loss, balance_ratio, wrong_target_alrp
+from rankloss.losses import alrp_loss, ap_loss, balance_ratio, ndcg_loss, wrong_target_alrp
 from rankloss.metrics import mean_ap
-from rankloss.ranking import IGNORE, AnchorRecord, Scenario
+from rankloss.ranking import IGNORE, MAX_DELTA, AnchorRecord, Scenario, StepKind
 from rankloss.trainer import ScenarioGenSpec, generate_scenario
 
 
@@ -37,7 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def valid_scenario_doc():
-    return scenario_to_dict(fixture_scenario("aligned"))
+    return oracle_scenario_to_dict(fixture_scenario("aligned"))
 
 
 def strict_json(text):
@@ -56,7 +55,7 @@ class TestScenarioRoundTrip:
         path = tmp_path / f"{name}.json"
         save_scenario(scn, path)
         loaded = load_scenario(path)
-        assert scenario_to_dict(loaded) == scenario_to_dict(scn)
+        assert oracle_scenario_to_dict(loaded) == oracle_scenario_to_dict(scn)
         # behavioural identity, not just structural
         assert alrp_loss(loaded).total == alrp_loss(scn).total
 
@@ -64,7 +63,7 @@ class TestScenarioRoundTrip:
         base = generate_scenario(
             ScenarioGenSpec(n_pos=3, n_neg=5, seed=1, loc_kind=LocErrorKind.giou())
         )
-        doc = scenario_to_dict(base)
+        doc = oracle_scenario_to_dict(base)
         assert doc["loc_kind"] == {"variant": "giou", "tau": 0.0}
         again = scenario_from_dict(doc)
         assert again.loc_kind == base.loc_kind
@@ -72,7 +71,7 @@ class TestScenarioRoundTrip:
     def test_ignored_anchor_round_trips(self):
         base = fixture_scenario("aligned")
         scn = Scenario(list(base.anchors) + [AnchorRecord(IGNORE, 0.5)], base.gts)
-        doc = scenario_to_dict(scn)
+        doc = oracle_scenario_to_dict(scn)
         assert doc["anchors"][-1] == {"label": "ignore", "score": 0.5}
         again = scenario_from_dict(doc)
         assert again.anchors[-1].label == IGNORE
@@ -224,7 +223,7 @@ class TestEvalRoundTrip:
         path = tmp_path / "eval.json"
         save_eval(inputs, path)
         loaded = load_eval(path)
-        assert eval_to_dict(loaded) == eval_to_dict(inputs)
+        assert oracle_eval_to_dict(loaded) == oracle_eval_to_dict(inputs)
         assert mean_ap(loaded) == mean_ap(inputs)
 
     def test_empty_detections_allowed(self):
@@ -304,19 +303,17 @@ class TestFixtureFiles:
         assert len(paths) == 6
         for name in ("aligned", "shuffled", "reversed"):
             scn = load_scenario(tmp_path / f"{name}_scenario.json")
-            assert scenario_to_dict(scn) == scenario_to_dict(fixture_scenario(name))
+            assert oracle_scenario_to_dict(scn) == oracle_scenario_to_dict(fixture_scenario(name))
             ev = load_eval(tmp_path / f"{name}_eval.json")
-            assert eval_to_dict(ev) == eval_to_dict(fixture_eval(name))
+            assert oracle_eval_to_dict(ev) == oracle_eval_to_dict(fixture_eval(name))
 
-    def test_shipped_fixtures_match_generator(self):
+    def test_shipped_fixtures_match_generator(self, tmp_path):
         """The JSON files committed to the repository are exactly what the
-        generator produces."""
-        import os
-
-        here = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-        for name in ("aligned", "shuffled", "reversed"):
-            scn = load_scenario(os.path.join(here, f"{name}_scenario.json"))
-            assert scenario_to_dict(scn) == scenario_to_dict(fixture_scenario(name))
+        generator produces, byte for byte."""
+        paths = write_fixture_files(tmp_path)
+        assert sorted(p.name for p in map(Path, paths)) == sorted(p.name for p in (ROOT / "fixtures").glob("*.json"))
+        for path in map(Path, paths):
+            assert path.read_bytes() == (ROOT / "fixtures" / path.name).read_bytes(), path.name
 
 
 class TestCLILoss:
@@ -690,6 +687,70 @@ def test_delta_must_be_finite(command, tmp_path, capsys):
     assert main([command, "--scenario", str(path), "--step", "smooth", "--delta", "inf"]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: smooth step needs a finite delta > 0, got inf\n"
+
+
+BIG = 10**400  # an integer no float64 holds
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    (
+        pytest.param(
+            "loss", lambda doc: doc["anchors"][0].update(score=BIG), "anchors[0].score: expected a finite number",
+            id="anchor-score",
+        ),
+        pytest.param(
+            "loss", lambda doc: doc["gts"][1].__setitem__(2, BIG), "gts[1][2]: expected a finite number",
+            id="gt-corner",
+        ),
+        pytest.param(
+            "loss", lambda doc: doc["loc_kind"].update(tau=-BIG), "loc_kind.tau: expected a finite number",
+            id="tau",
+        ),
+        pytest.param(
+            "eval", lambda doc: doc["detections"][2].update(score=BIG), "detections[2].score: expected a finite number",
+            id="detection-score",
+        ),
+        pytest.param(
+            "eval",
+            lambda doc: doc["ground_truths"][0].update({"class": 10**30}),
+            "ground_truths[0].class: expected an integer in the int64 range",
+            id="class",
+        ),
+    ),
+)
+def test_numbers_out_of_range_named_at_their_field(command, edit, message, tmp_path, capsys):
+    if command == "loss":
+        doc, flag = oracle_scenario_to_dict(fixture_scenario("shuffled")), "--scenario"
+    else:
+        doc, flag = oracle_eval_to_dict(fixture_eval("shuffled")), "--input"
+    edit(doc)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, flag, str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_largest_delta_gives_finite_losses(tmp_path, capsys):
+    """MAX_DELTA keeps every loss finite, on a fixture and on the benchmark's
+    200 x 100 000 scenario; the next float up is refused."""
+    spec = ScenarioGenSpec(n_pos=200, n_neg=100_000, seed=1, score_low=0.0, score_high=10.0, pos_score_low=5.5)
+    big = generate_scenario(spec)
+    kind = StepKind.smoothed(MAX_DELTA)
+    for scn in (fixture_scenario("shuffled"), big.with_scores(np.round(big.scores, 3))):
+        for loss in (alrp_loss, ap_loss, ndcg_loss):
+            bd = loss(scn, kind)
+            assert np.isfinite([bd.total, bd.cls_component, bd.loc_component]).all()
+            assert np.isfinite(bd.score_grads).all() and np.isfinite(bd.box_grads).all()
+    path = tmp_path / "shuffled.json"
+    save_scenario(fixture_scenario("shuffled"), path)
+    args = ["loss", "--scenario", str(path), "--step", "smooth", "--delta"]
+    assert main(args + [repr(MAX_DELTA)]) == EXIT_OK
+    capsys.readouterr()
+    above = repr(float(np.nextafter(MAX_DELTA, np.inf)))
+    assert main(args + [above]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: smooth step needs a delta of at most 2**900, got {above}\n"
 
 
 @pytest.mark.parametrize("command, default", (("loss", "exact"), ("train", "smooth")))
