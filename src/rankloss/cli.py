@@ -111,6 +111,7 @@ def cmd_loss(args) -> int:
         "sb_weight": bd.sb_weight_applied,
         "n_nonsmooth": bd.n_nonsmooth,
         "n_kept": bd.n_kept,
+        "n_pairwise": bd.n_pairwise,
     }
     if args.grads:
         doc["score_grads"] = [float(g) for g in bd.score_grads]

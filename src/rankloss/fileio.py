@@ -96,8 +96,14 @@ _ANCHOR = '{\n      "label": %s,\n      "score": %s\n    }'
 _POSITIVE = '{\n      "label": "pos",\n      "score": %s,\n      "gt": %s,\n      "box": ' + _BOX + "\n    }"
 _DETECTION = '{\n      "score": %s,\n      "box": ' + _BOX + ',\n      "class": %s\n    }'
 _GROUND_TRUTH = '{\n      "box": ' + _BOX + ',\n      "class": %s\n    }'
-# json's spellings of the non-finite floats, and the entries per write.
-_NON_FINITE, _BLOCK = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}, 4096
+_BLOCK = 4096  # entries per write
+
+
+def _finite_boxes(path: str, boxes: np.ndarray, at=None) -> None:
+    """Refuse, as the loader would and before a file is opened, the first
+    non-finite corner of boxes; box i is path % at[i] (path % i without at)."""
+    for i, k in np.argwhere(~np.isfinite(boxes))[:1].tolist():
+        raise FileFormatError(f"{path % (i if at is None else at[i])}[{k}]", "expected a finite number")
 
 
 def _texts(column: np.ndarray) -> list:
@@ -107,7 +113,6 @@ def _texts(column: np.ndarray) -> list:
         encode = encode_basestring_ascii if column.dtype.kind == "U" else int.__repr__
         return [list(map(encode, column.tolist()))]
     text = list(map(float.__repr__, column.ravel().tolist()))
-    text = text if np.isfinite(column).all() else [_NON_FINITE.get(t, t) for t in text]
     width = column.shape[1] if column.ndim == 2 else 1
     return [text[k::width] for k in range(width)]
 
@@ -206,6 +211,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     index, kind = scenario.pos_index, scenario.loc_kind
+    _finite_boxes("gts[%d]", scenario.gts)
+    _finite_boxes("anchors[%d].box", scenario.pos_box, index)
     n, plain = _rows(_ANCHOR, scenario.labels, scenario.scores)
     positives = _rows(_POSITIVE, scenario.scores[index], scenario.pos_gt, scenario.pos_box)[1]
 
@@ -281,6 +288,8 @@ def eval_from_dict(doc: dict) -> EvalInput:
 
 
 def save_eval(inputs: EvalInput, path) -> None:
+    _finite_boxes("detections[%d].box", inputs.det_boxes)
+    _finite_boxes("ground_truths[%d].box", inputs.gt_boxes)
     dets = _rows(_DETECTION, inputs.det_scores, inputs.det_boxes, inputs.det_cls)
     gts = _rows(_GROUND_TRUTH, inputs.gt_boxes, inputs.gt_cls)
     _write(path, ('{\n  "version": %d,\n  "detections": ' % EVAL_VERSION, dets, ',\n  "ground_truths": ', gts, "\n}\n"))

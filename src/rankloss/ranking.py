@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -312,8 +313,9 @@ class StepRelation:
     """The step values H(x_k - q_i) between data x and queries q, held as
     windows of the sorted data instead of a table: per query, the data at
     sorted positions [hi, n) are at full height and those in [lo, hi) on
-    the ramp. One sort and two binary searches per query, O((K + M) log K)
-    for K data and M queries.
+    the ramp. The cost is one sort of the K kept data and two binary
+    searches per query, then per sum O(M) work at the window edges of the M
+    queries, beside a few elementwise passes over the data.
 
     lo and hi are found by evaluating step() itself, so whether a pair is
     in the support, or at full height, agrees with step() bit for bit at
@@ -339,7 +341,7 @@ class StepRelation:
         # idx: the positions in the data of the sorted kept data x.
         self.idx = kept[np.argsort(x[kept])]
         self.x = x = x[self.idx]
-        self.ill, self.mass = np.zeros(q.size, dtype=bool), None
+        self.ill, self.mass, self.pair_q = np.zeros(q.size, dtype=bool), None, np.zeros(0, np.intp)
         n = x.size
         if not (kind.smooth and n):
             self.lo = self.mid = self.hi = np.searchsorted(x, q, "left")
@@ -359,7 +361,7 @@ class StepRelation:
         self.c1 = np.where(self.lo < self.mid, ref[self.lo] - q + d, 0.0)
         self.c2 = np.where(self.mid < self.hi, ref[self.mid] - q + d, 0.0)
 
-        self.mass = self._sums(np.ones(n))
+        self.mass = self._sums()
         self.ill = (self.mass < 1.0) & (self.lo < self.hi)
         ill = np.flatnonzero(self.ill)
         count = self.hi[ill] - self.lo[ill]
@@ -367,16 +369,16 @@ class StepRelation:
         self.pair_k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - self.lo[ill], count)
         self.pair_h = step(x[self.pair_k] - q[self.pair_q], kind)
 
-    def _sums(self, w):
-        """Row sums of the windows for weights w (sorted data order)."""
+    def _sums(self, w=None):
+        """Row sums of the windows for weights w (sorted data order; None: unit weights, by counts)."""
         n, lo, mid, hi = self.x.size, self.lo, self.mid, self.hi
-        pw = _prefix(w)
-        out = _sum(pw, hi, n)
+        span = (lambda a, b: (b - a).astype(np.float64)) if w is None else partial(_sum, _prefix(w))
+        out = span(hi, n)
         if self.kind.smooth and n:
-            pt = _prefix(w * self.t)
+            pt = _prefix(self.t if w is None else w * self.t)
             ramp = (
-                _sum(pt, lo, mid) + self.c1 * _sum(pw, lo, mid)
-                + _sum(pt, mid, hi) + self.c2 * _sum(pw, mid, hi)
+                _sum(pt, lo, mid) + self.c1 * span(lo, mid)
+                + _sum(pt, mid, hi) + self.c2 * span(mid, hi)
             )
             out = out + ramp / (2.0 * self.kind.delta)
         return out
@@ -385,7 +387,7 @@ class StepRelation:
         """sum_k w_k H(x_k - q_i) for every query (w_k = 1 by default)."""
         if weights is None:
             w = np.ones(self.x.size)
-            out = self._sums(w) if self.mass is None else self.mass.copy()
+            out = self._sums() if self.mass is None else self.mass.copy()
         else:
             w = np.asarray(weights, dtype=np.float64)[self.idx]
             out = self._sums(w)
@@ -396,22 +398,35 @@ class StepRelation:
 
     def col_sums(self, weights):
         """sum_i w_i H(x_k - q_i) for every datum, in data order: each
-        query's weight, spread over its own windows by running sums."""
+        query's weight, spread over its own windows by running sums, taken
+        at the distinct window edges below n and held between them."""
         w = np.asarray(weights, dtype=np.float64)
-        n, lo, mid, hi = self.x.size, self.lo, self.mid, self.hi
-        out = np.zeros(self.size)
+        n, out = self.x.size, np.zeros(self.size)
         if not n:
             return out
         u = np.where(self.ill, 0.0, w)
+        # Marked, not np.unique: its first call raises the peak RSS by over 1 MB.
+        marked = np.zeros(n + 1, dtype=bool)
+        marked[self.lo] = marked[self.mid] = marked[self.hi] = True
+        edges = np.flatnonzero(marked[:n])
+        lo, mid, hi = (np.searchsorted(edges, e) for e in (self.lo, self.mid, self.hi))
 
         def steps(at, v):
-            return np.bincount(at, v, n + 1)[:n]
+            return np.bincount(at, v, edges.size + 1)[:-1]
 
-        g = _running(steps(hi, u))
+        def held(v):
+            # _running over the data adds only +0 between edges, which changes no sum; only its
+            # grid can differ, when the sum that sets it is near a power of two: run that case whole.
+            m = np.frexp(np.abs(v).sum())[0]
+            if 0.25 - 2.0**-40 < abs(m - 0.75) < 0.5:
+                return _running(np.bincount(edges, v, n))
+            return np.repeat(np.append(0.0, _running(v)), np.diff(edges, prepend=0, append=n))
+
+        g = held(steps(hi, u))
         if self.kind.smooth:
             uc1, uc2 = u * self.c1, u * self.c2
-            a = _running(steps(lo, u) - steps(hi, u))
-            b = _running(steps(lo, uc1) - steps(mid, uc1) + steps(mid, uc2) - steps(hi, uc2))
+            a = held(steps(lo, u) - steps(hi, u))
+            b = held(steps(lo, uc1) - steps(mid, uc1) + steps(mid, uc2) - steps(hi, uc2))
             g = g + (self.t * a + b) / (2.0 * self.kind.delta)
         # Before the first window every running sum is exactly +0 already.
         g = np.maximum(g, 0.0)

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite: randomized scenarios, a naive
 pairwise-table oracle that materializes what the assembly never builds, the
 per-positive loops that define every rank statistic and gradient, kept as
-oracles for the sort-based engine (rankloss.ranking.step_sums), the
+oracles for the sort-based engine (rankloss.ranking.step_sums), its window
+sums over the full length of the data, kept as oracles for the sums at the
+window edges (StepRelation.col_sums and the unit-weight row sums), the
 AnchorRecord-list Scenario and the scalar box geometry, kept as oracles for
 the columnar Scenario and the geometry array forms, and the per-threshold
 evaluator (scalar IoU per pair, one matching per score threshold), the
@@ -55,6 +57,9 @@ from rankloss.ranking import (
     GradReport,
     RankStats,
     Scenario,
+    _prefix,
+    _running,
+    _sum,
     assemble_gradients,
     diff_transform,
     rank_stats,
@@ -115,6 +120,53 @@ def naive_pair_tables(scenario, loss_def, kind):
         table[i] = ell[i] * p_row
         table_star[i] = ell_star[i] * p_row
     return table, table_star, z
+
+
+# ---------------------------------------------------------------------------
+# StepRelation's window sums over the full length of the data: every running
+# and unit-weight prefix sum taken datum by datum. The relation takes them
+# only at the window edges and from counts, and must give the same bits.
+# ---------------------------------------------------------------------------
+
+
+def oracle_window_sums(rel, w):
+    """StepRelation._sums(w) from the prefix sums of w and w * t."""
+    n, lo, mid, hi = rel.x.size, rel.lo, rel.mid, rel.hi
+    pw = _prefix(w)
+    out = _sum(pw, hi, n)
+    if rel.kind.smooth and n:
+        pt = _prefix(w * rel.t)
+        ramp = (
+            _sum(pt, lo, mid) + rel.c1 * _sum(pw, lo, mid)
+            + _sum(pt, mid, hi) + rel.c2 * _sum(pw, mid, hi)
+        )
+        out = out + ramp / (2.0 * rel.kind.delta)
+    return out
+
+
+def oracle_col_sums(rel, weights):
+    """StepRelation.col_sums(weights) from running sums over every datum."""
+    w = np.asarray(weights, dtype=np.float64)
+    n, lo, mid, hi = rel.x.size, rel.lo, rel.mid, rel.hi
+    out = np.zeros(rel.size)
+    if not n:
+        return out
+    u = np.where(rel.ill, 0.0, w)
+
+    def steps(at, v):
+        return np.bincount(at, v, n + 1)[:n]
+
+    g = _running(steps(hi, u))
+    if rel.kind.smooth:
+        uc1, uc2 = u * rel.c1, u * rel.c2
+        a = _running(steps(lo, u) - steps(hi, u))
+        b = _running(steps(lo, uc1) - steps(mid, uc1) + steps(mid, uc2) - steps(hi, uc2))
+        g = g + (rel.t * a + b) / (2.0 * rel.kind.delta)
+    g = np.maximum(g, 0.0)
+    if rel.ill.any():
+        g += np.bincount(rel.pair_k, w[rel.pair_q] * rel.pair_h, n)
+    out[rel.idx] = g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +277,14 @@ def oracle_assemble_gradients(scenario, loss_def, kind):
     )
 
 
+def oracle_pairwise(scenario, kind):
+    """Pairs of the positives whose step mass over the negatives is below
+    1, counted over the full |P| x |N| step table: the pairs the engine
+    evaluates one by one (none for the exact step, whose mass is a count)."""
+    table = step(diff_transform(scenario.pos_scores()[:, None], scenario.neg_scores()[None, :]), kind)
+    return int(np.count_nonzero(table[table.sum(axis=1) < 1.0]))
+
+
 def oracle_kept(scenario, kind):
     """Negatives with a nonzero step value against some positive, counted
     over the full |P| x |N| step table."""
@@ -233,8 +293,8 @@ def oracle_kept(scenario, kind):
 
 
 def _breakdown_from(scenario, kind, total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmooth=0):
-    """A LossBreakdown with the field types the losses return; n_kept is
-    counted by oracle_kept."""
+    """A LossBreakdown with the field types the losses return; n_kept and
+    n_pairwise are counted by oracle_kept and oracle_pairwise."""
     return LossBreakdown(
         total=float(total),
         cls_component=float(cls_c),
@@ -245,6 +305,7 @@ def _breakdown_from(scenario, kind, total, cls_c, loc_c, report, box_grads, sb_w
         sb_weight_applied=float(sb_weight),
         n_nonsmooth=int(n_nonsmooth),
         n_kept=oracle_kept(scenario, kind),
+        n_pairwise=oracle_pairwise(scenario, kind),
     )
 
 

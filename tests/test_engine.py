@@ -2,15 +2,26 @@
 oracles in conftest, on the inputs where prefix sums can lose precision:
 scores far larger than delta, exact positive/negative ties, negatives
 exactly on a support edge, a single positive, no negatives and all-equal
-scores."""
+scores. The window sums at the edges are compared with their full-length
+oracles by ==, and counted: the running sums in col_sums are no longer
+than the distinct window edges, and no all-ones array is prefix-summed.
+The pairs of low step mass each loss evaluates one by one are counted."""
+
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_loss
+from conftest import oracle_col_sums, oracle_loss, oracle_pairwise, oracle_window_sums
+from rankloss import ranking
+from rankloss.fileio import load_scenario
 from rankloss.losses import alrp_loss, ap_loss, balance_ratio, ndcg_loss, wrong_target_alrp
 from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, StepRelation, step, step_sums
+from rankloss.trainer import ScenarioGenSpec, generate_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ALL_FIELDS_RTOL = 1e-12
 GRAD_ATOL = 1e-14
@@ -225,3 +236,129 @@ class TestLossesAgainstOracle:
         scn = make_scenario([score] * n_pos, [score] * n_neg, fr)
         for kind in (StepKind.exact(), StepKind.smoothed(1e-3), StepKind.smoothed(1.0)):
             assert_matches_oracle(scn, kind)
+
+
+def same(a, b):
+    """== everywhere, with the same sign on every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def edge_relations(draw):
+    """(data, queries, kind, weights): queries from a pool of at most four
+    scores, so that many share each edge; data on each pool score's grid of
+    delta / 4 (both support edges on it), just inside its lower edge, and
+    anywhere around it, optionally offset by 1e6. Optionally one more query
+    lies 3 delta above the pool, and its window holds only data just inside
+    its lower edge: a low step mass beside ordinary queries. Weights are
+    uniform, zero, or dyadic with a sum that is a power of two."""
+    delta = draw(st.sampled_from([1e-3, 0.5, 2.0**900]))
+    kind = StepKind.smoothed(delta) if draw(st.booleans()) else StepKind.exact()
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    pool = draw(st.lists(st.integers(-8, 8).map(lambda k: k * delta / 2), min_size=1, max_size=4))
+    queries = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    near = st.tuples(st.sampled_from(pool), st.integers(-8, 8)).map(lambda e: e[0] + e[1] * delta / 4)
+    inside = st.tuples(st.sampled_from(pool), st.sampled_from([2.0**-30, 2.0**-10])).map(lambda e: e[0] - delta + e[1] * delta)
+    around = st.floats(-6.0, 6.0).map(lambda u: u * delta)
+    data = draw(st.lists(st.one_of(near, inside, around), max_size=40))
+    if draw(st.booleans()):
+        top = max(pool) + 3 * delta
+        queries.append(top)
+        data += [top - delta + f * delta for f in draw(st.lists(st.sampled_from([2.0**-30, 2.0**-10]), min_size=1, max_size=4))]
+    m = len(queries)
+    ints, scale = draw(st.lists(st.integers(0, 16), min_size=m - 1, max_size=m - 1)), draw(st.sampled_from([0, 3, 60]))
+    ints.append(2 ** sum(ints).bit_length() - sum(ints))  # the sum is a power of two
+    weights = draw(
+        st.one_of(
+            st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m),
+            st.just([0.0] * m),
+            st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m),
+            st.just([k * 2.0**-scale for k in ints]),
+        )
+    )
+    return np.array(data) + offset, np.array(queries) + offset, kind, np.array(weights)
+
+
+class TestWindowEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_relations())
+    def test_sums_at_the_edges_equal_the_full_length_sums(self, drawn):
+        """Column sums and unit-weight row sums against the full-length
+        oracles: the same float operations, so == with signed zeros."""
+        data, queries, kind, weights = drawn
+        rel = StepRelation(data, queries, kind)
+        ones = np.ones(rel.x.size)
+        assert same(rel._sums(), oracle_window_sums(rel, ones))
+        if rel.mass is not None:
+            assert same(rel.mass, oracle_window_sums(rel, ones))
+        assert same(rel.col_sums(weights), oracle_col_sums(rel, weights))
+
+    def test_grid_from_a_sum_near_a_power_of_two(self):
+        """Weights whose pairwise sum is 1 - 2**-53 over the 13 edges but 1
+        over the 50 data (the terms are grouped differently): the edges'
+        grid would be half the data's, and data 14-16 would move by 1 ulp
+        unless the running sums near a power of two are taken over the data."""
+        edges = [0, 8, 14, 17, 20, 23, 27, 28, 35, 37, 38, 44, 49]
+        weights = [
+            5.5621485695474414e-14, 3.0332222302505566e-20, 8.281600217412069e-14, 3.3960480862622267e-17,
+            7.368146106494353e-18, 1.6677827140874772e-06, 1.3841549898730238e-06, 0.9999728554249275,
+            5.694444537623069e-06, 1.5327987792121482e-13, 1.769633279204127e-05, 1.359227864432404e-09,
+            7.005005192491136e-07,
+        ]
+        assert np.sum(weights) == 1.0 - 2.0**-53 and np.sum(np.bincount(edges, weights, 50)) == 1.0
+        x = np.arange(50.0)
+        rel = StepRelation(x, x[edges], StepKind.exact())
+        assert same(rel.col_sums(weights), oracle_col_sums(rel, weights))
+
+    def test_a_loss_runs_its_sums_over_edges_not_data(self):
+        """One smooth loss at 50 x 20 000: every running sum in col_sums is
+        taken over the distinct window edges (at most 3P), and the unit
+        weights of the step mass never reach a prefix sum."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=50, n_neg=20_000, seed=4))
+        kind = StepKind.smoothed(0.5)
+        rel = StepRelation(scn.neg_scores(), scn.pos_scores(), kind)
+        edges = np.unique(np.concatenate((rel.lo, rel.mid, rel.hi)))
+        n_edges = np.count_nonzero(edges < rel.x.size)
+        running, prefixed = [], []
+
+        def count(calls, fn):
+            return lambda v: calls.append(np.array(v)) or fn(v)
+
+        with mock.patch.object(ranking, "_running", count(running, ranking._running)), mock.patch.object(
+            ranking, "_prefix", count(prefixed, ranking._prefix)
+        ):
+            alrp_loss(scn, kind)
+        assert rel.x.size > 10_000 and len(running) == 3
+        assert all(v.size <= n_edges <= 3 * scn.n_pos for v in running)
+        assert not any(v.size and np.all(v == 1.0) for v in prefixed)
+
+
+class TestPairwiseCount:
+    @staticmethod
+    def counts(scn, kind):
+        return {fn(scn, kind).n_pairwise for fn in LOSSES.values()}
+
+    def test_every_pair_of_a_low_mass_layout(self):
+        """Positives near 5.0, negatives in 4.0 + [1e-7, 2e-7], delta 1:
+        every negative lies just inside every positive's lower support edge,
+        each step mass is about 4e-5, and all P x N pairs are evaluated."""
+        rng = np.random.default_rng(0)
+        pos, neg = 5.0 - rng.uniform(0.0, 1e-8, 20), 4.0 + rng.uniform(1e-7, 2e-7, 500)
+        scn = make_scenario(pos, neg, np.full(20, 0.8))
+        kind = StepKind.smoothed(1.0)
+        assert self.counts(scn, kind) == {20 * 500} == {oracle_pairwise(scn, kind)}
+        assert self.counts(scn, StepKind.exact()) == {0}
+
+    def test_none_on_the_fixture_and_the_benchmark_scenario(self):
+        """None at the CLI's steps on the shuffled fixture and at the loss
+        benchmark's steps on its scenario; at delta 0.5 one of the fixture's
+        positives has a step mass below 1, and its pairs are counted."""
+        shuffled = load_scenario(ROOT / "fixtures" / "shuffled_scenario.json")
+        spec = ScenarioGenSpec(n_pos=200, n_neg=100_000, seed=1, score_low=0.0, score_high=10.0, pos_score_low=5.5)
+        bench = generate_scenario(spec)
+        bench = bench.with_scores(np.round(bench.scores, 3))
+        for scn, delta in ((shuffled, 1.0), (bench, 0.5)):
+            for kind in (StepKind.exact(), StepKind.smoothed(delta)):
+                assert self.counts(scn, kind) == {0}
+        half = StepKind.smoothed(0.5)
+        assert self.counts(shuffled, half) == {oracle_pairwise(shuffled, half)} == {3}

@@ -376,8 +376,22 @@ class TestCLILoss:
         save_scenario(scn, path)
         assert main(["loss", "--scenario", str(path), "--step", "smooth", "--delta", "1"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert list(doc)[-2:] == ["n_nonsmooth", "n_kept"]
+        assert list(doc)[-3:] == ["n_nonsmooth", "n_kept", "n_pairwise"]
         assert 0 < doc["n_kept"] == pruned_size(scn, FastConfig(delta=1.0)) < scn.n_neg
+
+    def test_pairwise_count_reported(self, tmp_path, capsys):
+        # Every negative just inside every positive's lower support edge:
+        # each step mass is about 3e-6, so all 3 x 40 pairs are evaluated.
+        labels, scores = ["pos"] * 3 + ["neg"] * 40, [5.0] * 3 + list(4.0 + np.linspace(1e-7, 2e-7, 40))
+        boxes = [[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(3)]
+        path = tmp_path / "low_mass.json"
+        save_scenario(Scenario.from_columns(labels, scores, [0, 1, 2], boxes, boxes), path)
+        argv = ["loss", "--scenario", str(path), "--step", "smooth", "--delta", "1"]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_pairwise"] == 120
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        header, values = capsys.readouterr().out.splitlines()
+        assert header.endswith(",n_kept,n_pairwise") and values.endswith(",40,120")
 
     @pytest.mark.parametrize(
         "flags, message",

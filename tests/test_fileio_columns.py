@@ -1,7 +1,8 @@
 """The column writers and screens of rankloss.fileio against the dict
 oracles in conftest, compared with ==: saved files are the bytes of
 json.dump(indent=2) on the oracle document (extreme and tied scores, signed
-zeros, non-finite corners, empty lists, block boundaries), and a loaded
+zeros, empty lists, block boundaries), a non-finite corner is refused with
+the loader's message before any file is written, and a loaded
 document gives the oracle's columns (dtype, shape and bytes) or its
 exception type and message, on hostile documents. Two counting tests keep
 json's indent encoder out of the file path and the per-entry checker off
@@ -10,6 +11,7 @@ every valid non-positive anchor."""
 import copy
 import json
 import json.encoder
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +20,15 @@ from hypothesis import strategies as st
 
 from conftest import oracle_eval_from_dict, oracle_eval_to_dict, oracle_scenario_from_dict, oracle_scenario_to_dict
 from rankloss import fileio
-from rankloss.fileio import eval_from_dict, load_eval, load_scenario, save_eval, save_scenario, scenario_from_dict
+from rankloss.fileio import (
+    FileFormatError,
+    eval_from_dict,
+    load_eval,
+    load_scenario,
+    save_eval,
+    save_scenario,
+    scenario_from_dict,
+)
 from rankloss.fixtures import fixture_eval
 from rankloss.geometry import LocErrorKind
 from rankloss.metrics import EvalInput
@@ -48,8 +58,8 @@ def ordered_boxes(draw, n):
 def scenarios(draw, ordered=True):
     """Scenarios with at least one positive, any number of negatives
     (zero too) and ignored anchors; with ordered=False positive boxes may
-    be out of order or hold non-finite corners, which only the reader
-    refuses."""
+    be out of order, which only the reader refuses, or hold non-finite
+    corners, which the writer refuses too."""
     n_pos, n_neg, n_ign = draw(st.integers(1, 6)), draw(st.integers(0, 12)), draw(st.integers(0, 3))
     labels = draw(st.permutations([POS] * n_pos + [NEG] * n_neg + [IGNORE] * n_ign))
     n_gts = draw(st.integers(1, 3))
@@ -108,8 +118,16 @@ class TestWriterAgainstOracle:
     @given(scenarios(ordered=False))
     def test_scenario_bytes(self, tmp_path_factory, scenario):
         path = tmp_path_factory.mktemp("w") / "s.json"
+        doc = oracle_scenario_to_dict(scenario)
+        boxes = [(i, entry["box"]) for i, entry in enumerate(doc["anchors"]) if "box" in entry]
+        bad = [f"anchors[{i}].box[{k}]" for i, box in boxes for k, v in enumerate(box) if not np.isfinite(v)]
+        if bad:
+            with pytest.raises(FileFormatError, match=r"^%s: expected a finite number$" % re.escape(bad[0])):
+                save_scenario(scenario, path)
+            assert not path.exists()
+            return
         save_scenario(scenario, path)
-        assert path.read_text() == oracle_text(oracle_scenario_to_dict(scenario))
+        assert path.read_text() == oracle_text(doc)
 
     @SETTINGS
     @given(eval_inputs())
@@ -117,6 +135,31 @@ class TestWriterAgainstOracle:
         path = tmp_path_factory.mktemp("w") / "e.json"
         save_eval(inputs, path)
         assert path.read_text() == oracle_text(oracle_eval_to_dict(inputs))
+
+    @pytest.mark.parametrize(
+        "save, columns, field",
+        (
+            (save_scenario, (["pos", "neg"], [0.5, 0.1], [0], [[1.0, 0.0, 0.0, np.inf]], [[0, 0, 1, 1]]), "anchors[0].box[3]"),
+            (save_scenario, (["neg", "pos"], [0.5, 0.1], [0], [[0, 0, 1, 1]], [[0, 0, 1, 1], [0, np.nan, 1, 1]]), "gts[1][1]"),
+            (save_scenario, (["neg", "pos", "pos"], [0.5, 0.1, 0.2], [0, 0], [[0, 0, 1, 1], [-np.inf, 0, 1, 1]], [[0, 0, 1, 1]]), "anchors[2].box[0]"),
+            (save_eval, ([0.5], [0], [[0, 0, np.inf, 1]], [0], [[0, 0, 1, 1]]), "detections[0].box[2]"),
+            (save_eval, ([0.5, 0.4], [0, 1], [[0, 0, 1, 1]] * 2, [0, 1], [[0, 0, 1, 1], [0, -np.inf, 1, 1]]), "ground_truths[1].box[1]"),
+        ),
+        ids=("scenario-inf-box", "scenario-nan-gt", "scenario-second-positive", "eval-inf-detection", "eval-inf-ground-truth"),
+    )
+    def test_non_finite_values_are_refused_before_writing(self, tmp_path, save, columns, field):
+        """Refused with the message the loader gives for the same field in a
+        file json.dump writes, and no file is left behind."""
+        obj = Scenario.from_columns(*columns) if save is save_scenario else EvalInput(*columns)
+        path = tmp_path / "out.json"
+        with pytest.raises(FileFormatError) as err:
+            save(obj, path)
+        assert not path.exists()
+        to_dict, load = (oracle_scenario_to_dict, load_scenario) if save is save_scenario else (oracle_eval_to_dict, load_eval)
+        path.write_text(json.dumps(to_dict(obj)))
+        with pytest.raises(FileFormatError) as loaded:
+            load(path)
+        assert str(err.value) == str(loaded.value) == f"{field}: expected a finite number"
 
     def test_lists_longer_than_a_block(self, tmp_path):
         """Positives on both sides of every block boundary, in both files."""
