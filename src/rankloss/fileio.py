@@ -99,11 +99,18 @@ _GROUND_TRUTH = '{\n      "box": ' + _BOX + ',\n      "class": %s\n    }'
 _BLOCK = 4096  # entries per write
 
 
-def _finite_boxes(path: str, boxes: np.ndarray, at=None) -> None:
-    """Refuse, as the loader would and before a file is opened, the first
-    non-finite corner of boxes; box i is path % at[i] (path % i without at)."""
-    for i, k in np.argwhere(~np.isfinite(boxes))[:1].tolist():
-        raise FileFormatError(f"{path % (i if at is None else at[i])}[{k}]", "expected a finite number")
+def _checked_boxes(path: str, boxes: np.ndarray, at=None) -> None:
+    """Refuse, as the scenario loader would and before a file is opened, the
+    first box with a non-finite corner (named at the corner) or with corners
+    out of order (named at the box; an EvalInput holds none); box i is
+    path % at[i] (path % i without at)."""
+    finite = np.isfinite(boxes)
+    ordered = (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])
+    for i in np.flatnonzero(~(finite.all(axis=1) & ordered))[:1].tolist():
+        name = path % (i if at is None else at[i])
+        for k in np.flatnonzero(~finite[i])[:1].tolist():
+            raise FileFormatError(f"{name}[{k}]", "expected a finite number")
+        raise FileFormatError(name, CORNER_ORDER % tuple(boxes[i].tolist()))
 
 
 def _texts(column: np.ndarray) -> list:
@@ -211,8 +218,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     index, kind = scenario.pos_index, scenario.loc_kind
-    _finite_boxes("gts[%d]", scenario.gts)
-    _finite_boxes("anchors[%d].box", scenario.pos_box, index)
+    _checked_boxes("gts[%d]", scenario.gts)
+    _checked_boxes("anchors[%d].box", scenario.pos_box, index)
     n, plain = _rows(_ANCHOR, scenario.labels, scenario.scores)
     positives = _rows(_POSITIVE, scenario.scores[index], scenario.pos_gt, scenario.pos_box)[1]
 
@@ -288,8 +295,8 @@ def eval_from_dict(doc: dict) -> EvalInput:
 
 
 def save_eval(inputs: EvalInput, path) -> None:
-    _finite_boxes("detections[%d].box", inputs.det_boxes)
-    _finite_boxes("ground_truths[%d].box", inputs.gt_boxes)
+    _checked_boxes("detections[%d].box", inputs.det_boxes)
+    _checked_boxes("ground_truths[%d].box", inputs.gt_boxes)
     dets = _rows(_DETECTION, inputs.det_scores, inputs.det_boxes, inputs.det_cls)
     gts = _rows(_GROUND_TRUTH, inputs.gt_boxes, inputs.gt_cls)
     _write(path, ('{\n  "version": %d,\n  "detections": ' % EVAL_VERSION, dets, ',\n  "ground_truths": ', gts, "\n}\n"))

@@ -171,13 +171,6 @@ def ndcg_ideal_gain(n_pos):
     return float((1.0 / np.log2(1.0 + np.arange(1, n_pos + 1))).sum())
 
 
-def lrp_per_positive(scenario, kind=StepKind.exact()):
-    """The per-positive ranking-LRP values l(i) the aLRP loss averages."""
-    stats = rank_stats(scenario, kind)
-    ell, _ = ALRPLossDef().local_errors(scenario, stats, kind)
-    return ell
-
-
 def alrp_soft_weights(scenario, kind=StepKind.exact()):
     """Per-positive weights w with sum_i w_i E_loc(i) == loc_component.
 

@@ -201,16 +201,6 @@ def _recall_grid(recall_points) -> np.ndarray:
     return np.asarray(recall_points, dtype=np.float64)
 
 
-def ap_at_iou(inputs: EvalInput, tau: float, recall_points=TEN_POINT_RECALLS) -> float:
-    """Average precision at one IoU threshold, averaged over classes.
-
-    Per class, precision is interpolated (monotone envelope) and sampled at
-    the recall grid; the samples' mean is that class's AP.  Classes present
-    in the ground truth but absent from the detections contribute zero.
-    """
-    return mean_ap(inputs, (tau,), recall_points)["mean_ap"]
-
-
 def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_points=TEN_POINT_RECALLS) -> dict:
     """AP averaged over IoU thresholds; returns the per-threshold table too.
 
@@ -378,11 +368,15 @@ def ranking_correlation(scenario: Scenario) -> float:
     order agrees perfectly with localisation quality and -1 means it is
     exactly reversed.  Needs at least two positives and nonconstant ranks.
     """
-    scores = scenario.pos_scores()
+    return _rank_correlation(scenario.pos_scores(), positive_ious(scenario))
+
+
+def _rank_correlation(scores: np.ndarray, ious: np.ndarray) -> float:
+    """ranking_correlation from the positives' scores and IoUs."""
     if scores.size < 2:
         raise ValueError("rank correlation needs at least two positives")
     r_score = average_ranks_desc(scores)
-    r_iou = average_ranks_desc(positive_ious(scenario))
+    r_iou = average_ranks_desc(ious)
     if np.all(r_score == r_score[0]) or np.all(r_iou == r_iou[0]):
         raise ValueError("rank correlation is undefined for constant rank vectors")
     c = np.corrcoef(r_score, r_iou)

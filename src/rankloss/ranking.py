@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -67,12 +66,10 @@ def step(x, kind):
     x = np.asarray(x, dtype=np.float64)
     if not kind.smooth:
         return (x >= 0.0).astype(np.float64)
-    return np.clip(x / (2.0 * kind.delta) + 0.5, 0.0, 1.0)
-
-
-def diff_transform(scores_i, scores_j):
-    """x_ij = s_j - s_i for broadcastable score arrays."""
-    return np.asarray(scores_j, dtype=np.float64) - np.asarray(scores_i, dtype=np.float64)
+    # One buffer, as a large x's fresh temporaries cost more than the arithmetic; [()]: a scalar x gives a scalar.
+    h = np.divide(x, 2.0 * kind.delta, out=np.empty_like(x))
+    h += 0.5
+    return np.minimum(np.maximum(h, 0.0, out=h), 1.0, out=h)[()]
 
 
 @dataclass(frozen=True)
@@ -251,43 +248,49 @@ class Scenario:
 
 
 def _prefix(v):
-    """Prefix sums of v (leading 0) as a (high, low) pair of arrays.
+    """Prefix sums of v (leading 0) along its last axis, as a stacked (high,
+    low) pair of arrays.
 
-    The high parts lie on a power-of-two grid coarse enough that their
-    running sums are exact, so the difference of two prefixes (see _sum) is
-    as precise as the terms between them, however large the prefix before
-    them."""
-    grid = np.ldexp(1.0, max(np.frexp(np.abs(v).sum())[1] - 52, -1022))
-    high = np.round(v / grid) * grid
-    return (
-        np.concatenate(([0.0], np.cumsum(high))),
-        np.concatenate(([0.0], np.cumsum(v - high))),
-    )
+    The high parts lie on a power-of-two grid, one per row, coarse enough
+    that their running sums are exact, so the difference of two prefixes
+    (see _sum) is as precise as the terms between them, however large the
+    prefix before them."""
+    grid = np.ldexp(1.0, np.maximum(np.frexp(np.abs(v).sum(axis=-1, keepdims=True))[1] - 52, -1022))
+    # In place, as in step(): high = rint(v / grid) * grid, then low = v - high in its buffer.
+    high = v / grid
+    high = np.multiply(np.rint(high, out=high), grid, out=high)
+    out = np.zeros((2, *v.shape[:-1], v.shape[-1] + 1))
+    np.cumsum(high, axis=-1, out=out[0, ..., 1:])
+    np.cumsum(np.subtract(v, high, out=high), axis=-1, out=out[1, ..., 1:])
+    return out
 
 
 def _sum(prefix, a, b):
-    """Sum of the terms a .. b-1 of a _prefix pair (a, b broadcast)."""
+    """Sum of the terms a .. b-1 of a 1-D _prefix pair (a, b broadcast)."""
     high, low = prefix
     return (high[b] - high[a]) + (low[b] - low[a])
 
 
 def _running(v):
-    """Running sums v_0, v_0 + v_1, ... as precise as _sum."""
+    """Running sums v_0, v_0 + v_1, ... along the last axis, as precise as _sum."""
     high, low = _prefix(v)
-    return high[1:] + low[1:]
+    return high[..., 1:] + low[..., 1:]
 
 
 def _first(x, q, test, guess):
     """Per query q_i, the first position k of sorted x with test(x_k - q_i)
-    true (x.size if none); test must be monotone in x. guess is kept where
-    it is that position and replaced by bisection elsewhere."""
+    true (x.size if none); test must be monotone in x. guess is returned as
+    it is when every entry is that position; otherwise a copy with the wrong
+    entries replaced by bisection."""
     n = x.size
 
     def holds(k, qq):
         return (k >= n) | test(x[np.minimum(k, n - 1)] - qq)
 
+    bad = np.flatnonzero(~holds(guess, q) | ((guess > 0) & holds(guess - 1, q)))
+    if not bad.size:
+        return guess
     k = guess.copy()
-    bad = np.flatnonzero(~holds(k, q) | ((k > 0) & holds(k - 1, q)))
     lo, hi, qb = np.zeros(bad.size, np.intp), np.full(bad.size, n, np.intp), q[bad]
     while np.any(lo < hi):
         mid = (lo + hi) // 2
@@ -352,9 +355,10 @@ class StepRelation:
 
         cell = np.floor(x / (4.0 * d))
         first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-        size = np.diff(np.append(first, n))
-        ref = np.append(np.repeat(x[first], size), 0.0)
-        cell_end = np.append(np.repeat(np.append(first[1:], n), size), n)
+        bounds = np.concatenate((first, [n]))
+        size = bounds[1:] - bounds[:-1]
+        ref = np.concatenate((np.repeat(x[first], size), [0.0]))
+        cell_end = np.concatenate((np.repeat(bounds[1:], size), [n]))
         self.t = x - ref[:-1]
         self.mid = np.minimum(cell_end[self.lo], self.hi)
         # Zero on an empty segment, where ref may lie far from q.
@@ -364,6 +368,8 @@ class StepRelation:
         self.mass = self._sums()
         self.ill = (self.mass < 1.0) & (self.lo < self.hi)
         ill = np.flatnonzero(self.ill)
+        if not ill.size:
+            return
         count = self.hi[ill] - self.lo[ill]
         self.pair_q = np.repeat(ill, count)
         self.pair_k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - self.lo[ill], count)
@@ -371,17 +377,15 @@ class StepRelation:
 
     def _sums(self, w=None):
         """Row sums of the windows for weights w (sorted data order; None: unit weights, by counts)."""
-        n, lo, mid, hi = self.x.size, self.lo, self.mid, self.hi
-        span = (lambda a, b: (b - a).astype(np.float64)) if w is None else partial(_sum, _prefix(w))
-        out = span(hi, n)
-        if self.kind.smooth and n:
-            pt = _prefix(self.t if w is None else w * self.t)
-            ramp = (
-                _sum(pt, lo, mid) + self.c1 * span(lo, mid)
-                + _sum(pt, mid, hi) + self.c2 * span(mid, hi)
-            )
-            out = out + ramp / (2.0 * self.kind.delta)
-        return out
+        n = self.x.size
+        if not (self.kind.smooth and n):
+            return (n - self.hi).astype(np.float64) if w is None else _sum(_prefix(w), self.hi, n)
+        # The windows' segments [a, b): [hi, n) at full height, then [lo, mid) and [mid, hi) on the ramp.
+        a = np.array((self.hi, self.lo, self.mid))
+        b = np.array((np.full_like(self.hi, n), self.mid, self.hi))
+        span = (b - a).astype(np.float64) if w is None else _sum(_prefix(w), a, b)
+        pt = _sum(_prefix(self.t if w is None else w * self.t), a[1:], b[1:])
+        return span[0] + (pt[0] + self.c1 * span[1] + pt[1] + self.c2 * span[2]) / (2.0 * self.kind.delta)
 
     def row_sums(self, weights=None):
         """sum_k w_k H(x_k - q_i) for every query (w_k = 1 by default)."""
@@ -409,25 +413,32 @@ class StepRelation:
         marked = np.zeros(n + 1, dtype=bool)
         marked[self.lo] = marked[self.mid] = marked[self.hi] = True
         edges = np.flatnonzero(marked[:n])
-        lo, mid, hi = (np.searchsorted(edges, e) for e in (self.lo, self.mid, self.hi))
-
-        def steps(at, v):
-            return np.bincount(at, v, edges.size + 1)[:-1]
-
-        def held(v):
-            # _running over the data adds only +0 between edges, which changes no sum; only its
-            # grid can differ, when the sum that sets it is near a power of two: run that case whole.
-            m = np.frexp(np.abs(v).sum())[0]
-            if 0.25 - 2.0**-40 < abs(m - 0.75) < 0.5:
-                return _running(np.bincount(edges, v, n))
-            return np.repeat(np.append(0.0, _running(v)), np.diff(edges, prepend=0, append=n))
-
-        g = held(steps(hi, u))
+        m = edges.size + 1
+        # Each row's weights put down at its window edges' numbers (n is m - 1, dropped), all
+        # rows in one bincount over row-offset bins: row r's edge e is bin r * m + e.
         if self.kind.smooth:
+            hi, lo, mid = np.searchsorted(edges, np.array((self.hi, self.lo, self.mid)))
             uc1, uc2 = u * self.c1, u * self.c2
-            a = held(steps(lo, u) - steps(hi, u))
-            b = held(steps(lo, uc1) - steps(mid, uc1) + steps(mid, uc2) - steps(hi, uc2))
-            g = g + (self.t * a + b) / (2.0 * self.kind.delta)
+            at, v = (hi, lo, lo, mid, mid, hi), (u, u, uc1, uc1, uc2, uc2)
+        else:
+            at, v = (np.searchsorted(edges, self.hi),), (u,)
+        bins = np.array(at) + (m * np.arange(len(at)))[:, None]
+        s = np.bincount(bins.ravel(), np.concatenate(v), len(at) * m).reshape(len(at), m)[:, :-1]
+        # The rows to run: full height, and on the ramp the data's and the offsets' shares.
+        if self.kind.smooth:
+            s = np.array((s[0], s[1] - s[0], s[2] - s[3] + s[4] - s[5]))
+        # _running over the data adds only +0 between edges, which changes no sum; only a row's
+        # grid can differ, when the sum that sets it is near a power of two: run that case whole.
+        near = np.abs(np.frexp(np.abs(s).sum(axis=-1))[0] - 0.75)
+        if np.any((0.25 - 2.0**-40 < near) & (near < 0.5)):
+            bins = edges + n * np.arange(len(s))[:, None]
+            held = _running(np.bincount(bins.ravel(), s.ravel(), len(s) * n).reshape(len(s), n))
+        else:
+            held = np.concatenate((np.zeros((len(s), 1)), _running(s)), axis=1)
+            held = np.repeat(held, np.diff(np.concatenate(([0], edges, [n]))), axis=1)
+        g = held[0]
+        if self.kind.smooth:
+            g = g + (self.t * held[1] + held[2]) / (2.0 * self.kind.delta)
         # Before the first window every running sum is exactly +0 already.
         g = np.maximum(g, 0.0)
         if self.ill.any():
@@ -575,11 +586,6 @@ def _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star):
         loss_value=loss_value,
         primary_term_sum_check=abs(direct - loss_value),
     )
-
-
-def primary_term_sum(scenario, loss_def, kind):
-    """(1/Z) * sum_ij L_ij, as assemble_gradients reports it."""
-    return assemble_gradients(scenario, loss_def, kind).loss_value
 
 
 def gradient_sums(report, scenario):

@@ -17,11 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .geometry import LocErrorKind, boxes_with_iou
-# perfbench wraps alrp_loss, ap_loss and ndcg_loss by this module's names
-# too, so they stay bound here; _named_loss calls them through losses.
+# perfbench wraps alrp_loss, ap_loss, ndcg_loss and ranking_correlation by
+# this module's names too, so they stay bound here though train() calls none.
 from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
 from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio, self_balance_update
-from .metrics import _ious_by_score, positive_ious, ranking_correlation
+from .metrics import _ious_by_score, _rank_correlation, positive_ious, ranking_correlation  # noqa: F401
 from .ranking import NEG, POS, Scenario, StepKind
 
 LOG_COLUMNS = ("epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou")
@@ -110,12 +110,9 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e**-z) for z >= 0 and e**z / (1 + e**z) below: exp never overflows.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class ToyModel:
@@ -133,12 +130,18 @@ class ToyModel:
         self.boxes = scenario.pos_boxes().copy()
 
     def current_scenario(self) -> Scenario:
-        scores = self.scenario.scores.copy()
-        scores[self.train_index] = _sigmoid(self.logits)
-        return self.scenario.with_scores(scores).with_positive_boxes(self.boxes)
+        return self._scenario(_sigmoid(self.logits))
 
     def score_grad_to_logit_grad(self, score_grads: np.ndarray) -> np.ndarray:
-        s = _sigmoid(self.logits)
+        return self._logit_grad(score_grads, _sigmoid(self.logits))
+
+    # The two above from the sigmoid s of the logits, which train() takes once an epoch.
+    def _scenario(self, s: np.ndarray) -> Scenario:
+        scores = self.scenario.scores.copy()
+        scores[self.train_index] = s
+        return self.scenario.with_scores(scores).with_positive_boxes(self.boxes)
+
+    def _logit_grad(self, score_grads: np.ndarray, s: np.ndarray) -> np.ndarray:
         return score_grads[self.train_index] * s * (1.0 - s)
 
 
@@ -206,9 +209,9 @@ class TrainConfig:
             raise ValueError("box_lr only applies to the alrp loss (ap and ndcg have no box gradients)")
 
 
-def _safe_rho(scn: Scenario) -> float:
+def _safe_rho(scores: np.ndarray, ious: np.ndarray) -> float:
     try:
-        return ranking_correlation(scn)
+        return _rank_correlation(scores, ious)
     except ValueError:
         return float("nan")
 
@@ -230,11 +233,13 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
     vel_box = np.zeros_like(model.boxes)
 
     for epoch in range(cfg.epochs + 1):
-        scn = model.current_scenario()
+        s = _sigmoid(model.logits)
+        scn = model._scenario(s)
         bd = _named_loss(cfg.loss, scn, cfg.step, cfg.wrong_target, balancer)
         if not np.isfinite(bd.total):
             log.diverged_at = epoch
             break
+        ious = positive_ious(scn)
         log.rows.append(
             {
                 "epoch": epoch,
@@ -243,15 +248,15 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
                 "loc": bd.loc_component,
                 "ratio": balance_ratio(bd, scn),
                 "sb_weight": bd.sb_weight_applied,
-                "rho": _safe_rho(scn),
-                "mean_iou": float(positive_ious(scn).mean()),
+                "rho": _safe_rho(scn.pos_scores(), ious),
+                "mean_iou": float(ious.mean()),
             }
         )
         log.extras.append({"box_grad_norm": float(np.linalg.norm(bd.box_grads))})
         if epoch == cfg.epochs:
             break
 
-        g_logit = model.score_grad_to_logit_grad(bd.score_grads)
+        g_logit = model._logit_grad(bd.score_grads, s)
         vel_logit = MOMENTUM * vel_logit + g_logit
         model.logits = model.logits - cfg.lr * vel_logit
         if bd.box_grads.size:

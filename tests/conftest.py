@@ -45,8 +45,10 @@ from rankloss.metrics import (
     EvalInput,
     GroundTruth,
     LRPResult,
+    TEN_POINT_RECALLS,
     MatchResult,
     _recall_grid,
+    mean_ap,
     pr_curve,
 )
 from rankloss.ranking import (
@@ -61,10 +63,36 @@ from rankloss.ranking import (
     _running,
     _sum,
     assemble_gradients,
-    diff_transform,
     rank_stats,
     step,
 )
+
+
+# ---------------------------------------------------------------------------
+# Small helpers that only the tests call, kept out of the package.
+# ---------------------------------------------------------------------------
+
+
+def diff_transform(scores_i, scores_j):
+    """x_ij = s_j - s_i for broadcastable score arrays."""
+    return np.asarray(scores_j, dtype=np.float64) - np.asarray(scores_i, dtype=np.float64)
+
+
+def primary_term_sum(scenario, loss_def, kind):
+    """(1/Z) * sum_ij L_ij, as assemble_gradients reports it."""
+    return assemble_gradients(scenario, loss_def, kind).loss_value
+
+
+def lrp_per_positive(scenario, kind):
+    """The per-positive ranking-LRP values l(i) the aLRP loss averages."""
+    ell, _ = ALRPLossDef().local_errors(scenario, rank_stats(scenario, kind), kind)
+    return ell
+
+
+def ap_at_iou(inputs, tau, recall_points=TEN_POINT_RECALLS):
+    """Average precision at one IoU threshold, averaged over classes: mean_ap
+    at the one threshold."""
+    return mean_ap(inputs, (tau,), recall_points)["mean_ap"]
 
 
 def random_scenario(

@@ -5,8 +5,11 @@ exactly on a support edge, a single positive, no negatives and all-equal
 scores. The window sums at the edges are compared with their full-length
 oracles by ==, and counted: the running sums in col_sums are no longer
 than the distinct window edges, and no all-ones array is prefix-summed.
-The pairs of low step mass each loss evaluates one by one are counted."""
+The pairs of low step mass each loss evaluates one by one are counted, and
+so are the calls into the package's own functions during one small loss
+call."""
 
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -311,9 +314,10 @@ class TestWindowEdges:
         assert same(rel.col_sums(weights), oracle_col_sums(rel, weights))
 
     def test_a_loss_runs_its_sums_over_edges_not_data(self):
-        """One smooth loss at 50 x 20 000: every running sum in col_sums is
-        taken over the distinct window edges (at most 3P), and the unit
-        weights of the step mass never reach a prefix sum."""
+        """One smooth loss at 50 x 20 000: col_sums takes its three running
+        sums in one call, on a stack of three rows over the distinct window
+        edges (at most 3P), and the unit weights of the step mass never
+        reach a prefix sum, as an array or as a row of a stack."""
         scn = generate_scenario(ScenarioGenSpec(n_pos=50, n_neg=20_000, seed=4))
         kind = StepKind.smoothed(0.5)
         rel = StepRelation(scn.neg_scores(), scn.pos_scores(), kind)
@@ -328,9 +332,9 @@ class TestWindowEdges:
             ranking, "_prefix", count(prefixed, ranking._prefix)
         ):
             alrp_loss(scn, kind)
-        assert rel.x.size > 10_000 and len(running) == 3
-        assert all(v.size <= n_edges <= 3 * scn.n_pos for v in running)
-        assert not any(v.size and np.all(v == 1.0) for v in prefixed)
+        assert rel.x.size > 10_000 and len(running) == 1 and running[0].shape[0] == 3
+        assert running[0].shape[1] <= n_edges <= 3 * scn.n_pos
+        assert not any(row.size and np.all(row == 1.0) for v in prefixed for row in np.atleast_2d(v))
 
 
 class TestPairwiseCount:
@@ -362,3 +366,27 @@ class TestPairwiseCount:
                 assert self.counts(scn, kind) == {0}
         half = StepKind.smoothed(0.5)
         assert self.counts(shuffled, half) == {oracle_pairwise(shuffled, half)} == {3}
+
+
+class TestCallCount:
+    def test_a_small_loss_call_enters_few_package_functions(self):
+        """One smooth aLRP call (delta 0.5) at 20 x 200, where the fixed cost
+        of a call is most of it, enters at most 132 Python functions of the
+        package (160 before the engine cut its calls). Counted by module
+        name, so numpy's own Python layers do not count."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=200, seed=0))
+        kind = StepKind.smoothed(0.5)
+        alrp_loss(scn, kind)  # any first-call set-up
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get("__name__", "").startswith("rankloss"):
+                calls.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            alrp_loss(scn, kind)
+        finally:
+            sys.setprofile(previous)
+        assert len(calls) <= 132

@@ -1,12 +1,12 @@
 """The column writers and screens of rankloss.fileio against the dict
 oracles in conftest, compared with ==: saved files are the bytes of
 json.dump(indent=2) on the oracle document (extreme and tied scores, signed
-zeros, empty lists, block boundaries), a non-finite corner is refused with
-the loader's message before any file is written, and a loaded
-document gives the oracle's columns (dtype, shape and bytes) or its
-exception type and message, on hostile documents. Two counting tests keep
-json's indent encoder out of the file path and the per-entry checker off
-every valid non-positive anchor."""
+zeros, empty lists, block boundaries), a non-finite corner or a box with
+corners out of order is refused with the loader's message before any file
+is written, and a loaded document gives the oracle's columns (dtype, shape
+and bytes) or its exception type and message, on hostile documents. Two
+counting tests keep json's indent encoder out of the file path and the
+per-entry checker off every valid non-positive anchor."""
 
 import copy
 import json
@@ -30,7 +30,7 @@ from rankloss.fileio import (
     scenario_from_dict,
 )
 from rankloss.fixtures import fixture_eval
-from rankloss.geometry import LocErrorKind
+from rankloss.geometry import CORNER_ORDER, LocErrorKind
 from rankloss.metrics import EvalInput
 from rankloss.ranking import IGNORE, NEG, POS, Scenario
 from rankloss.trainer import ScenarioGenSpec, generate_scenario
@@ -58,8 +58,8 @@ def ordered_boxes(draw, n):
 def scenarios(draw, ordered=True):
     """Scenarios with at least one positive, any number of negatives
     (zero too) and ignored anchors; with ordered=False positive boxes may
-    be out of order, which only the reader refuses, or hold non-finite
-    corners, which the writer refuses too."""
+    be out of order or hold non-finite corners, which the writer refuses as
+    the reader does."""
     n_pos, n_neg, n_ign = draw(st.integers(1, 6)), draw(st.integers(0, 12)), draw(st.integers(0, 3))
     labels = draw(st.permutations([POS] * n_pos + [NEG] * n_neg + [IGNORE] * n_ign))
     n_gts = draw(st.integers(1, 3))
@@ -119,10 +119,18 @@ class TestWriterAgainstOracle:
     def test_scenario_bytes(self, tmp_path_factory, scenario):
         path = tmp_path_factory.mktemp("w") / "s.json"
         doc = oracle_scenario_to_dict(scenario)
-        boxes = [(i, entry["box"]) for i, entry in enumerate(doc["anchors"]) if "box" in entry]
-        bad = [f"anchors[{i}].box[{k}]" for i, box in boxes for k, v in enumerate(box) if not np.isfinite(v)]
+
+        def problem(i, box):
+            corners = [k for k, v in enumerate(box) if not np.isfinite(v)]
+            if corners:
+                return f"anchors[{i}].box[{corners[0]}]: expected a finite number"
+            if not (box[0] <= box[2] and box[1] <= box[3]):
+                return f"anchors[{i}].box: " + CORNER_ORDER % tuple(box)
+            return None
+
+        bad = list(filter(None, (problem(i, entry["box"]) for i, entry in enumerate(doc["anchors"]) if "box" in entry)))
         if bad:
-            with pytest.raises(FileFormatError, match=r"^%s: expected a finite number$" % re.escape(bad[0])):
+            with pytest.raises(FileFormatError, match="^%s$" % re.escape(bad[0])):
                 save_scenario(scenario, path)
             assert not path.exists()
             return
@@ -160,6 +168,31 @@ class TestWriterAgainstOracle:
         with pytest.raises(FileFormatError) as loaded:
             load(path)
         assert str(err.value) == str(loaded.value) == f"{field}: expected a finite number"
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        (
+            ((["neg", "pos"], [0.5, 0.1], [0], [[1.0, 0.0, 0.0, 1.0]], [[0, 0, 1, 1]]), "anchors[1].box: box corners out of order: (1.0, 0.0, 0.0, 1.0)"),
+            ((["pos", "pos"], [0.5, 0.1], [0, 1], [[0, 0, 1, 1], [0, 0, 1, 1]], [[0, 0, 1, 1], [0, 2, 1, 1]]), "gts[1]: box corners out of order: (0.0, 2.0, 1.0, 1.0)"),
+            ((["pos", "pos"], [0.5, 0.1], [0, 0], [[0, 1, 1, 0], [0, 0, np.inf, 1]], [[0, 0, 1, 1]]), "anchors[0].box: box corners out of order: (0.0, 1.0, 1.0, 0.0)"),
+            ((["pos"], [0.5], [0], [[0, 0, 1, 1]], [[1, 0, 0, 1], [0, 0, 1, np.nan]]), "gts[0]: box corners out of order: (1.0, 0.0, 0.0, 1.0)"),
+        ),
+        ids=("positive-box", "ground-truth", "before-a-non-finite-box", "gt-before-a-non-finite-gt"),
+    )
+    def test_corners_out_of_order_are_refused_before_writing(self, tmp_path, columns, message):
+        """A positive box or a ground truth whose corners are out of order is
+        refused with the message the loader gives for the file json.dump
+        writes, at the first offending box in the loader's order, and no
+        file is left behind."""
+        scenario = Scenario.from_columns(*columns)
+        path = tmp_path / "out.json"
+        with pytest.raises(FileFormatError) as err:
+            save_scenario(scenario, path)
+        assert not path.exists()
+        path.write_text(json.dumps(oracle_scenario_to_dict(scenario)))
+        with pytest.raises(FileFormatError) as loaded:
+            load_scenario(path)
+        assert str(err.value) == str(loaded.value) == message
 
     def test_lists_longer_than_a_block(self, tmp_path):
         """Positives on both sides of every block boundary, in both files."""

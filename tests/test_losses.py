@@ -4,7 +4,7 @@ rows, soft weights, self-balancing, and the wrong-target variant."""
 import numpy as np
 import pytest
 
-from conftest import naive_pair_tables, random_scenario
+from conftest import lrp_per_positive, naive_pair_tables, random_scenario
 from rankloss.fixtures import fixture_scenario
 from rankloss.geometry import loc_error_grad
 from rankloss.losses import (
@@ -17,7 +17,6 @@ from rankloss.losses import (
     alrp_soft_weights,
     ap_loss,
     balance_ratio,
-    lrp_per_positive,
     ndcg_ideal_gain,
     ndcg_loss,
     self_balance_update,
@@ -30,7 +29,6 @@ from rankloss.ranking import (
     Scenario,
     StepKind,
     assemble_gradients,
-    diff_transform,
     gradient_sums,
     rank_stats,
     step,

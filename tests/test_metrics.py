@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_average_ranks_desc
+from conftest import ap_at_iou, oracle_average_ranks_desc
 from rankloss.fixtures import fixture_eval, fixture_scenario
 from rankloss.geometry import Box
 from rankloss.metrics import (
@@ -14,7 +14,6 @@ from rankloss.metrics import (
     Detection,
     EvalInput,
     GroundTruth,
-    ap_at_iou,
     average_ranks_desc,
     lrp_at,
     match_class,

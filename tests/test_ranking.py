@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_pair_tables, random_scenario
+from conftest import diff_transform, naive_pair_tables, primary_term_sum, random_scenario
 from rankloss.fast_alrp import FastConfig
 from rankloss.fixtures import fixture_scenario
 from rankloss.losses import ALRPLossDef, APLossDef, NDCGLossDef
@@ -19,9 +19,7 @@ from rankloss.ranking import (
     Scenario,
     StepKind,
     assemble_gradients,
-    diff_transform,
     gradient_sums,
-    primary_term_sum,
     rank_stats,
     step,
 )
