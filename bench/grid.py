@@ -1,4 +1,4 @@
-"""Engine and trainer timings, written to BENCH_grid.json.
+"""Engine, trainer and evaluator timings, written to BENCH_grid.json.
 
     python3 bench/grid.py                                        # column "change", this checkout's src/
     python3 bench/grid.py --src parent=/path/to/other/src --src change=src
@@ -12,6 +12,14 @@ call: smooth (delta 0.5) ``alrp_loss`` at 20 x 200 on ``generate_scenario``'s
 default scores, and one 25-epoch ``trainer.train`` in perfbench's ``train``
 configuration at 100 x 2000. Each row holds the median and quartiles, in ms,
 of REPS calls on each of the SEEDS scenarios.
+
+The eval rows time ``metrics.mean_ap`` (the four default IoU thresholds,
+101 recall points) and ``metrics.olrp`` at IoU 0.5 on perfbench's eval
+input (``perfbench/workloads.make_eval_input``, imported unedited) with
+every count of its layout times 1, 5 and 25: 200 x 40, 1880 x 200 and
+31 400 x 1000 detections x ground truths, with fewer reps at x25. Each eval
+row also holds ``peak_mb``, the highest ``tracemalloc`` peak of one call
+over the seeds (numpy reports its buffers to tracemalloc).
 
 Each ``--src COLUMN=DIR`` tree is imported into this one process under its
 own package name, and every row's calls alternate between the trees call by
@@ -38,12 +46,14 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_grid.json")
 GRID = ((300, 30_000), (1000, 100_000), (3000, 300_000))
 SEEDS = (1, 2, 3)
 REPS = 15
+EVAL_SCALES = ((1, REPS), (5, REPS), (25, 3))  # (every count times, reps)
 
 
 def quartiles(times):
@@ -96,12 +106,42 @@ def small_calls(rl, seed):
     }
 
 
-def measure(packages):
-    """{column: {row name: [seconds per call]}} over every size, step and seed."""
-    rows = {column: {} for column in packages}
+def eval_calls(rl, inputs):
+    """{call: fn}: mean AP and oLRP on one eval input, for the package rl."""
+    columns = (inputs.det_scores, inputs.det_cls, inputs.det_boxes, inputs.gt_cls, inputs.gt_boxes)
+    own = rl.metrics.EvalInput(*columns)
+    return {
+        "mean_ap 4tau coco101": lambda: rl.metrics.mean_ap(own, rl.metrics.DEFAULT_TAUS, "coco101"),
+        "olrp 0.5": lambda: rl.metrics.olrp(own, 0.5),
+    }
 
-    def add(name, fns):
-        for column, times in timed(fns).items():
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def perfbench(module):
+    """A perfbench module, imported unedited (it imports this checkout's rankloss)."""
+    for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    return importlib.import_module(module)
+
+
+def measure(packages):
+    """({column: {row name: [seconds per call]}}, {column: {row name: [peak
+    bytes]}}) over every size, step and seed."""
+    rows = {column: {} for column in packages}
+    peaks = {column: {} for column in packages}
+
+    def add(name, fns, reps=REPS):
+        for column, times in timed(fns, reps).items():
             rows[column].setdefault(name, []).extend(times)
 
     for n_pos, n_neg in GRID:
@@ -114,7 +154,18 @@ def measure(packages):
         calls = {column: small_calls(rl, seed) for column, rl in packages.items()}
         for name in next(iter(calls.values())):
             add(name, {column: c[name] for column, c in calls.items()})
-    return rows
+    workloads = perfbench("workloads")
+    for scale, reps in EVAL_SCALES:
+        sizes = {key: count * scale for key, count in workloads.SIZES["full"]["eval"].items()}
+        for seed in SEEDS:
+            inputs = workloads.make_eval_input(seed, **sizes)
+            calls = {column: eval_calls(rl, inputs) for column, rl in packages.items()}
+            for call in next(iter(calls.values())):
+                name = f"{call} eval x{scale}"
+                add(name, {column: c[call] for column, c in calls.items()}, reps)
+                for column, c in calls.items():
+                    peaks[column].setdefault(name, []).append(traced_peak(c[call]))
+    return rows, peaks
 
 
 def load(column, src):
@@ -132,10 +183,7 @@ def load(column, src):
 def reference_ms():
     """Median of perfbench's numpy reference kernel, imported unedited (its
     module imports this checkout's rankloss, which the kernel does not use)."""
-    sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
-    import bench
-
-    return round(statistics.median(timed({"ref": bench._numpy_kernel})["ref"]) * 1e3, 3)
+    return round(statistics.median(timed({"ref": perfbench("bench")._numpy_kernel})["ref"]) * 1e3, 3)
 
 
 def git(src, *args):
@@ -170,6 +218,7 @@ def environment(src, rl, ref_ms):
         "numba_importable": importlib.util.find_spec("numba") is not None,
         "reference_ms": ref_ms,
         "reps": REPS,
+        "eval_scales_reps": [list(pair) for pair in EVAL_SCALES],
         "seeds": list(SEEDS),
     }
 
@@ -180,7 +229,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     trees = dict(spec.split("=", 1) for spec in args.src or ["change=" + os.path.join(ROOT, "src")])
     packages = {column: load(column, src) for column, src in trees.items()}
-    rows = measure(packages)
+    rows, peaks = measure(packages)
     ref_ms = reference_ms()
     doc = {"unit": "ms", "columns": {}, "rows": {}}
     if os.path.exists(OUT):
@@ -190,6 +239,8 @@ def main(argv=None):
         doc["columns"][column] = environment(os.path.abspath(src), packages[column], ref_ms)
         for name, times in rows[column].items():
             doc["rows"].setdefault(name, {})[column] = quartiles(times)
+            if name in peaks[column]:
+                doc["rows"][name][column]["peak_mb"] = round(max(peaks[column][name]) / 1e6, 3)
     with open(OUT, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

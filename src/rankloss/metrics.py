@@ -113,15 +113,24 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class _ClassTable:
-    """A class's detections in matching order with their scores, its ground
-    truths in ascending order, and the (D, G) IoU matrix.  The matching of
-    the detections scoring >= s is a prefix of the full matching, so one
-    table serves every threshold, on IoU and on score."""
+    """A class's detections in matching order with their scores and boxes,
+    its ground truths in ascending order with their boxes, and each
+    detection's candidates: the ground truths it overlaps with IoU > 0,
+    highest IoU first, ties to the lower ground-truth position. Detection k's
+    candidates are cand_gt / cand_iou[start[k]:start[k + 1]] (Python lists,
+    for the matcher's walk), and top[k] is the first one's IoU (0 with
+    none). The matching of the detections scoring >= s is a prefix of the
+    full matching, so one table serves every threshold, on IoU and on score."""
 
     det_indices: np.ndarray
     scores: np.ndarray
+    det_boxes: np.ndarray
     gt_indices: np.ndarray
-    ious: np.ndarray
+    gt_boxes: np.ndarray
+    start: list
+    cand_gt: list
+    cand_iou: list
+    top: np.ndarray
 
 
 def _class_table(inputs: EvalInput, cls: int) -> _ClassTable:
@@ -129,26 +138,82 @@ def _class_table(inputs: EvalInput, cls: int) -> _ClassTable:
     gt_idx = np.flatnonzero(inputs.gt_cls == cls)
     scores = inputs.det_scores[det_idx]
     # Descending score, ties by original index: no container ordering quirks.
-    order = np.lexsort((np.arange(scores.size), -scores))
+    order = np.argsort(-scores, kind="stable")
     det_idx, scores = det_idx[order], scores[order]
-    return _ClassTable(det_idx, scores, gt_idx, iou_array(inputs.det_boxes[det_idx][:, None], inputs.gt_boxes[gt_idx][None]))
+    dets, gts = inputs.det_boxes[det_idx], inputs.gt_boxes[gt_idx]
+    # IoU > 0 needs a float overlap width min(x2) - max(x1) > 0, which holds
+    # only if g.x1 < d.x2 and g.x2 > d.x1 (a - b > 0 needs a > b, infinities
+    # included). With the ground truths sorted by x1, those with x1 < d.x2
+    # are a prefix, and those before the first whose running maximum of x2
+    # exceeds d.x1 all have x2 <= d.x1: the window [lo, hi) between the two
+    # holds every pair with IoU > 0, with no slack and for any corners.
+    by_x1 = np.argsort(gts[:, 0], kind="stable")
+    lo = np.searchsorted(np.maximum.accumulate(gts[by_x1, 2]), dets[:, 0], "right")
+    hi = np.searchsorted(gts[by_x1, 0], dets[:, 2], "left")
+    n_in = np.maximum(hi - lo, 0)
+    rows = np.repeat(np.arange(det_idx.size), n_in)
+    cols = by_x1[np.arange(rows.size) - np.repeat(np.cumsum(n_in) - n_in - lo, n_in)]
+    # iou_array pair by pair: the bits of iou_array(dets[:, None], gts[None]).
+    ious = iou_array(dets[rows], gts[cols])
+    keep = np.flatnonzero(ious > 0.0)
+    rows, cols, ious = rows[keep], cols[keep], ious[keep]
+    order = np.lexsort((cols, -ious, rows))
+    start = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=det_idx.size))))
+    cols, ious = cols[order], ious[order]
+    top = np.zeros(det_idx.size)
+    some = start[:-1] < start[1:]
+    top[some] = ious[start[:-1][some]]
+    return _ClassTable(det_idx, scores, dets, gt_idx, gts, start.tolist(), cols.tolist(), ious.tolist(), top)
+
+
+def _first_not_nan(table: _ClassTable, k: int, free: list):
+    """The first ground-truth position in free whose IoU with detection k is
+    not NaN, and that IoU; (None, None) if there is none."""
+    row = iou_array(table.det_boxes[k], table.gt_boxes[free])
+    ok = np.flatnonzero(row == row)
+    return (free[ok[0]], float(row[ok[0]])) if ok.size else (None, None)
 
 
 def _match(table: _ClassTable, tau: float) -> MatchResult:
-    """Greedy matching on a class table; see ``match_class``."""
-    n_det, n_gt = table.ious.shape
+    """Greedy matching on a class table; see ``match_class``.
+
+    Each detection takes its first unclaimed candidate, unless that one's
+    IoU is below tau: the highest free IoU, ties to the lower index. At
+    tau <= 0 an IoU of 0 qualifies too, so a detection whose candidates are
+    all claimed takes the lowest free ground truth whose IoU with it is not
+    NaN (0 * inf can be NaN outside the window); that IoU is read only then.
+    """
+    n_det, n_gt = table.det_indices.size, table.gt_indices.size
+    start, cand_gt, cand_iou = table.start, table.cand_gt, table.cand_iou
+    lenient = tau <= 0.0
+    claimed = [False] * n_gt
+    first_free = 0  # the lowest unclaimed ground truth, n_gt once all are
+    hits, hit_gts, hit_ious = [], [], []
+    for k in range(n_det) if lenient else np.flatnonzero(table.top >= tau).tolist():
+        j = v = None
+        for c in range(start[k], start[k + 1]):
+            if cand_iou[c] < tau:
+                break
+            if not claimed[cand_gt[c]]:
+                j, v = cand_gt[c], cand_iou[c]
+                break
+        if j is None and lenient and first_free < n_gt:
+            j, v = _first_not_nan(table, k, [first_free])
+            if j is None:
+                j, v = _first_not_nan(table, k, [i for i in range(first_free + 1, n_gt) if not claimed[i]])
+        if j is not None:
+            claimed[j] = True
+            hits.append(k)
+            hit_gts.append(j)
+            hit_ious.append(v)
+            while first_free < n_gt and claimed[first_free]:
+                first_free += 1
     is_tp = np.zeros(n_det, dtype=bool)
     match_iou = np.zeros(n_det, dtype=np.float64)
     match_gt = np.full(n_det, -1, dtype=np.int64)
-    # Claimed columns and NaN IoUs read -1, below the floor (real IoUs are >= 0);
-    # claiming only lowers entries, so rows starting below it are skipped.
-    free = np.nan_to_num(table.ious, nan=-1.0)
-    floor = max(tau, 0.0)
-    for k in np.flatnonzero(free.max(axis=1, initial=-1.0) >= floor):
-        j = int(free[k].argmax())  # the first maximum: ties go to the lower index
-        if free[k, j] >= floor:
-            is_tp[k], match_iou[k], match_gt[k] = True, free[k, j], table.gt_indices[j]
-            free[:, j] = -1.0
+    is_tp[hits] = True
+    match_iou[hits] = hit_ious
+    match_gt[hits] = table.gt_indices[hit_gts]
     return MatchResult(table.det_indices, is_tp, match_iou, match_gt, n_gt=int(n_gt))
 
 
@@ -204,7 +269,8 @@ def _recall_grid(recall_points) -> np.ndarray:
 def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_points=TEN_POINT_RECALLS) -> dict:
     """AP averaged over IoU thresholds; returns the per-threshold table too.
 
-    Each class's IoU table is built once and matched at every threshold.
+    Each class's candidate table is built once and matched at every
+    threshold.
     Needs at least one threshold, each in [0, 1].
     """
     taus = [float(t) for t in taus]

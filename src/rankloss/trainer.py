@@ -11,7 +11,7 @@ correlation, and the mean IoU.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -271,23 +271,3 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
             balancer = self_balance_update(balancer, [(bd.total, bd.loc_component)])
     return log
 
-
-def sb_warmup_report(scenario: Scenario, cfg: TrainConfig, probe_epochs: int = 5) -> dict:
-    """Side-by-side early-epoch comparison with self-balancing on and off.
-
-    Because the self-balance weight is 1 at epoch 0, both runs apply the
-    same first update; at epoch 1 the states still coincide, so the box
-    gradients differ by exactly the active weight.  The report exposes the
-    per-epoch weights and box-gradient norms of both runs for inspection.
-    """
-    base = replace(cfg, epochs=probe_epochs, self_balance=False)
-    won = replace(cfg, epochs=probe_epochs, self_balance=True)
-    log_off = train(scenario, base)
-    log_on = train(scenario, won)
-    return {
-        "sb_weights": [row["sb_weight"] for row in log_on.rows],
-        "box_grad_norm_on": [e["box_grad_norm"] for e in log_on.extras],
-        "box_grad_norm_off": [e["box_grad_norm"] for e in log_off.extras],
-        "loc_share_on": [row["loc"] / row["total"] if row["total"] else float("nan") for row in log_on.rows],
-        "loc_share_off": [row["loc"] / row["total"] if row["total"] else float("nan") for row in log_off.rows],
-    }

@@ -13,6 +13,7 @@ rankloss.geometry.boxes_with_iou, and the file documents as dicts with their
 entry-by-entry readers, kept as the oracles for the column writers and
 screens of rankloss.fileio."""
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -66,6 +67,7 @@ from rankloss.ranking import (
     rank_stats,
     step,
 )
+from rankloss.trainer import train
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +95,27 @@ def ap_at_iou(inputs, tau, recall_points=TEN_POINT_RECALLS):
     """Average precision at one IoU threshold, averaged over classes: mean_ap
     at the one threshold."""
     return mean_ap(inputs, (tau,), recall_points)["mean_ap"]
+
+
+def sb_warmup_report(scenario, cfg, probe_epochs=5):
+    """Side-by-side early-epoch comparison with self-balancing on and off.
+
+    Because the self-balance weight is 1 at epoch 0, both runs apply the
+    same first update; at epoch 1 the states still coincide, so the box
+    gradients differ by exactly the active weight.  The report exposes the
+    per-epoch weights and box-gradient norms of both runs for inspection.
+    """
+    base = replace(cfg, epochs=probe_epochs, self_balance=False)
+    won = replace(cfg, epochs=probe_epochs, self_balance=True)
+    log_off = train(scenario, base)
+    log_on = train(scenario, won)
+    return {
+        "sb_weights": [row["sb_weight"] for row in log_on.rows],
+        "box_grad_norm_on": [e["box_grad_norm"] for e in log_on.extras],
+        "box_grad_norm_off": [e["box_grad_norm"] for e in log_off.extras],
+        "loc_share_on": [row["loc"] / row["total"] if row["total"] else float("nan") for row in log_on.rows],
+        "loc_share_off": [row["loc"] / row["total"] if row["total"] else float("nan") for row in log_off.rows],
+    }
 
 
 def random_scenario(

@@ -1,18 +1,23 @@
-"""Property tests of the evaluator (one IoU table and one greedy matching
-per class) against the per-threshold oracles in conftest, asserting exact
-equality on hostile inputs: score ties, exact IoU ties (coordinates on a
-0.5 grid), zero-area and zero-union boxes, classes with detections but no
-ground truth and the reverse, no detections, tau = 0 (where IoU 0
-qualifies) and both recall grids. Also the columnar EvalInput (its object
-views and read-only columns) and scenario_to_eval against the object-based
-oracle, on ignored anchors, extra ground truths and bad positive boxes."""
+"""Property tests of the evaluator (per class, one list of IoU-positive
+candidate pairs and one greedy matching with claimed flags) against the
+per-threshold oracles in conftest, asserting exact equality on hostile
+inputs: score ties, exact IoU ties (coordinates on a 0.5 grid), zero-area
+and zero-union boxes, wide rows whose x windows leave ground truths out,
+infinite and overflowing corners (NaN IoUs, inside and outside a window),
+classes with detections but no ground truth and the reverse, no detections,
+tau <= 0 (where IoU 0 qualifies) and both recall grids. Also guards on the
+evaluator's work and memory (IoU entries evaluated, traced bytes), the
+columnar EvalInput (its object views and read-only columns) and
+scenario_to_eval against the object-based oracle, on ignored anchors, extra
+ground truths and bad positive boxes."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -25,6 +30,7 @@ from conftest import (
     oracle_olrp,
     oracle_scenario_to_eval,
 )
+from rankloss import metrics
 from rankloss.geometry import Box, iou_array
 from rankloss.metrics import (
     TEN_POINT_RECALLS,
@@ -54,9 +60,22 @@ sides = st.sampled_from((0.0, 0.5, 1.0, 2.0))
 
 
 @st.composite
-def boxes(draw):
-    x1, y1 = draw(half_steps), draw(half_steps)
+def boxes(draw, x_steps=8):
+    """Grid boxes; x_steps > 8 spreads x1 over a wider row, so that a
+    detection's x window leaves some ground truths out."""
+    x1, y1 = 0.5 * draw(st.integers(0, x_steps)), draw(half_steps)
     return Box(x1, y1, x1 + draw(sides), y1 + draw(sides))
+
+
+@st.composite
+def extreme_boxes(draw):
+    """Corners from infinities, overflowing finite values and a few grid
+    steps: infinite or overflowing widths, heights and areas, so IoUs of
+    0 * inf and inf / inf (NaN), inside and outside a window."""
+    corners = st.one_of(st.sampled_from((-np.inf, -1e308, 1e308, np.inf)), half_steps)
+    x = sorted(draw(st.lists(corners, min_size=2, max_size=2)))
+    y = sorted(draw(st.lists(corners, min_size=2, max_size=2)))
+    return Box(x[0], y[0], x[1], y[1])
 
 
 # Quarter steps: many detections share a score.
@@ -64,12 +83,15 @@ scores = st.integers(0, 8).map(lambda k: 0.25 * k)
 classes = st.integers(0, 2)
 detections = st.builds(Detection, scores, boxes(), classes)
 ground_truths = st.builds(GroundTruth, boxes(), classes)
+# Each evaluator input draws all its boxes from one layout.
+LAYOUTS = (boxes(), boxes(x_steps=80), st.one_of(boxes(x_steps=16), extreme_boxes()))
 
 
 @st.composite
 def eval_inputs(draw, min_gts=0):
-    dets = draw(st.lists(detections, max_size=24))
-    gts = draw(st.lists(ground_truths, min_size=min_gts, max_size=8))
+    box = draw(st.sampled_from(LAYOUTS))
+    dets = draw(st.lists(st.builds(Detection, scores, box, classes), max_size=24))
+    gts = draw(st.lists(st.builds(GroundTruth, box, classes), min_size=min_gts, max_size=8))
     return EvalInput.build(dets, gts)
 
 
@@ -126,13 +148,32 @@ class TestIoUArray:
         np.testing.assert_array_equal(got, want)
 
 
+# By x1, ground truth 0 comes first and reaches past both narrow ones, which
+# end before the detection starts: the window's lower edge must follow the
+# running maximum of x2 to keep it (IoU 0.5 / 4 = 0.125).
+WIDE_FIRST = EvalInput.build(
+    [Detection(0.9, Box(3.0, 0.0, 3.5, 1.0))], [GroundTruth(Box(x1, 0.0, x2, 1.0)) for x1, x2 in ((0.0, 4.0), (0.5, 1.0), (1.0, 1.5))]
+)
+# Ground truth 0 lies outside the detection's x window, yet its IoU is NaN,
+# not 0 (overlap width 0 times an infinite height): at tau <= 0 the
+# detection must skip it and take ground truth 1 at IoU 0.
+NAN_OUTSIDE_WINDOW = EvalInput.build(
+    [Detection(0.9, Box(0.0, -1e308, 1.0, 1e308))],
+    [GroundTruth(Box(10.0, -1e308, 11.0, 1e308)), GroundTruth(Box(20.0, 0.0, 21.0, 1.0))],
+)
+
+
 class TestMatchingAgainstOracle:
     @SETTINGS
     @given(eval_inputs(), st.sampled_from(MATCH_TAUS))
+    @example(WIDE_FIRST, 0.1)
+    @example(NAN_OUTSIDE_WINDOW, -1.0)
+    @example(NAN_OUTSIDE_WINDOW, 0.0)
     def test_match_class(self, inputs, tau):
         for cls in (0, 1, 2, 3):
-            got = match_class(inputs.detections, inputs.ground_truths, cls, tau)
-            want = oracle_match_class(inputs.detections, inputs.ground_truths, cls, tau)
+            with np.errstate(all="ignore"):
+                got = match_class(inputs.detections, inputs.ground_truths, cls, tau)
+                want = oracle_match_class(inputs.detections, inputs.ground_truths, cls, tau)
             for field in ("det_indices", "is_tp", "match_iou", "match_gt"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
@@ -176,23 +217,26 @@ class TestMetricsAgainstOracle:
     @SETTINGS
     @given(eval_inputs(min_gts=1), st.lists(st.sampled_from(TAUS), min_size=1, max_size=4), st.sampled_from(GRIDS))
     def test_mean_ap(self, inputs, taus, grid):
-        assert mean_ap(inputs, taus, grid) == oracle_mean_ap(inputs, taus, grid)
+        with np.errstate(all="ignore"):
+            assert mean_ap(inputs, taus, grid) == oracle_mean_ap(inputs, taus, grid)
 
     @SETTINGS
     @given(eval_inputs(), st.sampled_from(TAUS), st.sampled_from((float("-inf"), 0.0, 0.25, 0.6, 1.0, 3.0)))
     def test_lrp_at(self, inputs, tau, threshold):
-        try:
-            want = oracle_lrp_at(inputs, tau, threshold)
-        except ValueError:
-            with pytest.raises(ValueError):
-                lrp_at(inputs, tau, threshold)
-            return
-        assert_same_lrp(lrp_at(inputs, tau, threshold), want)
+        with np.errstate(all="ignore"):
+            try:
+                want = oracle_lrp_at(inputs, tau, threshold)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    lrp_at(inputs, tau, threshold)
+                return
+            assert_same_lrp(lrp_at(inputs, tau, threshold), want)
 
     @SETTINGS
     @given(eval_inputs(min_gts=1), st.sampled_from(TAUS))
     def test_olrp(self, inputs, tau):
-        assert_same_lrp(olrp(inputs, tau), oracle_olrp(inputs, tau))
+        with np.errstate(all="ignore"):
+            assert_same_lrp(olrp(inputs, tau), oracle_olrp(inputs, tau))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lrp_and_olrp_with_many_matches(self, seed):
@@ -209,6 +253,58 @@ class TestMetricsAgainstOracle:
         inputs = EvalInput.build(dets, gts)
         assert_same_lrp(lrp_at(inputs, 0.3), oracle_lrp_at(inputs, 0.3))
         assert_same_lrp(olrp(inputs, 0.3), oracle_olrp(inputs, 0.3))
+
+
+def many_matches(seed):
+    """The layout of test_lrp_and_olrp_with_many_matches at 2000 detections
+    x 200 ground truths: nine jittered detections on each of 200 ground
+    truths in a row, and 200 detections far from all of them."""
+    rng = np.random.default_rng(seed)
+    gts = np.array([[4.0 * k, 0.0, 4.0 * k + 2.0, 2.0] for k in range(200)])
+    boxes = np.concatenate(
+        (np.repeat(gts, 9, axis=0) + rng.uniform(-0.4, 0.4, (1800, 4)), [[1000.0 + k, 0.0, 1001.0 + k, 1.0] for k in range(200)])
+    )
+    return EvalInput(np.round(rng.uniform(size=2000), 2), np.zeros(2000), boxes, np.zeros(200), gts)
+
+
+class TestCost:
+    """The evaluator's work and memory follow the IoU-positive pairs, not
+    detections x ground truths: counts and traced bytes, never times."""
+
+    @staticmethod
+    def size(inputs):
+        """D + G + the pairs with IoU > 0."""
+        n_pos = np.count_nonzero(iou_array(inputs.det_boxes[:, None], inputs.gt_boxes[None]) > 0.0)
+        return inputs.det_cls.size + inputs.gt_cls.size + n_pos
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_iou_entries_evaluated(self, monkeypatch, seed):
+        inputs = many_matches(seed)
+        counted = []
+
+        def counting(pred, gt):
+            out = iou_array(pred, gt)
+            counted.append(out.size)
+            return out
+
+        monkeypatch.setattr(metrics, "iou_array", counting)
+        olrp(inputs, 0.5)
+        assert 0 < sum(counted) <= 2 * self.size(inputs)
+        counted.clear()
+        # tau 0 also reads the IoUs of detections left without a candidate.
+        mean_ap(inputs, (0.0, 0.5, 0.95), "coco101")
+        assert 0 < sum(counted) <= 2 * self.size(inputs)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_traced_peak_of_olrp(self, seed):
+        inputs = many_matches(seed)
+        tracemalloc.start()
+        try:
+            olrp(inputs, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * self.size(inputs)
 
 
 class TestEvalInputColumns:

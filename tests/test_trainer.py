@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import sb_warmup_report
 from rankloss import losses
 from rankloss.losses import alrp_loss
 from rankloss.metrics import positive_ious, ranking_correlation
@@ -16,7 +17,6 @@ from rankloss.trainer import (
     ToyModel,
     TrainConfig,
     generate_scenario,
-    sb_warmup_report,
     train,
 )
 
