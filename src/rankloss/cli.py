@@ -20,10 +20,10 @@ import sys
 import numpy as np
 
 from .fileio import load_eval, load_scenario
-from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio
+from .losses import EXACT, LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio
 from .metrics import DEFAULT_TAUS, TEN_POINT_RECALLS, lrp_at, mean_ap, olrp
 from .ranking import StepKind
-from .trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
+from .trainer import ScenarioGenSpec, TrainConfig, check_positive, generate_scenario, train
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -37,7 +37,7 @@ class NumericalFailure(RuntimeError):
 
 def _step_kind(args) -> StepKind:
     if args.step == "exact":
-        return StepKind.exact()
+        return EXACT
     return StepKind.smoothed(args.delta)
 
 
@@ -93,8 +93,7 @@ def cmd_loss(args) -> int:
     _only_with(args, "step", ("smooth",), {"delta": 1.0})
     balancer = None
     if args.sb_weight is not None:
-        if not (math.isfinite(args.sb_weight) and args.sb_weight > 0.0):
-            raise ValueError(f"--sb-weight must be finite and > 0, got {args.sb_weight!r}")
+        check_positive("--sb-weight", args.sb_weight)
         if args.sb_weight != 1.0:
             balancer = SelfBalancer(active_weight=args.sb_weight)
     scenario = load_scenario(args.scenario)
@@ -202,6 +201,9 @@ def cmd_train(args) -> int:
         raise ValueError("train needs exactly one of --scenario or --gen")
     _only_with(args, "loss", ("alrp",), {"sb": False, "wrong_target": False, "box_lr": None})
     _only_with(args, "step", ("smooth",), {"delta": 1.0})
+    check_positive("--lr", args.lr)
+    if args.box_lr is not None:
+        check_positive("--box-lr", args.box_lr, zero_ok=True)
     scenario = load_scenario(args.scenario) if args.scenario else generate_scenario(_parse_gen(args.gen))
     cfg = TrainConfig(
         loss=args.loss,
@@ -274,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", help="generate a scenario, e.g. P=20,N=200,seed=7[,order=anti]")
     p.add_argument("--loss", choices=LOSS_NAMES, default="alrp")
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--box-lr", type=float, help="box learning rate (default --lr; alrp only)")
+    p.add_argument("--lr", type=float, default=1.0, help="learning rate, finite and > 0 (default 1.0)")
+    p.add_argument("--box-lr", type=float, help="box learning rate, finite and >= 0 (default --lr; alrp only)")
     _add_step_args(p, "smooth")
     p.add_argument("--sb", action="store_true", help="enable self-balancing (alrp only)")
     p.add_argument("--wrong-target", action="store_true")

@@ -43,7 +43,7 @@ def active_backend():
 
 
 def _step_kind(config):
-    return StepKind.exact() if config.exact else StepKind.smoothed(config.delta)
+    return losses.EXACT if config.exact else StepKind.smoothed(config.delta)
 
 
 def fast_alrp(scenario, config=FastConfig(), balancer=None):
@@ -73,12 +73,12 @@ def complexity_bound(n_pos, n_neg, n_kept):
     return n_neg + n_pos * max(n_pos, n_kept)
 
 
-def complexity_probe(size_pairs, seed=0, delta=1.0, prune=True, spread=10.0):
-    """Run the loss over random scenarios of the given (n_pos, n_neg)
-    sizes and report the operation count against the bound.
+def complexity_probe(size_pairs, seed=0, prune=True):
+    """Run the loss (smooth step, delta 1) over random scenarios of the given
+    (n_pos, n_neg) sizes and report the operation count against the bound.
 
     Scores are spread wider than the ramp so the prune has something to cut:
-    negatives uniform over [0, spread], positives over [0.6 spread, spread].
+    negatives uniform over [0, 10], positives over [6, 10].
     Returns a list of row dicts (n_pos, n_neg, n_kept, ops, bound, ratio).
     """
     from .trainer import generate_scenario, ScenarioGenSpec
@@ -90,11 +90,11 @@ def complexity_probe(size_pairs, seed=0, delta=1.0, prune=True, spread=10.0):
             n_neg=n_neg,
             seed=seed + k,
             score_low=0.0,
-            score_high=spread,
-            pos_score_low=0.6 * spread,
+            score_high=10.0,
+            pos_score_low=6.0,
         )
         sc = generate_scenario(spec)
-        kept = fast_alrp(sc, FastConfig(delta=delta)).n_kept
+        kept = fast_alrp(sc, FastConfig()).n_kept
         n_kept = kept if prune else n_neg
         ops = operation_count(n_pos, n_neg, n_kept)
         bound = complexity_bound(n_pos, n_neg, n_kept)

@@ -169,10 +169,11 @@ def loc_error_array(pred, gt, kind):
 def _overlap_grad_array(pred, gt, variant):
     """(d overlap / d pred, tie mask) for IoU or GIoU over (P, 4) arrays.
 
-    The tie mask flags a branch tie of any min/max or clamp that reaches
-    the value (a clamp tie counts only where the other side of the
-    intersection is nonzero), and every zero-union (or, for GIoU,
-    zero-hull) box, whose gradient is set to zero.
+    The areas are _inter_union's (sides clamped at 0). The tie mask flags a
+    branch tie of any min/max or clamp that reaches the value (a clamp tie
+    counts only where the other side of its product is nonzero; an area's
+    reaches GIoU only), and every zero-union (or, for GIoU, zero-hull) box,
+    whose gradient is set to zero.
     """
     a = np.asarray(pred, dtype=np.float64)
     b = np.asarray(gt, dtype=np.float64)
@@ -196,9 +197,12 @@ def _overlap_grad_array(pred, gt, variant):
     d_inter = np.stack([-ix1 * rw * ih, -iy1 * rh * iw, ix2 * rw * ih, iy2 * rh * iw], axis=-1)
 
     w, h = a2 - a0, a3 - a1
-    area_a = w * h
-    area_b = (b2 - b0) * (b3 - b1)
-    d_area_a = np.stack([-h, -w, h, w], axis=-1)
+    sw, tw = _slope(0.0, w)
+    sh, th = _slope(0.0, h)
+    cw, ch = _max(0.0, w), _max(0.0, h)
+    area_a = cw * ch
+    area_b = _max(0.0, b2 - b0) * _max(0.0, b3 - b1)
+    d_area_a = np.stack([-sw * ch, -sh * cw, sw * ch, sh * cw], axis=-1)
     union = area_a + area_b - inter
     d_union = d_area_a - d_inter
 
@@ -216,6 +220,7 @@ def _overlap_grad_array(pred, gt, variant):
         if variant == "giou":
             # GIoU = IoU - (hull - union)/hull = IoU - 1 + union/hull
             g = g + (d_union * hl - u * d_hull) / (hl * hl)
+            tie = tie | (tw & (ch > 0.0)) | (th & (cw > 0.0))
             degenerate = degenerate | (hull <= 0.0)
     return np.where(degenerate[..., None], 0.0, g), tie | degenerate
 

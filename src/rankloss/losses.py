@@ -33,7 +33,6 @@ from .ranking import (  # noqa: F401
     RankingLossDef,
     StepKind,
     _assemble,
-    _rank_stats,
     assemble_gradients,
     gradient_sums,
     rank_stats,
@@ -41,6 +40,7 @@ from .ranking import (  # noqa: F401
 )
 
 LOSS_NAMES = ("ap", "alrp", "ndcg")
+EXACT = StepKind.exact()
 
 
 @dataclass
@@ -82,7 +82,6 @@ class SelfBalancer:
     """
 
     active_weight: float = 1.0
-    ratio_history: tuple = ()
 
 
 def self_balance_update(balancer, epoch_pairs):
@@ -92,18 +91,14 @@ def self_balance_update(balancer, epoch_pairs):
     """
     ratios = [t / l for (t, l) in epoch_pairs if l > 0.0]
     if not ratios:
-        return SelfBalancer(balancer.active_weight, balancer.ratio_history)
-    mean_ratio = float(np.mean(ratios))
-    return SelfBalancer(
-        active_weight=mean_ratio,
-        ratio_history=balancer.ratio_history + (mean_ratio,),
-    )
+        return balancer
+    return SelfBalancer(float(np.mean(ratios)))
 
 
 def _exact_pos_loc_sums(scenario, e_loc):
     """C(i) = sum_{k != i, s_k >= s_i} E_loc(k), exact step, ties both ways."""
     ps = scenario.pos_scores()
-    return np.maximum(step_sums(ps, ps, StepKind.exact(), e_loc) - e_loc, 0.0)
+    return np.maximum(step_sums(ps, ps, EXACT, e_loc) - e_loc, 0.0)
 
 
 class APLossDef(RankingLossDef):
@@ -171,7 +166,7 @@ def ndcg_ideal_gain(n_pos):
     return float((1.0 / np.log2(1.0 + np.arange(1, n_pos + 1))).sum())
 
 
-def alrp_soft_weights(scenario, kind=StepKind.exact()):
+def alrp_soft_weights(scenario, kind=EXACT):
     """Per-positive weights w with sum_i w_i E_loc(i) == loc_component.
 
     w_i collects 1/rank over i itself and every positive scored at or below
@@ -184,7 +179,7 @@ def alrp_soft_weights(scenario, kind=StepKind.exact()):
 
 def _soft_weights(ps, rank):
     # "Scored at or below" is the exact step on negated scores.
-    return step_sums(-ps, -ps, StepKind.exact(), 1.0 / rank) / ps.size
+    return step_sums(-ps, -ps, EXACT, 1.0 / rank) / ps.size
 
 
 def _loss(scenario, kind, loss_def, balancer=None):
@@ -192,9 +187,9 @@ def _loss(scenario, kind, loss_def, balancer=None):
     rank statistics are computed once and feed the loss terms, the score
     gradients and (aLRP only) the box gradients; balancer scales the box
     gradients only."""
-    stats, neg_vs_pos = _rank_stats(scenario, kind)
+    stats = rank_stats(scenario, kind)
     ell, ell_star, cls_c, loc_c = loss_def.terms(scenario, stats, kind)
-    report = _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star)
+    report = _assemble(scenario, loss_def, stats, ell, ell_star)
     sb = balancer.active_weight if balancer is not None else 1.0
     box, n_nonsmooth = np.zeros((scenario.n_pos, 4)), 0
     if isinstance(loss_def, ALRPLossDef):
@@ -211,18 +206,18 @@ def _loss(scenario, kind, loss_def, balancer=None):
         grad_report=report,
         sb_weight_applied=float(sb),
         n_nonsmooth=int(n_nonsmooth),
-        n_kept=int(neg_vs_pos.idx.size),
-        n_pairwise=int(neg_vs_pos.pair_q.size),
+        n_kept=int(stats.relation.idx.size),
+        n_pairwise=int(stats.relation.pair_q.size),
     )
 
 
-def ap_loss(scenario, kind=StepKind.exact()):
+def ap_loss(scenario, kind=EXACT):
     """One minus average precision under the ranking interpretation:
     mean over positives of N_FP(i)/rank(i)."""
     return _loss(scenario, kind, APLossDef())
 
 
-def alrp_loss(scenario, kind=StepKind.exact(), balancer=None, use_fast=False):
+def alrp_loss(scenario, kind=EXACT, balancer=None, use_fast=False):
     """Average LRP over positives, split into a ranking (cls) part and a
     localization part, with score and box gradients.
 
@@ -237,7 +232,7 @@ def alrp_loss(scenario, kind=StepKind.exact(), balancer=None, use_fast=False):
     return _loss(scenario, kind, ALRPLossDef(), balancer)
 
 
-def wrong_target_alrp(scenario, kind=StepKind.exact(), balancer=None):
+def wrong_target_alrp(scenario, kind=EXACT, balancer=None):
     """aLRP with the update target forced to zero (see WrongTargetALRPDef).
 
     Identical values and box gradients; only the score gradients differ,
@@ -247,7 +242,7 @@ def wrong_target_alrp(scenario, kind=StepKind.exact(), balancer=None):
     return _loss(scenario, kind, WrongTargetALRPDef(), balancer)
 
 
-def ndcg_loss(scenario, kind=StepKind.exact()):
+def ndcg_loss(scenario, kind=EXACT):
     """1 - sum of positive gains over the ideal gain."""
     return _loss(scenario, kind, NDCGLossDef())
 

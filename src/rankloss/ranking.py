@@ -19,7 +19,7 @@ The central objects:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -470,27 +470,25 @@ class RankStats:
     rank      = 1 + sum_{k in P, k != i} H(x_ik) + sum_{j in N} H(x_ij)
     rank_pos  = the positive-only part (including the self term 1)
     n_fp      = the negative part, i.e. rank - rank_pos
+    relation  = the negatives-to-positives StepRelation behind n_fp
     Fractional in smooth mode.
     """
 
     rank: np.ndarray
     rank_pos: np.ndarray
     n_fp: np.ndarray
+    relation: StepRelation | None = field(default=None, compare=False, repr=False)
 
 
 def rank_stats(scenario, kind):
-    return _rank_stats(scenario, kind)[0]
-
-
-def _rank_stats(scenario, kind):
-    """RankStats and the negatives-to-positives StepRelation behind N_FP."""
+    """The RankStats of the scenario's positives under the step kind."""
     ps = scenario.pos_scores()
     # The sum over all positives includes the self pair H(0); the self term
     # of rank_pos is 1 instead.
     rank_pos = step_sums(ps, ps, kind) + (1.0 - float(step(0.0, kind)))
-    neg_vs_pos = StepRelation(scenario.neg_scores(), ps, kind)
-    n_fp = neg_vs_pos.row_sums()
-    return RankStats(rank=rank_pos + n_fp, rank_pos=rank_pos, n_fp=n_fp), neg_vs_pos
+    relation = StepRelation(scenario.neg_scores(), ps, kind)
+    n_fp = relation.row_sums()
+    return RankStats(rank_pos + n_fp, rank_pos, n_fp, relation)
 
 
 @dataclass
@@ -551,14 +549,14 @@ def assemble_gradients(scenario, loss_def, kind):
     if any target exceeds its primary term (the update would push the wrong
     way).
     """
-    stats, neg_vs_pos = _rank_stats(scenario, kind)
+    stats = rank_stats(scenario, kind)
     ell, ell_star = loss_def.local_errors(scenario, stats, kind)
-    return _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star)
+    return _assemble(scenario, loss_def, stats, ell, ell_star)
 
 
-def _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star):
-    """assemble_gradients from a loss's rank statistics (with the relation
-    behind N_FP) and its local errors and targets, computed by the caller."""
+def _assemble(scenario, loss_def, stats, ell, ell_star):
+    """assemble_gradients from a loss's rank statistics and its local errors
+    and targets, computed by the caller."""
     z = float(loss_def.normalizer(scenario))
     gap = ell - ell_star
     bad = np.flatnonzero(gap < -1e-12 * np.maximum(1.0, np.abs(ell)))
@@ -578,7 +576,7 @@ def _assemble(scenario, loss_def, stats, neg_vs_pos, ell, ell_star):
         grads[scenario.pos_index] = -gap * mass / z
     share = np.divide(gap, stats.n_fp * z, out=np.zeros_like(gap), where=mass > 0.0)
     # Each negative's gradient: the column sums of the relation behind N_FP.
-    grads[scenario.neg_index] = neg_vs_pos.col_sums(share)
+    grads[scenario.neg_index] = stats.relation.col_sums(share)
     loss_value = float((ell * mass).sum()) / z
     direct = float(ell.sum()) / z
     return GradReport(

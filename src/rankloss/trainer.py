@@ -5,12 +5,14 @@ their sigmoids) and raw corner parameters for each positive's box.  Training
 is full-batch gradient descent with momentum.  The point is not speed but
 observability: every epoch logs the loss split, the positive/negative
 gradient balance ratio, the self-balance weight, the score/IoU rank
-correlation, and the mean IoU.
+correlation, the mean IoU, the loss's counters and primary-term residual,
+and the box-gradient norm (LOG_COLUMNS).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,8 +26,12 @@ from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio, self_b
 from .metrics import _ious_by_score, _rank_correlation, positive_ious, ranking_correlation  # noqa: F401
 from .ranking import NEG, POS, Scenario, StepKind
 
-LOG_COLUMNS = ("epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou")
+LOG_COLUMNS = (
+    "epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou",
+    "n_nonsmooth", "n_kept", "n_pairwise", "residual", "box_grad_norm",
+)
 MOMENTUM = 0.9
+SCORE_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,8 @@ class ScenarioGenSpec:
     ``score_low``/``score_high`` switches to uniform scores on that range
     (``pos_score_low`` optionally raises the positives' floor), which the
     complexity probe uses to control how many negatives survive pruning.
+    Bounds must be finite, ``score_low <= score_high`` and
+    ``pos_score_low <= score_high``; ``pos_score_low`` alone is refused.
     """
 
     n_pos: int
@@ -66,6 +74,14 @@ class ScenarioGenSpec:
             raise ValueError("iou_order must be 'anti', 'aligned', or 'random'")
         if (self.score_low is None) != (self.score_high is None):
             raise ValueError("score_low and score_high must be given together")
+        if self.pos_score_low is not None and self.score_low is None:
+            raise ValueError("pos_score_low needs score_low and score_high")
+        for name in ("score_low", "score_high", "pos_score_low"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value is not None and value > self.score_high:
+                raise ValueError(f"{name} must be <= score_high, got {value!r} > {self.score_high!r}")
 
 
 def _gt_boxes(n: int) -> np.ndarray:
@@ -119,28 +135,25 @@ class ToyModel:
     """Trainable state: one logit per non-ignored anchor, corner boxes.
 
     Scores outside (0, 1) cannot be inverted through a sigmoid, so initial
-    scores are clamped into [eps, 1 - eps] before taking logits.
+    scores are clamped into [SCORE_EPS, 1 - SCORE_EPS] before taking logits.
     """
 
-    def __init__(self, scenario: Scenario, eps: float = 1e-4):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.train_index = np.concatenate((scenario.pos_index, scenario.neg_index))
-        init = np.clip(scenario.scores[self.train_index], eps, 1.0 - eps)
+        init = np.clip(scenario.scores[self.train_index], SCORE_EPS, 1.0 - SCORE_EPS)
         self.logits = _logit(init)
         self.boxes = scenario.pos_boxes().copy()
 
     def current_scenario(self) -> Scenario:
-        return self._scenario(_sigmoid(self.logits))
+        scores = self.scenario.scores.copy()
+        scores[self.train_index] = _sigmoid(self.logits)
+        return self.scenario.with_scores(scores).with_positive_boxes(self.boxes)
 
     def score_grad_to_logit_grad(self, score_grads: np.ndarray) -> np.ndarray:
         return self._logit_grad(score_grads, _sigmoid(self.logits))
 
-    # The two above from the sigmoid s of the logits, which train() takes once an epoch.
-    def _scenario(self, s: np.ndarray) -> Scenario:
-        scores = self.scenario.scores.copy()
-        scores[self.train_index] = s
-        return self.scenario.with_scores(scores).with_positive_boxes(self.boxes)
-
+    # From the sigmoid s of the logits, which train() reads back from its scenario.
     def _logit_grad(self, score_grads: np.ndarray, s: np.ndarray) -> np.ndarray:
         return score_grads[self.train_index] * s * (1.0 - s)
 
@@ -163,7 +176,6 @@ class TrainLog:
 
     rows: list = field(default_factory=list)
     diverged_at: Optional[int] = None
-    extras: list = field(default_factory=list)
 
     def values(self, column: str) -> np.ndarray:
         return np.array([row[column] for row in self.rows], dtype=np.float64)
@@ -178,15 +190,22 @@ class TrainLog:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS, extrasaction="ignore")
+            writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS)
             writer.writeheader()
             for row in self.rows:
                 writer.writerow(row)
 
 
+def check_positive(name: str, value: float, zero_ok: bool = False) -> None:
+    """Refuse, by name, a value that is not finite and > 0 (>= 0 with zero_ok)."""
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for the toy training loop."""
+    """Hyperparameters for the toy training loop. lr must be finite and > 0;
+    box_lr (default lr) finite and >= 0, where 0 freezes the boxes."""
 
     loss: str = "alrp"
     epochs: int = 100
@@ -207,6 +226,9 @@ class TrainConfig:
             raise ValueError("self-balancing only applies to the alrp loss")
         if self.box_lr is not None and self.loss != "alrp":
             raise ValueError("box_lr only applies to the alrp loss (ap and ndcg have no box gradients)")
+        check_positive("lr", self.lr)
+        if self.box_lr is not None:
+            check_positive("box_lr", self.box_lr, zero_ok=True)
 
 
 def _safe_rho(scores: np.ndarray, ious: np.ndarray) -> float:
@@ -223,7 +245,8 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
     logits of every positive and negative anchor.  With self-balancing on,
     the weight for epoch e+1 is the mean total/loc ratio observed at epoch
     e (identity weight at epoch 0, and iterations with a zero localisation
-    component leave the weight unchanged).
+    component leave the weight unchanged). A non-finite total or box corner
+    ends the run with diverged_at set.
     """
     model = ToyModel(scenario)
     box_lr = cfg.lr if cfg.box_lr is None else cfg.box_lr
@@ -233,10 +256,10 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
     vel_box = np.zeros_like(model.boxes)
 
     for epoch in range(cfg.epochs + 1):
-        s = _sigmoid(model.logits)
-        scn = model._scenario(s)
+        scn = model.current_scenario()
+        s = scn.scores[model.train_index]
         bd = _named_loss(cfg.loss, scn, cfg.step, cfg.wrong_target, balancer)
-        if not np.isfinite(bd.total):
+        if not (np.isfinite(bd.total) and np.isfinite(model.boxes).all()):
             log.diverged_at = epoch
             break
         ious = positive_ious(scn)
@@ -250,9 +273,13 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
                 "sb_weight": bd.sb_weight_applied,
                 "rho": _safe_rho(scn.pos_scores(), ious),
                 "mean_iou": float(ious.mean()),
+                "n_nonsmooth": bd.n_nonsmooth,
+                "n_kept": bd.n_kept,
+                "n_pairwise": bd.n_pairwise,
+                "residual": bd.grad_report.primary_term_sum_check,
+                "box_grad_norm": float(np.linalg.norm(bd.box_grads)),
             }
         )
-        log.extras.append({"box_grad_norm": float(np.linalg.norm(bd.box_grads))})
         if epoch == cfg.epochs:
             break
 

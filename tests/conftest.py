@@ -111,8 +111,8 @@ def sb_warmup_report(scenario, cfg, probe_epochs=5):
     log_on = train(scenario, won)
     return {
         "sb_weights": [row["sb_weight"] for row in log_on.rows],
-        "box_grad_norm_on": [e["box_grad_norm"] for e in log_on.extras],
-        "box_grad_norm_off": [e["box_grad_norm"] for e in log_off.extras],
+        "box_grad_norm_on": [row["box_grad_norm"] for row in log_on.rows],
+        "box_grad_norm_off": [row["box_grad_norm"] for row in log_off.rows],
         "loc_share_on": [row["loc"] / row["total"] if row["total"] else float("nan") for row in log_on.rows],
         "loc_share_off": [row["loc"] / row["total"] if row["total"] else float("nan") for row in log_off.rows],
     }
@@ -573,8 +573,10 @@ def _oracle_d_relu(x):
 def _oracle_overlap_pieces(pred, gt):
     """Shared geometry terms and their per-coordinate derivatives.
 
-    Returns (inter, union, hull, d_inter, d_union, d_hull, tie) where the
-    d_* entries are length-4 arrays of derivatives wrt the predicted box.
+    Returns (inter, union, hull, d_inter, d_union, d_hull, tie, area_tie)
+    where the d_* entries are length-4 arrays of derivatives wrt the
+    predicted box and area_tie flags a clamp tie of the predicted box's
+    area that reaches the union.
     """
     a = _as_box_array(pred)
     b = _as_box_array(gt)
@@ -603,9 +605,15 @@ def _oracle_overlap_pieces(pred, gt):
         ]
     )
 
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    d_area_a = np.array([-(a[3] - a[1]), -(a[2] - a[0]), a[3] - a[1], a[2] - a[0]])
+    # Each side clamped at 0, as in the values; a clamp tie reaches GIoU
+    # (through the union) where the other side is positive.
+    sw, tw = _oracle_d_relu(a[2] - a[0])
+    sh, th = _oracle_d_relu(a[3] - a[1])
+    cw, ch = max(0.0, a[2] - a[0]), max(0.0, a[3] - a[1])
+    area_a = cw * ch
+    area_b = max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
+    d_area_a = np.array([-sw * ch, -sh * cw, sw * ch, sh * cw])
+    area_tie = (tw and ch > 0.0) or (th and cw > 0.0)
 
     union = area_a + area_b - inter
     d_union = d_area_a - d_inter
@@ -620,13 +628,13 @@ def _oracle_overlap_pieces(pred, gt):
     d_hull = np.array([-hx1 * hh, -hy1 * hw, hx2 * hh, hy2 * hw])
     tie = tie or t7 or t8 or t9 or t10
 
-    return inter, union, hull, d_inter, d_union, d_hull, tie
+    return inter, union, hull, d_inter, d_union, d_hull, tie, area_tie
 
 
 def oracle_iou_grad(pred, gt):
     """(dIoU/dpred, nonsmooth flag). Zero-union configurations get a zero
     gradient (both boxes degenerate)."""
-    inter, union, _, d_inter, d_union, _, tie = _oracle_overlap_pieces(pred, gt)
+    inter, union, _, d_inter, d_union, _, tie, _ = _oracle_overlap_pieces(pred, gt)
     if union <= 0.0:
         return np.zeros(4), True
     g = (d_inter * union - inter * d_union) / (union * union)
@@ -635,13 +643,13 @@ def oracle_iou_grad(pred, gt):
 
 def oracle_giou_grad(pred, gt):
     """(dGIoU/dpred, nonsmooth flag)."""
-    inter, union, hull, d_inter, d_union, d_hull, tie = _oracle_overlap_pieces(pred, gt)
+    inter, union, hull, d_inter, d_union, d_hull, tie, area_tie = _oracle_overlap_pieces(pred, gt)
     if union <= 0.0 or hull <= 0.0:
         return np.zeros(4), True
     g = (d_inter * union - inter * d_union) / (union * union)
     # GIoU = IoU - (hull - union)/hull = IoU - 1 + union/hull
     g = g + (d_union * hull - union * d_hull) / (hull * hull)
-    return g, tie
+    return g, tie or area_tie
 
 
 def oracle_loc_error_grad(pred, gt, kind):

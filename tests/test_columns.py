@@ -233,10 +233,9 @@ def _same_log(a, b):
         return type(x) is type(y) and (x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y)))
 
     assert a.diverged_at == b.diverged_at
-    for rows_a, rows_b in ((a.rows, b.rows), (a.extras, b.extras)):
-        assert len(rows_a) == len(rows_b)
-        for ra, rb in zip(rows_a, rows_b):
-            assert ra.keys() == rb.keys() and all(cell(ra[k], rb[k]) for k in ra), (ra, rb)
+    assert len(a.rows) == len(b.rows)
+    for ra, rb in zip(a.rows, b.rows):
+        assert ra.keys() == rb.keys() and all(cell(ra[k], rb[k]) for k in ra), (ra, rb)
 
 
 @pytest.mark.parametrize("config", sorted(TRAIN_CONFIGS))

@@ -7,7 +7,7 @@ oracles by ==, and counted: the running sums in col_sums are no longer
 than the distinct window edges, and no all-ones array is prefix-summed.
 The pairs of low step mass each loss evaluates one by one are counted, and
 so are the calls into the package's own functions during one small loss
-call."""
+call and the calls of the traced layer entry points."""
 
 import sys
 from pathlib import Path
@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_col_sums, oracle_loss, oracle_pairwise, oracle_window_sums
-from rankloss import ranking
+from rankloss import losses, ranking, trainer
 from rankloss.fileio import load_scenario
 from rankloss.losses import alrp_loss, ap_loss, balance_ratio, ndcg_loss, wrong_target_alrp
 from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, StepRelation, step, step_sums
-from rankloss.trainer import ScenarioGenSpec, generate_scenario
+from rankloss.trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -390,3 +390,36 @@ class TestCallCount:
         finally:
             sys.setprofile(previous)
         assert len(calls) <= 132
+
+
+def counted(monkeypatch, owners, name):
+    """Replace ``name`` on every owner (module or class) with one wrapper
+    that counts its calls, as a tracer wraps a layer under each name its
+    callers look it up by; returns the list of calls."""
+    calls, real = [], getattr(owners[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestTracedEntryPoints:
+    """Each traced layer has one entry point, and the package calls it."""
+
+    def test_a_loss_call_enters_rank_stats_once(self, monkeypatch):
+        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=200, seed=0))
+        calls = counted(monkeypatch, (ranking, losses), "rank_stats")
+        for kind in (StepKind.exact(), StepKind.smoothed(0.5)):
+            calls.clear()
+            alrp_loss(scn, kind)
+            assert len(calls) == 1
+
+    def test_each_epoch_builds_its_scenario_by_current_scenario(self, monkeypatch):
+        scn = generate_scenario(ScenarioGenSpec(n_pos=6, n_neg=40, seed=1))
+        calls = counted(monkeypatch, (trainer.ToyModel,), "current_scenario")
+        log = train(scn, TrainConfig(epochs=3))
+        assert len(log.rows) == len(calls) == 4

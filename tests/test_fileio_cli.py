@@ -611,7 +611,9 @@ class TestCLITrain:
         assert doc["final_total"] < doc["initial_total"]
         assert doc["loss_reduction"] > 0.0
         header = out.read_text().splitlines()[0]
-        assert header == "epoch,total,cls,loc,ratio,sb_weight,rho,mean_iou"
+        assert header == (
+            "epoch,total,cls,loc,ratio,sb_weight,rho,mean_iou,n_nonsmooth,n_kept,n_pairwise,residual,box_grad_norm"
+        )
         assert len(out.read_text().splitlines()) == 42  # header + 41 rows
 
     def test_scenario_file_run(self, tmp_path, capsys):
@@ -680,18 +682,36 @@ class TestCLITrain:
         assert doc["initial_rho"] is None and doc["final_rho"] is None
         assert np.isfinite(doc["final_total"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--lr", "nan"], "--lr must be finite and > 0, got nan"),
+            (["--lr", "inf"], "--lr must be finite and > 0, got inf"),
+            (["--box-lr", "nan"], "--box-lr must be finite and >= 0, got nan"),
+            (["--box-lr", "-1"], "--box-lr must be finite and >= 0, got -1.0"),
+        ),
+        ids=("nan-lr", "inf-lr", "nan-box-lr", "negative-box-lr"),
+    )
+    def test_learning_rates_must_be_finite(self, capsys, flags, message):
+        assert main(["train", "--gen", "P=5,N=20,seed=1", "--epochs", "3", *flags]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
-        scn = generate_scenario(
-            ScenarioGenSpec(n_pos=4, n_neg=20, seed=3, loc_kind=LocErrorKind.giou())
-        )
-        path = tmp_path / "giou.json"
-        save_scenario(scn, path)
-        rc = main(
-            ["train", "--scenario", str(path), "--epochs", "12", "--lr", "1.0", "--box-lr", "1e308"]
-        )
-        assert rc == EXIT_NUMERICAL
-        assert "diverged" in capsys.readouterr().err
+        # GIoU overflows the loss; IoU scores a NaN box 0 and keeps a finite
+        # loss, so there the non-finite corners end the run.
+        for loc_kind in (LocErrorKind.giou(), LocErrorKind.iou()):
+            scn = generate_scenario(
+                ScenarioGenSpec(n_pos=4, n_neg=20, seed=3, loc_kind=loc_kind)
+            )
+            path = tmp_path / f"{loc_kind.variant}.json"
+            save_scenario(scn, path)
+            rc = main(
+                ["train", "--scenario", str(path), "--epochs", "12", "--lr", "1.0", "--box-lr", "1e308"]
+            )
+            assert rc == EXIT_NUMERICAL
+            assert "diverged" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ("loss", "train"))

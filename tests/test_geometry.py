@@ -205,3 +205,54 @@ class TestGradientsAgainstFiniteDifferences:
         g, tie = iou_grad(point, point)
         assert tie
         np.testing.assert_array_equal(g, np.zeros(4))
+
+
+UNIT = np.array([0.0, 0.0, 1.0, 1.0])
+# (predicted box against UNIT, IoU flagged, GIoU flagged): a clamp tie is
+# flagged where it reaches the value. A zero side inside the ground truth
+# ties the intersection's clamp; anywhere it ties the area's clamp, which
+# reaches GIoU (through the union) while the other side is positive and
+# never reaches IoU (the intersection is 0 there).
+DEGENERATE = {
+    "zero-width-inside": ([0.3, 0.2, 0.3, 0.9], True, True),
+    "zero-width-outside": ([1.5, 0.2, 1.5, 0.9], False, True),
+    "zero-height-inside": ([0.2, 0.4, 0.9, 0.4], True, True),
+    "zero-height-outside": ([0.2, -0.5, 0.9, -0.5], False, True),
+    "inverted-width": ([0.5, 0.2, 0.3, 0.9], False, False),
+    "inverted-height": ([0.2, 0.9, 0.7, 0.3], False, False),
+    "point-inside": ([0.3, 0.4, 0.3, 0.4], False, False),
+    "point-outside": ([1.5, 1.5, 1.5, 1.5], False, False),
+}
+
+
+class TestDegenerateBoxes:
+    """Zero-width, zero-height and inverted predicted boxes: the gradient is
+    the derivative of the clamped areas the values take, so it equals
+    central differences (the mean of the one-sided slopes at a clamp tie)."""
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_overlap_grads_are_central_differences(self, name):
+        pred, iou_tie, giou_tie = DEGENERATE[name]
+        pred = np.array(pred)
+        for grad, value, want_tie in ((iou_grad, iou, iou_tie), (giou_grad, giou, giou_tie)):
+            g, tie = grad(pred, UNIT)
+            np.testing.assert_allclose(g, central_fd(lambda p: value(p, UNIT), pred), rtol=0.0, atol=1e-6)
+            assert tie is want_tie
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_loc_error_grads_are_central_differences(self, name):
+        pred, iou_tie, giou_tie = DEGENERATE[name]
+        pred = np.array(pred)
+        for kind, want_tie in ((LocErrorKind.iou(), iou_tie), (LocErrorKind.giou(), giou_tie)):
+            g, tie = loc_error_grad(pred, UNIT, kind)
+            fd = central_fd(lambda p: loc_error(p, UNIT, kind, check=False), pred)
+            np.testing.assert_allclose(g, fd, rtol=0.0, atol=1e-6)
+            assert tie is want_tie
+
+    def test_giou_grads_of_zero_width_and_inverted_boxes(self):
+        g, _ = giou_grad([0.3, 0.2, 0.3, 0.9], UNIT)
+        np.testing.assert_allclose(g, [-0.35, 0.0, 0.35, 0.0], rtol=1e-12, atol=1e-15)
+        g, _ = giou_grad([1.5, 0.2, 1.5, 0.9], UNIT)
+        np.testing.assert_allclose(g, [-7.0 / 30.0, 0.0, -19.0 / 90.0, 0.0], rtol=1e-12, atol=1e-15)
+        g, _ = giou_grad([0.5, 0.2, 0.3, 0.9], UNIT)
+        np.testing.assert_array_equal(g, np.zeros(4))

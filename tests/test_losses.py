@@ -241,14 +241,12 @@ class TestSelfBalancing:
         np.testing.assert_allclose(sb.active_weight, 9.0, rtol=1e-14)
         sb = self_balance_update(SelfBalancer(), [(0.9, 0.1), (1.2, 0.3)])
         np.testing.assert_allclose(sb.active_weight, (9.0 + 4.0) / 2.0, rtol=1e-14)
-        assert len(sb.ratio_history) == 1
 
     def test_zero_loc_iterations_are_skipped(self):
         sb = self_balance_update(SelfBalancer(), [(0.9, 0.1), (0.5, 0.0)])
         np.testing.assert_allclose(sb.active_weight, 9.0, rtol=1e-14)
         unchanged = self_balance_update(SelfBalancer(active_weight=3.0), [(0.5, 0.0)])
         assert unchanged.active_weight == 3.0
-        assert unchanged.ratio_history == ()
 
     def test_weight_scales_box_grads_only(self):
         scn = fixture_scenario("aligned")
