@@ -22,8 +22,8 @@ import numpy as np
 from .fileio import load_eval, load_scenario
 from .losses import EXACT, LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio
 from .metrics import DEFAULT_TAUS, TEN_POINT_RECALLS, lrp_at, mean_ap, olrp
-from .ranking import StepKind
-from .trainer import ScenarioGenSpec, TrainConfig, check_positive, generate_scenario, train
+from .ranking import StepKind, check_positive
+from .trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
 
 EXIT_OK = 0
 EXIT_INVALID = 2

@@ -112,12 +112,23 @@ def _slope(p, q):
 
 
 def _inter_union(a, b):
+    """The one copy of the overlap pieces of boxes a against b: the sides of
+    the intersection and of a, each before and after the clamp at 0, then
+    the intersection and the union of the clamped areas."""
     iw = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
     ih = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
-    inter = _max(0.0, iw) * _max(0.0, ih)
-    area_a = _max(0.0, a[..., 2] - a[..., 0]) * _max(0.0, a[..., 3] - a[..., 1])
-    area_b = _max(0.0, b[..., 2] - b[..., 0]) * _max(0.0, b[..., 3] - b[..., 1])
-    return inter, area_a + area_b - inter
+    w, h = a[..., 2] - a[..., 0], a[..., 3] - a[..., 1]
+    ciw, cih, cw, ch = _max(0.0, iw), _max(0.0, ih), _max(0.0, w), _max(0.0, h)
+    inter = ciw * cih
+    union = cw * ch + _max(0.0, b[..., 2] - b[..., 0]) * _max(0.0, b[..., 3] - b[..., 1]) - inter
+    return (iw, ih, ciw, cih), (w, h, cw, ch), inter, union
+
+
+def _hull(a, b):
+    """(width, height, area) of the smallest box enclosing a and b."""
+    hw = _max(a[..., 2], b[..., 2]) - _min(a[..., 0], b[..., 0])
+    hh = _max(a[..., 3], b[..., 3]) - _min(a[..., 1], b[..., 1])
+    return hw, hh, hw * hh
 
 
 def boxes_with_iou(gts, ious):
@@ -137,7 +148,7 @@ def iou_array(pred, gt):
     ``iou_array(dets[:, None], gts[None])`` is the (D, G) IoU matrix;
     ``iou_array(pred, gt)`` on two (P, 4) arrays is the row-wise IoU.
     """
-    inter, union = _inter_union(np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64))
+    *_, inter, union = _inter_union(np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64))
     return np.divide(inter, union, out=np.zeros(union.shape), where=~(union <= 0.0))
 
 
@@ -147,78 +158,69 @@ def giou_array(pred, gt):
     only where hull > 0."""
     a = np.asarray(pred, dtype=np.float64)
     b = np.asarray(gt, dtype=np.float64)
-    inter, union = _inter_union(a, b)
-    hull = (_max(a[..., 2], b[..., 2]) - _min(a[..., 0], b[..., 0])) * (
-        _max(a[..., 3], b[..., 3]) - _min(a[..., 1], b[..., 1])
-    )
+    *_, inter, union = _inter_union(a, b)
+    hull = _hull(a, b)[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.where(union > 0.0, inter / union, 0.0)
         return np.where(hull > 0.0, value - (hull - union) / hull, value)
 
 
+def overlap_unit_array(pred, gt, kind):
+    """The [0, 1]-normalized overlap E_loc consumes, over box arrays: IoU
+    for the "iou" variant, (1 + GIoU)/2 for "giou"."""
+    if kind.variant == "iou":
+        return iou_array(pred, gt)
+    return 0.5 * (1.0 + giou_array(pred, gt))
+
+
+def _loc_error_of(v, kind):
+    return (1.0 - v) / (1.0 - kind.tau)
+
+
 def loc_error_array(pred, gt, kind):
     """E_loc = (1 - overlap) / (1 - tau) over box arrays, unchecked: the
     loss path tolerates values above 1 (a box drifting below tau)."""
-    if kind.variant == "iou":
-        v = iou_array(pred, gt)
-    else:
-        v = 0.5 * (1.0 + giou_array(pred, gt))
-    return (1.0 - v) / (1.0 - kind.tau)
+    return _loc_error_of(overlap_unit_array(pred, gt, kind), kind)
 
 
 def _overlap_grad_array(pred, gt, variant):
     """(d overlap / d pred, tie mask) for IoU or GIoU over (P, 4) arrays.
 
-    The areas are _inter_union's (sides clamped at 0). The tie mask flags a
-    branch tie of any min/max or clamp that reaches the value (a clamp tie
-    counts only where the other side of its product is nonzero; an area's
-    reaches GIoU only), and every zero-union (or, for GIoU, zero-hull) box,
-    whose gradient is set to zero.
+    The pieces are _inter_union's and _hull's. The tie mask flags a branch
+    tie of any min/max or clamp that reaches the value (a clamp tie counts
+    only where the other side of its product is nonzero; an area's reaches
+    GIoU only), and every zero-union (or, for GIoU, zero-hull) box, whose
+    gradient is set to zero.
     """
     a = np.asarray(pred, dtype=np.float64)
     b = np.asarray(gt, dtype=np.float64)
-    a0, a1, a2, a3 = (a[..., k] for k in range(4))
-    b0, b1, b2, b3 = (b[..., k] for k in range(4))
+    (iw, ih, ciw, cih), (w, h, cw, ch), inter, union = _inter_union(a, b)
 
-    # Intersection width/height and their derivative through the clamp.
-    ix2, t1 = _slope(a2, b2)
-    ix1, t2 = _slope(b0, a0)
-    iy2, t3 = _slope(a3, b3)
-    iy1, t4 = _slope(b1, a1)
-    iw_raw = _min(a2, b2) - _max(a0, b0)
-    ih_raw = _min(a3, b3) - _max(a1, b1)
-    rw, t5 = _slope(0.0, iw_raw)
-    rh, t6 = _slope(0.0, ih_raw)
-    iw = _max(0.0, iw_raw)
-    ih = _max(0.0, ih_raw)
-    tie = t1 | t2 | t3 | t4 | (t5 & (ih > 0.0)) | (t6 & (iw > 0.0))
+    # Slopes of the intersection's edges and of its clamped sides.
+    ix2, t1 = _slope(a[..., 2], b[..., 2])
+    ix1, t2 = _slope(b[..., 0], a[..., 0])
+    iy2, t3 = _slope(a[..., 3], b[..., 3])
+    iy1, t4 = _slope(b[..., 1], a[..., 1])
+    rw, t5 = _slope(0.0, iw)
+    rh, t6 = _slope(0.0, ih)
+    tie = t1 | t2 | t3 | t4 | (t5 & (cih > 0.0)) | (t6 & (ciw > 0.0))
+    d_inter = np.stack([-ix1 * rw * cih, -iy1 * rh * ciw, ix2 * rw * cih, iy2 * rh * ciw], axis=-1)
 
-    inter = iw * ih
-    d_inter = np.stack([-ix1 * rw * ih, -iy1 * rh * iw, ix2 * rw * ih, iy2 * rh * iw], axis=-1)
-
-    w, h = a2 - a0, a3 - a1
     sw, tw = _slope(0.0, w)
     sh, th = _slope(0.0, h)
-    cw, ch = _max(0.0, w), _max(0.0, h)
-    area_a = cw * ch
-    area_b = _max(0.0, b2 - b0) * _max(0.0, b3 - b1)
-    d_area_a = np.stack([-sw * ch, -sh * cw, sw * ch, sh * cw], axis=-1)
-    union = area_a + area_b - inter
-    d_union = d_area_a - d_inter
+    d_union = np.stack([-sw * ch, -sh * cw, sw * ch, sh * cw], axis=-1) - d_inter
 
-    # The hull edges are the other branches of the intersection's min/max:
-    # their slopes are 1 minus those above, with the same tie masks.
-    hw = _max(a2, b2) - _min(a0, b0)
-    hh = _max(a3, b3) - _min(a1, b1)
-    hull = hw * hh
-    d_hull = np.stack([-(1.0 - ix1) * hh, -(1.0 - iy1) * hw, (1.0 - ix2) * hh, (1.0 - iy2) * hw], axis=-1)
-
-    u, i, hl = union[..., None], inter[..., None], hull[..., None]
+    u, i = union[..., None], inter[..., None]
     degenerate = union <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (d_inter * u - i * d_union) / (u * u)
         if variant == "giou":
-            # GIoU = IoU - (hull - union)/hull = IoU - 1 + union/hull
+            # GIoU = IoU - 1 + union/hull. The hull edges are the other
+            # branches of the intersection's min/max: their slopes are 1
+            # minus those above, with the same tie masks.
+            hw, hh, hull = _hull(a, b)
+            d_hull = np.stack([-(1.0 - ix1) * hh, -(1.0 - iy1) * hw, (1.0 - ix2) * hh, (1.0 - iy2) * hw], axis=-1)
+            hl = hull[..., None]
             g = g + (d_union * hl - u * d_hull) / (hl * hl)
             tie = tie | (tw & (ch > 0.0)) | (th & (cw > 0.0))
             degenerate = degenerate | (hull <= 0.0)
@@ -259,13 +261,8 @@ def giou(pred, gt):
 
 
 def overlap_unit(pred, gt, kind):
-    """The [0, 1]-normalized overlap the error formula consumes.
-
-    IoU directly for the "iou" variant; (1 + GIoU)/2 for "giou".
-    """
-    if kind.variant == "iou":
-        return iou(pred, gt)
-    return 0.5 * (1.0 + giou(pred, gt))
+    """The [0, 1]-normalized overlap E_loc consumes: IoU, or (1 + GIoU)/2."""
+    return float(_single(overlap_unit_array, pred, gt, kind)[0])
 
 
 def loc_error(pred, gt, kind, check=True):
@@ -281,7 +278,7 @@ def loc_error(pred, gt, kind, check=True):
         raise ValueError(
             "overlap %.6f below tau %.2f: not a valid matched positive" % (v, kind.tau)
         )
-    return float(_single(loc_error_array, pred, gt, kind)[0])
+    return _loc_error_of(v, kind)
 
 
 def _first_row(g, tie):

@@ -34,6 +34,7 @@ from .ranking import (  # noqa: F401
     StepKind,
     _assemble,
     assemble_gradients,
+    check_positive,
     gradient_sums,
     rank_stats,
     step_sums,
@@ -79,9 +80,13 @@ class SelfBalancer:
     active_weight starts at 1.0 and is replaced at each epoch boundary by
     the epoch's mean total/loc_component ratio (iterations with a zero loc
     component are skipped). total >= loc always, so the weight is >= 1.
+    A weight that is not finite and > 0 is refused.
     """
 
     active_weight: float = 1.0
+
+    def __post_init__(self):
+        check_positive("active_weight", self.active_weight)
 
 
 def self_balance_update(balancer, epoch_pairs):
@@ -195,7 +200,7 @@ def _loss(scenario, kind, loss_def, balancer=None):
     if isinstance(loss_def, ALRPLossDef):
         # d(loc_component)/d(box) via the soft weights, times the balance weight.
         w = _soft_weights(scenario.pos_scores(), stats.rank)
-        g, tie = loc_error_grad_array(scenario.pos_boxes(), scenario.pos_gt_boxes(), scenario.loc_kind)
+        g, tie = loc_error_grad_array(scenario.pos_box, scenario.pos_gt_boxes(), scenario.loc_kind)
         box, n_nonsmooth = sb * (w[:, None] * g), np.count_nonzero(tie)
     return LossBreakdown(
         total=cls_c + loc_c,

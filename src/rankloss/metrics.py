@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import CORNER_ORDER, Box, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
-from .ranking import IGNORE, Scenario, _frozen
+from .ranking import IGNORE, Scenario, _frozen, _integers
 
 # Default IoU thresholds for the mean-AP sweep.
 DEFAULT_TAUS = (0.50, 0.65, 0.80, 0.95)
@@ -49,19 +49,27 @@ def _corner_array(boxes) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
+def _class_column(name, values):
+    column, bad = _integers(values, np.int64)
+    if bad.any():
+        raise ValueError("%s: class must be an integer, got %r" % (name, np.asarray(values)[bad][0].item()))
+    return column
+
+
 class EvalInput:
     """Everything the evaluator needs, as read-only columns: det_scores (D,)
     float64, det_cls (D,) int64, det_boxes (D, 4), gt_cls (G,) int64 and
-    gt_boxes (G, 4). The constructor takes the columns and refuses what
-    Detection and Box refuse (ground-truth boxes first); build() gathers
+    gt_boxes (G, 4). The constructor takes the columns and refuses a class
+    that is not an integer, by column, and what Detection and Box refuse
+    (ground-truth boxes first); build() gathers
     them from Detection / GroundTruth objects, and detections /
     ground_truths build those objects on each access."""
 
     def __init__(self, det_scores, det_cls, det_boxes, gt_cls, gt_boxes):
         self.det_scores = _frozen(np.array(det_scores, dtype=np.float64))
-        self.det_cls = _frozen(np.array(det_cls, dtype=np.int64))
+        self.det_cls = _frozen(_class_column("det_cls", det_cls))
         self.det_boxes = _frozen(np.array(det_boxes, dtype=np.float64).reshape(-1, 4))
-        self.gt_cls = _frozen(np.array(gt_cls, dtype=np.int64))
+        self.gt_cls = _frozen(_class_column("gt_cls", gt_cls))
         self.gt_boxes = _frozen(np.array(gt_boxes, dtype=np.float64).reshape(-1, 4))
         if not np.isfinite(self.det_scores).all():
             raise ValueError("detection score must be finite")
@@ -396,12 +404,8 @@ def reference_losses(scenario: Scenario) -> dict:
     terms = np.concatenate((-np.log(ps), -np.log1p(-ns)))
     ce = float(terms.mean())
 
-    pred = scenario.pos_boxes()
-    gt = scenario.pos_gt_boxes()
-    l1 = float(np.abs(pred - gt).sum(axis=1).mean())
-
-    ious = iou_array(pred, gt)
-    return {"ce": ce, "l1": l1, "iou_loss": float((1.0 - ious).mean())}
+    l1 = float(np.abs(scenario.pos_box - scenario.pos_gt_boxes()).sum(axis=1).mean())
+    return {"ce": ce, "l1": l1, "iou_loss": float((1.0 - positive_ious(scenario)).mean())}
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +428,7 @@ def average_ranks_desc(values: np.ndarray) -> np.ndarray:
 
 def positive_ious(scenario: Scenario) -> np.ndarray:
     """IoU of each positive's box against its assigned ground-truth box."""
-    return iou_array(scenario.pos_boxes(), scenario.pos_gt_boxes())
+    return iou_array(scenario.pos_box, scenario.pos_gt_boxes())
 
 
 def ranking_correlation(scenario: Scenario) -> float:

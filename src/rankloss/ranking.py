@@ -19,6 +19,7 @@ The central objects:
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,12 @@ from .geometry import Box, LocErrorKind, loc_error_array
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
 MAX_DELTA = 2.0**900
+
+
+def check_positive(name, value, zero_ok=False):
+    """Refuse, by name, a value that is not finite and > 0 (>= 0 with zero_ok)."""
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +98,28 @@ def _frozen(a):
     return a
 
 
+def _integers(values, dtype):
+    """(values as an array of the integer dtype, the mask of the entries
+    that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range)."""
+    a = np.asarray(values)
+    if a.dtype.kind != "f":
+        out = np.array(a, dtype=dtype)
+        return out, np.zeros(out.shape, bool)
+    with np.errstate(invalid="ignore"):
+        out = a.astype(dtype)
+    return out, out != a
+
+
 def _gt_array(gts):
     rows = [g.as_array() if isinstance(g, Box) else np.asarray(g, dtype=np.float64) for g in gts]
     for j, row in enumerate(rows):
         if row.shape != (4,):
             raise ValueError("gts[%d]: expected four entries, got shape %s" % (j, row.shape))
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+    gts = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+    bad = np.flatnonzero(~np.isfinite(gts).all(axis=1))
+    if bad.size:
+        raise ValueError("gts[%d] is not finite" % bad[0])
+    return gts
 
 
 class Scenario:
@@ -111,9 +134,10 @@ class Scenario:
       gts        (G, 4) ground-truth boxes
     plus loc_kind.
 
-    Positives must reference a valid GT index and carry a four-entry
-    predicted box; negatives and ignored anchors carry only a score. Ignored
-    anchors are excluded from every sum and always receive zero gradient.
+    Scores and box corners must be finite. Positives must reference a valid
+    (integer) GT index and carry a four-entry predicted box; negatives and
+    ignored anchors carry only a score. Ignored anchors are excluded from
+    every sum and always receive zero gradient.
     The constructor takes AnchorRecords; from_columns takes the columns.
     Both validate once; with_scores and with_positive_boxes check only the
     column they replace and share the others.
@@ -159,7 +183,7 @@ class Scenario:
         if not pos_index.size:
             raise ValueError("scenario has no positive anchors")
         scores = np.array(scores, dtype=np.float64)
-        pos_gt = np.array(pos_gt, dtype=np.intp)
+        pos_gt, not_integer = _integers(pos_gt, np.intp)
         pos_box = np.array(pos_box, dtype=np.float64)
         gts = _gt_array(gts)
         for name, column, shape in (
@@ -175,9 +199,12 @@ class Scenario:
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
             problems.append((bad[0], 0, "anchors[%d].score is not finite" % bad[0]))
-        bad = pos_index[(pos_gt < 0) | (pos_gt >= len(gts))]
+        bad = pos_index[not_integer | (pos_gt < 0) | (pos_gt >= len(gts))]
         if bad.size:
             problems.append((bad[0], 1, "anchors[%d]: positive needs a valid gt index" % bad[0]))
+        bad = pos_index[~np.isfinite(pos_box).all(axis=1)]
+        if bad.size:
+            problems.append((bad[0], 2, "anchors[%d].box is not finite" % bad[0]))
         if problems:
             raise ValueError(min(problems)[2])
         self.labels = _frozen(labels)
@@ -234,6 +261,9 @@ class Scenario:
         boxes = np.array(boxes, dtype=np.float64)
         if boxes.shape != self.pos_box.shape:
             raise ValueError("boxes: expected shape %s, got %s" % (self.pos_box.shape, boxes.shape))
+        bad = self.pos_index[~np.isfinite(boxes).all(axis=1)]
+        if bad.size:
+            raise ValueError("anchors[%d].box is not finite" % bad[0])
         return self._replace(pos_box=boxes)
 
     def with_scores(self, scores):

@@ -24,7 +24,7 @@ from .geometry import LocErrorKind, boxes_with_iou
 from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
 from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio, self_balance_update
 from .metrics import _ious_by_score, _rank_correlation, positive_ious, ranking_correlation  # noqa: F401
-from .ranking import NEG, POS, Scenario, StepKind
+from .ranking import NEG, POS, Scenario, StepKind, check_positive
 
 LOG_COLUMNS = (
     "epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou",
@@ -143,15 +143,12 @@ class ToyModel:
         self.train_index = np.concatenate((scenario.pos_index, scenario.neg_index))
         init = np.clip(scenario.scores[self.train_index], SCORE_EPS, 1.0 - SCORE_EPS)
         self.logits = _logit(init)
-        self.boxes = scenario.pos_boxes().copy()
+        self.boxes = scenario.pos_boxes()
 
     def current_scenario(self) -> Scenario:
         scores = self.scenario.scores.copy()
         scores[self.train_index] = _sigmoid(self.logits)
         return self.scenario.with_scores(scores).with_positive_boxes(self.boxes)
-
-    def score_grad_to_logit_grad(self, score_grads: np.ndarray) -> np.ndarray:
-        return self._logit_grad(score_grads, _sigmoid(self.logits))
 
     # From the sigmoid s of the logits, which train() reads back from its scenario.
     def _logit_grad(self, score_grads: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -194,12 +191,6 @@ class TrainLog:
             writer.writeheader()
             for row in self.rows:
                 writer.writerow(row)
-
-
-def check_positive(name: str, value: float, zero_ok: bool = False) -> None:
-    """Refuse, by name, a value that is not finite and > 0 (>= 0 with zero_ok)."""
-    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -256,10 +247,14 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
     vel_box = np.zeros_like(model.boxes)
 
     for epoch in range(cfg.epochs + 1):
+        # Boxes first: the scenario refuses a non-finite corner.
+        if not np.isfinite(model.boxes).all():
+            log.diverged_at = epoch
+            break
         scn = model.current_scenario()
         s = scn.scores[model.train_index]
         bd = _named_loss(cfg.loss, scn, cfg.step, cfg.wrong_target, balancer)
-        if not (np.isfinite(bd.total) and np.isfinite(model.boxes).all()):
+        if not np.isfinite(bd.total):
             log.diverged_at = epoch
             break
         ious = positive_ious(scn)
@@ -286,13 +281,12 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
         g_logit = model._logit_grad(bd.score_grads, s)
         vel_logit = MOMENTUM * vel_logit + g_logit
         model.logits = model.logits - cfg.lr * vel_logit
-        if bd.box_grads.size:
-            vel_box = MOMENTUM * vel_box + bd.box_grads
-            model.boxes = model.boxes - box_lr * vel_box
-            # Keep corner order valid: a step can push an edge past its
-            # partner, and an inverted box has no meaningful overlap.
-            model.boxes[:, 2] = np.maximum(model.boxes[:, 2], model.boxes[:, 0])
-            model.boxes[:, 3] = np.maximum(model.boxes[:, 3], model.boxes[:, 1])
+        vel_box = MOMENTUM * vel_box + bd.box_grads
+        model.boxes = model.boxes - box_lr * vel_box
+        # Keep corner order valid: a step can push an edge past its
+        # partner, and an inverted box has no meaningful overlap.
+        model.boxes[:, 2] = np.maximum(model.boxes[:, 2], model.boxes[:, 0])
+        model.boxes[:, 3] = np.maximum(model.boxes[:, 3], model.boxes[:, 1])
 
         if cfg.self_balance:
             balancer = self_balance_update(balancer, [(bd.total, bd.loc_component)])

@@ -67,7 +67,7 @@ from rankloss.ranking import (
     rank_stats,
     step,
 )
-from rankloss.trainer import train
+from rankloss.trainer import _sigmoid, train
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +95,12 @@ def ap_at_iou(inputs, tau, recall_points=TEN_POINT_RECALLS):
     """Average precision at one IoU threshold, averaged over classes: mean_ap
     at the one threshold."""
     return mean_ap(inputs, (tau,), recall_points)["mean_ap"]
+
+
+def score_grad_to_logit_grad(model, score_grads):
+    """A ToyModel's logit gradients from its score gradients, through the
+    sigmoid of its current logits."""
+    return model._logit_grad(score_grads, _sigmoid(model.logits))
 
 
 def sb_warmup_report(scenario, cfg, probe_epochs=5):
@@ -408,9 +414,10 @@ def oracle_loss(name, scenario, kind, balancer=None):
 class OracleScenario:
     """A frozen mini-batch of anchors plus ground-truth boxes.
 
-    Positives must reference a valid GT index and carry a predicted box;
-    negatives and ignored anchors carry only a score. Ignored anchors are
-    excluded from every sum and always receive zero gradient.
+    Scores and box corners must be finite. Positives must reference a
+    valid (integer) GT index and carry a predicted box; negatives and
+    ignored anchors carry only a score. Ignored anchors are excluded from
+    every sum and always receive zero gradient.
     """
 
     def __init__(self, anchors, gts, loc_kind=None):
@@ -424,16 +431,21 @@ class OracleScenario:
         self.neg_index = np.array([i for i, l in enumerate(labels) if l == NEG], dtype=np.intp)
 
     def _validate(self):
+        for j, g in enumerate(self.gts):
+            if not np.isfinite(g).all():
+                raise ValueError("gts[%d] is not finite" % j)
         if not any(a.label == POS for a in self.anchors):
             raise ValueError("scenario has no positive anchors")
         for i, a in enumerate(self.anchors):
             if not np.isfinite(a.score):
                 raise ValueError("anchors[%d].score is not finite" % i)
             if a.label == POS:
-                if a.gt is None or not (0 <= a.gt < len(self.gts)):
+                if a.gt is None or a.gt % 1 != 0 or not (0 <= a.gt < len(self.gts)):
                     raise ValueError("anchors[%d]: positive needs a valid gt index" % i)
                 if a.box is None:
                     raise ValueError("anchors[%d]: positive needs a predicted box" % i)
+                if not np.isfinite(a.box).all():
+                    raise ValueError("anchors[%d].box is not finite" % i)
 
     @property
     def n_pos(self):
@@ -451,6 +463,10 @@ class OracleScenario:
 
     def pos_boxes(self):
         return np.stack([np.asarray(self.anchors[i].box, np.float64) for i in self.pos_index])
+
+    @property
+    def pos_box(self):
+        return self.pos_boxes()
 
     def pos_gt_boxes(self):
         return np.stack([self.gts[self.anchors[i].gt] for i in self.pos_index])

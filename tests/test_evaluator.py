@@ -13,6 +13,7 @@ ground truths and bad positive boxes."""
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -99,12 +100,12 @@ def eval_inputs(draw, min_gts=0):
 def scenarios(draw):
     """Positives, negatives and ignored anchors interleaved, scores on a
     quarter grid (ties), unit ground truths, and positive boxes near them
-    that are sometimes out of order or NaN."""
+    that are sometimes out of order (a Scenario refuses NaN corners)."""
     n_gt = draw(st.integers(1, 4))
     gts = [[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(n_gt)]
     labels = draw(st.lists(st.sampled_from((POS, NEG, IGNORE)), min_size=1, max_size=16).filter(lambda v: POS in v))
     pos_gt = [draw(st.integers(0, n_gt - 1)) for label in labels if label == POS]
-    corner = st.one_of(st.integers(-2, 4).map(lambda k: 0.5 * k), st.just(float("nan")))
+    corner = st.integers(-2, 4).map(lambda k: 0.5 * k)
     pos_box = [[3.0 * g + draw(corner), draw(corner), 3.0 * g + draw(corner), draw(corner)] for g in pos_gt]
     anchor_scores = [draw(scores) for _ in labels]
     return Scenario.from_columns(labels, anchor_scores, pos_gt, np.reshape(pos_box, (-1, 4)), gts)
@@ -326,6 +327,21 @@ class TestEvalInputColumns:
             EvalInput([float("inf")], [0], [box], [0], [box])
         with pytest.raises(ValueError, match=r"^box corners out of order: \(1.0, 0.0, 0.0, 1.0\)$"):
             EvalInput([0.5], [0], [[1.0, 0.0, 0.0, 1.0]], [0], [box])
+
+    @pytest.mark.parametrize("value", (1.5, 1.7, -0.5, float("nan"), float("inf"), 1e20), ids=str)
+    def test_constructor_refuses_a_non_integer_class(self, value):
+        """A class of 1.5 and one of 1.7 were both stored as 1, and so matched."""
+        box = [0.0, 0.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match=r"^det_cls: class must be an integer, got %s$" % re.escape(repr(value))):
+            EvalInput([0.9], [value], [box], [1], [box])
+        with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %s$" % re.escape(repr(value))):
+            EvalInput([0.9], [1], [box], [2, value], [box, box])
+
+    def test_integer_valued_float_classes_are_kept(self):
+        box = [0.0, 0.0, 1.0, 1.0]
+        inputs = EvalInput([0.9], [1.0], [box], np.array([2.0, -3.0]), [box, box])
+        assert inputs.det_cls.tolist() == [1] and inputs.gt_cls.tolist() == [2, -3]
+        assert inputs.det_cls.dtype == inputs.gt_cls.dtype == np.int64
 
 
 class TestScenarioToEvalAgainstOracle:

@@ -1,9 +1,9 @@
 """The column writers and screens of rankloss.fileio against the dict
 oracles in conftest, compared with ==: saved files are the bytes of
 json.dump(indent=2) on the oracle document (extreme and tied scores, signed
-zeros, empty lists, block boundaries), a non-finite corner or a box with
-corners out of order is refused with the loader's message before any file
-is written, and a loaded document gives the oracle's columns (dtype, shape
+zeros, empty lists, block boundaries), a non-finite corner (which a
+Scenario refuses when built) or a box with corners out of order is refused
+with the loader's message before any file is written, and a loaded document gives the oracle's columns (dtype, shape
 and bytes) or its exception type and message, on hostile documents. Two
 counting tests keep json's indent encoder out of the file path and the
 per-entry checker off every valid non-positive anchor."""
@@ -12,6 +12,7 @@ import copy
 import json
 import json.encoder
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,16 +59,15 @@ def ordered_boxes(draw, n):
 def scenarios(draw, ordered=True):
     """Scenarios with at least one positive, any number of negatives
     (zero too) and ignored anchors; with ordered=False positive boxes may
-    be out of order or hold non-finite corners, which the writer refuses as
-    the reader does."""
+    be out of order, which the writer refuses as the reader does (a
+    Scenario refuses non-finite corners itself)."""
     n_pos, n_neg, n_ign = draw(st.integers(1, 6)), draw(st.integers(0, 12)), draw(st.integers(0, 3))
     labels = draw(st.permutations([POS] * n_pos + [NEG] * n_neg + [IGNORE] * n_ign))
     n_gts = draw(st.integers(1, 3))
     if ordered:
         boxes = draw(ordered_boxes(n_pos))
     else:
-        wild = st.one_of(corners, st.sampled_from([np.inf, -np.inf, np.nan]))
-        boxes = np.array(draw(st.lists(st.lists(wild, min_size=4, max_size=4), min_size=n_pos, max_size=n_pos)))
+        boxes = np.array(draw(st.lists(st.lists(corners, min_size=4, max_size=4), min_size=n_pos, max_size=n_pos)))
     return Scenario.from_columns(
         labels,
         draw(st.lists(scores, min_size=len(labels), max_size=len(labels))),
@@ -105,6 +105,17 @@ def columns(obj):
     return [(n, a.dtype.str, a.shape, a.tobytes()) for n, a in out] + [getattr(obj, "loc_kind", None)]
 
 
+def scenario_document(labels, scores, pos_gt, pos_box, gts):
+    """The file document of scenario columns, built without a Scenario (so
+    it may hold what a Scenario refuses)."""
+    labels = np.array(labels)
+    return oracle_scenario_to_dict(SimpleNamespace(
+        labels=labels, scores=np.array(scores, dtype=np.float64), pos_index=np.flatnonzero(labels == POS),
+        pos_gt=np.array(pos_gt), pos_box=np.array(pos_box, dtype=np.float64),
+        gts=np.array(gts, dtype=np.float64), loc_kind=LocErrorKind.iou(),
+    ))
+
+
 def outcome(reader, doc):
     """The columns reader makes of a copy of doc, or its exception."""
     try:
@@ -121,9 +132,6 @@ class TestWriterAgainstOracle:
         doc = oracle_scenario_to_dict(scenario)
 
         def problem(i, box):
-            corners = [k for k, v in enumerate(box) if not np.isfinite(v)]
-            if corners:
-                return f"anchors[{i}].box[{corners[0]}]: expected a finite number"
             if not (box[0] <= box[2] and box[1] <= box[3]):
                 return f"anchors[{i}].box: " + CORNER_ORDER % tuple(box)
             return None
@@ -145,39 +153,47 @@ class TestWriterAgainstOracle:
         assert path.read_text() == oracle_text(oracle_eval_to_dict(inputs))
 
     @pytest.mark.parametrize(
-        "save, columns, field",
+        "save, columns, field, refusal",
         (
-            (save_scenario, (["pos", "neg"], [0.5, 0.1], [0], [[1.0, 0.0, 0.0, np.inf]], [[0, 0, 1, 1]]), "anchors[0].box[3]"),
-            (save_scenario, (["neg", "pos"], [0.5, 0.1], [0], [[0, 0, 1, 1]], [[0, 0, 1, 1], [0, np.nan, 1, 1]]), "gts[1][1]"),
-            (save_scenario, (["neg", "pos", "pos"], [0.5, 0.1, 0.2], [0, 0], [[0, 0, 1, 1], [-np.inf, 0, 1, 1]], [[0, 0, 1, 1]]), "anchors[2].box[0]"),
-            (save_eval, ([0.5], [0], [[0, 0, np.inf, 1]], [0], [[0, 0, 1, 1]]), "detections[0].box[2]"),
-            (save_eval, ([0.5, 0.4], [0, 1], [[0, 0, 1, 1]] * 2, [0, 1], [[0, 0, 1, 1], [0, -np.inf, 1, 1]]), "ground_truths[1].box[1]"),
+            (save_scenario, (["pos", "neg"], [0.5, 0.1], [0], [[1.0, 0.0, 0.0, np.inf]], [[0, 0, 1, 1]]), "anchors[0].box[3]", "anchors[0].box"),
+            (save_scenario, (["neg", "pos"], [0.5, 0.1], [0], [[0, 0, 1, 1]], [[0, 0, 1, 1], [0, np.nan, 1, 1]]), "gts[1][1]", "gts[1]"),
+            (save_scenario, (["neg", "pos", "pos"], [0.5, 0.1, 0.2], [0, 0], [[0, 0, 1, 1], [-np.inf, 0, 1, 1]], [[0, 0, 1, 1]]), "anchors[2].box[0]", "anchors[2].box"),
+            (save_eval, ([0.5], [0], [[0, 0, np.inf, 1]], [0], [[0, 0, 1, 1]]), "detections[0].box[2]", None),
+            (save_eval, ([0.5, 0.4], [0, 1], [[0, 0, 1, 1]] * 2, [0, 1], [[0, 0, 1, 1], [0, -np.inf, 1, 1]]), "ground_truths[1].box[1]", None),
         ),
         ids=("scenario-inf-box", "scenario-nan-gt", "scenario-second-positive", "eval-inf-detection", "eval-inf-ground-truth"),
     )
-    def test_non_finite_values_are_refused_before_writing(self, tmp_path, save, columns, field):
+    def test_non_finite_values_are_refused_before_writing(self, tmp_path, save, columns, field, refusal):
         """Refused with the message the loader gives for the same field in a
-        file json.dump writes, and no file is left behind."""
-        obj = Scenario.from_columns(*columns) if save is save_scenario else EvalInput(*columns)
+        file json.dump writes, and no file is left behind. A Scenario
+        refuses such a corner itself, by the same box, when it is built, so
+        no scenario holding one reaches the writer."""
         path = tmp_path / "out.json"
-        with pytest.raises(FileFormatError) as err:
-            save(obj, path)
-        assert not path.exists()
-        to_dict, load = (oracle_scenario_to_dict, load_scenario) if save is save_scenario else (oracle_eval_to_dict, load_eval)
-        path.write_text(json.dumps(to_dict(obj)))
+        if save is save_scenario:
+            with pytest.raises(ValueError, match="^%s is not finite$" % re.escape(refusal)):
+                Scenario.from_columns(*columns)
+            doc = scenario_document(*columns)
+        else:
+            obj = EvalInput(*columns)
+            with pytest.raises(FileFormatError) as err:
+                save(obj, path)
+            assert not path.exists()
+            assert str(err.value) == f"{field}: expected a finite number"
+            doc = oracle_eval_to_dict(obj)
+        path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError) as loaded:
-            load(path)
-        assert str(err.value) == str(loaded.value) == f"{field}: expected a finite number"
+            (load_scenario if save is save_scenario else load_eval)(path)
+        assert str(loaded.value) == f"{field}: expected a finite number"
 
     @pytest.mark.parametrize(
         "columns, message",
         (
             ((["neg", "pos"], [0.5, 0.1], [0], [[1.0, 0.0, 0.0, 1.0]], [[0, 0, 1, 1]]), "anchors[1].box: box corners out of order: (1.0, 0.0, 0.0, 1.0)"),
             ((["pos", "pos"], [0.5, 0.1], [0, 1], [[0, 0, 1, 1], [0, 0, 1, 1]], [[0, 0, 1, 1], [0, 2, 1, 1]]), "gts[1]: box corners out of order: (0.0, 2.0, 1.0, 1.0)"),
-            ((["pos", "pos"], [0.5, 0.1], [0, 0], [[0, 1, 1, 0], [0, 0, np.inf, 1]], [[0, 0, 1, 1]]), "anchors[0].box: box corners out of order: (0.0, 1.0, 1.0, 0.0)"),
-            ((["pos"], [0.5], [0], [[0, 0, 1, 1]], [[1, 0, 0, 1], [0, 0, 1, np.nan]]), "gts[0]: box corners out of order: (1.0, 0.0, 0.0, 1.0)"),
+            ((["pos", "pos"], [0.5, 0.1], [0, 0], [[0, 1, 1, 0], [2, 0, 1, 1]], [[0, 0, 1, 1]]), "anchors[0].box: box corners out of order: (0.0, 1.0, 1.0, 0.0)"),
+            ((["pos"], [0.5], [0], [[0, 0, 1, 1]], [[1, 0, 0, 1], [0, 1, 1, 0]]), "gts[0]: box corners out of order: (1.0, 0.0, 0.0, 1.0)"),
         ),
-        ids=("positive-box", "ground-truth", "before-a-non-finite-box", "gt-before-a-non-finite-gt"),
+        ids=("positive-box", "ground-truth", "before-a-later-box", "gt-before-a-later-gt"),
     )
     def test_corners_out_of_order_are_refused_before_writing(self, tmp_path, columns, message):
         """A positive box or a ground truth whose corners are out of order is

@@ -1,10 +1,13 @@
 """Box primitives: overlap measures, localization error, and their gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankloss import geometry
 from rankloss.geometry import (
     Box,
     LocErrorKind,
@@ -256,3 +259,33 @@ class TestDegenerateBoxes:
         np.testing.assert_allclose(g, [-7.0 / 30.0, 0.0, -19.0 / 90.0, 0.0], rtol=1e-12, atol=1e-15)
         g, _ = giou_grad([0.5, 0.2, 0.3, 0.9], UNIT)
         np.testing.assert_array_equal(g, np.zeros(4))
+
+
+class TestOneCopyOfTheOverlap:
+    """Every value, E_loc and gradient reads the one set of overlap pieces."""
+
+    def test_the_iou_gradient_builds_no_hull(self, monkeypatch):
+        def no_hull(a, b):
+            raise AssertionError("the IoU gradient built a hull")
+
+        monkeypatch.setattr(geometry, "_hull", no_hull)
+        g, tie = iou_grad([0.2, 0.1, 0.9, 0.8], UNIT)
+        assert g.shape == (4,) and not tie
+        loc_error_grad(np.array([0.2, 0.1, 0.9, 0.8]), UNIT, LocErrorKind.iou())
+
+    def test_the_iou_gradient_of_an_infinite_corner_warns_nothing(self):
+        """At an infinite x2 the hull's slope times its width was inf * 0,
+        computed and dropped; no such product is left to warn."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, tie = iou_grad([0.0, 0.5, np.inf, 0.9], UNIT)
+        assert tie and np.isnan(g).all()
+
+    @pytest.mark.parametrize("kind", (LocErrorKind.iou(), LocErrorKind.giou()), ids=str)
+    def test_the_scalar_loc_error_evaluates_the_overlap_once(self, monkeypatch, kind):
+        name = "iou_array" if kind.variant == "iou" else "giou_array"
+        calls, real = [], getattr(geometry, name)
+        monkeypatch.setattr(geometry, name, lambda *args: calls.append(1) or real(*args))
+        value = loc_error([0.1, 0.0, 1.0, 1.0], UNIT, kind)
+        assert value == (1.0 - overlap_unit([0.1, 0.0, 1.0, 1.0], UNIT, kind)) / (1.0 - kind.tau)
+        assert len(calls) == 2  # one for loc_error, one for overlap_unit above

@@ -1,6 +1,8 @@
 """Loss definitions on the canonical fixtures: golden totals, per-positive
 rows, soft weights, self-balancing, and the wrong-target variant."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,13 @@ class TestSelfBalancing:
         np.testing.assert_allclose(weighted.box_grads, 5.0 * plain.box_grads, rtol=1e-14)
         assert weighted.sb_weight_applied == 5.0
         assert weighted.total == plain.total
+
+    @pytest.mark.parametrize("weight", (float("nan"), float("inf"), -2.0, 0.0), ids=str)
+    def test_weight_must_be_finite_and_positive(self, weight):
+        """A NaN weight gave NaN box gradients beside a finite total, and -2
+        flipped them; both are refused, by field name, as --sb-weight is."""
+        with pytest.raises(ValueError, match=r"^active_weight must be finite and > 0, got %s$" % re.escape(repr(weight))):
+            SelfBalancer(weight)
 
     def test_weight_at_least_one_on_real_scenarios(self):
         rng = np.random.default_rng(25)

@@ -23,6 +23,7 @@ from rankloss.ranking import (
     rank_stats,
     step,
 )
+from rankloss.trainer import ScenarioGenSpec, generate_scenario
 
 LOSS_DEFS = (APLossDef(), ALRPLossDef(), NDCGLossDef())
 STEP_KINDS = (StepKind.exact(), StepKind.smoothed(1.0))
@@ -157,6 +158,61 @@ class TestScenario:
         anchors[1] = AnchorRecord(POS, float("nan"), gt=7, box=None)
         with pytest.raises(ValueError, match=r"^anchors\[1\]\.score is not finite$"):
             Scenario(anchors, self._gt())
+
+    def test_refuses_non_finite_predicted_corners(self):
+        nan_box = np.array([0.0, 0.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match=r"^anchors\[1\]\.box is not finite$"):
+            Scenario([AnchorRecord(NEG, 0.5), AnchorRecord(POS, 0.5, gt=0, box=nan_box)], self._gt())
+        with pytest.raises(ValueError, match=r"^anchors\[2\]\.box is not finite$"):
+            Scenario.from_columns([POS, NEG, POS], [0.5, 0.1, 0.2], [0, 0], [self._box(), [0, 0, np.inf, 1]], self._gt())
+
+    def test_with_positive_boxes_refuses_non_finite_corners(self):
+        """A NaN box and an infinite x2 gave a finite aLRP total, with a
+        zero and a NaN row of box gradients; now the boxes are refused."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=4, n_neg=20, seed=3))
+        boxes = scn.pos_boxes()
+        boxes[0] = np.nan
+        boxes[1, 2] = np.inf
+        with pytest.raises(ValueError, match=r"^anchors\[%d\]\.box is not finite$" % scn.pos_index[0]):
+            scn.with_positive_boxes(boxes)
+        boxes[0] = scn.pos_box[0]
+        with pytest.raises(ValueError, match=r"^anchors\[%d\]\.box is not finite$" % scn.pos_index[1]):
+            scn.with_positive_boxes(boxes)
+
+    def test_refuses_non_finite_ground_truths(self):
+        gts = [[0.0, 0.0, 1.0, 1.0], [0.0, np.nan, 1.0, 1.0]]
+        with pytest.raises(ValueError, match=r"^gts\[1\] is not finite$"):
+            Scenario([AnchorRecord(POS, 0.5, gt=0, box=self._box())], gts)
+        with pytest.raises(ValueError, match=r"^gts\[1\] is not finite$"):
+            Scenario.from_columns([POS, NEG], [0.9, 0.1], [0], [self._box()], gts)
+
+    def test_box_is_checked_after_score_and_gt_index(self):
+        nan_box = np.array([np.nan, 0.0, 1.0, 1.0])
+        anchors = [
+            AnchorRecord(POS, 0.5, gt=0, box=self._box()),
+            AnchorRecord(POS, 0.5, gt=0, box=nan_box),
+            AnchorRecord(NEG, float("inf")),
+        ]
+        with pytest.raises(ValueError, match=r"^anchors\[1\]\.box is not finite$"):
+            Scenario(anchors, self._gt())
+        anchors[1] = AnchorRecord(POS, 0.5, gt=7, box=nan_box)
+        with pytest.raises(ValueError, match=r"^anchors\[1\]: positive needs a valid gt index$"):
+            Scenario(anchors, self._gt())
+        anchors[1] = AnchorRecord(POS, float("nan"), gt=7, box=nan_box)
+        with pytest.raises(ValueError, match=r"^anchors\[1\]\.score is not finite$"):
+            Scenario(anchors, self._gt())
+
+    @pytest.mark.parametrize("gt", (0.6, 1.5, -0.5, np.nan, np.inf, 1e20), ids=str)
+    def test_refuses_a_non_integer_gt_index(self, gt):
+        gts = [[0, 0, 1, 1], [2, 0, 3, 1]]
+        with pytest.raises(ValueError, match=r"^anchors\[0\]: positive needs a valid gt index$"):
+            Scenario.from_columns([POS, NEG], [0.9, 0.1], [gt], [[0, 0, 1, 1]], gts)
+        with pytest.raises(ValueError, match=r"^anchors\[0\]: positive needs a valid gt index$"):
+            Scenario([AnchorRecord(POS, 0.9, gt=gt, box=self._box())], gts)
+
+    def test_an_integer_valued_float_gt_index_is_kept(self):
+        scn = Scenario.from_columns([POS, NEG], [0.9, 0.1], [1.0], [[0, 0, 1, 1]], [[0, 0, 1, 1], [2, 0, 3, 1]])
+        assert scn.pos_gt.tolist() == [1] and scn.pos_gt.dtype == np.intp
 
     def test_with_scores_refuses_a_longer_array(self):
         scn = fixture_scenario("shuffled")

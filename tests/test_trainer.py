@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import sb_warmup_report
+from conftest import sb_warmup_report, score_grad_to_logit_grad
 from rankloss import losses
 from rankloss.geometry import LocErrorKind
 from rankloss.losses import alrp_loss
@@ -124,7 +124,7 @@ class TestToyModel:
         scn = generate_scenario(SMALL_SPEC)
         model = ToyModel(scn)
         bd = alrp_loss(scn, StepKind.smoothed(1.0))
-        g = model.score_grad_to_logit_grad(bd.score_grads)
+        g = score_grad_to_logit_grad(model, bd.score_grads)
         s = scn.scores[model.train_index]
         np.testing.assert_allclose(g, bd.score_grads[model.train_index] * s * (1.0 - s), rtol=1e-12)
 
