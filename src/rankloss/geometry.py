@@ -111,17 +111,26 @@ def _slope(p, q):
     return d, d == 0.5
 
 
-def _inter_union(a, b):
-    """The one copy of the overlap pieces of boxes a against b: the sides of
-    the intersection and of a, each before and after the clamp at 0, then
-    the intersection and the union of the clamped areas."""
+def _sides(a, b):
+    """[iw, ih, w, h]: the sides of the intersection of boxes a and b, then of a, before the clamp at 0."""
     iw = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
     ih = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
-    w, h = a[..., 2] - a[..., 0], a[..., 3] - a[..., 1]
-    ciw, cih, cw, ch = _max(0.0, iw), _max(0.0, ih), _max(0.0, w), _max(0.0, h)
+    return [iw, ih, a[..., 2] - a[..., 0], a[..., 3] - a[..., 1]]
+
+
+def _inter_union(sides, b):
+    """The one copy of the overlap pieces: the intersection and the union of
+    the clamped areas of a box, given by its _sides against b, and b. Each
+    side in the list is replaced by its clamp, so a value-only caller holds
+    one copy of each, and at most seven arrays of the output's size."""
+    for k in range(4):
+        sides[k] = _max(0.0, sides[k])
+    ciw, cih, cw, ch = sides
+    area_b = _max(0.0, b[..., 2] - b[..., 0]) * _max(0.0, b[..., 3] - b[..., 1])
+    union = cw * ch + area_b
     inter = ciw * cih
-    union = cw * ch + _max(0.0, b[..., 2] - b[..., 0]) * _max(0.0, b[..., 3] - b[..., 1]) - inter
-    return (iw, ih, ciw, cih), (w, h, cw, ch), inter, union
+    union -= inter
+    return inter, union
 
 
 def _hull(a, b):
@@ -142,49 +151,51 @@ def boxes_with_iou(gts, ious):
     return boxes
 
 
-def iou_array(pred, gt):
-    """``iou`` over box arrays of shape (..., 4) that broadcast.
-
-    ``iou_array(dets[:, None], gts[None])`` is the (D, G) IoU matrix;
-    ``iou_array(pred, gt)`` on two (P, 4) arrays is the row-wise IoU.
-    """
-    *_, inter, union = _inter_union(np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64))
-    return np.divide(inter, union, out=np.zeros(union.shape), where=~(union <= 0.0))
-
-
-def giou_array(pred, gt):
-    """Generalized IoU over box arrays: IoU minus (hull \\ union) / hull,
-    in [-1, 1]; the IoU term is 0 unless union > 0, the hull term applies
-    only where hull > 0."""
-    a = np.asarray(pred, dtype=np.float64)
-    b = np.asarray(gt, dtype=np.float64)
-    *_, inter, union = _inter_union(a, b)
-    hull = _hull(a, b)[2]
+def _overlap_of(inter, union, hull=None):
+    """IoU from _inter_union's pieces, or GIoU given the hull's area too."""
+    if hull is None:
+        return np.divide(inter, union, out=np.zeros(union.shape), where=~(union <= 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.where(union > 0.0, inter / union, 0.0)
         return np.where(hull > 0.0, value - (hull - union) / hull, value)
 
 
-def overlap_unit_array(pred, gt, kind):
-    """The [0, 1]-normalized overlap E_loc consumes, over box arrays: IoU
-    for the "iou" variant, (1 + GIoU)/2 for "giou"."""
-    if kind.variant == "iou":
-        return iou_array(pred, gt)
-    return 0.5 * (1.0 + giou_array(pred, gt))
+def _unit_of(v, variant):
+    # The [0, 1]-normalized overlap E_loc consumes: IoU, or GIoU mapped to (1 + GIoU)/2.
+    return v if variant == "iou" else 0.5 * (1.0 + v)
 
 
 def _loc_error_of(v, kind):
     return (1.0 - v) / (1.0 - kind.tau)
 
 
+def iou_array(pred, gt):
+    """``iou`` over box arrays of shape (..., 4) that broadcast.
+
+    ``iou_array(dets[:, None], gts[None])`` is the (D, G) IoU matrix;
+    ``iou_array(pred, gt)`` on two (P, 4) arrays is the row-wise IoU.
+    """
+    a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    return _overlap_of(*_inter_union(_sides(a, b), b))
+
+
+def giou_array(pred, gt):
+    """Generalized IoU over box arrays: IoU minus (hull \\ union) / hull,
+    in [-1, 1]; the IoU term is 0 unless union > 0, the hull term applies
+    only where hull > 0."""
+    a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    return _overlap_of(*_inter_union(_sides(a, b), b), _hull(a, b)[2])
+
+
 def loc_error_array(pred, gt, kind):
     """E_loc = (1 - overlap) / (1 - tau) over box arrays, unchecked: the
     loss path tolerates values above 1 (a box drifting below tau)."""
-    return _loc_error_of(overlap_unit_array(pred, gt, kind), kind)
+    return _loc_error_of(_unit_of((iou_array if kind.variant == "iou" else giou_array)(pred, gt), kind.variant), kind)
 
 
-def _overlap_grad_array(pred, gt, variant):
-    """(d overlap / d pred, tie mask) for IoU or GIoU over (P, 4) arrays.
+def _overlap_pass(pred, gt, variant):
+    """(overlap, d overlap / d pred, tie mask) for IoU or GIoU over (P, 4)
+    arrays from one _inter_union pass, the overlap as iou_array or giou_array.
 
     The pieces are _inter_union's and _hull's. The tie mask flags a branch
     tie of any min/max or clamp that reaches the value (a clamp tie counts
@@ -192,26 +203,23 @@ def _overlap_grad_array(pred, gt, variant):
     GIoU only), and every zero-union (or, for GIoU, zero-hull) box, whose
     gradient is set to zero.
     """
-    a = np.asarray(pred, dtype=np.float64)
-    b = np.asarray(gt, dtype=np.float64)
-    (iw, ih, ciw, cih), (w, h, cw, ch), inter, union = _inter_union(a, b)
-
-    # Slopes of the intersection's edges and of its clamped sides.
+    a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    sides = _sides(a, b)
+    # Slopes of the clamps (read before _inter_union clamps the sides) and of the intersection's edges.
+    (rw, t5), (rh, t6), (sw, tw), (sh, th) = [_slope(0.0, s) for s in sides]
+    inter, union = _inter_union(sides, b)
+    ciw, cih, cw, ch = sides
     ix2, t1 = _slope(a[..., 2], b[..., 2])
     ix1, t2 = _slope(b[..., 0], a[..., 0])
     iy2, t3 = _slope(a[..., 3], b[..., 3])
     iy1, t4 = _slope(b[..., 1], a[..., 1])
-    rw, t5 = _slope(0.0, iw)
-    rh, t6 = _slope(0.0, ih)
     tie = t1 | t2 | t3 | t4 | (t5 & (cih > 0.0)) | (t6 & (ciw > 0.0))
     d_inter = np.stack([-ix1 * rw * cih, -iy1 * rh * ciw, ix2 * rw * cih, iy2 * rh * ciw], axis=-1)
-
-    sw, tw = _slope(0.0, w)
-    sh, th = _slope(0.0, h)
     d_union = np.stack([-sw * ch, -sh * cw, sw * ch, sh * cw], axis=-1) - d_inter
 
     u, i = union[..., None], inter[..., None]
     degenerate = union <= 0.0
+    hull = None
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (d_inter * u - i * d_union) / (u * u)
         if variant == "giou":
@@ -224,15 +232,16 @@ def _overlap_grad_array(pred, gt, variant):
             g = g + (d_union * hl - u * d_hull) / (hl * hl)
             tie = tie | (tw & (ch > 0.0)) | (th & (cw > 0.0))
             degenerate = degenerate | (hull <= 0.0)
-    return np.where(degenerate[..., None], 0.0, g), tie | degenerate
+        return _overlap_of(inter, union, hull), np.where(degenerate[..., None], 0.0, g), tie | degenerate
 
 
-def loc_error_grad_array(pred, gt, kind):
-    """(dE_loc/dpred, tie mask) over (P, 4) box arrays: (P, 4) gradients and
-    a (P,) boolean mask; chain rule through the overlap only."""
+def loc_error_and_grad_array(pred, gt, kind):
+    """(E_loc, dE_loc/dpred, tie mask) over (P, 4) box arrays from one
+    overlap pass: (P,) errors with the bits of loc_error_array, (P, 4)
+    gradients (chain rule through the overlap only) and a (P,) boolean mask."""
+    v, g, tie = _overlap_pass(pred, gt, kind.variant)
     scale = 1.0 / (1.0 - kind.tau)
-    g, tie = _overlap_grad_array(pred, gt, kind.variant)
-    return (-scale if kind.variant == "iou" else -0.5 * scale) * g, tie
+    return _loc_error_of(_unit_of(v, kind.variant), kind), (-scale if kind.variant == "iou" else -0.5 * scale) * g, tie
 
 
 # --- scalar forms ----------------------------------------------------------
@@ -262,7 +271,7 @@ def giou(pred, gt):
 
 def overlap_unit(pred, gt, kind):
     """The [0, 1]-normalized overlap E_loc consumes: IoU, or (1 + GIoU)/2."""
-    return float(_single(overlap_unit_array, pred, gt, kind)[0])
+    return _unit_of((iou if kind.variant == "iou" else giou)(pred, gt), kind.variant)
 
 
 def loc_error(pred, gt, kind, check=True):
@@ -281,21 +290,21 @@ def loc_error(pred, gt, kind, check=True):
     return _loc_error_of(v, kind)
 
 
-def _first_row(g, tie):
+def _first_row(_, g, tie):
     return g[0], bool(tie[0])
 
 
 def iou_grad(pred, gt):
     """(dIoU/dpred, nonsmooth flag). Zero-union configurations get a zero
     gradient (both boxes degenerate)."""
-    return _first_row(*_single(_overlap_grad_array, pred, gt, "iou"))
+    return _first_row(*_single(_overlap_pass, pred, gt, "iou"))
 
 
 def giou_grad(pred, gt):
     """(dGIoU/dpred, nonsmooth flag)."""
-    return _first_row(*_single(_overlap_grad_array, pred, gt, "giou"))
+    return _first_row(*_single(_overlap_pass, pred, gt, "giou"))
 
 
 def loc_error_grad(pred, gt, kind):
     """(dE_loc/dpred, nonsmooth flag), chain rule through the overlap only."""
-    return _first_row(*_single(loc_error_grad_array, pred, gt, kind))
+    return _first_row(*_single(loc_error_and_grad_array, pred, gt, kind))

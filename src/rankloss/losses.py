@@ -1,11 +1,11 @@
 """Ranking losses over a scenario: AP, average-LRP, NDCG.
 
 Every loss runs one body, _loss: a loss definition (RankingLossDef.terms)
-gives l(i), l*(i) and the cls / loc components, and the error-driven
-assembly in ranking.py turns them into score gradients. The average-LRP
-loss additionally carries localization error into the ranking objective and
-produces box gradients (chain rule through E_loc only; ranks and step values
-are constants with respect to the boxes).
+gives l(i), l*(i), the cls / loc components and the box gradients, and the
+error-driven assembly in ranking.py turns l and l* into score gradients. The
+average-LRP loss carries localization error into the ranking objective; its
+E_loc and box gradients (chain rule through E_loc only; ranks and step
+values are constants with respect to the boxes) come from one overlap pass.
 
 Component conventions (per-positive local error l(i), normalizer Z):
 
@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench traces ``loc_error_grad`` and ``assemble_gradients`` by this
-# module's names, so both stay bound here.
-from .geometry import loc_error_grad, loc_error_grad_array  # noqa: F401
+# The losses call rank_stats, assemble_gradients and alrp_soft_weights by this module's names,
+# which perfbench wraps; loc_error_grad, which no loss calls, stays bound here for it too.
+from .geometry import loc_error_and_grad_array, loc_error_grad  # noqa: F401
 from .ranking import (  # noqa: F401
     GradReport,
     RankingLossDef,
     StepKind,
-    _assemble,
     assemble_gradients,
     check_positive,
     gradient_sums,
@@ -114,7 +113,7 @@ class APLossDef(RankingLossDef):
 
     def terms(self, scenario, stats, kind):
         ell = stats.n_fp / stats.rank
-        return ell, np.zeros_like(ell), float(ell.mean()), 0.0
+        return ell, np.zeros_like(ell), float(ell.mean()), 0.0, np.zeros((scenario.n_pos, 4)), 0
 
 
 class ALRPLossDef(RankingLossDef):
@@ -124,11 +123,13 @@ class ALRPLossDef(RankingLossDef):
         return scenario.n_pos
 
     def terms(self, scenario, stats, kind):
-        e_loc = scenario.loc_errors()
+        # One overlap pass: E_loc and dE_loc/d(box), which the soft weights turn into d(loc_component)/d(box).
+        e_loc, g, tie = loc_error_and_grad_array(scenario.pos_box, scenario.pos_gt_boxes(), scenario.loc_kind)
         c = _exact_pos_loc_sums(scenario, e_loc)
         cls_c = float((stats.n_fp / stats.rank).mean())
         loc_c = float(((e_loc + c) / stats.rank).mean())
-        return (*self.errors(stats, e_loc, c), cls_c, loc_c)
+        w = alrp_soft_weights(scenario, kind, stats.rank)
+        return (*self.errors(stats, e_loc, c), cls_c, loc_c, w[:, None] * g, np.count_nonzero(tie))
 
     def errors(self, stats, e_loc, c):
         """(l, l*) from E_loc and C(i)."""
@@ -163,7 +164,7 @@ class NDCGLossDef(RankingLossDef):
         gains = 1.0 / np.log2(1.0 + stats.rank)
         ell = (g_max / n - gains) / g_max
         ell_star = np.full_like(ell, (g_max / n - 1.0) / g_max)
-        return ell, ell_star, 1.0 - float(gains.sum()) / g_max, 0.0
+        return ell, ell_star, 1.0 - float(gains.sum()) / g_max, 0.0, np.zeros((n, 4)), 0
 
 
 def ndcg_ideal_gain(n_pos):
@@ -171,43 +172,35 @@ def ndcg_ideal_gain(n_pos):
     return float((1.0 / np.log2(1.0 + np.arange(1, n_pos + 1))).sum())
 
 
-def alrp_soft_weights(scenario, kind=EXACT):
+def alrp_soft_weights(scenario, kind=EXACT, rank=None):
     """Per-positive weights w with sum_i w_i E_loc(i) == loc_component.
 
     w_i collects 1/rank over i itself and every positive scored at or below
     s_i: a higher-scored positive's localization error is counted once for
     each positive it outranks, so the top-scored positive carries the
-    largest weight.
+    largest weight. rank, if given, is rank_stats(scenario, kind).rank.
     """
-    return _soft_weights(scenario.pos_scores(), rank_stats(scenario, kind).rank)
-
-
-def _soft_weights(ps, rank):
+    rank = rank_stats(scenario, kind).rank if rank is None else rank
+    ps = scenario.pos_scores()
     # "Scored at or below" is the exact step on negated scores.
     return step_sums(-ps, -ps, EXACT, 1.0 / rank) / ps.size
 
 
 def _loss(scenario, kind, loss_def, balancer=None):
     """The LossBreakdown of loss_def: every loss entry point runs this. The
-    rank statistics are computed once and feed the loss terms, the score
-    gradients and (aLRP only) the box gradients; balancer scales the box
-    gradients only."""
+    rank statistics are computed once and feed the loss terms, the box
+    gradients and the score gradients; balancer scales the box gradients
+    only."""
     stats = rank_stats(scenario, kind)
-    ell, ell_star, cls_c, loc_c = loss_def.terms(scenario, stats, kind)
-    report = _assemble(scenario, loss_def, stats, ell, ell_star)
+    ell, ell_star, cls_c, loc_c, box, n_nonsmooth = loss_def.terms(scenario, stats, kind)
+    report = assemble_gradients(scenario, loss_def, kind, stats, (ell, ell_star))
     sb = balancer.active_weight if balancer is not None else 1.0
-    box, n_nonsmooth = np.zeros((scenario.n_pos, 4)), 0
-    if isinstance(loss_def, ALRPLossDef):
-        # d(loc_component)/d(box) via the soft weights, times the balance weight.
-        w = _soft_weights(scenario.pos_scores(), stats.rank)
-        g, tie = loc_error_grad_array(scenario.pos_box, scenario.pos_gt_boxes(), scenario.loc_kind)
-        box, n_nonsmooth = sb * (w[:, None] * g), np.count_nonzero(tie)
     return LossBreakdown(
         total=cls_c + loc_c,
         cls_component=cls_c,
         loc_component=loc_c,
         score_grads=report.score_grads,
-        box_grads=box,
+        box_grads=sb * box,
         grad_report=report,
         sb_weight_applied=float(sb),
         n_nonsmooth=int(n_nonsmooth),

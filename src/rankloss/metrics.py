@@ -341,7 +341,11 @@ def _lrp_tallies(inputs: EvalInput, tau: float, thresholds: np.ndarray):
         kept = np.searchsorted(-table.scores, -thresholds, "right")
         tp = np.concatenate(([0], np.cumsum(match.is_tp)))[kept]
         n_tp, n_fp, n_fn = n_tp + tp, n_fp + (kept - tp), n_fn + (match.n_gt - tp)
-        loc_sum = loc_sum + np.array([float(vals[:t].sum()) for t in range(vals.size + 1)])[tp]
+        # Only the prefixes some threshold reaches: one sum for lrp_at, not vals.size + 1.
+        reached = np.flatnonzero(np.bincount(tp, minlength=vals.size + 1))
+        sums = np.zeros(vals.size + 1)
+        sums[reached] = [float(vals[:t].sum()) for t in reached.tolist()]
+        loc_sum = loc_sum + sums[tp]
     return n_tp, n_fp, n_fn, loc_sum
 
 
@@ -431,18 +435,16 @@ def positive_ious(scenario: Scenario) -> np.ndarray:
     return iou_array(scenario.pos_box, scenario.pos_gt_boxes())
 
 
-def ranking_correlation(scenario: Scenario) -> float:
+def ranking_correlation(scenario: Scenario, ious: np.ndarray | None = None) -> float:
     """Pearson correlation between score ranks and IoU ranks of positives.
 
     Both vectors use descending average ranks, so +1 means classification
     order agrees perfectly with localisation quality and -1 means it is
     exactly reversed.  Needs at least two positives and nonconstant ranks.
+    ious, if given, is positive_ious(scenario).
     """
-    return _rank_correlation(scenario.pos_scores(), positive_ious(scenario))
-
-
-def _rank_correlation(scores: np.ndarray, ious: np.ndarray) -> float:
-    """ranking_correlation from the positives' scores and IoUs."""
+    ious = positive_ious(scenario) if ious is None else ious
+    scores = scenario.pos_scores()
     if scores.size < 2:
         raise ValueError("rank correlation needs at least two positives")
     r_score = average_ranks_desc(scores)

@@ -541,9 +541,9 @@ class GradReport:
 class RankingLossDef:
     """Plug-in contract for the shared assembly routine.
 
-    Subclasses provide the normalizer Z and terms(): the per-positive
-    local/target errors (l(i), l*(i)) and the loss components. The pairwise
-    distribution over negatives is uniform over step mass,
+    Subclasses provide the normalizer Z and terms(): the per-positive local /
+    target errors (l(i), l*(i)), the loss components and the box gradients.
+    The pairwise distribution over negatives is uniform over step mass,
     p(j|i) = H(x_ij)/N_FP(i), defined as all-zero when N_FP(i) = 0 so there
     is never a 0/0.
 
@@ -559,9 +559,9 @@ class RankingLossDef:
         raise NotImplementedError
 
     def terms(self, scenario, stats, kind):
-        """(ell, ell_star, cls, loc): the local errors and targets (arrays
-        aligned with pos_index) and the loss value as its classification
-        and localisation components (floats)."""
+        """(ell, ell_star, cls, loc, box_grads, n_nonsmooth): the local errors and targets (arrays
+        aligned with pos_index), the loss value as its cls and loc components (floats), and the
+        (P, 4) box gradients with the count of positives whose gradient sits on a branch tie."""
         raise NotImplementedError
 
     def local_errors(self, scenario, stats, kind):
@@ -569,7 +569,7 @@ class RankingLossDef:
         return self.terms(scenario, stats, kind)[:2]
 
 
-def assemble_gradients(scenario, loss_def, kind):
+def assemble_gradients(scenario, loss_def, kind, stats=None, errors=None):
     """Distribute each positive's error over the negatives ranked above it.
 
     Never materializes the |P| x |N| table: with p(j|i) = H(x_ij)/N_FP(i),
@@ -577,16 +577,11 @@ def assemble_gradients(scenario, loss_def, kind):
     negative's column is a column sum of the StepRelation that gave N_FP,
     so each positive's error goes to exactly the negatives it counts. Raises
     if any target exceeds its primary term (the update would push the wrong
-    way).
+    way). A caller that has the rank statistics or the local errors and
+    targets (l, l*) passes them as stats and errors.
     """
-    stats = rank_stats(scenario, kind)
-    ell, ell_star = loss_def.local_errors(scenario, stats, kind)
-    return _assemble(scenario, loss_def, stats, ell, ell_star)
-
-
-def _assemble(scenario, loss_def, stats, ell, ell_star):
-    """assemble_gradients from a loss's rank statistics and its local errors
-    and targets, computed by the caller."""
+    stats = rank_stats(scenario, kind) if stats is None else stats
+    ell, ell_star = loss_def.local_errors(scenario, stats, kind) if errors is None else errors
     z = float(loss_def.normalizer(scenario))
     gap = ell - ell_star
     bad = np.flatnonzero(gap < -1e-12 * np.maximum(1.0, np.abs(ell)))

@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .geometry import LocErrorKind, boxes_with_iou
-# perfbench wraps alrp_loss, ap_loss, ndcg_loss and ranking_correlation by
-# this module's names too, so they stay bound here though train() calls none.
+# perfbench wraps these by this module's names: train() calls positive_ious and ranking_correlation
+# once per epoch, and reaches the losses through losses._named_loss, so they stay bound here for it.
 from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
 from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio, self_balance_update
-from .metrics import _ious_by_score, _rank_correlation, positive_ious, ranking_correlation  # noqa: F401
+from .metrics import _ious_by_score, positive_ious, ranking_correlation
 from .ranking import NEG, POS, Scenario, StepKind, check_positive
 
 LOG_COLUMNS = (
@@ -222,9 +222,9 @@ class TrainConfig:
             check_positive("box_lr", self.box_lr, zero_ok=True)
 
 
-def _safe_rho(scores: np.ndarray, ious: np.ndarray) -> float:
+def _safe_rho(scn: Scenario, ious: np.ndarray) -> float:
     try:
-        return _rank_correlation(scores, ious)
+        return ranking_correlation(scn, ious)
     except ValueError:
         return float("nan")
 
@@ -266,7 +266,7 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
                 "loc": bd.loc_component,
                 "ratio": balance_ratio(bd, scn),
                 "sb_weight": bd.sb_weight_applied,
-                "rho": _safe_rho(scn.pos_scores(), ious),
+                "rho": _safe_rho(scn, ious),
                 "mean_iou": float(ious.mean()),
                 "n_nonsmooth": bd.n_nonsmooth,
                 "n_kept": bd.n_kept,

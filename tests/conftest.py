@@ -678,12 +678,14 @@ def oracle_loc_error_grad(pred, gt, kind):
     return -0.5 * scale * g, tie
 
 
-def oracle_loc_error_grad_rows(pred, gt, kind):
-    """oracle_loc_error_grad row by row, shaped like
-    geometry.loc_error_grad_array: ((P, 4) gradients, (P,) tie mask)."""
+def oracle_loc_error_and_grad_rows(pred, gt, kind):
+    """oracle_loc_error (unchecked) and oracle_loc_error_grad row by row,
+    shaped like geometry.loc_error_and_grad_array: ((P,) E_loc, (P, 4)
+    gradients, (P,) tie mask)."""
+    e_loc = np.array([oracle_loc_error(p, g, kind, check=False) for p, g in zip(pred, gt)], dtype=np.float64)
     rows = [oracle_loc_error_grad(p, g, kind) for p, g in zip(pred, gt)]
     grads = np.array([g for g, _ in rows], dtype=np.float64).reshape(-1, 4)
-    return grads, np.array([tie for _, tie in rows], dtype=bool)
+    return e_loc, grads, np.array([tie for _, tie in rows], dtype=bool)
 
 
 def separate_pass_loss(name, scenario, kind, balancer=None):
@@ -710,7 +712,7 @@ def separate_pass_loss(name, scenario, kind, balancer=None):
     loc_c = float(((e_loc + c) / stats.rank).mean())
     report = assemble_gradients(scenario, loss_def, kind)
     w = alrp_soft_weights(scenario, kind)
-    grads, tie = oracle_loc_error_grad_rows(scenario.pos_boxes(), scenario.pos_gt_boxes(), scenario.loc_kind)
+    _, grads, tie = oracle_loc_error_and_grad_rows(scenario.pos_boxes(), scenario.pos_gt_boxes(), scenario.loc_kind)
     box = np.empty((n, 4))
     for i in range(n):
         box[i] = w[i] * grads[i]

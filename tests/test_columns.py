@@ -23,7 +23,7 @@ from conftest import (
     oracle_iou_grad,
     oracle_loc_error,
     oracle_loc_error_grad,
-    oracle_loc_error_grad_rows,
+    oracle_loc_error_and_grad_rows,
     separate_pass_loss,
 )
 from rankloss import losses
@@ -37,9 +37,9 @@ from rankloss.geometry import (
     iou_array,
     iou_grad,
     loc_error,
+    loc_error_and_grad_array,
     loc_error_array,
     loc_error_grad,
-    loc_error_grad_array,
 )
 from rankloss.losses import alrp_loss, ap_loss, ndcg_loss, wrong_target_alrp
 from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind
@@ -93,11 +93,12 @@ class TestGeometryAgainstOracle:
     def test_array_forms_equal_the_scalar_oracles(self, pairs, kind):
         pred = np.array([p for p, _ in pairs], dtype=np.float64)
         gt = np.array([g for _, g in pairs], dtype=np.float64)
-        grads, tie = loc_error_grad_array(pred, gt, kind)
+        one_pass, grads, tie = loc_error_and_grad_array(pred, gt, kind)
         assert grads.shape == (len(pairs), 4) and tie.shape == (len(pairs),) and tie.dtype == bool
         ious = iou_array(pred, gt)
         values = giou_array(pred, gt)
         errors = loc_error_array(pred, gt, kind)
+        assert same(one_pass, errors)
         for k, (p, g) in enumerate(pairs):
             want_g, want_tie = oracle_loc_error_grad(p, g, kind)
             assert same(grads[k], want_g) and tie[k] == want_tie
@@ -123,7 +124,7 @@ class TestGeometryAgainstOracle:
         # Two copies of the same point: union and hull are both zero.
         point = [1.0, 1.0, 1.0, 1.0]
         for kind in LOC_KINDS:
-            g, tie = loc_error_grad_array(np.array([point]), np.array([point]), kind)
+            _, g, tie = loc_error_and_grad_array(np.array([point]), np.array([point]), kind)
             assert same(g[0], oracle_loc_error_grad(point, point, kind)[0]) and tie[0]
 
 
@@ -242,11 +243,12 @@ def _same_log(a, b):
 @pytest.mark.parametrize("loc_kind", (LocErrorKind.iou(), LocErrorKind.giou(), LocErrorKind.iou(0.3)), ids=str)
 def test_train_logs_equal_the_oracle_scenario(config, loc_kind):
     """The trainer on the columnar Scenario against the trainer on the
-    AnchorRecord-list Scenario with scalar box gradients, row by row."""
+    AnchorRecord-list Scenario with scalar E_loc and box gradients, row by
+    row."""
     scn = generate_scenario(ScenarioGenSpec(n_pos=12, n_neg=150, seed=3, loc_kind=loc_kind))
     cfg = TRAIN_CONFIGS[config]
     got = train(scn, cfg)
-    with mock.patch.object(losses, "loc_error_grad_array", oracle_loc_error_grad_rows):
+    with mock.patch.object(losses, "loc_error_and_grad_array", oracle_loc_error_and_grad_rows):
         want = train(OracleScenario(scn.anchors, scn.gts, scn.loc_kind), cfg)
     _same_log(got, want)
     assert len(got.rows) == cfg.epochs + 1

@@ -9,19 +9,46 @@ The pairs of low step mass each loss evaluates one by one are counted, and
 so are the calls into the package's own functions during one small loss
 call and the calls of the traced layer entry points."""
 
+import re
 import sys
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_col_sums, oracle_loss, oracle_pairwise, oracle_window_sums
-from rankloss import losses, ranking, trainer
+from rankloss import geometry, losses, ranking, trainer
 from rankloss.fileio import load_scenario
-from rankloss.losses import alrp_loss, ap_loss, balance_ratio, ndcg_loss, wrong_target_alrp
-from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, StepRelation, step, step_sums
+from rankloss.geometry import LocErrorKind
+from rankloss.losses import (
+    ALRPLossDef,
+    APLossDef,
+    NDCGLossDef,
+    WrongTargetALRPDef,
+    alrp_loss,
+    alrp_soft_weights,
+    ap_loss,
+    balance_ratio,
+    ndcg_loss,
+    wrong_target_alrp,
+)
+from rankloss.metrics import positive_ious, ranking_correlation
+from rankloss.ranking import (
+    IGNORE,
+    NEG,
+    POS,
+    AnchorRecord,
+    Scenario,
+    StepKind,
+    StepRelation,
+    assemble_gradients,
+    rank_stats,
+    step,
+    step_sums,
+)
 from rankloss.trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -418,8 +445,58 @@ class TestTracedEntryPoints:
             alrp_loss(scn, kind)
             assert len(calls) == 1
 
+    def test_a_loss_call_enters_assemble_gradients_and_alrp_soft_weights_once(self, monkeypatch):
+        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=200, seed=0))
+        assembled = counted(monkeypatch, (losses,), "assemble_gradients")
+        weighed = counted(monkeypatch, (losses,), "alrp_soft_weights")
+        for kind in (StepKind.exact(), StepKind.smoothed(0.5)):
+            assembled.clear()
+            weighed.clear()
+            alrp_loss(scn, kind)
+            assert len(assembled) == len(weighed) == 1
+
     def test_each_epoch_builds_its_scenario_by_current_scenario(self, monkeypatch):
         scn = generate_scenario(ScenarioGenSpec(n_pos=6, n_neg=40, seed=1))
         calls = counted(monkeypatch, (trainer.ToyModel,), "current_scenario")
         log = train(scn, TrainConfig(epochs=3))
         assert len(log.rows) == len(calls) == 4
+
+    def test_each_epoch_enters_ranking_correlation_once(self, monkeypatch):
+        scn = generate_scenario(ScenarioGenSpec(n_pos=6, n_neg=40, seed=1))
+        calls = counted(monkeypatch, (trainer,), "ranking_correlation")
+        log = train(scn, TrainConfig(epochs=3))
+        assert len(log.rows) == len(calls) == 4
+
+    @pytest.mark.parametrize("loc_kind", (LocErrorKind.iou(), LocErrorKind.giou()), ids=str)
+    def test_one_overlap_pass_per_loss_call_and_two_per_epoch(self, monkeypatch, loc_kind):
+        """The loss's E_loc and box gradients share one pass; the epoch's
+        IoUs for rho and mean_iou (positive_ious) are the other."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=200, seed=0, loc_kind=loc_kind))
+        calls = counted(monkeypatch, (geometry,), "_inter_union")
+        for kind in (StepKind.exact(), StepKind.smoothed(0.5)):
+            calls.clear()
+            alrp_loss(scn, kind)
+            assert len(calls) == 1
+        calls.clear()
+        log = train(scn, TrainConfig(epochs=3))
+        assert len(calls) == 2 * len(log.rows) == 8
+
+    @SETTINGS
+    @given(st.one_of(tied_scenarios(), offset_scenarios()), st.sampled_from((StepKind.exact(), StepKind.smoothed(0.5))))
+    def test_precomputed_inputs_change_no_output(self, scn, kind):
+        stats = rank_stats(scn, kind)
+        for loss_def in (APLossDef(), ALRPLossDef(), WrongTargetALRPDef(), NDCGLossDef()):
+            errors = loss_def.local_errors(scn, stats, kind)
+            want = assemble_gradients(scn, loss_def, kind)
+            for given_inputs in ({"stats": stats}, {"errors": errors}, {"stats": stats, "errors": errors}):
+                got = assemble_gradients(scn, loss_def, kind, **given_inputs)
+                assert got.score_grads.tobytes() == want.score_grads.tobytes()
+                assert (got.loss_value, got.primary_term_sum_check) == (want.loss_value, want.primary_term_sum_check)
+        assert alrp_soft_weights(scn, kind, stats.rank).tobytes() == alrp_soft_weights(scn, kind).tobytes()
+        try:
+            rho = ranking_correlation(scn)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                ranking_correlation(scn, positive_ious(scn))
+        else:
+            assert ranking_correlation(scn, positive_ious(scn)) == rho

@@ -32,7 +32,7 @@ from conftest import (
     oracle_scenario_to_eval,
 )
 from rankloss import metrics
-from rankloss.geometry import Box, iou_array
+from rankloss.geometry import Box, boxes_with_iou, iou_array
 from rankloss.metrics import (
     TEN_POINT_RECALLS,
     Detection,
@@ -306,6 +306,29 @@ class TestCost:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 8 * self.size(inputs)
+
+    def test_lrp_at_sums_only_the_prefix_it_reaches(self, monkeypatch):
+        """One class of 5000 matched pairs at IoU 0.9 with distinct scores:
+        the localisation errors summed by one lrp_at stay within a fixed
+        multiple of D + G (every prefix of them, before, was about 1.25e7)."""
+        n = 5000
+        gts = np.array([[4.0 * k, 0.0, 4.0 * k + 2.0, 2.0] for k in range(n)])
+        inputs = EvalInput(np.linspace(1.0, 0.5, n), np.zeros(n), boxes_with_iou(gts, np.full(n, 0.9)), np.zeros(n), gts)
+        summed = []
+
+        class Counted(np.ndarray):
+            def sum(self, *args, **kwargs):
+                summed.append(self.size)
+                return super().sum(*args, **kwargs)
+
+        real = metrics._match
+        monkeypatch.setattr(
+            metrics, "_match", lambda table, tau: dataclasses.replace(m := real(table, tau), match_iou=m.match_iou.view(Counted))
+        )
+        for threshold in (float("-inf"), 0.75):
+            summed.clear()
+            assert lrp_at(inputs, 0.5, threshold).n_tp > 0
+            assert 0 < sum(summed) <= 2 * (2 * n)
 
 
 class TestEvalInputColumns:

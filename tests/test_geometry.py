@@ -1,5 +1,6 @@
 """Box primitives: overlap measures, localization error, and their gradients."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +264,26 @@ class TestDegenerateBoxes:
 
 class TestOneCopyOfTheOverlap:
     """Every value, E_loc and gradient reads the one set of overlap pieces."""
+
+    @pytest.mark.parametrize("name", ("iou_array", "giou_array"))
+    def test_a_value_holds_few_arrays_of_its_size(self, name):
+        """The traced peak of an overlap value on n pairs stays within eight
+        float arrays of n (it was about thirteen while every side of the
+        overlap stayed alive to the end)."""
+        n = 20_000
+        rng = np.random.default_rng(0)
+        a, b = rng.uniform(0.0, 10.0, (2, n, 4))
+        a[:, 2:] += a[:, :2]
+        b[:, 2:] += b[:, :2]
+        fn = getattr(geometry, name)
+        fn(a, b)  # any first-call set-up
+        tracemalloc.start()
+        try:
+            fn(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * 8
 
     def test_the_iou_gradient_builds_no_hull(self, monkeypatch):
         def no_hull(a, b):
