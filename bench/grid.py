@@ -10,16 +10,20 @@ negatives-vs-positives relation behind N_FP, the ``StepRelation`` build,
 ``row_sums()`` and ``col_sums``. Two small rows time the fixed cost of a
 call: smooth (delta 0.5) ``alrp_loss`` at 20 x 200 on ``generate_scenario``'s
 default scores, and one 25-epoch ``trainer.train`` in perfbench's ``train``
-configuration at 100 x 2000. Each row holds the median and quartiles, in ms,
-of REPS calls on each of the SEEDS scenarios.
+configuration at 100 x 2000. One row times smooth (delta 1) ``alrp_loss`` at
+300 x 30 000 on a layout of low step mass: positives uniform on 5.0 +
+[0, 5e-8], negatives on 4.0 + [1e-7, 2e-7], so that every negative lies just
+inside every positive's lower support edge. Each row holds the median and
+quartiles, in ms, of REPS calls on each of the SEEDS scenarios.
 
 The eval rows time ``metrics.mean_ap`` (the four default IoU thresholds,
 101 recall points) and ``metrics.olrp`` at IoU 0.5 on perfbench's eval
 input (``perfbench/workloads.make_eval_input``, imported unedited) with
 every count of its layout times 1, 5 and 25: 200 x 40, 1880 x 200 and
-31 400 x 1000 detections x ground truths, with fewer reps at x25. Each eval
-row also holds ``peak_mb``, the highest ``tracemalloc`` peak of one call
-over the seeds (numpy reports its buffers to tracemalloc).
+31 400 x 1000 detections x ground truths, with fewer reps at x25. The
+low-mass row and each eval row also hold ``peak_mb``, the highest
+``tracemalloc`` peak of one call over the seeds (numpy reports its buffers
+to tracemalloc).
 
 Each ``--src COLUMN=DIR`` tree is imported into this one process under its
 own package name, and every row's calls alternate between the trees call by
@@ -106,6 +110,17 @@ def small_calls(rl, seed):
     }
 
 
+def low_mass_call(rl, seed):
+    """A smooth (delta 1) aLRP call on the low-mass layout at 300 x 30 000, for the package rl."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    scores = np.concatenate((5.0 + rng.uniform(0.0, 5e-8, 300), 4.0 + rng.uniform(1e-7, 2e-7, 30_000)))
+    scn = rl.trainer.generate_scenario(rl.trainer.ScenarioGenSpec(n_pos=300, n_neg=30_000, seed=seed)).with_scores(scores)
+    kind = rl.ranking.StepKind.smoothed(1.0)
+    return lambda: rl.losses.alrp_loss(scn, kind)
+
+
 def eval_calls(rl, inputs):
     """{call: fn}: mean AP and oLRP on one eval input, for the package rl."""
     columns = (inputs.det_scores, inputs.det_cls, inputs.det_boxes, inputs.gt_cls, inputs.gt_boxes)
@@ -154,6 +169,12 @@ def measure(packages):
         calls = {column: small_calls(rl, seed) for column, rl in packages.items()}
         for name in next(iter(calls.values())):
             add(name, {column: c[name] for column, c in calls.items()})
+    for seed in SEEDS:
+        calls = {column: low_mass_call(rl, seed) for column, rl in packages.items()}
+        name = "alrp_loss smooth low-mass 300x30000"
+        add(name, calls)
+        for column, call in calls.items():
+            peaks[column].setdefault(name, []).append(traced_peak(call))
     workloads = perfbench("workloads")
     for scale, reps in EVAL_SCALES:
         sizes = {key: count * scale for key, count in workloads.SIZES["full"]["eval"].items()}

@@ -110,7 +110,6 @@ def cmd_loss(args) -> int:
         "sb_weight": bd.sb_weight_applied,
         "n_nonsmooth": bd.n_nonsmooth,
         "n_kept": bd.n_kept,
-        "n_pairwise": bd.n_pairwise,
     }
     if args.grads:
         doc["score_grads"] = [float(g) for g in bd.score_grads]
@@ -179,7 +178,10 @@ def _parse_gen(raw: str) -> ScenarioGenSpec:
         if "=" not in part:
             raise ValueError(f"--gen entries look like key=value, got {part!r}")
         key, value = part.split("=", 1)
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in fields:
+            raise ValueError(f"--gen repeats key {key!r}")
+        fields[key] = value.strip()
     try:
         n_pos = int(fields.pop("p"))
         n_neg = int(fields.pop("n"))

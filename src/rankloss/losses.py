@@ -54,10 +54,9 @@ class LossBreakdown:
     of the overlap (the tie-averaged derivative; see geometry); 0 for ap and
     ndcg, which have no box gradients. n_kept counts the negatives inside
     some positive's step support, the ones the engine keeps for N_FP and
-    the negative gradients (fast_alrp.pruned_size), and n_pairwise the
-    (positive, negative) pairs of low step mass it evaluates one by one (0
-    for the exact step). grad_report is the assembly's GradReport (its
-    score_grads is the same array as score_grads).
+    the negative gradients (fast_alrp.pruned_size). grad_report is the
+    assembly's GradReport (its score_grads is the same array as
+    score_grads).
     """
 
     total: float
@@ -69,7 +68,6 @@ class LossBreakdown:
     sb_weight_applied: float = 1.0
     n_nonsmooth: int = 0
     n_kept: int = 0
-    n_pairwise: int = 0
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,6 @@ def _loss(scenario, kind, loss_def, balancer=None):
         sb_weight_applied=float(sb),
         n_nonsmooth=int(n_nonsmooth),
         n_kept=int(stats.relation.idx.size),
-        n_pairwise=int(stats.relation.pair_q.size),
     )
 
 

@@ -360,10 +360,7 @@ class StepRelation:
 
     Row sums (one per query) and column sums (one per datum) use the same
     windows and the same terms, so the weight of a query is spread over
-    exactly the data its row sum counts. A query whose step mass is below 1
-    has its pairs evaluated one by one with step(): such a mass can be of
-    the size of the rounding in the prefix sums, and dividing a gradient by
-    it would magnify that rounding.
+    exactly the data its row sum counts, whatever its step mass.
     """
 
     def __init__(self, data, queries, kind):
@@ -374,7 +371,6 @@ class StepRelation:
         # idx: the positions in the data of the sorted kept data x.
         self.idx = kept[np.argsort(x[kept])]
         self.x = x = x[self.idx]
-        self.ill, self.mass, self.pair_q = np.zeros(q.size, dtype=bool), None, np.zeros(0, np.intp)
         n = x.size
         if not (kind.smooth and n):
             self.lo = self.mid = self.hi = np.searchsorted(x, q, "left")
@@ -394,16 +390,13 @@ class StepRelation:
         # Zero on an empty segment, where ref may lie far from q.
         self.c1 = np.where(self.lo < self.mid, ref[self.lo] - q + d, 0.0)
         self.c2 = np.where(self.mid < self.hi, ref[self.mid] - q + d, 0.0)
-
-        self.mass = self._sums()
-        self.ill = (self.mass < 1.0) & (self.lo < self.hi)
-        ill = np.flatnonzero(self.ill)
-        if not ill.size:
-            return
-        count = self.hi[ill] - self.lo[ill]
-        self.pair_q = np.repeat(ill, count)
-        self.pair_k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - self.lo[ill], count)
-        self.pair_h = step(x[self.pair_k] - q[self.pair_q], kind)
+        # A window's lowest term t + c1 is above 0, as step() is, unless the roundings of t = x - ref and
+        # of c1 take it to 0 or below: there c1 comes from step()'s own term, so the step mass stays > 0.
+        t_lo = self.t[np.minimum(self.lo, n - 1)]
+        low = np.flatnonzero((self.lo < self.mid) & (t_lo + self.c1 <= 0.0))
+        if low.size:
+            v = (x[self.lo[low]] - q[low]) + d
+            self.c1[low] = np.maximum(v - t_lo[low], np.nextafter(-t_lo[low], np.inf))
 
     def _sums(self, w=None):
         """Row sums of the windows for weights w (sorted data order; None: unit weights, by counts)."""
@@ -419,14 +412,7 @@ class StepRelation:
 
     def row_sums(self, weights=None):
         """sum_k w_k H(x_k - q_i) for every query (w_k = 1 by default)."""
-        if weights is None:
-            w = np.ones(self.x.size)
-            out = self._sums() if self.mass is None else self.mass.copy()
-        else:
-            w = np.asarray(weights, dtype=np.float64)[self.idx]
-            out = self._sums(w)
-        if self.ill.any():
-            out[self.ill] = np.bincount(self.pair_q, w[self.pair_k] * self.pair_h, self.q.size)[self.ill]
+        out = self._sums(None if weights is None else np.asarray(weights, dtype=np.float64)[self.idx])
         # Terms are non-negative: clip rounding at a support edge.
         return np.maximum(out, 0.0)
 
@@ -438,7 +424,6 @@ class StepRelation:
         n, out = self.x.size, np.zeros(self.size)
         if not n:
             return out
-        u = np.where(self.ill, 0.0, w)
         # Marked, not np.unique: its first call raises the peak RSS by over 1 MB.
         marked = np.zeros(n + 1, dtype=bool)
         marked[self.lo] = marked[self.mid] = marked[self.hi] = True
@@ -448,10 +433,10 @@ class StepRelation:
         # rows in one bincount over row-offset bins: row r's edge e is bin r * m + e.
         if self.kind.smooth:
             hi, lo, mid = np.searchsorted(edges, np.array((self.hi, self.lo, self.mid)))
-            uc1, uc2 = u * self.c1, u * self.c2
-            at, v = (hi, lo, lo, mid, mid, hi), (u, u, uc1, uc1, uc2, uc2)
+            wc1, wc2 = w * self.c1, w * self.c2
+            at, v = (hi, lo, lo, mid, mid, hi), (w, w, wc1, wc1, wc2, wc2)
         else:
-            at, v = (np.searchsorted(edges, self.hi),), (u,)
+            at, v = (np.searchsorted(edges, self.hi),), (w,)
         bins = np.array(at) + (m * np.arange(len(at)))[:, None]
         s = np.bincount(bins.ravel(), np.concatenate(v), len(at) * m).reshape(len(at), m)[:, :-1]
         # The rows to run: full height, and on the ramp the data's and the offsets' shares.
@@ -470,10 +455,7 @@ class StepRelation:
         if self.kind.smooth:
             g = g + (self.t * held[1] + held[2]) / (2.0 * self.kind.delta)
         # Before the first window every running sum is exactly +0 already.
-        g = np.maximum(g, 0.0)
-        if self.ill.any():
-            g += np.bincount(self.pair_k, w[self.pair_q] * self.pair_h, n)
-        out[self.idx] = g
+        out[self.idx] = np.maximum(g, 0.0)
         return out
 
 

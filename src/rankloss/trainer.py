@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,10 +29,16 @@ from .ranking import NEG, POS, Scenario, StepKind, check_positive
 
 LOG_COLUMNS = (
     "epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou",
-    "n_nonsmooth", "n_kept", "n_pairwise", "residual", "box_grad_norm",
+    "n_nonsmooth", "n_kept", "residual", "box_grad_norm",
 )
 MOMENTUM = 0.9
 SCORE_EPS = 1e-4
+
+
+def _check_integer(name, value):
+    """Refuse, by name, a value that is not an integer (2.5, 2.0, "2")."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,7 @@ class ScenarioGenSpec:
     complexity probe uses to control how many negatives survive pruning.
     Bounds must be finite, ``score_low <= score_high`` and
     ``pos_score_low <= score_high``; ``pos_score_low`` alone is refused.
+    ``n_pos >= 1``, ``n_neg >= 0`` and ``seed >= 0`` must be integers.
     """
 
     n_pos: int
@@ -66,6 +74,10 @@ class ScenarioGenSpec:
     loc_kind: LocErrorKind = field(default_factory=LocErrorKind.iou)
 
     def __post_init__(self):
+        for name in ("n_pos", "n_neg", "seed"):
+            _check_integer(name, getattr(self, name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_pos < 1 or self.n_neg < 0:
             raise ValueError("need n_pos >= 1 and n_neg >= 0")
         if not (0.0 <= self.iou_low <= self.iou_high <= 1.0):
@@ -195,8 +207,9 @@ class TrainLog:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for the toy training loop. lr must be finite and > 0;
-    box_lr (default lr) finite and >= 0, where 0 freezes the boxes."""
+    """Hyperparameters for the toy training loop. epochs must be an integer
+    >= 1; lr finite and > 0; box_lr (default lr) finite and >= 0, where 0
+    freezes the boxes."""
 
     loss: str = "alrp"
     epochs: int = 100
@@ -209,6 +222,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_NAMES:
             raise ValueError("loss must be 'ap', 'alrp', or 'ndcg'")
+        _check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.wrong_target and self.loss != "alrp":
@@ -270,7 +284,6 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
                 "mean_iou": float(ious.mean()),
                 "n_nonsmooth": bd.n_nonsmooth,
                 "n_kept": bd.n_kept,
-                "n_pairwise": bd.n_pairwise,
                 "residual": bd.grad_report.primary_term_sum_check,
                 "box_grad_norm": float(np.linalg.norm(bd.box_grads)),
             }

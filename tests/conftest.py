@@ -208,21 +208,17 @@ def oracle_col_sums(rel, weights):
     out = np.zeros(rel.size)
     if not n:
         return out
-    u = np.where(rel.ill, 0.0, w)
 
     def steps(at, v):
         return np.bincount(at, v, n + 1)[:n]
 
-    g = _running(steps(hi, u))
+    g = _running(steps(hi, w))
     if rel.kind.smooth:
-        uc1, uc2 = u * rel.c1, u * rel.c2
-        a = _running(steps(lo, u) - steps(hi, u))
-        b = _running(steps(lo, uc1) - steps(mid, uc1) + steps(mid, uc2) - steps(hi, uc2))
+        wc1, wc2 = w * rel.c1, w * rel.c2
+        a = _running(steps(lo, w) - steps(hi, w))
+        b = _running(steps(lo, wc1) - steps(mid, wc1) + steps(mid, wc2) - steps(hi, wc2))
         g = g + (rel.t * a + b) / (2.0 * rel.kind.delta)
-    g = np.maximum(g, 0.0)
-    if rel.ill.any():
-        g += np.bincount(rel.pair_k, w[rel.pair_q] * rel.pair_h, n)
-    out[rel.idx] = g
+    out[rel.idx] = np.maximum(g, 0.0)
     return out
 
 
@@ -334,14 +330,6 @@ def oracle_assemble_gradients(scenario, loss_def, kind):
     )
 
 
-def oracle_pairwise(scenario, kind):
-    """Pairs of the positives whose step mass over the negatives is below
-    1, counted over the full |P| x |N| step table: the pairs the engine
-    evaluates one by one (none for the exact step, whose mass is a count)."""
-    table = step(diff_transform(scenario.pos_scores()[:, None], scenario.neg_scores()[None, :]), kind)
-    return int(np.count_nonzero(table[table.sum(axis=1) < 1.0]))
-
-
 def oracle_kept(scenario, kind):
     """Negatives with a nonzero step value against some positive, counted
     over the full |P| x |N| step table."""
@@ -350,8 +338,8 @@ def oracle_kept(scenario, kind):
 
 
 def _breakdown_from(scenario, kind, total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmooth=0):
-    """A LossBreakdown with the field types the losses return; n_kept and
-    n_pairwise are counted by oracle_kept and oracle_pairwise."""
+    """A LossBreakdown with the field types the losses return; n_kept is
+    counted by oracle_kept."""
     return LossBreakdown(
         total=float(total),
         cls_component=float(cls_c),
@@ -362,7 +350,6 @@ def _breakdown_from(scenario, kind, total, cls_c, loc_c, report, box_grads, sb_w
         sb_weight_applied=float(sb_weight),
         n_nonsmooth=int(n_nonsmooth),
         n_kept=oracle_kept(scenario, kind),
-        n_pairwise=oracle_pairwise(scenario, kind),
     )
 
 

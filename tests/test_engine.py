@@ -5,13 +5,15 @@ exactly on a support edge, a single positive, no negatives and all-equal
 scores. The window sums at the edges are compared with their full-length
 oracles by ==, and counted: the running sums in col_sums are no longer
 than the distinct window edges, and no all-ones array is prefix-summed.
-The pairs of low step mass each loss evaluates one by one are counted, and
-so are the calls into the package's own functions during one small loss
-call and the calls of the traced layer entry points."""
+The memory of one loss call on a layout of low step mass is bounded, and
+the calls into the package's own functions during one small loss call and
+the calls of the traced layer entry points are counted."""
 
+import math
 import re
 import sys
-from pathlib import Path
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,9 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_col_sums, oracle_loss, oracle_pairwise, oracle_window_sums
+from conftest import oracle_col_sums, oracle_loss, oracle_window_sums
 from rankloss import geometry, losses, ranking, trainer
-from rankloss.fileio import load_scenario
 from rankloss.geometry import LocErrorKind
 from rankloss.losses import (
     ALRPLossDef,
@@ -50,8 +51,6 @@ from rankloss.ranking import (
     step_sums,
 )
 from rankloss.trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
-
-ROOT = Path(__file__).resolve().parents[1]
 
 ALL_FIELDS_RTOL = 1e-12
 GRAD_ATOL = 1e-14
@@ -319,8 +318,6 @@ class TestWindowEdges:
         rel = StepRelation(data, queries, kind)
         ones = np.ones(rel.x.size)
         assert same(rel._sums(), oracle_window_sums(rel, ones))
-        if rel.mass is not None:
-            assert same(rel.mass, oracle_window_sums(rel, ones))
         assert same(rel.col_sums(weights), oracle_col_sums(rel, weights))
 
     def test_grid_from_a_sum_near_a_power_of_two(self):
@@ -364,35 +361,101 @@ class TestWindowEdges:
         assert not any(row.size and np.all(row == 1.0) for v in prefixed for row in np.atleast_2d(v))
 
 
-class TestPairwiseCount:
-    @staticmethod
-    def counts(scn, kind):
-        return {fn(scn, kind).n_pairwise for fn in LOSSES.values()}
+def exact_step(x, q, delta):
+    """H(x - q) of the smooth step in exact arithmetic on the float inputs."""
+    h = (Fraction(x) - Fraction(q)) / (2 * Fraction(delta)) + Fraction(1, 2)
+    return min(max(h, Fraction(0)), Fraction(1))
 
-    def test_every_pair_of_a_low_mass_layout(self):
-        """Positives near 5.0, negatives in 4.0 + [1e-7, 2e-7], delta 1:
-        every negative lies just inside every positive's lower support edge,
-        each step mass is about 4e-5, and all P x N pairs are evaluated."""
+
+@st.composite
+def low_mass_windows(draw):
+    """(data, queries, delta, weights) with windows of low step mass: each
+    window's lower edge lies at 0, on a cell boundary (a multiple of
+    4 delta, or 1e-12 delta below one) or anywhere within 1e6 of 0, and its
+    data lie a few ulps to 1e-12 delta inside it. An optional query 3 delta
+    below the lowest window keeps data up to 4 delta below it, which become
+    the refs of the windows' cells; other data lie anywhere around.
+    Weights are 0 or in [2**-20, 2], so that no product underflows."""
+    delta = draw(st.sampled_from([2.0**-20, 1e-3, 0.5, 1.0, 3.0, 1e3]))
+    cell = 4.0 * delta
+    far = draw(st.floats(-1e6, 1e6))
+    boundary = math.floor(far / cell) * cell
+    edge = draw(st.sampled_from([0.0, boundary, boundary - 1e-12 * delta, far]))
+    queries, data = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        q = edge + draw(st.integers(0, 8)) * delta / 4 + delta
+        low = q - delta
+        queries.append(q)
+        ulps = st.integers(1, 6).map(lambda k: low + k * np.spacing(abs(q)))
+        tiny = st.floats(0.0, 1.0).map(lambda f: low + f * 1e-12 * delta)
+        data += draw(st.lists(st.one_of(ulps, tiny), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        queries.append(edge - 3.0 * delta)
+        data += draw(st.lists(st.floats(0.0, 1.0).map(lambda u: edge - u * cell), max_size=6))
+    data += draw(st.lists(st.floats(-5.0, 7.0).map(lambda u: edge + u * delta), max_size=12))
+    m = len(queries)
+    weights = draw(st.lists(st.one_of(st.floats(2.0**-20, 2.0), st.just(0.0)), min_size=m, max_size=m))
+    return np.array(data), np.array(queries), delta, np.array(weights)
+
+
+class TestExactSums:
+    @settings(max_examples=300, deadline=None)
+    @given(low_mass_windows())
+    def test_window_sums_are_near_their_exact_values(self, drawn):
+        """Against Fraction sums of the exact step values: each row sum
+        within 2**-51 per datum in the query's support, each column sum
+        within 2**-51 |w_i| per query whose support holds the datum, and a
+        window that holds data has a step mass above 0. A datum is in a
+        support where step() or the exact value is above 0."""
+        data, queries, delta, weights = drawn
+        kind = StepKind.smoothed(delta)
+        rel = StepRelation(data, queries, kind)
+        h = [[exact_step(x, q, delta) for x in data.tolist()] for q in queries.tolist()]
+        positive = np.array([[v > 0 for v in row] for row in h], dtype=bool)
+        held = (step(data[None, :] - queries[:, None], kind) > 0.0) | positive
+        rows, cols = rel.row_sums(), rel.col_sums(weights)
+        for i, row in enumerate(h):
+            assert abs(Fraction(rows[i]) - sum(row)) <= held[i].sum() * Fraction(2.0**-51)
+        assert np.all(rows[rel.lo < rel.x.size] > 0.0)
+        for k in range(data.size):
+            exact = sum(Fraction(w) * h[i][k] for i, w in enumerate(weights.tolist()))
+            bound = Fraction(2.0**-51) * sum(Fraction(abs(w)) for w in weights[held[:, k]].tolist())
+            assert abs(Fraction(cols[k]) - exact) <= bound
+
+    def test_a_window_one_ulp_inside_its_edge_above_a_far_ref(self):
+        """delta 0.5: the datum 1 + 2**-52 lies one ulp inside the window
+        of 1.5, and its cell's ref 2**-53 lies 2 delta below the window.
+        t = x - ref rounds to 1 and the offset ref - q + delta to -1, so
+        the window's step mass 2**-52 would sum to 0 and its gradient share
+        would be lost; the offset comes from step()'s term instead."""
+        data, queries = np.array([1.0 + 2.0**-52, 2.0**-53]), np.array([1.5, 0.5])
+        rel = StepRelation(data, queries, StepKind.smoothed(0.5))
+        assert same(rel.row_sums(), np.array([2.0**-52, 1.0]))
+        assert same(rel.col_sums(np.array([1.0, 0.0])), np.array([2.0**-52, 0.0]))
+
+
+class TestLowMassMemory:
+    def test_a_low_mass_layout_runs_in_memory_linear_in_its_size(self):
+        """Positives in 5.0 + [0, 5e-8], negatives in 4.0 + [1e-7, 2e-7],
+        delta 1: every negative lies just inside every positive's lower
+        support edge, and each step mass is about 2e-3. One aLRP call at
+        300 x 30 000 peaks at 32 (P + N) doubles at most (a table of its
+        9e6 pairs would need 216 MB), its step masses are positive, and its
+        gradients balance."""
         rng = np.random.default_rng(0)
-        pos, neg = 5.0 - rng.uniform(0.0, 1e-8, 20), 4.0 + rng.uniform(1e-7, 2e-7, 500)
-        scn = make_scenario(pos, neg, np.full(20, 0.8))
+        pos, neg = 5.0 + rng.uniform(0.0, 5e-8, 300), 4.0 + rng.uniform(1e-7, 2e-7, 30_000)
+        scn = make_scenario(pos, neg, np.full(300, 0.8))
         kind = StepKind.smoothed(1.0)
-        assert self.counts(scn, kind) == {20 * 500} == {oracle_pairwise(scn, kind)}
-        assert self.counts(scn, StepKind.exact()) == {0}
-
-    def test_none_on_the_fixture_and_the_benchmark_scenario(self):
-        """None at the CLI's steps on the shuffled fixture and at the loss
-        benchmark's steps on its scenario; at delta 0.5 one of the fixture's
-        positives has a step mass below 1, and its pairs are counted."""
-        shuffled = load_scenario(ROOT / "fixtures" / "shuffled_scenario.json")
-        spec = ScenarioGenSpec(n_pos=200, n_neg=100_000, seed=1, score_low=0.0, score_high=10.0, pos_score_low=5.5)
-        bench = generate_scenario(spec)
-        bench = bench.with_scores(np.round(bench.scores, 3))
-        for scn, delta in ((shuffled, 1.0), (bench, 0.5)):
-            for kind in (StepKind.exact(), StepKind.smoothed(delta)):
-                assert self.counts(scn, kind) == {0}
-        half = StepKind.smoothed(0.5)
-        assert self.counts(shuffled, half) == {oracle_pairwise(shuffled, half)} == {3}
+        alrp_loss(scn, kind)  # any first-call set-up
+        tracemalloc.start()
+        try:
+            bd = alrp_loss(scn, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * (300 + 30_000) * 8
+        assert np.all(rank_stats(scn, kind).n_fp > 0.0)
+        assert abs(balance_ratio(bd, scn) - 1.0) <= 1e-12
 
 
 class TestCallCount:

@@ -376,22 +376,8 @@ class TestCLILoss:
         save_scenario(scn, path)
         assert main(["loss", "--scenario", str(path), "--step", "smooth", "--delta", "1"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert list(doc)[-3:] == ["n_nonsmooth", "n_kept", "n_pairwise"]
+        assert list(doc)[-2:] == ["n_nonsmooth", "n_kept"]
         assert 0 < doc["n_kept"] == pruned_size(scn, FastConfig(delta=1.0)) < scn.n_neg
-
-    def test_pairwise_count_reported(self, tmp_path, capsys):
-        # Every negative just inside every positive's lower support edge:
-        # each step mass is about 3e-6, so all 3 x 40 pairs are evaluated.
-        labels, scores = ["pos"] * 3 + ["neg"] * 40, [5.0] * 3 + list(4.0 + np.linspace(1e-7, 2e-7, 40))
-        boxes = [[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(3)]
-        path = tmp_path / "low_mass.json"
-        save_scenario(Scenario.from_columns(labels, scores, [0, 1, 2], boxes, boxes), path)
-        argv = ["loss", "--scenario", str(path), "--step", "smooth", "--delta", "1"]
-        assert main(argv) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["n_pairwise"] == 120
-        assert main([*argv, "--format", "csv"]) == EXIT_OK
-        header, values = capsys.readouterr().out.splitlines()
-        assert header.endswith(",n_kept,n_pairwise") and values.endswith(",40,120")
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -612,7 +598,7 @@ class TestCLITrain:
         assert doc["loss_reduction"] > 0.0
         header = out.read_text().splitlines()[0]
         assert header == (
-            "epoch,total,cls,loc,ratio,sb_weight,rho,mean_iou,n_nonsmooth,n_kept,n_pairwise,residual,box_grad_norm"
+            "epoch,total,cls,loc,ratio,sb_weight,rho,mean_iou,n_nonsmooth,n_kept,residual,box_grad_norm"
         )
         assert len(out.read_text().splitlines()) == 42  # header + 41 rows
 
@@ -674,6 +660,20 @@ class TestCLITrain:
         capsys.readouterr()
         assert main(["train", "--gen", "P=2,N=2,seven", "--epochs", "5"]) == EXIT_INVALID
         assert capsys.readouterr().err == "error: --gen entries look like key=value, got 'seven'\n"
+
+    @pytest.mark.parametrize(
+        "gen, message",
+        (
+            ("P=3,N=10,P=5", "--gen repeats key 'p'"),
+            ("P=3,N=10,seed=1,Seed=2", "--gen repeats key 'seed'"),
+            ("P=3,N=10,seed=-1", "seed must be >= 0, got -1"),
+        ),
+        ids=("repeated-p", "repeated-seed-any-case", "negative-seed"),
+    )
+    def test_gen_strings_refused_by_key(self, capsys, gen, message):
+        assert main(["train", "--gen", gen, "--epochs", "2"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_undefined_rank_correlation_is_null_in_json(self, capsys):
         # One positive: the rank correlation is undefined (NaN in the log).

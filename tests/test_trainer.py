@@ -92,6 +92,26 @@ class TestScenarioGenerator:
             ScenarioGenSpec(n_pos=3, n_neg=10, seed=1, **bounds)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        (
+            ({"n_pos": 2.5}, "n_pos must be an integer, got 2.5"),
+            ({"n_neg": 10.0}, "n_neg must be an integer, got 10.0"),
+            ({"seed": "1"}, "seed must be an integer, got '1'"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+        ),
+        ids=("fractional-n-pos", "float-n-neg", "string-seed", "negative-seed"),
+    )
+    def test_counts_and_seed_must_be_integers(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            ScenarioGenSpec(**{"n_pos": 3, "n_neg": 10, "seed": 1, **fields})
+        assert str(exc.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        spec = ScenarioGenSpec(n_pos=np.int64(3), n_neg=np.int32(10), seed=np.uint8(1))
+        assert generate_scenario(spec).n_pos == 3
+        assert TrainConfig(epochs=np.int64(2)).epochs == 2
+
     def test_reference_spec_initial_state(self):
         """The 20x200 seed-7 scenario the training demonstrations use:
         anti-ordered (rank correlation -1) with mean IoU near 0.6."""
@@ -236,6 +256,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError) as exc:
             TrainConfig(**fields)
         assert str(exc.value) == message
+
+    def test_epochs_must_be_an_integer(self):
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(epochs=2.5)
+        assert str(exc.value) == "epochs must be an integer, got 2.5"
 
     def test_zero_box_lr_freezes_the_boxes(self):
         log = train(generate_scenario(SMALL_SPEC), replace(SMALL_CFG, epochs=10, box_lr=0.0))
