@@ -25,6 +25,14 @@ low-mass row and each eval row also hold ``peak_mb``, the highest
 ``tracemalloc`` peak of one call over the seeds (numpy reports its buffers
 to tracemalloc).
 
+Three more rows, each with ``peak_mb``, time ``fileio.save_scenario`` and
+``fileio.load_scenario`` of a ``generate_scenario`` draw at 200 x 100 000
+(a temporary file per tree), and ``metrics.olrp`` and ``metrics.lrp_at``
+(at score threshold 0.9) at IoU 0.5 on one class of G = 40 000 of the
+generator's ground truths, each matched by one ``geometry.boxes_with_iou``
+detection at an IoU uniform on [0.85, 0.95], with distinct scores uniform
+on [0, 1].
+
 Each ``--src COLUMN=DIR`` tree is imported into this one process under its
 own package name, and every row's calls alternate between the trees call by
 call, so that the trees sample the same moments of a host whose speed
@@ -49,6 +57,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -58,6 +67,9 @@ GRID = ((300, 30_000), (1000, 100_000), (3000, 300_000))
 SEEDS = (1, 2, 3)
 REPS = 15
 EVAL_SCALES = ((1, REPS), (5, REPS), (25, 3))  # (every count times, reps)
+IO_SIZE = (200, 100_000)
+ONE_CLASS_G = 40_000
+SLOW_REPS = 3  # for the file I/O and one-class rows, of about 0.1 to 1 s a call
 
 
 def quartiles(times):
@@ -131,6 +143,34 @@ def eval_calls(rl, inputs):
     }
 
 
+def io_calls(rl, seed, directory):
+    """{call: fn}: save and load one generated scenario at IO_SIZE, in the
+    directory, for the package rl."""
+    n_pos, n_neg = IO_SIZE
+    scn = rl.trainer.generate_scenario(rl.trainer.ScenarioGenSpec(n_pos=n_pos, n_neg=n_neg, seed=seed))
+    path = os.path.join(directory, f"{rl.__name__}_{seed}.json")
+    rl.fileio.save_scenario(scn, path)
+    return {
+        f"save_scenario {n_pos}x{n_neg}": lambda: rl.fileio.save_scenario(scn, path),
+        f"load_scenario {n_pos}x{n_neg}": lambda: rl.fileio.load_scenario(path),
+    }
+
+
+def one_class_calls(rl, seed):
+    """{call: fn}: oLRP and LRP at score 0.9 on one class of ONE_CLASS_G matched pairs, for the package rl."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    gts = rl.trainer._gt_boxes(ONE_CLASS_G)
+    dets = rl.geometry.boxes_with_iou(gts, rng.uniform(0.85, 0.95, ONE_CLASS_G))
+    zeros = np.zeros(ONE_CLASS_G)
+    inputs = rl.metrics.EvalInput(rng.uniform(0.0, 1.0, ONE_CLASS_G), zeros, dets, zeros, gts)
+    return {
+        f"olrp 0.5 one class G={ONE_CLASS_G}": lambda: rl.metrics.olrp(inputs, 0.5),
+        f"lrp_at 0.5 score 0.9 one class G={ONE_CLASS_G}": lambda: rl.metrics.lrp_at(inputs, 0.5, 0.9),
+    }
+
+
 def traced_peak(fn):
     """The tracemalloc peak, in bytes, of one call."""
     tracemalloc.start()
@@ -155,37 +195,37 @@ def measure(packages):
     rows = {column: {} for column in packages}
     peaks = {column: {} for column in packages}
 
-    def add(name, fns, reps=REPS):
+    def add(name, fns, reps=REPS, peak=False):
         for column, times in timed(fns, reps).items():
             rows[column].setdefault(name, []).extend(times)
+        for column, fn in fns.items() if peak else ():
+            peaks[column].setdefault(name, []).append(traced_peak(fn))
+
+    def add_all(calls, reps=REPS, peak=False):
+        # calls: {column: {row name: fn}}, the same row names in every column.
+        for name in next(iter(calls.values())):
+            add(name, {column: c[name] for column, c in calls.items()}, reps, peak)
 
     for n_pos, n_neg in GRID:
         for seed in SEEDS:
             for step in ("smooth", "exact"):
                 calls = {column: grid_calls(rl, n_pos, n_neg, seed, step == "smooth") for column, rl in packages.items()}
-                for layer in ("alrp_loss", "StepRelation", "row_sums", "col_sums"):
-                    add(f"{layer} {step} {n_pos}x{n_neg}", {column: c[layer] for column, c in calls.items()})
+                add_all({column: {f"{layer} {step} {n_pos}x{n_neg}": fn for layer, fn in c.items()} for column, c in calls.items()})
     for seed in SEEDS:
-        calls = {column: small_calls(rl, seed) for column, rl in packages.items()}
-        for name in next(iter(calls.values())):
-            add(name, {column: c[name] for column, c in calls.items()})
+        add_all({column: small_calls(rl, seed) for column, rl in packages.items()})
     for seed in SEEDS:
-        calls = {column: low_mass_call(rl, seed) for column, rl in packages.items()}
-        name = "alrp_loss smooth low-mass 300x30000"
-        add(name, calls)
-        for column, call in calls.items():
-            peaks[column].setdefault(name, []).append(traced_peak(call))
+        add("alrp_loss smooth low-mass 300x30000", {column: low_mass_call(rl, seed) for column, rl in packages.items()}, peak=True)
+    with tempfile.TemporaryDirectory() as directory:
+        for seed in SEEDS:
+            calls = {column: {**io_calls(rl, seed, directory), **one_class_calls(rl, seed)} for column, rl in packages.items()}
+            add_all(calls, SLOW_REPS, peak=True)
     workloads = perfbench("workloads")
     for scale, reps in EVAL_SCALES:
         sizes = {key: count * scale for key, count in workloads.SIZES["full"]["eval"].items()}
         for seed in SEEDS:
             inputs = workloads.make_eval_input(seed, **sizes)
             calls = {column: eval_calls(rl, inputs) for column, rl in packages.items()}
-            for call in next(iter(calls.values())):
-                name = f"{call} eval x{scale}"
-                add(name, {column: c[call] for column, c in calls.items()}, reps)
-                for column, c in calls.items():
-                    peaks[column].setdefault(name, []).append(traced_peak(c[call]))
+            add_all({column: {f"{call} eval x{scale}": fn for call, fn in c.items()} for column, c in calls.items()}, reps, peak=True)
     return rows, peaks
 
 

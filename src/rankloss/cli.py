@@ -94,8 +94,7 @@ def cmd_loss(args) -> int:
     balancer = None
     if args.sb_weight is not None:
         check_positive("--sb-weight", args.sb_weight)
-        if args.sb_weight != 1.0:
-            balancer = SelfBalancer(active_weight=args.sb_weight)
+        balancer = SelfBalancer(args.sb_weight)
     scenario = load_scenario(args.scenario)
     bd = _named_loss(args.loss, scenario, _step_kind(args), args.wrong_target, balancer)
     if not np.isfinite(bd.total):

@@ -21,9 +21,10 @@ import os
 import numpy as np
 
 from .fileio import save_eval, save_scenario
-from .geometry import LocErrorKind
+from .geometry import LocErrorKind, boxes_with_iou
 from .metrics import EvalInput, scenario_to_eval
-from .ranking import NEG, POS, AnchorRecord, Scenario
+from .ranking import NEG, POS, Scenario
+from .trainer import _gt_boxes
 
 FIXTURE_NAMES = ("aligned", "shuffled", "reversed")
 
@@ -38,35 +39,23 @@ _IOUS = {
 }
 
 
-def _gt_box(k: int) -> np.ndarray:
-    return np.array([3.0 * k, 0.0, 3.0 * k + 1.0, 1.0], dtype=np.float64)
-
-
-def _pred_box(gt: np.ndarray, iou_target: float) -> np.ndarray:
-    """A box over ``gt`` with the requested IoU, moving only the top edge.
-
-    Most targets shrink the box (top edge at fraction ``iou_target``); the
-    0.80 case grows it past the ground truth instead (top edge at 1/0.80),
-    so the fixtures exercise both under- and over-sized predictions.
-    """
-    x1, y1, x2, y2 = gt
-    h = y2 - y1
-    if iou_target == 0.80:
-        return np.array([x1, y1, x2, y1 + h / iou_target], dtype=np.float64)
-    return np.array([x1, y1, x2, y1 + h * iou_target], dtype=np.float64)
-
-
 def fixture_scenario(name: str) -> Scenario:
-    """Build one of the named scenarios (aligned / shuffled / reversed)."""
+    """Build one of the named scenarios (aligned / shuffled / reversed).
+
+    The ground truths are the generator's; each positive box moves only the
+    top edge of its ground truth, as boxes_with_iou does, except that the
+    0.80 box grows past it (top edge at 1/0.80) instead, so the fixtures
+    exercise both under- and over-sized predictions.
+    """
     if name not in _IOUS:
         raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
-    gts = [_gt_box(k) for k in range(N_GT)]
-    anchors = [
-        AnchorRecord(POS, POS_SCORES[k], gt=k, box=_pred_box(gts[k], _IOUS[name][k]))
-        for k in range(len(POS_SCORES))
-    ]
-    anchors.extend(AnchorRecord(NEG, s) for s in NEG_SCORES)
-    return Scenario(anchors, gts, LocErrorKind.iou())
+    n_pos = len(POS_SCORES)
+    gts = _gt_boxes(N_GT)
+    boxes = boxes_with_iou(gts[:n_pos], np.array(_IOUS[name]))
+    k = _IOUS[name].index(0.80)
+    boxes[k, 3] = gts[k, 1] + (gts[k, 3] - gts[k, 1]) / 0.80
+    labels = [POS] * n_pos + [NEG] * len(NEG_SCORES)
+    return Scenario.from_columns(labels, POS_SCORES + NEG_SCORES, np.arange(n_pos), boxes, gts, LocErrorKind.iou())
 
 
 def fixture_eval(name: str) -> EvalInput:

@@ -165,8 +165,9 @@ def _unit_of(v, variant):
     return v if variant == "iou" else 0.5 * (1.0 + v)
 
 
-def _loc_error_of(v, kind):
-    return (1.0 - v) / (1.0 - kind.tau)
+def _loc_error_of(v, tau):
+    # E_loc = (1 - overlap) / (1 - tau): the one copy, for the loss and the LRP metric.
+    return (1.0 - v) / (1.0 - tau)
 
 
 def iou_array(pred, gt):
@@ -190,7 +191,7 @@ def giou_array(pred, gt):
 def loc_error_array(pred, gt, kind):
     """E_loc = (1 - overlap) / (1 - tau) over box arrays, unchecked: the
     loss path tolerates values above 1 (a box drifting below tau)."""
-    return _loc_error_of(_unit_of((iou_array if kind.variant == "iou" else giou_array)(pred, gt), kind.variant), kind)
+    return _loc_error_of(_unit_of((iou_array if kind.variant == "iou" else giou_array)(pred, gt), kind.variant), kind.tau)
 
 
 def _overlap_pass(pred, gt, variant):
@@ -241,7 +242,7 @@ def loc_error_and_grad_array(pred, gt, kind):
     gradients (chain rule through the overlap only) and a (P,) boolean mask."""
     v, g, tie = _overlap_pass(pred, gt, kind.variant)
     scale = 1.0 / (1.0 - kind.tau)
-    return _loc_error_of(_unit_of(v, kind.variant), kind), (-scale if kind.variant == "iou" else -0.5 * scale) * g, tie
+    return _loc_error_of(_unit_of(v, kind.variant), kind.tau), (-scale if kind.variant == "iou" else -0.5 * scale) * g, tie
 
 
 # --- scalar forms ----------------------------------------------------------
@@ -287,7 +288,7 @@ def loc_error(pred, gt, kind, check=True):
         raise ValueError(
             "overlap %.6f below tau %.2f: not a valid matched positive" % (v, kind.tau)
         )
-    return _loc_error_of(v, kind)
+    return _loc_error_of(v, kind.tau)
 
 
 def _first_row(_, g, tie):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CORNER_ORDER, Box, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
+from .geometry import CORNER_ORDER, Box, _loc_error_of, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
 from .ranking import IGNORE, Scenario, _frozen, _integers
 
 # Default IoU thresholds for the mean-AP sweep.
@@ -52,7 +52,7 @@ def _corner_array(boxes) -> np.ndarray:
 def _class_column(name, values):
     column, bad = _integers(values, np.int64)
     if bad.any():
-        raise ValueError("%s: class must be an integer, got %r" % (name, np.asarray(values)[bad][0].item()))
+        raise ValueError("%s: class must be an integer, got %r" % (name, np.asarray(values)[bad].tolist()[0]))
     return column
 
 
@@ -271,7 +271,13 @@ def _recall_grid(recall_points) -> np.ndarray:
         if recall_points == "coco101":
             return np.linspace(0.0, 1.0, 101)
         raise ValueError(f"unknown recall grid {recall_points!r}")
-    return np.asarray(recall_points, dtype=np.float64)
+    grid = np.asarray(recall_points, dtype=np.float64)
+    if not grid.size:
+        raise ValueError("mean AP needs at least one recall point")
+    bad = grid[~((0.0 <= grid) & (grid <= 1.0))]
+    if bad.size:
+        raise ValueError(f"mean AP needs recall points in [0, 1], got {bad[0].item()!r}")
+    return grid
 
 
 def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_points=TEN_POINT_RECALLS) -> dict:
@@ -279,7 +285,8 @@ def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_poin
 
     Each class's candidate table is built once and matched at every
     threshold.
-    Needs at least one threshold, each in [0, 1].
+    Needs at least one threshold, each in [0, 1], and at least one recall
+    point ("coco101": 101 points from 0 to 1), each in [0, 1].
     """
     taus = [float(t) for t in taus]
     if not taus:
@@ -287,11 +294,11 @@ def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_poin
     bad = [t for t in taus if not 0.0 <= t <= 1.0]
     if bad:
         raise ValueError(f"mean AP needs IoU thresholds in [0, 1], got {bad[0]!r}")
+    grid = _recall_grid(recall_points)
     classes = inputs.classes()
     if not classes:
         raise ValueError("cannot evaluate without ground-truth objects")
     tables = [_class_table(inputs, cls) for cls in classes]
-    grid = _recall_grid(recall_points)
     by_tau = {}
     for tau in taus:
         per_class = [float(pr_curve(_match(t, tau)).interpolated_precision(grid).mean()) for t in tables]
@@ -336,7 +343,7 @@ def _lrp_tallies(inputs: EvalInput, tau: float, thresholds: np.ndarray):
     for cls in classes:
         table = _class_table(inputs, cls)
         match = _match(table, tau)
-        vals = (1.0 - match.match_iou[match.is_tp]) / (1.0 - tau)
+        vals = _loc_error_of(match.match_iou[match.is_tp], tau)
         # The count of scores >= each threshold, on the ascending -scores.
         kept = np.searchsorted(-table.scores, -thresholds, "right")
         tp = np.concatenate(([0], np.cumsum(match.is_tp)))[kept]
@@ -459,7 +466,7 @@ def _ious_by_score(scores: np.ndarray, ious: np.ndarray, best_first: bool) -> np
     """The IoU multiset handed out in descending score order (ties by
     index): highest IoU first when best_first, lowest first otherwise."""
     out = np.empty_like(ious)
-    out[np.lexsort((np.arange(scores.size), -scores))] = np.sort(ious)[::-1] if best_first else np.sort(ious)
+    out[np.argsort(-scores, kind="stable")] = np.sort(ious)[::-1] if best_first else np.sort(ious)
     return out
 
 

@@ -100,14 +100,18 @@ def _frozen(a):
 
 def _integers(values, dtype):
     """(values as an array of the integer dtype, the mask of the entries
-    that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range)."""
+    that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range,
+    whether a float, a uint64 or a Python int)."""
     a = np.asarray(values)
-    if a.dtype.kind != "f":
+    if a.dtype.kind not in "fiuO":
         out = np.array(a, dtype=dtype)
         return out, np.zeros(out.shape, bool)
+    info = np.iinfo(dtype)
+    # Exact comparisons, Python ints (an object array) included; NaN fails both.
+    bad = ~np.asarray((a >= info.min) & (a <= info.max), dtype=bool)
     with np.errstate(invalid="ignore"):
-        out = a.astype(dtype)
-    return out, out != a
+        out = np.where(bad, 0, a).astype(dtype)
+    return out, bad | np.asarray(out != a, dtype=bool)
 
 
 def _gt_array(gts):
@@ -342,6 +346,18 @@ def support(data, queries, kind):
     return np.flatnonzero(step(x - np.min(queries), kind) > 0.0)
 
 
+def _weights(weights):
+    """weights as float64, refused by name if an entry is below 0: the sums
+    clip rounding at 0, which would hide a negative sum. A NaN passes and
+    gives NaN sums, so that a NaN E_loc (an overflowing GIoU) makes a NaN
+    loss, not an error."""
+    w = np.asarray(weights, dtype=np.float64)
+    bad = np.flatnonzero(w < 0.0)
+    if bad.size:
+        raise ValueError("weights must be >= 0, got %r at %d" % (w.flat[bad[0]].item(), bad[0]))
+    return w
+
+
 class StepRelation:
     """The step values H(x_k - q_i) between data x and queries q, held as
     windows of the sorted data instead of a table: per query, the data at
@@ -360,7 +376,8 @@ class StepRelation:
 
     Row sums (one per query) and column sums (one per datum) use the same
     windows and the same terms, so the weight of a query is spread over
-    exactly the data its row sum counts, whatever its step mass.
+    exactly the data its row sum counts, whatever its step mass. Weights
+    must be >= 0; a negative one is refused.
     """
 
     def __init__(self, data, queries, kind):
@@ -411,16 +428,18 @@ class StepRelation:
         return span[0] + (pt[0] + self.c1 * span[1] + pt[1] + self.c2 * span[2]) / (2.0 * self.kind.delta)
 
     def row_sums(self, weights=None):
-        """sum_k w_k H(x_k - q_i) for every query (w_k = 1 by default)."""
-        out = self._sums(None if weights is None else np.asarray(weights, dtype=np.float64)[self.idx])
+        """sum_k w_k H(x_k - q_i) for every query (w_k = 1 by default; each
+        w_k must be >= 0)."""
+        out = self._sums(None if weights is None else _weights(weights)[self.idx])
         # Terms are non-negative: clip rounding at a support edge.
         return np.maximum(out, 0.0)
 
     def col_sums(self, weights):
-        """sum_i w_i H(x_k - q_i) for every datum, in data order: each
-        query's weight, spread over its own windows by running sums, taken
-        at the distinct window edges below n and held between them."""
-        w = np.asarray(weights, dtype=np.float64)
+        """sum_i w_i H(x_k - q_i) for every datum, in data order (each w_i
+        must be >= 0): each query's weight, spread over its own windows by
+        running sums, taken at the distinct window edges below n and held
+        between them."""
+        w = _weights(weights)
         n, out = self.x.size, np.zeros(self.size)
         if not n:
             return out
@@ -469,8 +488,9 @@ def step_sums(data, queries, kind, weights=None):
     smooth: the data at full height count fully; those on the ramp add
             w_k (x_k - q + delta) / (2 delta).
 
-    Terms are non-negative, so S is clipped at 0 against rounding at a
-    support edge; a query whose support holds no data gets exactly 0.
+    Weights must be >= 0 (a negative one is refused), so terms are
+    non-negative and S is clipped at 0 against rounding at a support edge;
+    a query whose support holds no data gets exactly 0.
     """
     return StepRelation(data, queries, kind).row_sums(weights)
 

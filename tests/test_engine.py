@@ -181,6 +181,26 @@ class TestStepSums:
             assert np.all(got[support == 0.0] == 0.0)
         np.testing.assert_array_equal(step_sums(x, q, kind, w), rel.row_sums(w))
 
+    @pytest.mark.parametrize("kind", (StepKind.smoothed(1.0), StepKind.exact()), ids=("smooth", "exact"))
+    @pytest.mark.parametrize("bad", (-1.0, -5e-324, -np.inf), ids=str)
+    def test_negative_weights_are_refused(self, kind, bad):
+        """The sums are clipped at 0, so a negative weight read as 0: col_sums([0, 0, -1])
+        gave [0, 0, 0] where the sums are -1, and step_sums with weights -1 gave 0 for -3."""
+        rel = StepRelation([1.0] * 3, [0.0] * 3, kind)
+        message = r"^weights must be >= 0, got %s at 2$" % re.escape(repr(bad))
+        with pytest.raises(ValueError, match=message):
+            rel.col_sums([0.0, 0.0, bad])
+        with pytest.raises(ValueError, match=message):
+            rel.row_sums([1.0, 1.0, bad])
+        with pytest.raises(ValueError, match=message):
+            step_sums([1.0] * 3, [0.0] * 3, kind, [1.0, 1.0, bad])
+
+    def test_zero_and_nan_weights_pass(self):
+        """-0.0 is >= 0; a NaN weight (a NaN E_loc) gives NaN sums, not an error."""
+        rel = StepRelation([1.0] * 3, [0.0] * 3, StepKind.smoothed(1.0))
+        np.testing.assert_array_equal(rel.col_sums([-0.0, 0.0, 1.0]), [1.0, 1.0, 1.0])
+        assert np.isnan(rel.row_sums([1.0, np.nan, 1.0])).all()
+
     def test_exact_counts_are_integers(self):
         rng = np.random.default_rng(5)
         x = np.round(rng.uniform(0, 1, 500), 2)

@@ -360,6 +360,22 @@ class TestEvalInputColumns:
         with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %s$" % re.escape(repr(value))):
             EvalInput([0.9], [1], [box], [2, value], [box, box])
 
+    @pytest.mark.parametrize("value", (2**70, -(2**70), 2**63, np.uint64(2**63), np.uint64(2**64 - 1)), ids=repr)
+    def test_constructor_refuses_a_class_beyond_int64(self, value):
+        """2**70 raised numpy's OverflowError, which names no column, and
+        np.uint64(2**63) was stored as -2**63."""
+        box = [0.0, 0.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match=r"^det_cls: class must be an integer, got %d$" % value):
+            EvalInput([0.9], [value], [box], [1], [box])
+        with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %d$" % value):
+            EvalInput([0.9], [1], [box], [value], [box])
+
+    def test_classes_at_the_ends_of_int64_are_kept(self):
+        box = [0.0, 0.0, 1.0, 1.0]
+        ends = [-(2**63), 2**63 - 1]
+        inputs = EvalInput([0.9, 0.8], ends, [box, box], np.array(ends, dtype=object), [box, box])
+        assert inputs.det_cls.tolist() == inputs.gt_cls.tolist() == ends
+
     def test_integer_valued_float_classes_are_kept(self):
         box = [0.0, 0.0, 1.0, 1.0]
         inputs = EvalInput([0.9], [1.0], [box], np.array([2.0, -3.0]), [box, box])

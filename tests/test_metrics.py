@@ -1,6 +1,8 @@
 """Evaluator tests: greedy matching, interpolated AP, LRP/oLRP, reference
 losses, rank correlation, and the ranking-bound transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,21 @@ class TestGoldenAPTables:
 
     def test_thresholds_at_the_ends_accepted(self):
         assert set(mean_ap(fixture_eval("aligned"), (0.0, 1.0))["by_tau"]) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("point", (float("nan"), 1.5, -0.5, float("inf")), ids=str)
+    def test_recall_points_outside_unit_interval_rejected(self, point):
+        """On the shuffled fixture, [nan] and [1.5] read 0.0 and [-0.5] read 1.0."""
+        with pytest.raises(ValueError, match=r"^mean AP needs recall points in \[0, 1\], got %s$" % re.escape(repr(point))):
+            mean_ap(fixture_eval("shuffled"), recall_points=[0.5, point])
+
+    def test_an_empty_recall_grid_rejected(self):
+        """It read NaN, with only numpy's warning of a mean of nothing."""
+        with pytest.raises(ValueError, match=r"^mean AP needs at least one recall point$"):
+            mean_ap(fixture_eval("shuffled"), recall_points=[])
+
+    def test_recall_points_at_the_ends_accepted(self):
+        result = mean_ap(fixture_eval("shuffled"), (0.5,), (0.0, 1.0))
+        assert result["by_tau"] == {0.5: 0.5}
 
 
 class TestLRP:

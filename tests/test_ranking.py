@@ -202,7 +202,8 @@ class TestScenario:
         with pytest.raises(ValueError, match=r"^anchors\[1\]\.score is not finite$"):
             Scenario(anchors, self._gt())
 
-    @pytest.mark.parametrize("gt", (0.6, 1.5, -0.5, np.nan, np.inf, 1e20), ids=str)
+    # 2**70 raised numpy's OverflowError, which names no anchor.
+    @pytest.mark.parametrize("gt", (0.6, 1.5, -0.5, np.nan, np.inf, 1e20, 2**70, -(2**70), 2**63, np.uint64(2**63)), ids=repr)
     def test_refuses_a_non_integer_gt_index(self, gt):
         gts = [[0, 0, 1, 1], [2, 0, 3, 1]]
         with pytest.raises(ValueError, match=r"^anchors\[0\]: positive needs a valid gt index$"):
