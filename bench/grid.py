@@ -10,18 +10,21 @@ negatives-vs-positives relation behind N_FP, the ``StepRelation`` build,
 ``row_sums()`` and ``col_sums``. Two small rows time the fixed cost of a
 call: smooth (delta 0.5) ``alrp_loss`` at 20 x 200 on ``generate_scenario``'s
 default scores, and one 25-epoch ``trainer.train`` in perfbench's ``train``
-configuration at 100 x 2000. One row times smooth (delta 1) ``alrp_loss`` at
-300 x 30 000 on a layout of low step mass: positives uniform on 5.0 +
-[0, 5e-8], negatives on 4.0 + [1e-7, 2e-7], so that every negative lies just
-inside every positive's lower support edge. Each row holds the median and
-quartiles, in ms, of REPS calls on each of the SEEDS scenarios.
+configuration at 100 x 2000, each with ``peak_mb``. One row times smooth
+(delta 1) ``alrp_loss`` at 300 x 30 000 on a layout of low step mass:
+positives uniform on 5.0 + [0, 5e-8], negatives on 4.0 + [1e-7, 2e-7], so
+that every negative lies just inside every positive's lower support edge.
+Each row holds the median and quartiles, in ms, of REPS calls on each of
+the SEEDS scenarios.
 
 The eval rows time ``metrics.mean_ap`` (the four default IoU thresholds,
 101 recall points) and ``metrics.olrp`` at IoU 0.5 on perfbench's eval
 input (``perfbench/workloads.make_eval_input``, imported unedited) with
 every count of its layout times 1, 5 and 25: 200 x 40, 1880 x 200 and
-31 400 x 1000 detections x ground truths, with fewer reps at x25. The
-low-mass row and each eval row also hold ``peak_mb``, the highest
+31 400 x 1000 detections x ground truths, with fewer reps at x25. One
+more row times ``fileio.load_eval`` of the x25 input, written to a
+temporary file by each tree's own ``save_eval``. The low-mass row, each
+eval row and the load_eval row also hold ``peak_mb``, the highest
 ``tracemalloc`` peak of one call over the seeds (numpy reports its buffers
 to tracemalloc).
 
@@ -67,6 +70,7 @@ GRID = ((300, 30_000), (1000, 100_000), (3000, 300_000))
 SEEDS = (1, 2, 3)
 REPS = 15
 EVAL_SCALES = ((1, REPS), (5, REPS), (25, 3))  # (every count times, reps)
+LOAD_EVAL_SCALE = 25
 IO_SIZE = (200, 100_000)
 ONE_CLASS_G = 40_000
 SLOW_REPS = 3  # for the file I/O and one-class rows, of about 0.1 to 1 s a call
@@ -143,6 +147,12 @@ def eval_calls(rl, inputs):
     }
 
 
+def load_eval_call(rl, inputs, path):
+    """load_eval of the eval input, written to path by the package rl's save_eval."""
+    rl.fileio.save_eval(inputs, path)
+    return lambda: rl.fileio.load_eval(path)
+
+
 def io_calls(rl, seed, directory):
     """{call: fn}: save and load one generated scenario at IO_SIZE, in the
     directory, for the package rl."""
@@ -212,7 +222,7 @@ def measure(packages):
                 calls = {column: grid_calls(rl, n_pos, n_neg, seed, step == "smooth") for column, rl in packages.items()}
                 add_all({column: {f"{layer} {step} {n_pos}x{n_neg}": fn for layer, fn in c.items()} for column, c in calls.items()})
     for seed in SEEDS:
-        add_all({column: small_calls(rl, seed) for column, rl in packages.items()})
+        add_all({column: small_calls(rl, seed) for column, rl in packages.items()}, peak=True)
     for seed in SEEDS:
         add("alrp_loss smooth low-mass 300x30000", {column: low_mass_call(rl, seed) for column, rl in packages.items()}, peak=True)
     with tempfile.TemporaryDirectory() as directory:
@@ -220,12 +230,16 @@ def measure(packages):
             calls = {column: {**io_calls(rl, seed, directory), **one_class_calls(rl, seed)} for column, rl in packages.items()}
             add_all(calls, SLOW_REPS, peak=True)
     workloads = perfbench("workloads")
-    for scale, reps in EVAL_SCALES:
-        sizes = {key: count * scale for key, count in workloads.SIZES["full"]["eval"].items()}
-        for seed in SEEDS:
-            inputs = workloads.make_eval_input(seed, **sizes)
-            calls = {column: eval_calls(rl, inputs) for column, rl in packages.items()}
-            add_all({column: {f"{call} eval x{scale}": fn for call, fn in c.items()} for column, c in calls.items()}, reps, peak=True)
+    with tempfile.TemporaryDirectory() as directory:
+        for scale, reps in EVAL_SCALES:
+            sizes = {key: count * scale for key, count in workloads.SIZES["full"]["eval"].items()}
+            for seed in SEEDS:
+                inputs = workloads.make_eval_input(seed, **sizes)
+                calls = {column: eval_calls(rl, inputs) for column, rl in packages.items()}
+                add_all({column: {f"{call} eval x{scale}": fn for call, fn in c.items()} for column, c in calls.items()}, reps, peak=True)
+                if scale == LOAD_EVAL_SCALE:
+                    paths = {column: os.path.join(directory, f"{column}.json") for column in packages}
+                    add(f"load_eval eval x{scale}", {c: load_eval_call(rl, inputs, paths[c]) for c, rl in packages.items()}, peak=True)
     return rows, peaks
 
 

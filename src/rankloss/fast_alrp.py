@@ -74,8 +74,9 @@ def complexity_bound(n_pos, n_neg, n_kept):
 
 
 def complexity_probe(size_pairs, seed=0, prune=True):
-    """Run the loss (smooth step, delta 1) over random scenarios of the given
-    (n_pos, n_neg) sizes and report the operation count against the bound.
+    """Count the negatives the loss keeps (smooth step, delta 1; every one
+    without prune) over random scenarios of the given (n_pos, n_neg) sizes
+    and report the operation count against the bound.
 
     Scores are spread wider than the ramp so the prune has something to cut:
     negatives uniform over [0, 10], positives over [6, 10].
@@ -94,8 +95,7 @@ def complexity_probe(size_pairs, seed=0, prune=True):
             pos_score_low=6.0,
         )
         sc = generate_scenario(spec)
-        kept = fast_alrp(sc, FastConfig()).n_kept
-        n_kept = kept if prune else n_neg
+        n_kept = pruned_size(sc, FastConfig(prune=prune))
         ops = operation_count(n_pos, n_neg, n_kept)
         bound = complexity_bound(n_pos, n_neg, n_kept)
         rows.append(

@@ -211,7 +211,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     pos_gt, pos_box = [r[2] for r in rows if r[0] == POS], [r[3] for r in rows if r[0] == POS]
 
     try:
-        return Scenario.from_columns(labels, scores, pos_gt, np.reshape(pos_box, (-1, 4)), gts, loc_kind)
+        return Scenario.from_columns(labels, scores, pos_gt, pos_box, gts, loc_kind)
     except ValueError as exc:
         raise FileFormatError("$", str(exc)) from exc
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import CORNER_ORDER, Box, _loc_error_of, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
-from .ranking import IGNORE, Scenario, _frozen, _integers
+from .ranking import IGNORE, Scenario, _column, _frozen, _integers, _shaped
 
 # Default IoU thresholds for the mean-AP sweep.
 DEFAULT_TAUS = (0.50, 0.65, 0.80, 0.95)
@@ -45,32 +45,32 @@ class GroundTruth:
     cls: int = 0
 
 
-def _corner_array(boxes) -> np.ndarray:
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def _class_column(name, values):
+def _class_column(name, values, rows):
     column, bad = _integers(values, np.int64)
     if bad.any():
         raise ValueError("%s: class must be an integer, got %r" % (name, np.asarray(values)[bad].tolist()[0]))
-    return column
+    return _shaped(name, column, (rows,))
 
 
 class EvalInput:
     """Everything the evaluator needs, as read-only columns: det_scores (D,)
     float64, det_cls (D,) int64, det_boxes (D, 4), gt_cls (G,) int64 and
-    gt_boxes (G, 4). The constructor takes the columns and refuses a class
-    that is not an integer, by column, and what Detection and Box refuse
-    (ground-truth boxes first); build() gathers
-    them from Detection / GroundTruth objects, and detections /
+    gt_boxes (G, 4), with D the size of det_scores and G that of gt_cls. The
+    constructor takes the columns and refuses, by column, one whose shape
+    is not that (an empty column stands for no rows of any width) and a
+    class that is not an integer (a string, a bool or None included), then
+    what Detection and Box refuse (ground-truth boxes first); build()
+    gathers them from Detection / GroundTruth objects, and detections /
     ground_truths build those objects on each access."""
 
     def __init__(self, det_scores, det_cls, det_boxes, gt_cls, gt_boxes):
-        self.det_scores = _frozen(np.array(det_scores, dtype=np.float64))
-        self.det_cls = _frozen(_class_column("det_cls", det_cls))
-        self.det_boxes = _frozen(np.array(det_boxes, dtype=np.float64).reshape(-1, 4))
-        self.gt_cls = _frozen(_class_column("gt_cls", gt_cls))
-        self.gt_boxes = _frozen(np.array(gt_boxes, dtype=np.float64).reshape(-1, 4))
+        scores = np.array(det_scores, dtype=np.float64)
+        d, g = scores.size, np.size(gt_cls)
+        self.det_scores = _frozen(_shaped("det_scores", scores, (d,)))
+        self.det_cls = _frozen(_class_column("det_cls", det_cls, d))
+        self.det_boxes = _frozen(_column("det_boxes", det_boxes, (d, 4)))
+        self.gt_cls = _frozen(_class_column("gt_cls", gt_cls, g))
+        self.gt_boxes = _frozen(_column("gt_boxes", gt_boxes, (g, 4)))
         if not np.isfinite(self.det_scores).all():
             raise ValueError("detection score must be finite")
         boxes = np.concatenate((self.gt_boxes, self.det_boxes))
@@ -83,9 +83,9 @@ class EvalInput:
         return EvalInput(
             [d.score for d in detections],
             [d.cls for d in detections],
-            _corner_array(d.box for d in detections),
+            [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections],
             [g.cls for g in ground_truths],
-            _corner_array(g.box for g in ground_truths),
+            [(g.box.x1, g.box.y1, g.box.x2, g.box.y2) for g in ground_truths],
         )
 
     @property

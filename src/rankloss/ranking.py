@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,17 +102,43 @@ def _frozen(a):
 def _integers(values, dtype):
     """(values as an array of the integer dtype, the mask of the entries
     that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range,
-    whether a float, a uint64 or a Python int)."""
+    whether a float, a uint64 or a Python int; and each entry that is not a
+    real number, such as a string, a bool or None. A bool among ints in a
+    list is an int to numpy before it is seen.)"""
     a = np.asarray(values)
-    if a.dtype.kind not in "fiuO":
-        out = np.array(a, dtype=dtype)
-        return out, np.zeros(out.shape, bool)
-    info = np.iinfo(dtype)
-    # Exact comparisons, Python ints (an object array) included; NaN fails both.
-    bad = ~np.asarray((a >= info.min) & (a <= info.max), dtype=bool)
     with np.errstate(invalid="ignore"):
+        if a.dtype.kind not in "fiu":
+            # Entry by entry as given: numpy converts a list that mixes numbers and strings to strings.
+            a = np.array(values, dtype=object)
+            real = [isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in a.flat]
+            a = np.where(np.array(real, dtype=bool).reshape(a.shape), a, np.nan)
+        info = np.iinfo(dtype)
+        # Exact comparisons, Python ints (an object array) included; NaN fails both.
+        bad = ~np.asarray((a >= info.min) & (a <= info.max), dtype=bool)
         out = np.where(bad, 0, a).astype(dtype)
     return out, bad | np.asarray(out != a, dtype=bool)
+
+
+def _shaped(name, column, shape):
+    """column, refused by name unless it has the shape."""
+    if column.shape != shape:
+        raise ValueError("%s: expected shape %s, got %s" % (name, shape, column.shape))
+    return column
+
+
+def _column(name, values, shape):
+    """values as float64 of the shape, refused by name otherwise; empty values are an empty column of any width."""
+    column = np.array(values, dtype=np.float64)
+    if column.shape[:1] == shape[:1] == (0,):
+        column = column.reshape(shape)
+    return _shaped(name, column, shape)
+
+
+def _not_finite(column, anchors, field):
+    """(anchors[k], "anchors[%d].<field> is not finite") for the first row k of column not all finite, or None."""
+    finite = np.isfinite(column)
+    bad = np.flatnonzero(~(finite if finite.ndim == 1 else finite.all(axis=1)))
+    return (anchors[bad[0]], "anchors[%d].%s is not finite" % (anchors[bad[0]], field)) if bad.size else None
 
 
 def _gt_array(gts):
@@ -139,12 +166,14 @@ class Scenario:
     plus loc_kind.
 
     Scores and box corners must be finite. Positives must reference a valid
-    (integer) GT index and carry a four-entry predicted box; negatives and
-    ignored anchors carry only a score. Ignored anchors are excluded from
-    every sum and always receive zero gradient.
+    GT index (a real number of integer value, not a string or a bool) and
+    carry a four-entry predicted box; negatives and ignored anchors carry
+    only a score. Ignored anchors are excluded from every sum and always
+    receive zero gradient.
     The constructor takes AnchorRecords; from_columns takes the columns.
     Both validate once; with_scores and with_positive_boxes check only the
-    column they replace and share the others.
+    column they replace, by the same shape and finiteness rules, and share
+    the others.
     """
 
     def __init__(self, anchors, gts, loc_kind=None):
@@ -186,29 +215,17 @@ class Scenario:
         pos_index = np.flatnonzero(labels == POS)
         if not pos_index.size:
             raise ValueError("scenario has no positive anchors")
-        scores = np.array(scores, dtype=np.float64)
-        pos_gt, not_integer = _integers(pos_gt, np.intp)
-        pos_box = np.array(pos_box, dtype=np.float64)
         gts = _gt_array(gts)
-        for name, column, shape in (
-            ("scores", scores, labels.shape),
-            ("pos_gt", pos_gt, pos_index.shape),
-            ("pos_box", pos_box, (pos_index.size, 4)),
-        ):
-            if column.shape != shape:
-                raise ValueError("%s: expected shape %s, got %s" % (name, shape, column.shape))
+        scores = _column("scores", scores, labels.shape)
+        pos_gt, not_integer = _integers(pos_gt, np.intp)
+        _shaped("pos_gt", pos_gt, pos_index.shape)
+        pos_box = _column("pos_box", pos_box, (pos_index.size, 4))
         # Report the first offending anchor and, for it, the first failed
         # check in the order score, gt index, box.
-        problems = [(i, 2, message) for i, message in box_errors]
-        bad = np.flatnonzero(~np.isfinite(scores))
-        if bad.size:
-            problems.append((bad[0], 0, "anchors[%d].score is not finite" % bad[0]))
         bad = pos_index[not_integer | (pos_gt < 0) | (pos_gt >= len(gts))]
-        if bad.size:
-            problems.append((bad[0], 1, "anchors[%d]: positive needs a valid gt index" % bad[0]))
-        bad = pos_index[~np.isfinite(pos_box).all(axis=1)]
-        if bad.size:
-            problems.append((bad[0], 2, "anchors[%d].box is not finite" % bad[0]))
+        gt_error = (bad[0], "anchors[%d]: positive needs a valid gt index" % bad[0]) if bad.size else None
+        found = (_not_finite(scores, range(scores.size), "score"), gt_error, _not_finite(pos_box, pos_index, "box"))
+        problems = [(i, 2, message) for i, message in box_errors] + [(f[0], k, f[1]) for k, f in enumerate(found) if f]
         if problems:
             raise ValueError(min(problems)[2])
         self.labels = _frozen(labels)
@@ -253,32 +270,23 @@ class Scenario:
         has drifted below tau; the metric-side check lives in geometry)."""
         return loc_error_array(self.pos_box, self.gts[self.pos_gt], self.loc_kind)
 
-    def _replace(self, **columns):
+    def _replace(self, attr, name, values, anchors, field):
+        """Copy with the column attr replaced by values, checked as _set_columns checks it."""
+        column = _column(name, values, getattr(self, attr).shape)
+        if found := _not_finite(column, anchors, field):
+            raise ValueError(found[1])
         new = copy.copy(self)
-        for name, value in columns.items():
-            setattr(new, name, _frozen(value))
+        setattr(new, attr, _frozen(column))
         return new
 
     def with_positive_boxes(self, boxes):
         """Copy of the scenario with the positives' predicted boxes replaced
         (order follows pos_index)."""
-        boxes = np.array(boxes, dtype=np.float64)
-        if boxes.shape != self.pos_box.shape:
-            raise ValueError("boxes: expected shape %s, got %s" % (self.pos_box.shape, boxes.shape))
-        bad = self.pos_index[~np.isfinite(boxes).all(axis=1)]
-        if bad.size:
-            raise ValueError("anchors[%d].box is not finite" % bad[0])
-        return self._replace(pos_box=boxes)
+        return self._replace("pos_box", "boxes", boxes, self.pos_index, "box")
 
     def with_scores(self, scores):
         """Copy of the scenario with every anchor's score replaced."""
-        scores = np.array(scores, dtype=np.float64)
-        if scores.shape != self.scores.shape:
-            raise ValueError("scores: expected shape %s, got %s" % (self.scores.shape, scores.shape))
-        bad = np.flatnonzero(~np.isfinite(scores))
-        if bad.size:
-            raise ValueError("anchors[%d].score is not finite" % bad[0])
-        return self._replace(scores=scores)
+        return self._replace("scores", "scores", scores, range(self.scores.size), "score")
 
 
 def _prefix(v):

@@ -53,6 +53,7 @@ TAUS = (0.0, 0.3, 0.5, 0.75)
 # Matching and AP take any tau; at -1 every unclaimed box qualifies.
 MATCH_TAUS = (-1.0, *TAUS)
 GRIDS = (TEN_POINT_RECALLS, "coco101")
+BOX = [0.0, 0.0, 1.0, 1.0]
 
 # Corners on a 0.5 grid over a 4x4 area: many overlaps, exact IoU ties,
 # zero-width and zero-height boxes, and pairs of points (zero union).
@@ -351,9 +352,11 @@ class TestEvalInputColumns:
         with pytest.raises(ValueError, match=r"^box corners out of order: \(1.0, 0.0, 0.0, 1.0\)$"):
             EvalInput([0.5], [0], [[1.0, 0.0, 0.0, 1.0]], [0], [box])
 
-    @pytest.mark.parametrize("value", (1.5, 1.7, -0.5, float("nan"), float("inf"), 1e20), ids=str)
+    @pytest.mark.parametrize("value", (1.5, 1.7, -0.5, float("nan"), float("inf"), 1e20, "3", "a", None), ids=str)
     def test_constructor_refuses_a_non_integer_class(self, value):
-        """A class of 1.5 and one of 1.7 were both stored as 1, and so matched."""
+        """A class of 1.5 and one of 1.7 were both stored as 1, and so matched.
+        A class of "3" was stored as 3, "a" raised numpy's unnamed error and
+        None a TypeError."""
         box = [0.0, 0.0, 1.0, 1.0]
         with pytest.raises(ValueError, match=r"^det_cls: class must be an integer, got %s$" % re.escape(repr(value))):
             EvalInput([0.9], [value], [box], [1], [box])
@@ -369,6 +372,56 @@ class TestEvalInputColumns:
             EvalInput([0.9], [value], [box], [1], [box])
         with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %d$" % value):
             EvalInput([0.9], [1], [box], [value], [box])
+
+    @pytest.mark.parametrize("column", ([True], [False, True], np.array([True]), [np.True_]), ids=repr)
+    def test_constructor_refuses_a_bool_class(self, column):
+        """[True] was stored as class 1; the file reader refuses a bool too."""
+        boxes = [BOX] * len(column)
+        with pytest.raises(ValueError, match=r"^det_cls: class must be an integer, got %r$" % bool(column[0])):
+            EvalInput([0.9] * len(column), column, boxes, [1], [BOX])
+        with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %r$" % bool(column[0])):
+            EvalInput([0.9], [1], [BOX], column, boxes)
+
+    def test_a_string_class_is_named_among_numbers(self):
+        with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got '7'$"):
+            EvalInput([0.9], [1], [BOX], [1, 2.0, "7", 3], [BOX] * 4)
+
+    @pytest.mark.parametrize(
+        "columns, name, want, got",
+        (
+            (([0.5, 0.6], [0, 0], [BOX], [0], [BOX]), "det_boxes", (2, 4), (1, 4)),
+            (([0.5], [0, 0], [BOX], [0], [BOX]), "det_cls", (1,), (2,)),
+            (([0.5], [0], [BOX, BOX], [0], [BOX]), "det_boxes", (1, 4), (2, 4)),
+            (([0.5], [], [BOX], [0], [BOX]), "det_cls", (1,), (0,)),
+            (([0.5], [0], [], [0], [BOX]), "det_boxes", (1, 4), (0,)),
+            (([0.5], [0], [BOX], [0, 0], [BOX]), "gt_boxes", (2, 4), (1, 4)),
+            (([0.5], [0], [BOX], [0], [BOX, BOX]), "gt_boxes", (1, 4), (2, 4)),
+            (([0.5], [0], [BOX], [], [BOX]), "gt_boxes", (0, 4), (1, 4)),
+            (([0.5], [0], [BOX * 2], [0], [BOX]), "det_boxes", (1, 4), (1, 8)),
+            (([0.5], [0], [BOX], [0], [BOX * 2]), "gt_boxes", (1, 4), (1, 8)),
+            (([[0.5], [0.6]], [0, 0], [BOX, BOX], [0], [BOX]), "det_scores", (2,), (2, 1)),
+            (([0.5], [[0]], [BOX], [0], [BOX]), "det_cls", (1,), (1, 1)),
+            (([0.5], [0], [BOX], [[0]], [BOX]), "gt_cls", (1,), (1, 1)),
+            (([0.5], [0], [BOX[:3]], [0], [BOX]), "det_boxes", (1, 4), (1, 3)),
+        ),
+        ids=(
+            "det_boxes short", "det_cls long", "det_boxes long", "det_cls short", "det_boxes empty",
+            "gt_boxes short", "gt_boxes long", "gt_cls short", "det_boxes 1x8", "gt_boxes 1x8",
+            "det_scores 2-D", "det_cls 2-D", "gt_cls 2-D", "det_boxes 1x3",
+        ),
+    )
+    def test_constructor_refuses_a_column_of_the_wrong_shape(self, columns, name, want, got):
+        """A second box beside one score was dropped (mean AP 1.0), a short
+        det_cls dropped a detection, a (1, 8) box column became two boxes,
+        and two scores with one box raised a bare IndexError."""
+        with pytest.raises(ValueError, match=r"^%s: expected shape %s, got %s$" % (name, re.escape(str(want)), re.escape(str(got)))):
+            EvalInput(*columns)
+
+    @pytest.mark.parametrize("empty", ([], np.zeros((0, 4)), np.zeros(0)), ids=repr)
+    def test_no_detections_take_an_empty_box_column(self, empty):
+        inputs = EvalInput([], [], empty, [0], [BOX])
+        assert inputs.det_boxes.shape == (0, 4) and inputs.det_scores.shape == inputs.det_cls.shape == (0,)
+        assert olrp(inputs, 0.5).value == 1.0
 
     def test_classes_at_the_ends_of_int64_are_kept(self):
         box = [0.0, 0.0, 1.0, 1.0]

@@ -202,14 +202,24 @@ class TestScenario:
         with pytest.raises(ValueError, match=r"^anchors\[1\]\.score is not finite$"):
             Scenario(anchors, self._gt())
 
-    # 2**70 raised numpy's OverflowError, which names no anchor.
-    @pytest.mark.parametrize("gt", (0.6, 1.5, -0.5, np.nan, np.inf, 1e20, 2**70, -(2**70), 2**63, np.uint64(2**63)), ids=repr)
+    # 2**70 raised numpy's OverflowError, which names no anchor; "0" and True were stored as 0 and 1,
+    # "a" raised numpy's unnamed error and None (in from_columns) a TypeError.
+    @pytest.mark.parametrize(
+        "gt", (0.6, 1.5, -0.5, np.nan, np.inf, 1e20, 2**70, -(2**70), 2**63, np.uint64(2**63), "0", True, "a", None), ids=repr
+    )
     def test_refuses_a_non_integer_gt_index(self, gt):
         gts = [[0, 0, 1, 1], [2, 0, 3, 1]]
         with pytest.raises(ValueError, match=r"^anchors\[0\]: positive needs a valid gt index$"):
             Scenario.from_columns([POS, NEG], [0.9, 0.1], [gt], [[0, 0, 1, 1]], gts)
         with pytest.raises(ValueError, match=r"^anchors\[0\]: positive needs a valid gt index$"):
             Scenario([AnchorRecord(POS, 0.9, gt=gt, box=self._box())], gts)
+
+    def test_a_string_gt_index_is_named_at_its_own_anchor(self):
+        """A list of ints and a string converts to strings as a whole; the
+        valid gt index 0 of anchor 0 stays valid."""
+        anchors = [AnchorRecord(POS, 0.9, gt=0, box=self._box()), AnchorRecord(POS, 0.8, gt="0", box=self._box())]
+        with pytest.raises(ValueError, match=r"^anchors\[1\]: positive needs a valid gt index$"):
+            Scenario(anchors, self._gt())
 
     def test_an_integer_valued_float_gt_index_is_kept(self):
         scn = Scenario.from_columns([POS, NEG], [0.9, 0.1], [1.0], [[0, 0, 1, 1]], [[0, 0, 1, 1], [2, 0, 3, 1]])
@@ -229,6 +239,13 @@ class TestScenario:
         scn = fixture_scenario("shuffled")
         with pytest.raises(ValueError, match=r"^anchors\[7\]\.score is not finite$"):
             scn.with_scores(np.where(np.arange(scn.scores.size) == 7, np.inf, scn.scores))
+
+    def test_copies_name_the_column_and_its_shape(self):
+        scn = fixture_scenario("shuffled")
+        with pytest.raises(ValueError, match=r"^scores: expected shape \(10,\), got \(10, 1\)$"):
+            scn.with_scores(scn.scores[:, None])
+        with pytest.raises(ValueError, match=r"^boxes: expected shape \(4, 4\), got \(16,\)$"):
+            scn.with_positive_boxes(scn.pos_boxes().ravel())
 
     def test_with_positive_boxes_refuses_extra_rows(self):
         scn = fixture_scenario("shuffled")
