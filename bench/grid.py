@@ -6,16 +6,25 @@
 For each P x N in GRID (scores as in perfbench's ``loss`` workload: uniform
 on [0, 10], positives on [5.5, 10], rounded to 3 decimals) and each step
 (smooth delta = 1, exact), it times ``losses.alrp_loss`` and, on the
-negatives-vs-positives relation behind N_FP, the ``StepRelation`` build,
-``row_sums()`` and ``col_sums``. Two small rows time the fixed cost of a
+negatives-vs-positives relation behind N_FP, the ``StepRelation`` build
+(from the negatives alone, so it sorts them), ``row_sums()`` and
+``col_sums``. Two rows time perfbench's ``loss`` op,
+its five calls (aLRP smooth delta 0.5, exact and ``use_fast``, AP and NDCG
+smooth) at 200 x 100 000: on one scenario for every op,
+as perfbench runs it, and on a fresh scenario per op (``with_scores`` of
+its own scores, which sorts the negatives again where the tree keeps
+their order). Two small rows time the fixed cost of a
 call: smooth (delta 0.5) ``alrp_loss`` at 20 x 200 on ``generate_scenario``'s
 default scores, and one 25-epoch ``trainer.train`` in perfbench's ``train``
-configuration at 100 x 2000, each with ``peak_mb``. One row times smooth
+configuration at 100 x 2000. One row times smooth
 (delta 1) ``alrp_loss`` at 300 x 30 000 on a layout of low step mass:
 positives uniform on 5.0 + [0, 5e-8], negatives on 4.0 + [1e-7, 2e-7], so
 that every negative lies just inside every positive's lower support edge.
 Each row holds the median and quartiles, in ms, of REPS calls on each of
-the SEEDS scenarios.
+the SEEDS scenarios, and ``peak_mb``, the highest ``tracemalloc`` peak of
+one call over the seeds (numpy reports its buffers to tracemalloc), taken
+after the timed calls, so a scenario that keeps its negatives' order has
+it already.
 
 The eval rows time ``metrics.mean_ap`` (the four default IoU thresholds,
 101 recall points) and ``metrics.olrp`` at IoU 0.5 on perfbench's eval
@@ -23,12 +32,9 @@ input (``perfbench/workloads.make_eval_input``, imported unedited) with
 every count of its layout times 1, 5 and 25: 200 x 40, 1880 x 200 and
 31 400 x 1000 detections x ground truths, with fewer reps at x25. One
 more row times ``fileio.load_eval`` of the x25 input, written to a
-temporary file by each tree's own ``save_eval``. The low-mass row, each
-eval row and the load_eval row also hold ``peak_mb``, the highest
-``tracemalloc`` peak of one call over the seeds (numpy reports its buffers
-to tracemalloc).
+temporary file by each tree's own ``save_eval``.
 
-Three more rows, each with ``peak_mb``, time ``fileio.save_scenario`` and
+Three more rows time ``fileio.save_scenario`` and
 ``fileio.load_scenario`` of a ``generate_scenario`` draw at 200 x 100 000
 (a temporary file per tree), and ``metrics.olrp`` and ``metrics.lrp_at``
 (at score threshold 0.9) at IoU 0.5 on one class of G = 40 000 of the
@@ -72,6 +78,7 @@ REPS = 15
 EVAL_SCALES = ((1, REPS), (5, REPS), (25, 3))  # (every count times, reps)
 LOAD_EVAL_SCALE = 25
 IO_SIZE = (200, 100_000)
+LOSS_OP_SIZE = (200, 100_000)
 ONE_CLASS_G = 40_000
 SLOW_REPS = 3  # for the file I/O and one-class rows, of about 0.1 to 1 s a call
 
@@ -111,6 +118,30 @@ def grid_calls(rl, n_pos, n_neg, seed, smooth):
         "StepRelation": lambda: rl.ranking.StepRelation(neg, pos, kind),
         "row_sums": rel.row_sums,
         "col_sums": lambda: rel.col_sums(share),
+    }
+
+
+def loss_op_calls(rl, seed):
+    """{row name: call}: perfbench's five-call loss op at LOSS_OP_SIZE on one
+    scenario, and on a fresh copy of it per op, for the package rl."""
+    import numpy as np
+
+    n_pos, n_neg = LOSS_OP_SIZE
+    spec = rl.trainer.ScenarioGenSpec(n_pos=n_pos, n_neg=n_neg, seed=seed, score_low=0.0, score_high=10.0, pos_score_low=5.5)
+    scn = rl.trainer.generate_scenario(spec)
+    scn = scn.with_scores(np.round(scn.scores, 3))
+    half = rl.ranking.StepKind.smoothed(0.5)
+
+    def op(s):
+        rl.losses.alrp_loss(s, half)
+        rl.losses.alrp_loss(s)
+        rl.losses.alrp_loss(s, half, use_fast=True)
+        rl.losses.ap_loss(s, half)
+        rl.losses.ndcg_loss(s, half)
+
+    return {
+        f"loss op 5 calls {n_pos}x{n_neg} one scenario": lambda: op(scn),
+        f"loss op 5 calls {n_pos}x{n_neg} fresh scenario": lambda: op(scn.with_scores(scn.scores)),
     }
 
 
@@ -220,7 +251,9 @@ def measure(packages):
         for seed in SEEDS:
             for step in ("smooth", "exact"):
                 calls = {column: grid_calls(rl, n_pos, n_neg, seed, step == "smooth") for column, rl in packages.items()}
-                add_all({column: {f"{layer} {step} {n_pos}x{n_neg}": fn for layer, fn in c.items()} for column, c in calls.items()})
+                add_all({column: {f"{layer} {step} {n_pos}x{n_neg}": fn for layer, fn in c.items()} for column, c in calls.items()}, peak=True)
+    for seed in SEEDS:
+        add_all({column: loss_op_calls(rl, seed) for column, rl in packages.items()}, peak=True)
     for seed in SEEDS:
         add_all({column: small_calls(rl, seed) for column, rl in packages.items()}, peak=True)
     for seed in SEEDS:

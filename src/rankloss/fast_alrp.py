@@ -7,9 +7,9 @@ never forms the positive x negative pair table. Results are identical to
 alrp_loss with the matching step.
 
 Also here: pruned_size, the number of negatives inside some positive's step
-support (the engine skips the others before sorting; every loss reports the
-same count as LossBreakdown.n_kept), and the operation count formula with
-its bound and a probe that sweeps sizes.
+support (the suffix of the scenario's sorted negatives that the engine
+keeps; every loss reports the same count as LossBreakdown.n_kept), and the
+operation count formula with its bound and a probe that sweeps sizes.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ def fast_alrp(scenario, config=FastConfig(), balancer=None):
 
 
 def pruned_size(scenario, config=FastConfig()):
-    """How many negatives the engine keeps (ranking.support of the
-    negatives against the positives), the n_kept of fast_alrp's result.
-    Every negative when config.prune is False."""
+    """How many negatives the engine keeps (ranking.support of the sorted
+    negatives, Scenario.neg_order, against the positives), the n_kept of
+    fast_alrp's result. Every negative when config.prune is False."""
     if not config.prune:
         return scenario.n_neg
-    return int(support(scenario.neg_scores(), scenario.pos_scores(), _step_kind(config)).size)
+    return int(support(scenario.neg_order()[1], scenario.pos_scores(), _step_kind(config)).size)
 
 
 def operation_count(n_pos, n_neg, n_kept):

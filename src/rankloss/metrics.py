@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import CORNER_ORDER, Box, _loc_error_of, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
-from .ranking import IGNORE, Scenario, _column, _frozen, _integers, _shaped
+from .ranking import IGNORE, Scenario, _column, _frozen, _integers, _real, _shaped
 
 # Default IoU thresholds for the mean-AP sweep.
 DEFAULT_TAUS = (0.50, 0.65, 0.80, 0.95)
@@ -57,14 +57,16 @@ class EvalInput:
     float64, det_cls (D,) int64, det_boxes (D, 4), gt_cls (G,) int64 and
     gt_boxes (G, 4), with D the size of det_scores and G that of gt_cls. The
     constructor takes the columns and refuses, by column, one whose shape
-    is not that (an empty column stands for no rows of any width) and a
+    is not that (an empty column stands for no rows of any width), a score
+    or corner that is not a real number (a string, a bool or None; a bool
+    among numbers in a list is read as 0 or 1, as for classes) and a
     class that is not an integer (a string, a bool or None included), then
     what Detection and Box refuse (ground-truth boxes first); build()
     gathers them from Detection / GroundTruth objects, and detections /
     ground_truths build those objects on each access."""
 
     def __init__(self, det_scores, det_cls, det_boxes, gt_cls, gt_boxes):
-        scores = np.array(det_scores, dtype=np.float64)
+        scores = _real("det_scores", det_scores)
         d, g = scores.size, np.size(gt_cls)
         self.det_scores = _frozen(_shaped("det_scores", scores, (d,)))
         self.det_cls = _frozen(_class_column("det_cls", det_cls, d))

@@ -7,7 +7,8 @@ The central objects:
   piecewise-linear ramp of half-width delta with H(0)=0.5),
 * per-positive rank statistics built from sums of H, every one of them
   (and every gradient below) a row or column sum of a StepRelation: one
-  sort, prefix sums and binary searches, never the |P| x |N| pair table,
+  sort (a scenario's negatives are sorted once, for every loss call on
+  it), prefix sums and binary searches, never the |P| x |N| pair table,
 * an error-driven gradient assembly: every loss provides a per-positive
   local error l(i) and a target l*(i); the pairwise error
   L_ij = l(i) * H(x_ij)/N_FP(i) is distributed over the negatives ranked
@@ -126,9 +127,20 @@ def _shaped(name, column, shape):
     return column
 
 
+def _real(name, values):
+    """values as a float64 copy, refused by name unless numpy reads them as
+    floats or integers: not strings, bools, None or complex numbers. A bool
+    among numbers in a list is a number to numpy before it is seen, as for
+    _integers."""
+    column = np.array(values)
+    if column.dtype.kind not in "fiu":
+        raise ValueError("%s: expected real numbers, got %s entries" % (name, column.dtype))
+    return column.astype(np.float64, copy=False)
+
+
 def _column(name, values, shape):
-    """values as float64 of the shape, refused by name otherwise; empty values are an empty column of any width."""
-    column = np.array(values, dtype=np.float64)
+    """values as float64 of the shape (_real), refused by name otherwise; empty values are an empty column of any width."""
+    column = _real(name, values)
     if column.shape[:1] == shape[:1] == (0,):
         column = column.reshape(shape)
     return _shaped(name, column, shape)
@@ -142,7 +154,7 @@ def _not_finite(column, anchors, field):
 
 
 def _gt_array(gts):
-    rows = [g.as_array() if isinstance(g, Box) else np.asarray(g, dtype=np.float64) for g in gts]
+    rows = [g.as_array() if isinstance(g, Box) else _real("gts[%d]" % j, g) for j, g in enumerate(gts)]
     for j, row in enumerate(rows):
         if row.shape != (4,):
             raise ValueError("gts[%d]: expected four entries, got shape %s" % (j, row.shape))
@@ -165,7 +177,13 @@ class Scenario:
       gts        (G, 4) ground-truth boxes
     plus loc_kind.
 
-    Scores and box corners must be finite. Positives must reference a valid
+    The negatives' ascending score order (neg_order) is a memo, not a
+    column: it is sorted on first use and kept, so every loss call on the
+    scenario reuses one sort. with_scores drops it, with_positive_boxes
+    shares it, and the file writers never see it.
+
+    Scores and box corners must be real numbers (not strings, bools or
+    None) and finite. Positives must reference a valid
     GT index (a real number of integer value, not a string or a bool) and
     carry a four-entry predicted box; negatives and ignored anchors carry
     only a score. Ignored anchors are excluded from every sum and always
@@ -236,6 +254,7 @@ class Scenario:
         self.pos_box = _frozen(pos_box)
         self.gts = _frozen(gts)
         self.loc_kind = loc_kind if loc_kind is not None else LocErrorKind.iou()
+        self._neg_order = None
 
     @property
     def anchors(self):
@@ -258,6 +277,16 @@ class Scenario:
 
     def neg_scores(self):
         return self.scores[self.neg_index]
+
+    def neg_order(self):
+        """(order, sorted): the positions in neg_scores() of the negatives
+        in ascending score order, and their scores in that order; sorted
+        on first use, then kept."""
+        if self._neg_order is None:
+            scores = self.neg_scores()
+            order = np.argsort(scores)
+            self._neg_order = (_frozen(order), _frozen(scores[order]))
+        return self._neg_order
 
     def pos_boxes(self):
         return self.pos_box.copy()
@@ -285,8 +314,11 @@ class Scenario:
         return self._replace("pos_box", "boxes", boxes, self.pos_index, "box")
 
     def with_scores(self, scores):
-        """Copy of the scenario with every anchor's score replaced."""
-        return self._replace("scores", "scores", scores, range(self.scores.size), "score")
+        """Copy of the scenario with every anchor's score replaced; its
+        negatives are sorted again on first use."""
+        new = self._replace("scores", "scores", scores, range(self.scores.size), "score")
+        new._neg_order = None
+        return new
 
 
 def _prefix(v):
@@ -347,7 +379,8 @@ def support(data, queries, kind):
     """Positions of the data with a nonzero step value against the lowest
     query. The lowest query has the widest support (H is monotone), so
     these are the data inside some query's support; the others take no
-    part in any sum. Without queries, no data are kept."""
+    part in any sum. On ascending data they are a suffix, as x - q rounds
+    monotonically. Without queries, no data are kept."""
     x = np.asarray(data, dtype=np.float64)
     if not np.size(queries):
         return np.zeros(0, np.intp)
@@ -370,9 +403,21 @@ class StepRelation:
     """The step values H(x_k - q_i) between data x and queries q, held as
     windows of the sorted data instead of a table: per query, the data at
     sorted positions [hi, n) are at full height and those in [lo, hi) on
-    the ramp. The cost is one sort of the K kept data and two binary
-    searches per query, then per sum O(M) work at the window edges of the M
-    queries, beside a few elementwise passes over the data.
+    the ramp. The kept data, those inside some query's support (support),
+    are the suffix of the ascending data from the first datum whose step
+    value against the lowest query is > 0; the rest take no part.
+
+    order, if given, is the data's ascending order as (positions in the
+    data, the data at those positions), such as Scenario.neg_order() keeps
+    for reuse; data is then not read. Without it the data are sorted here
+    with np.argsort. Only the order of tied data can differ between two
+    such orders, and no unweighted row sum or column sum depends on it: a
+    datum's terms depend on its value and on window edges, and an edge
+    never splits tied values (a row sum with data weights adds tied data's
+    weights in that order, so its rounding can). The cost is that sort (none when order is
+    given) and two binary searches per query, then per sum O(M) work at
+    the window edges of the M queries, beside a few elementwise passes
+    over the data.
 
     lo and hi are found by evaluating step() itself, so whether a pair is
     in the support, or at full height, agrees with step() bit for bit at
@@ -388,14 +433,18 @@ class StepRelation:
     must be >= 0; a negative one is refused.
     """
 
-    def __init__(self, data, queries, kind):
-        x = np.asarray(data, dtype=np.float64)
+    def __init__(self, data, queries, kind, order=None):
         q = np.asarray(queries, dtype=np.float64)
+        if order is None:
+            x = np.asarray(data, dtype=np.float64)
+            idx = np.argsort(x)
+            order = (idx, x[idx])
+        idx, x = order
         self.kind, self.q, self.size = kind, q, x.size
-        kept = support(x, q, kind)
-        # idx: the positions in the data of the sorted kept data x.
-        self.idx = kept[np.argsort(x[kept])]
-        self.x = x = x[self.idx]
+        # idx: the positions in the data of the sorted kept data x, the suffix that support keeps.
+        start = x.size - support(x, q, kind).size
+        self.idx, self.x = idx[start:], x[start:]
+        x = self.x
         n = x.size
         if not (kind.smooth and n):
             self.lo = self.mid = self.hi = np.searchsorted(x, q, "left")
@@ -521,12 +570,13 @@ class RankStats:
 
 
 def rank_stats(scenario, kind):
-    """The RankStats of the scenario's positives under the step kind."""
+    """The RankStats of the scenario's positives under the step kind. N_FP's
+    relation reuses the scenario's sorted negatives (Scenario.neg_order)."""
     ps = scenario.pos_scores()
     # The sum over all positives includes the self pair H(0); the self term
     # of rank_pos is 1 instead.
     rank_pos = step_sums(ps, ps, kind) + (1.0 - float(step(0.0, kind)))
-    relation = StepRelation(scenario.neg_scores(), ps, kind)
+    relation = StepRelation(None, ps, kind, scenario.neg_order())
     n_fp = relation.row_sums()
     return RankStats(rank_pos + n_fp, rank_pos, n_fp, relation)
 

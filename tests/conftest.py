@@ -448,6 +448,14 @@ class OracleScenario:
     def neg_scores(self):
         return self.scores[self.neg_index]
 
+    def neg_order(self):
+        """(order, sorted) of the negatives by ascending score, from a
+        Python sort of their positions on every call (ties keep their
+        order, where np.argsort need not)."""
+        ns = self.neg_scores()
+        order = np.array(sorted(range(ns.size), key=lambda k: ns[k]), dtype=np.intp)
+        return order, ns[order]
+
     def pos_boxes(self):
         return np.stack([np.asarray(self.anchors[i].box, np.float64) for i in self.pos_index])
 

@@ -381,6 +381,70 @@ class TestWindowEdges:
         assert not any(row.size and np.all(row == 1.0) for v in prefixed for row in np.atleast_2d(v))
 
 
+@st.composite
+def ordered_relations(draw):
+    """(data, queries, kind, weights, order): tie-heavy data and queries
+    for a relation built with and without its data's order, and an
+    ascending order of the data that breaks ties by a drawn permutation
+    (np.argsort need not give it). Layouts: 3-decimal scores, all-equal
+    scores, scores 1e6 above delta, and data all below every query's
+    support (none kept); one query (a single positive) or several, and no
+    data (no negatives) allowed."""
+    kind = draw(st.sampled_from([StepKind.exact(), StepKind.smoothed(0.5), StepKind.smoothed(1e-3)]))
+    layout = draw(st.sampled_from(["decimals", "equal", "far", "none kept"]))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(0, 60))
+    decimals = st.integers(0, 40).map(lambda k: k / 1000)
+    if layout == "equal":
+        data, queries = [0.25] * n, [0.25] * m
+    else:
+        data, queries = draw(st.lists(decimals, min_size=n, max_size=n)), draw(st.lists(decimals, min_size=m, max_size=m))
+        if layout == "far":
+            data, queries = [1e6 + v for v in data], [1e6 + v for v in queries]
+        elif layout == "none kept":
+            queries = [10.0 + v for v in queries]
+    weights = draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m))
+    data = np.array(data, dtype=np.float64)
+    order = np.lexsort((np.array(draw(st.permutations(range(n))), dtype=np.intp), data))
+    return data, np.array(queries), kind, np.array(weights), order
+
+
+class TestGivenOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_relations())
+    def test_row_and_column_sums_do_not_depend_on_the_order_of_ties(self, drawn):
+        """The relation keeps the suffix of its data's order that support
+        keeps; whichever ascending order it gets, its sorted data, kept
+        set, unweighted row sums and column sums are equal by bytes."""
+        data, queries, kind, weights, order = drawn
+        own = StepRelation(data, queries, kind)
+        given_order = StepRelation(None, queries, kind, (order, data[order]))
+        assert own.x.tobytes() == given_order.x.tobytes()
+        assert np.array_equal(np.sort(own.idx), np.sort(given_order.idx))
+        assert np.array_equal(given_order.idx, order[data.size - own.idx.size :])
+        assert own.idx.size == ranking.support(data, queries, kind).size
+        assert own.row_sums().tobytes() == given_order.row_sums().tobytes()
+        assert own.col_sums(weights).tobytes() == given_order.col_sums(weights).tobytes()
+
+    def test_five_loss_calls_sort_the_negatives_once(self, monkeypatch):
+        """perfbench's five loss calls on one 20 x 2000 scenario: one
+        argsort over the 2000 negatives (the scenario's neg_order), and no
+        other argsort over more than the 20 positives."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=2000, seed=0))
+        half, sizes, real = StepKind.smoothed(0.5), [], np.argsort
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        alrp_loss(scn, half)
+        alrp_loss(scn)
+        alrp_loss(scn, half, use_fast=True)
+        ap_loss(scn, half)
+        ndcg_loss(scn, half)
+        assert sizes.count(2000) == 1 and max(s for s in sizes if s != 2000) <= 20
+
+
 def exact_step(x, q, delta):
     """H(x - q) of the smooth step in exact arithmetic on the float inputs."""
     h = (Fraction(x) - Fraction(q)) / (2 * Fraction(delta)) + Fraction(1, 2)

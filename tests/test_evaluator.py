@@ -382,6 +382,24 @@ class TestEvalInputColumns:
         with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %r$" % bool(column[0])):
             EvalInput([0.9], [1], [BOX], column, boxes)
 
+    @pytest.mark.parametrize("value", ("0.5", True, "a", None), ids=repr)
+    def test_constructor_refuses_a_score_or_corner_that_is_not_a_real_number(self, value):
+        """"0.5" and True were stored as 0.5 and 1.0, a box of four strings
+        was accepted, "a" raised numpy's unnamed error and None a TypeError."""
+        entries = r"got (<U\d+|bool|object) entries$"
+        with pytest.raises(ValueError, match=r"^det_scores: expected real numbers, " + entries):
+            EvalInput([value], [0], [BOX], [0], [BOX])
+        with pytest.raises(ValueError, match=r"^det_boxes: expected real numbers, " + entries):
+            EvalInput([0.5], [0], [[value] * 4], [0], [BOX])
+        with pytest.raises(ValueError, match=r"^gt_boxes: expected real numbers, " + entries):
+            EvalInput([0.5], [0], [BOX], [0], [[value] * 4])
+
+    def test_a_bool_among_numbers_is_a_number(self):
+        """numpy reads [0.5, True] as floats before the check sees it, as it
+        reads [0, True] as integers for a class."""
+        inputs = EvalInput([0.5, True], [0, 0], [BOX, BOX], [0], [BOX])
+        assert inputs.det_scores.tolist() == [0.5, 1.0] and inputs.det_scores.dtype == np.float64
+
     def test_a_string_class_is_named_among_numbers(self):
         with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got '7'$"):
             EvalInput([0.9], [1], [BOX], [1, 2.0, "7", 3], [BOX] * 4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diff_transform, naive_pair_tables, primary_term_sum, random_scenario
+from rankloss import fileio
 from rankloss.fast_alrp import FastConfig
 from rankloss.fixtures import fixture_scenario
 from rankloss.losses import ALRPLossDef, APLossDef, NDCGLossDef
@@ -225,6 +226,33 @@ class TestScenario:
         scn = Scenario.from_columns([POS, NEG], [0.9, 0.1], [1.0], [[0, 0, 1, 1]], [[0, 0, 1, 1], [2, 0, 3, 1]])
         assert scn.pos_gt.tolist() == [1] and scn.pos_gt.dtype == np.intp
 
+    # "0.5" and True were stored as 0.5 and 1.0, "a" raised numpy's unnamed error and None a TypeError.
+    @pytest.mark.parametrize("value", ("0.5", True, "a", None, 1 + 2j), ids=repr)
+    def test_float_columns_refuse_what_is_not_a_real_number(self, value):
+        """A column of such entries is refused by name; a bool among numbers
+        is a number (below)."""
+        labels, gts, box = [POS, NEG], [[0, 0, 1, 1]], [0, 0, 1, 0.9]
+        entries = r"got (<U\d+|bool|object|complex128) entries$"
+        with pytest.raises(ValueError, match=r"^scores: expected real numbers, " + entries):
+            Scenario.from_columns(labels, [value, value], [0], [box], gts)
+        with pytest.raises(ValueError, match=r"^pos_box: expected real numbers, " + entries):
+            Scenario.from_columns(labels, [0.9, 0.1], [0], [[value] * 4], gts)
+        with pytest.raises(ValueError, match=r"^gts\[1\]: expected real numbers, " + entries):
+            Scenario.from_columns(labels, [0.9, 0.1], [0], [box], [gts[0], [value] * 4])
+        with pytest.raises(ValueError, match=r"^scores: expected real numbers, " + entries):
+            Scenario([AnchorRecord(POS, value, gt=0, box=self._box())], gts)
+        scn = Scenario.from_columns(labels, [0.9, 0.1], [0], [box], gts)
+        with pytest.raises(ValueError, match=r"^scores: expected real numbers, " + entries):
+            scn.with_scores([value, value])
+        with pytest.raises(ValueError, match=r"^boxes: expected real numbers, " + entries):
+            scn.with_positive_boxes([[value] * 4])
+
+    def test_a_bool_among_numbers_is_a_number(self):
+        """numpy reads [0.5, True] as floats before the check sees it, as it
+        reads [0, True] as integers for a gt index."""
+        scn = Scenario.from_columns([POS, NEG], [0.5, True], [0], [[0, 0, 1, 0.9]], [[0, 0, 1, 1]])
+        assert scn.scores.tolist() == [0.5, 1.0] and scn.scores.dtype == np.float64
+
     def test_with_scores_refuses_a_longer_array(self):
         scn = fixture_scenario("shuffled")
         with pytest.raises(ValueError, match="scores"):
@@ -312,6 +340,50 @@ class TestScenario:
             np.testing.assert_array_equal(base.n_fp, extended.n_fp)
             report = assemble_gradients(with_ignored, ALRPLossDef(), kind)
             assert report.score_grads[-1] == 0.0
+
+
+class TestNegOrder:
+    """The negatives' ascending order is a memo of the scenario: sorted on
+    first use, kept, dropped by with_scores and shared by
+    with_positive_boxes."""
+
+    def test_is_the_sorted_negatives_and_is_kept(self):
+        scn = fixture_scenario("shuffled")
+        order, ns = scn.neg_order()
+        np.testing.assert_array_equal(ns, np.sort(scn.neg_scores()))
+        np.testing.assert_array_equal(scn.neg_scores()[order], ns)
+        assert scn.neg_order() is scn.neg_order()
+        with pytest.raises(ValueError):
+            ns[0] = 1.0
+        with pytest.raises(ValueError):
+            order[0] = 0
+
+    def test_with_scores_never_carries_a_stale_order(self):
+        scn = fixture_scenario("shuffled")
+        before = scn.neg_order()
+        new = scn.with_scores(-scn.scores)
+        order, ns = new.neg_order()
+        np.testing.assert_array_equal(ns, np.sort(new.neg_scores()))
+        np.testing.assert_array_equal(new.neg_scores()[order], ns)
+        assert scn.neg_order() is before
+        again = Scenario.from_columns(new.labels, new.scores, new.pos_gt, new.pos_box, new.gts, new.loc_kind)
+        for kind in STEP_KINDS:
+            np.testing.assert_array_equal(rank_stats(new, kind).n_fp, rank_stats(again, kind).n_fp)
+
+    def test_with_positive_boxes_shares_the_order(self):
+        scn = fixture_scenario("shuffled")
+        order = scn.neg_order()
+        new = scn.with_positive_boxes(scn.pos_boxes() + 0.25)
+        assert new.neg_order() is order
+        assert new.with_positive_boxes(scn.pos_boxes()).neg_order() is order
+
+    def test_files_never_hold_it(self, tmp_path):
+        scn = fixture_scenario("shuffled")
+        fileio.save_scenario(scn, tmp_path / "before.json")
+        scn.neg_order()
+        fileio.save_scenario(scn, tmp_path / "after.json")
+        assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
+        assert fileio.load_scenario(tmp_path / "after.json")._neg_order is None
 
 
 class _TargetAbovePrimaryDef(RankingLossDef):
