@@ -7,9 +7,10 @@ never forms the positive x negative pair table. Results are identical to
 alrp_loss with the matching step.
 
 Also here: pruned_size, the number of negatives inside some positive's step
-support (the suffix of the scenario's sorted negatives that the engine
-keeps; every loss reports the same count as LossBreakdown.n_kept), and the
-operation count formula with its bound and a probe that sweeps sizes.
+support (the suffix of the scenario's sorted negatives from the lowest
+positive's window, which the engine keeps; every loss reports the same count
+as LossBreakdown.n_kept), and the operation count formula with its bound and
+a probe that sweeps sizes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from . import losses
 from .geometry import loc_error_grad  # noqa: F401  (re-exported for callers that look it up here)
-from .ranking import StepKind, support
+from .ranking import StepKind, StepRelation
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,13 @@ def fast_alrp(scenario, config=FastConfig(), balancer=None):
 
 
 def pruned_size(scenario, config=FastConfig()):
-    """How many negatives the engine keeps (ranking.support of the sorted
-    negatives, Scenario.neg_order, against the positives), the n_kept of
-    fast_alrp's result. Every negative when config.prune is False."""
+    """How many negatives the engine keeps: the kept data of the relation
+    behind N_FP (the sorted negatives, Scenario.neg_order, against the
+    positives), the n_kept of fast_alrp's result. Every negative when
+    config.prune is False."""
     if not config.prune:
         return scenario.n_neg
-    return int(support(scenario.neg_order()[1], scenario.pos_scores(), _step_kind(config)).size)
+    return int(StepRelation(None, scenario.pos_scores(), _step_kind(config), scenario.neg_order()).idx.size)
 
 
 def operation_count(n_pos, n_neg, n_kept):

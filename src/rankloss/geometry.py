@@ -36,17 +36,6 @@ class Box:
     def as_array(self):
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, arr) -> "Box":
-        a = np.asarray(arr, dtype=np.float64).reshape(-1)
-        if a.size != 4:
-            raise ValueError("box array must have exactly four entries")
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    @property
-    def area(self):
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
 
 @dataclass(frozen=True)
 class LocErrorKind:

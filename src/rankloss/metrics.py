@@ -62,8 +62,7 @@ class EvalInput:
     among numbers in a list is read as 0 or 1, as for classes) and a
     class that is not an integer (a string, a bool or None included), then
     what Detection and Box refuse (ground-truth boxes first); build()
-    gathers them from Detection / GroundTruth objects, and detections /
-    ground_truths build those objects on each access."""
+    gathers them from Detection / GroundTruth objects."""
 
     def __init__(self, det_scores, det_cls, det_boxes, gt_cls, gt_boxes):
         scores = _real("det_scores", det_scores)
@@ -89,15 +88,6 @@ class EvalInput:
             [g.cls for g in ground_truths],
             [(g.box.x1, g.box.y1, g.box.x2, g.box.y2) for g in ground_truths],
         )
-
-    @property
-    def detections(self) -> tuple:
-        columns = (self.det_scores.tolist(), self.det_boxes.tolist(), self.det_cls.tolist())
-        return tuple(Detection(s, Box(*b), c) for s, b, c in zip(*columns))
-
-    @property
-    def ground_truths(self) -> tuple:
-        return tuple(GroundTruth(Box(*b), c) for b, c in zip(self.gt_boxes.tolist(), self.gt_cls.tolist()))
 
     def classes(self) -> tuple:
         return tuple(sorted(set(self.gt_cls.tolist())))

@@ -257,14 +257,6 @@ class Scenario:
         self._neg_order = None
 
     @property
-    def anchors(self):
-        """The anchors as AnchorRecords, built on each access (not stored)."""
-        out = [AnchorRecord(label, score) for label, score in zip(self.labels.tolist(), self.scores.tolist())]
-        for i, gt, box in zip(self.pos_index.tolist(), self.pos_gt.tolist(), self.pos_box):
-            out[i] = AnchorRecord(POS, out[i].score, gt, box.copy())
-        return out
-
-    @property
     def n_pos(self):
         return len(self.pos_index)
 
@@ -375,18 +367,6 @@ def _first(x, q, test, guess):
     return k
 
 
-def support(data, queries, kind):
-    """Positions of the data with a nonzero step value against the lowest
-    query. The lowest query has the widest support (H is monotone), so
-    these are the data inside some query's support; the others take no
-    part in any sum. On ascending data they are a suffix, as x - q rounds
-    monotonically. Without queries, no data are kept."""
-    x = np.asarray(data, dtype=np.float64)
-    if not np.size(queries):
-        return np.zeros(0, np.intp)
-    return np.flatnonzero(step(x - np.min(queries), kind) > 0.0)
-
-
 def _weights(weights):
     """weights as float64, refused by name if an entry is below 0: the sums
     clip rounding at 0, which would hide a negative sum. A NaN passes and
@@ -403,9 +383,10 @@ class StepRelation:
     """The step values H(x_k - q_i) between data x and queries q, held as
     windows of the sorted data instead of a table: per query, the data at
     sorted positions [hi, n) are at full height and those in [lo, hi) on
-    the ramp. The kept data, those inside some query's support (support),
-    are the suffix of the ascending data from the first datum whose step
-    value against the lowest query is > 0; the rest take no part.
+    the ramp. The kept data, those inside some query's support, are the
+    suffix of the ascending data from the lowest query's lo, the first
+    datum whose step value against that query is > 0; the rest take no
+    part.
 
     order, if given, is the data's ascending order as (positions in the
     data, the data at those positions), such as Scenario.neg_order() keeps
@@ -441,17 +422,21 @@ class StepRelation:
             order = (idx, x[idx])
         idx, x = order
         self.kind, self.q, self.size = kind, q, x.size
-        # idx: the positions in the data of the sorted kept data x, the suffix that support keeps.
-        start = x.size - support(x, q, kind).size
-        self.idx, self.x = idx[start:], x[start:]
+        d = kind.delta
+        if kind.smooth and x.size:
+            lo = _first(x, q, lambda v: step(v, kind) > 0.0, np.searchsorted(x, q - d, "right"))
+            hi = _first(x, q, lambda v: step(v, kind) >= 1.0, np.searchsorted(x, q + d, "left"))
+        else:
+            lo = hi = np.searchsorted(x, q, "left")
+        # The kept data start at the lowest query's window, the widest (H and fl(x - q) are monotone
+        # in q); idx: their positions in the data. The windows are shifted onto them.
+        start = lo.min(initial=x.size)
+        self.idx, self.x, self.lo, self.hi = idx[start:], x[start:], lo - start, hi - start
         x = self.x
         n = x.size
         if not (kind.smooth and n):
-            self.lo = self.mid = self.hi = np.searchsorted(x, q, "left")
+            self.mid = self.lo
             return
-        d = kind.delta
-        self.lo = _first(x, q, lambda v: step(v, kind) > 0.0, np.searchsorted(x, q - d, "right"))
-        self.hi = _first(x, q, lambda v: step(v, kind) >= 1.0, np.searchsorted(x, q + d, "left"))
 
         cell = np.floor(x / (4.0 * d))
         first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))

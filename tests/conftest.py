@@ -4,7 +4,9 @@ per-positive loops that define every rank statistic and gradient, kept as
 oracles for the sort-based engine (rankloss.ranking.step_sums), its window
 sums over the full length of the data, kept as oracles for the sums at the
 window edges (StepRelation.col_sums and the unit-weight row sums), the
-AnchorRecord-list Scenario and the scalar box geometry, kept as oracles for
+support test over all of the data, kept as the oracle for the kept suffix
+that StepRelation reads off its window edges, the AnchorRecord and
+Detection / GroundTruth views of the columns, the AnchorRecord-list Scenario and the scalar box geometry, kept as oracles for
 the columnar Scenario and the geometry array forms, and the per-threshold
 evaluator (scalar IoU per pair, one matching per score threshold), the
 average-rank loop, the one-box IoU target and the object-based
@@ -122,6 +124,25 @@ def sb_warmup_report(scenario, cfg, probe_epochs=5):
         "loc_share_on": [row["loc"] / row["total"] if row["total"] else float("nan") for row in log_on.rows],
         "loc_share_off": [row["loc"] / row["total"] if row["total"] else float("nan") for row in log_off.rows],
     }
+
+
+def anchors_of(scenario):
+    """The scenario's anchors as AnchorRecords, built from its columns."""
+    out = [AnchorRecord(label, score) for label, score in zip(scenario.labels.tolist(), scenario.scores.tolist())]
+    for i, gt, box in zip(scenario.pos_index.tolist(), scenario.pos_gt.tolist(), scenario.pos_box):
+        out[i] = AnchorRecord(POS, out[i].score, gt, box.copy())
+    return out
+
+
+def detections_of(inputs):
+    """An EvalInput's detections as Detection objects, in column order."""
+    columns = (inputs.det_scores.tolist(), inputs.det_boxes.tolist(), inputs.det_cls.tolist())
+    return tuple(Detection(s, Box(*b), c) for s, b, c in zip(*columns))
+
+
+def ground_truths_of(inputs):
+    """An EvalInput's ground truths as GroundTruth objects, in column order."""
+    return tuple(GroundTruth(Box(*b), c) for b, c in zip(inputs.gt_boxes.tolist(), inputs.gt_cls.tolist()))
 
 
 def random_scenario(
@@ -295,7 +316,7 @@ def oracle_assemble_gradients(scenario, loss_def, kind):
     ps = scenario.pos_scores()
     ns = scenario.neg_scores()
 
-    grads = np.zeros(len(scenario.anchors))
+    grads = np.zeros(scenario.scores.size)
     neg_acc = np.zeros(ns.size)
     primary_sum = 0.0
     for i in range(ps.size):
@@ -328,6 +349,18 @@ def oracle_assemble_gradients(scenario, loss_def, kind):
         loss_value=loss_value,
         primary_term_sum_check=abs(direct - loss_value),
     )
+
+
+def oracle_support(data, queries, kind):
+    """Positions of the data with a nonzero step value against the lowest
+    query: one step() over all of the data. The lowest query has the widest
+    support (H is monotone), so these are the data inside some query's
+    support; on ascending data they are a suffix, as x - q rounds
+    monotonically. Without queries, no data are kept."""
+    x = np.asarray(data, dtype=np.float64)
+    if not np.size(queries):
+        return np.zeros(0, np.intp)
+    return np.flatnonzero(step(x - np.min(queries), kind) > 0.0)
 
 
 def oracle_kept(scenario, kind):
@@ -782,7 +815,7 @@ def oracle_ap_at_iou(inputs, tau, recall_points):
     grid = _recall_grid(recall_points)
     per_class = []
     for cls in classes:
-        match = oracle_match_class(inputs.detections, inputs.ground_truths, cls, tau)
+        match = oracle_match_class(detections_of(inputs), ground_truths_of(inputs), cls, tau)
         curve = pr_curve(match)
         per_class.append(float(oracle_interpolated_precision(curve, grid).mean()))
     return float(np.mean(per_class))
@@ -796,14 +829,15 @@ def oracle_mean_ap(inputs, taus, recall_points):
 def oracle_lrp_at(inputs, tau=0.5, score_threshold=float("-inf")):
     if not 0.0 <= tau < 1.0:
         raise ValueError("LRP needs an IoU threshold in [0, 1)")
-    kept = [d for d in inputs.detections if d.score >= score_threshold]
+    kept = [d for d in detections_of(inputs) if d.score >= score_threshold]
     n_tp = 0
     n_fp = 0
     n_fn = 0
     loc_sum = 0.0
-    classes = sorted({g.cls for g in inputs.ground_truths} | {d.cls for d in kept})
+    ground_truths = ground_truths_of(inputs)
+    classes = sorted({g.cls for g in ground_truths} | {d.cls for d in kept})
     for cls in classes:
-        gts = [g for g in inputs.ground_truths if g.cls == cls]
+        gts = [g for g in ground_truths if g.cls == cls]
         match = oracle_match_class(tuple(kept), tuple(gts), cls, tau)
         tp = int(match.is_tp.sum())
         n_tp += tp
@@ -819,11 +853,11 @@ def oracle_lrp_at(inputs, tau=0.5, score_threshold=float("-inf")):
 
 
 def oracle_olrp(inputs, tau=0.5):
-    if not inputs.ground_truths:
+    if not inputs.gt_cls.size:
         raise ValueError("oLRP needs ground-truth objects")
-    scores = sorted({d.score for d in inputs.detections}, reverse=True)
+    scores = sorted(set(inputs.det_scores.tolist()), reverse=True)
     if not scores:
-        n_fn = len(inputs.ground_truths)
+        n_fn = inputs.gt_cls.size
         return LRPResult(1.0, 0, 0, n_fn, 0.0, float("inf"))
     best: Optional[LRPResult] = None
     for s in scores:
@@ -863,13 +897,13 @@ def oracle_box_with_iou(gt, target):
 
 def oracle_scenario_to_eval(scenario, extra_gts=()):
     """scenario_to_eval through AnchorRecords, Boxes and Detections."""
-    gts = [GroundTruth(Box.from_array(g)) for g in scenario.gts]
+    gts = [GroundTruth(Box(*g)) for g in scenario.gts.tolist()]
     gts.extend(extra_gts)
     far_x = max(float(g.box.x2) for g in gts) + 10.0
     detections = []
-    for i, rec in enumerate(scenario.anchors):
+    for i, rec in enumerate(anchors_of(scenario)):
         if rec.label == POS:
-            detections.append(Detection(rec.score, Box.from_array(np.asarray(rec.box))))
+            detections.append(Detection(rec.score, Box(*rec.box.tolist())))
         elif rec.label == NEG:
             x = far_x + 3.0 * i
             detections.append(Detection(rec.score, Box(x, 0.0, x + 1.0, 1.0)))

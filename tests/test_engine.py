@@ -18,10 +18,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_col_sums, oracle_loss, oracle_window_sums
+from conftest import oracle_col_sums, oracle_loss, oracle_support, oracle_window_sums
 from rankloss import geometry, losses, ranking, trainer
 from rankloss.geometry import LocErrorKind
 from rankloss.losses import (
@@ -200,6 +200,20 @@ class TestStepSums:
         rel = StepRelation([1.0] * 3, [0.0] * 3, StepKind.smoothed(1.0))
         np.testing.assert_array_equal(rel.col_sums([-0.0, 0.0, 1.0]), [1.0, 1.0, 1.0])
         assert np.isnan(rel.row_sums([1.0, np.nan, 1.0])).all()
+
+    @pytest.mark.parametrize("kind", (StepKind.smoothed(1.0), StepKind.exact()), ids=("smooth", "exact"))
+    def test_a_nan_query_keeps_the_other_queries_sums(self, kind):
+        """A NaN query's window is empty, so its sums are 0; the other
+        queries keep the sums they have without it. When the kept data were
+        the step support of the lowest query, np.min made that NaN, no
+        datum was kept and every sum was 0."""
+        data, queries, weights = [0.0, 1.0, 2.0, 5.0], [0.5, np.nan, 4.9], [1.0, 1.0, 1.0]
+        without = step_sums(data, [0.5, 4.9], kind)
+        np.testing.assert_array_equal(step_sums(data, queries, kind), [without[0], 0.0, without[1]])
+        np.testing.assert_array_equal(without, [3.0, 1.0] if not kind.smooth else [3.0, 0.5499999999999998])
+        np.testing.assert_array_equal(
+            StepRelation(data, queries, kind).col_sums(weights), StepRelation(data, [0.5, 4.9], kind).col_sums([1.0, 1.0])
+        )
 
     def test_exact_counts_are_integers(self):
         rng = np.random.default_rng(5)
@@ -408,20 +422,26 @@ def ordered_relations(draw):
     return data, np.array(queries), kind, np.array(weights), order
 
 
+NO_QUERIES = (np.array([0.0, 1.0, 2.0]), np.zeros(0))
+
+
 class TestGivenOrder:
     @settings(max_examples=300, deadline=None)
     @given(ordered_relations())
+    @example(NO_QUERIES + (StepKind.smoothed(0.5), np.zeros(0), np.arange(3)))
+    @example(NO_QUERIES + (StepKind.exact(), np.zeros(0), np.arange(3)))
     def test_row_and_column_sums_do_not_depend_on_the_order_of_ties(self, drawn):
-        """The relation keeps the suffix of its data's order that support
-        keeps; whichever ascending order it gets, its sorted data, kept
-        set, unweighted row sums and column sums are equal by bytes."""
+        """The relation keeps the suffix of its data's order that the
+        full-length support test keeps (none without queries); whichever
+        ascending order it gets, its sorted data, kept set, unweighted row
+        sums and column sums are equal by bytes."""
         data, queries, kind, weights, order = drawn
         own = StepRelation(data, queries, kind)
         given_order = StepRelation(None, queries, kind, (order, data[order]))
         assert own.x.tobytes() == given_order.x.tobytes()
         assert np.array_equal(np.sort(own.idx), np.sort(given_order.idx))
         assert np.array_equal(given_order.idx, order[data.size - own.idx.size :])
-        assert own.idx.size == ranking.support(data, queries, kind).size
+        assert own.idx.size == oracle_support(data, queries, kind).size
         assert own.row_sums().tobytes() == given_order.row_sums().tobytes()
         assert own.col_sums(weights).tobytes() == given_order.col_sums(weights).tobytes()
 
@@ -443,6 +463,24 @@ class TestGivenOrder:
         ap_loss(scn, half)
         ndcg_loss(scn, half)
         assert sizes.count(2000) == 1 and max(s for s in sizes if s != 2000) <= 20
+
+    @pytest.mark.parametrize("kind", (StepKind.smoothed(0.5), StepKind.exact()), ids=("smooth", "exact"))
+    def test_a_loss_call_on_sorted_negatives_steps_no_longer_array_than_the_positives(self, kind):
+        """The kept suffix is read off the window edges: with the scenario's
+        negatives already sorted, a loss call evaluates step() on no array
+        longer than the 20 positives, not on the 2000 negatives."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=2000, seed=0))
+        scn.neg_order()
+        sizes, real = [], ranking.step
+
+        def counting(x, kind):
+            sizes.append(np.size(x))
+            return real(x, kind)
+
+        with mock.patch.object(ranking, "step", counting):
+            alrp_loss(scn, kind)
+        assert sizes and max(sizes) <= 20
+
 
 
 def exact_step(x, q, delta):

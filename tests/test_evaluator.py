@@ -22,6 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    detections_of,
+    ground_truths_of,
     oracle_eval_to_dict,
     oracle_interpolated_precision,
     oracle_iou,
@@ -174,8 +176,8 @@ class TestMatchingAgainstOracle:
     def test_match_class(self, inputs, tau):
         for cls in (0, 1, 2, 3):
             with np.errstate(all="ignore"):
-                got = match_class(inputs.detections, inputs.ground_truths, cls, tau)
-                want = oracle_match_class(inputs.detections, inputs.ground_truths, cls, tau)
+                got = match_class(detections_of(inputs), ground_truths_of(inputs), cls, tau)
+                want = oracle_match_class(detections_of(inputs), ground_truths_of(inputs), cls, tau)
             for field in ("det_indices", "is_tp", "match_iou", "match_gt"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert g.dtype == w.dtype and np.array_equal(g, w), field
@@ -337,8 +339,8 @@ class TestEvalInputColumns:
     @given(st.lists(detections, max_size=12), st.lists(ground_truths, max_size=6))
     def test_views_give_back_the_objects_and_columns_are_read_only(self, dets, gts):
         inputs = EvalInput.build(dets, gts)
-        assert inputs.detections == tuple(dets)
-        assert inputs.ground_truths == tuple(gts)
+        assert detections_of(inputs) == tuple(dets)
+        assert ground_truths_of(inputs) == tuple(gts)
         assert inputs.classes() == tuple(sorted({g.cls for g in gts}))
         for name in ("det_scores", "det_cls", "det_boxes", "gt_cls", "gt_boxes"):
             column = getattr(inputs, name)

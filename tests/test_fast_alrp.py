@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_kept, oracle_loss, random_scenario
+from conftest import anchors_of, oracle_kept, oracle_loss, random_scenario
 from rankloss.fast_alrp import (
     FastConfig,
     active_backend,
@@ -91,7 +91,7 @@ class TestParityWithDirectAssembly:
         rng = np.random.default_rng(34)
         base = random_scenario(rng, n_pos=5, n_neg=30)
         scn = Scenario(
-            list(base.anchors) + [AnchorRecord(IGNORE, 99.0)], base.gts, base.loc_kind
+            anchors_of(base) + [AnchorRecord(IGNORE, 99.0)], base.gts, base.loc_kind
         )
         kind = StepKind.smoothed(1.0)
         fast = fast_alrp(scn, config_for(kind))

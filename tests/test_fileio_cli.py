@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import oracle_eval_to_dict, oracle_scenario_to_dict
+from conftest import anchors_of, detections_of, oracle_eval_to_dict, oracle_scenario_to_dict
 from rankloss.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from rankloss.fast_alrp import FastConfig, pruned_size
 from rankloss.fileio import (
@@ -70,11 +70,11 @@ class TestScenarioRoundTrip:
 
     def test_ignored_anchor_round_trips(self):
         base = fixture_scenario("aligned")
-        scn = Scenario(list(base.anchors) + [AnchorRecord(IGNORE, 0.5)], base.gts)
+        scn = Scenario(anchors_of(base) + [AnchorRecord(IGNORE, 0.5)], base.gts)
         doc = oracle_scenario_to_dict(scn)
         assert doc["anchors"][-1] == {"label": "ignore", "score": 0.5}
         again = scenario_from_dict(doc)
-        assert again.anchors[-1].label == IGNORE
+        assert anchors_of(again)[-1].label == IGNORE
 
     def test_file_is_pretty_printed_json(self, tmp_path):
         path = tmp_path / "s.json"
@@ -233,7 +233,7 @@ class TestEvalRoundTrip:
             "ground_truths": [{"box": [0.0, 0.0, 1.0, 1.0], "class": 0}],
         }
         inputs = eval_from_dict(doc)
-        assert len(inputs.detections) == 0
+        assert len(detections_of(inputs)) == 0
 
     def test_ground_truths_required(self):
         doc = {"version": 1, "detections": [], "ground_truths": []}
@@ -294,7 +294,7 @@ class TestEvalRoundTrip:
             "ground_truths": [{"box": [0.0, 0.0, 1.0, 1.0]}],
         }
         inputs = eval_from_dict(doc)
-        assert inputs.detections[0].cls == 0
+        assert detections_of(inputs)[0].cls == 0
 
 
 class TestFixtureFiles:

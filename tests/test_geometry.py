@@ -47,21 +47,12 @@ class TestBox:
     def test_round_trip(self):
         b = Box(0.5, 1.0, 2.5, 3.0)
         np.testing.assert_array_equal(b.as_array(), [0.5, 1.0, 2.5, 3.0])
-        assert Box.from_array(b.as_array()) == b
-
-    def test_area(self):
-        assert Box(0.0, 0.0, 2.0, 3.0).area == 6.0
-        assert Box(1.0, 1.0, 1.0, 1.0).area == 0.0  # zero-area allowed
 
     def test_rejects_disordered_corners(self):
         with pytest.raises(ValueError):
             Box(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             Box(0.0, 1.0, 1.0, 0.0)
-
-    def test_from_array_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            Box.from_array([0.0, 0.0, 1.0])
 
 
 class TestLocErrorKind:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import lrp_per_positive, naive_pair_tables, random_scenario
+from conftest import anchors_of, lrp_per_positive, naive_pair_tables, random_scenario
 from rankloss.fixtures import fixture_scenario
 from rankloss.geometry import loc_error_grad
 from rankloss.losses import (
@@ -303,7 +303,7 @@ class TestWrongTargetVariant:
     def test_balanced_while_negatives_interleave(self):
         scn = separated_scenario()
         interleaved = Scenario(
-            list(scn.anchors) + [AnchorRecord(NEG, 0.90)], scn.gts, scn.loc_kind
+            anchors_of(scn) + [AnchorRecord(NEG, 0.90)], scn.gts, scn.loc_kind
         )
         kind = StepKind.smoothed(0.25)
         for fn in (alrp_loss, wrong_target_alrp):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ap_at_iou, oracle_average_ranks_desc
+from conftest import ap_at_iou, detections_of, ground_truths_of, oracle_average_ranks_desc
 from rankloss.fixtures import fixture_eval, fixture_scenario
 from rankloss.geometry import Box
 from rankloss.metrics import (
@@ -114,8 +114,8 @@ class TestMatching:
 class TestPRCurve:
     def test_envelope_is_monotone_nonincreasing(self):
         m = match_class(
-            tuple(fixture_eval("aligned").detections),
-            tuple(fixture_eval("aligned").ground_truths),
+            detections_of(fixture_eval("aligned")),
+            ground_truths_of(fixture_eval("aligned")),
             cls=0,
             tau=0.5,
         )
@@ -126,7 +126,7 @@ class TestPRCurve:
 
     def test_ten_point_precisions_aligned(self):
         inputs = fixture_eval("aligned")
-        m = match_class(tuple(inputs.detections), tuple(inputs.ground_truths), 0, 0.5)
+        m = match_class(detections_of(inputs), ground_truths_of(inputs), 0, 0.5)
         curve = pr_curve(m)
         grid = np.round(np.arange(1, 11) * 0.1, 10)
         expected = [1.0, 1.0, 2 * THIRD, 2 * THIRD, 0.5, 0.5, 0.4, 0.4, 0.0, 0.0]
@@ -248,7 +248,7 @@ class TestOLRP:
         for name in ("aligned", "shuffled", "reversed"):
             inputs = fixture_eval(name)
             best = olrp(inputs)
-            candidates = sorted({d.score for d in inputs.detections}, reverse=True)
+            candidates = sorted({d.score for d in detections_of(inputs)}, reverse=True)
             values = [lrp_at(inputs, 0.5, score_threshold=s).value for s in candidates]
             np.testing.assert_allclose(best.value, min(values), rtol=1e-12)
             # ties in the minimum go to the highest threshold
@@ -400,7 +400,7 @@ class TestBoundTransforms:
 class TestScenarioToEval:
     def test_negatives_never_match(self):
         inputs = scenario_to_eval(fixture_scenario("aligned"))
-        m = match_class(tuple(inputs.detections), tuple(inputs.ground_truths), 0, 0.5)
+        m = match_class(detections_of(inputs), ground_truths_of(inputs), 0, 0.5)
         assert int(m.is_tp.sum()) == 4
         assert int((~m.is_tp).sum()) == 6
 

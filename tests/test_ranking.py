@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diff_transform, naive_pair_tables, primary_term_sum, random_scenario
+from conftest import anchors_of, diff_transform, naive_pair_tables, primary_term_sum, random_scenario
 from rankloss import fileio
 from rankloss.fast_alrp import FastConfig
 from rankloss.fixtures import fixture_scenario
@@ -331,7 +331,7 @@ class TestScenario:
     def test_ignored_anchors_are_inert(self):
         scn = fixture_scenario("aligned")
         with_ignored = Scenario(
-            list(scn.anchors) + [AnchorRecord(IGNORE, 99.0)], scn.gts, scn.loc_kind
+            anchors_of(scn) + [AnchorRecord(IGNORE, 99.0)], scn.gts, scn.loc_kind
         )
         for kind in STEP_KINDS:
             base = rank_stats(scn, kind)
@@ -454,7 +454,7 @@ class TestAssembly:
         report = assemble_gradients(scn, ALRPLossDef(), StepKind.exact())
         assert report.primary_term_sum_check > 0.0
         # planting one negative above every positive restores the identity
-        planted = Scenario(list(scn.anchors) + [AnchorRecord(NEG, 6.0)], gt)
+        planted = Scenario(anchors_of(scn) + [AnchorRecord(NEG, 6.0)], gt)
         report = assemble_gradients(planted, ALRPLossDef(), StepKind.exact())
         assert report.primary_term_sum_check <= 1e-15
 

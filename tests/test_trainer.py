@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import sb_warmup_report, score_grad_to_logit_grad
+from conftest import anchors_of, sb_warmup_report, score_grad_to_logit_grad
 from rankloss import losses
 from rankloss.geometry import LocErrorKind
 from rankloss.losses import alrp_loss
@@ -150,7 +150,7 @@ class TestToyModel:
 
     def test_ignored_anchor_score_never_moves(self):
         base = generate_scenario(SMALL_SPEC)
-        scn = Scenario(list(base.anchors) + [AnchorRecord(IGNORE, 0.42)], base.gts, base.loc_kind)
+        scn = Scenario(anchors_of(base) + [AnchorRecord(IGNORE, 0.42)], base.gts, base.loc_kind)
         model = ToyModel(scn)
         model.logits = model.logits + 5.0
         assert model.current_scenario().scores[-1] == 0.42
