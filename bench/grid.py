@@ -323,7 +323,6 @@ def environment(src, rl, ref_ms):
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
-        "numba_importable": importlib.util.find_spec("numba") is not None,
         "reference_ms": ref_ms,
         "reps": REPS,
         "eval_scales_reps": [list(pair) for pair in EVAL_SCALES],

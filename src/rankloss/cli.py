@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .fileio import load_eval, load_scenario
-from .losses import EXACT, LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio
+from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio
 from .metrics import DEFAULT_TAUS, TEN_POINT_RECALLS, lrp_at, mean_ap, olrp
 from .ranking import StepKind, check_positive
 from .trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
@@ -33,12 +33,6 @@ TAUS = ",".join(str(t) for t in DEFAULT_TAUS)
 
 class NumericalFailure(RuntimeError):
     """A computation produced non-finite results."""
-
-
-def _step_kind(args) -> StepKind:
-    if args.step == "exact":
-        return EXACT
-    return StepKind.smoothed(args.delta)
 
 
 def _only_with(args, option: str, allowed: tuple, defaults: dict) -> None:
@@ -96,7 +90,7 @@ def cmd_loss(args) -> int:
         check_positive("--sb-weight", args.sb_weight)
         balancer = SelfBalancer(args.sb_weight)
     scenario = load_scenario(args.scenario)
-    bd = _named_loss(args.loss, scenario, _step_kind(args), args.wrong_target, balancer)
+    bd = _named_loss(args.loss, scenario, StepKind(args.step == "smooth", args.delta), args.wrong_target, balancer)
     if not np.isfinite(bd.total):
         raise NumericalFailure("loss is not finite")
     doc = {
@@ -211,7 +205,7 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         lr=args.lr,
         box_lr=args.box_lr,
-        step=_step_kind(args),
+        step=StepKind(args.step == "smooth", args.delta),
         self_balance=args.sb,
         wrong_target=args.wrong_target,
     )

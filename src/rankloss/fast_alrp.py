@@ -35,7 +35,7 @@ class FastConfig:
     exact: bool = False
 
     def __post_init__(self):
-        _step_kind(self)  # StepKind refuses a delta the smooth step cannot use
+        StepKind(not self.exact, self.delta)  # refuses a delta the smooth step cannot use
 
 
 def active_backend():
@@ -43,13 +43,9 @@ def active_backend():
     return "numpy"
 
 
-def _step_kind(config):
-    return losses.EXACT if config.exact else StepKind.smoothed(config.delta)
-
-
 def fast_alrp(scenario, config=FastConfig(), balancer=None):
     """LossBreakdown identical to losses.alrp_loss with config's step."""
-    return losses._loss(scenario, _step_kind(config), losses.ALRPLossDef(), balancer)
+    return losses._loss(scenario, StepKind(not config.exact, config.delta), losses.ALRPLossDef(), balancer)
 
 
 def pruned_size(scenario, config=FastConfig()):
@@ -59,7 +55,8 @@ def pruned_size(scenario, config=FastConfig()):
     config.prune is False."""
     if not config.prune:
         return scenario.n_neg
-    return int(StepRelation(None, scenario.pos_scores(), _step_kind(config), scenario.neg_order()).idx.size)
+    kind = StepKind(not config.exact, config.delta)
+    return int(StepRelation(None, scenario.pos_scores(), kind, scenario.neg_order()).idx.size)
 
 
 def operation_count(n_pos, n_neg, n_kept):

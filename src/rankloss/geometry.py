@@ -169,23 +169,10 @@ def iou_array(pred, gt):
     return _overlap_of(*_inter_union(_sides(a, b), b))
 
 
-def giou_array(pred, gt):
-    """Generalized IoU over box arrays: IoU minus (hull \\ union) / hull,
-    in [-1, 1]; the IoU term is 0 unless union > 0, the hull term applies
-    only where hull > 0."""
-    a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
-    return _overlap_of(*_inter_union(_sides(a, b), b), _hull(a, b)[2])
-
-
-def loc_error_array(pred, gt, kind):
-    """E_loc = (1 - overlap) / (1 - tau) over box arrays, unchecked: the
-    loss path tolerates values above 1 (a box drifting below tau)."""
-    return _loc_error_of(_unit_of((iou_array if kind.variant == "iou" else giou_array)(pred, gt), kind.variant), kind.tau)
-
-
 def _overlap_pass(pred, gt, variant):
-    """(overlap, d overlap / d pred, tie mask) for IoU or GIoU over (P, 4)
-    arrays from one _inter_union pass, the overlap as iou_array or giou_array.
+    """(overlap, d overlap / d pred, tie mask) over (P, 4) arrays from one
+    _inter_union pass, the overlap IoU (as iou_array) or GIoU = IoU minus
+    (hull \\ union) / hull, in [-1, 1], its hull term only where hull > 0.
 
     The pieces are _inter_union's and _hull's. The tie mask flags a branch
     tie of any min/max or clamp that reaches the value (a clamp tie counts
@@ -227,8 +214,8 @@ def _overlap_pass(pred, gt, variant):
 
 def loc_error_and_grad_array(pred, gt, kind):
     """(E_loc, dE_loc/dpred, tie mask) over (P, 4) box arrays from one
-    overlap pass: (P,) errors with the bits of loc_error_array, (P, 4)
-    gradients (chain rule through the overlap only) and a (P,) boolean mask."""
+    overlap pass: (P,) errors, unchecked (above 1 for a box below tau),
+    (P, 4) gradients (chain rule through the overlap only) and a (P,) mask."""
     v, g, tie = _overlap_pass(pred, gt, kind.variant)
     scale = 1.0 / (1.0 - kind.tau)
     return _loc_error_of(_unit_of(v, kind.variant), kind.tau), (-scale if kind.variant == "iou" else -0.5 * scale) * g, tie
@@ -256,7 +243,7 @@ def iou(pred, gt):
 
 def giou(pred, gt):
     """Generalized IoU: IoU minus (hull \\ union) / hull, in [-1, 1]."""
-    return float(_single(giou_array, pred, gt)[0])
+    return float(_single(_overlap_pass, pred, gt, "giou")[0][0])
 
 
 def overlap_unit(pred, gt, kind):
@@ -269,8 +256,8 @@ def loc_error(pred, gt, kind, check=True):
 
     With check=True (the metric-side contract) an "iou"-variant overlap below
     tau raises, because the pair is not a valid true positive and the error
-    would leave [0, 1]. The loss path passes check=False and tolerates
-    transient values above 1 (e.g. a box drifting below tau mid-training).
+    would leave [0, 1]. With check=False the value may exceed 1, as the
+    loss's E_loc (loc_error_and_grad_array) does for a box drifting below tau.
     """
     v = overlap_unit(pred, gt, kind)
     if check and kind.variant == "iou" and v < kind.tau:

@@ -104,8 +104,6 @@ def _exact_pos_loc_sums(scenario, e_loc):
 
 
 class APLossDef(RankingLossDef):
-    name = "ap"
-
     def normalizer(self, scenario):
         return scenario.n_pos
 
@@ -115,8 +113,6 @@ class APLossDef(RankingLossDef):
 
 
 class ALRPLossDef(RankingLossDef):
-    name = "alrp"
-
     def normalizer(self, scenario):
         return scenario.n_pos
 
@@ -142,7 +138,6 @@ class WrongTargetALRPDef(ALRPLossDef):
     ranked positive with residual localization error keeps receiving score
     gradient while no negative absorbs it."""
 
-    name = "alrp-wrong-target"
     unconditional_positive_grads = True
 
     def errors(self, stats, e_loc, c):
@@ -151,8 +146,6 @@ class WrongTargetALRPDef(ALRPLossDef):
 
 
 class NDCGLossDef(RankingLossDef):
-    name = "ndcg"
-
     def normalizer(self, scenario):
         return 1.0
 

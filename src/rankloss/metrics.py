@@ -477,20 +477,18 @@ def ranking_bound_transform(scenario: Scenario, mode: str) -> Scenario:
     return scenario.with_positive_boxes(boxes_with_iou(scenario.pos_gt_boxes(), targets))
 
 
-def scenario_to_eval(scenario: Scenario, extra_gts: Sequence[GroundTruth] = ()) -> EvalInput:
-    """Recast a scenario as evaluator input.
+def scenario_to_eval(scenario: Scenario) -> EvalInput:
+    """Recast a scenario as evaluator input, every box of class 0.
 
     Positive anchors keep their boxes; negative anchors get unit boxes far
     from every ground-truth box so they can never match (their IoU with any
-    ground truth is zero).  Extra unmatched ground truths may be appended to
-    model missed objects.  Ignored anchors are left out.
+    ground truth is zero).  Ground truths that no positive references model
+    missed objects.  Ignored anchors are left out.
     """
-    extra = EvalInput.build((), extra_gts)
-    gt_boxes = np.concatenate((scenario.gts, extra.gt_boxes))
-    x = float(gt_boxes[:, 2].max()) + 10.0 + 3.0 * scenario.neg_index
+    x = float(scenario.gts[:, 2].max()) + 10.0 + 3.0 * scenario.neg_index
     boxes = np.zeros((scenario.labels.size, 4))
     boxes[scenario.neg_index] = np.stack((x, np.zeros(x.size), x + 1.0, np.ones(x.size)), axis=1)
     boxes[scenario.pos_index] = scenario.pos_box
     kept = scenario.labels != IGNORE
-    gt_cls = np.concatenate((np.zeros(len(scenario.gts)), extra.gt_cls))
-    return EvalInput(scenario.scores[kept], np.zeros(np.count_nonzero(kept)), boxes[kept], gt_cls, gt_boxes)
+    n_gt = len(scenario.gts)
+    return EvalInput(scenario.scores[kept], np.zeros(np.count_nonzero(kept)), boxes[kept], np.zeros(n_gt), scenario.gts)

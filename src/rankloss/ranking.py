@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, LocErrorKind, loc_error_array
+from .geometry import Box, LocErrorKind, loc_error_and_grad_array
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
 MAX_DELTA = 2.0**900
@@ -100,6 +100,11 @@ def _frozen(a):
     return a
 
 
+def _real_entry(v):
+    """Whether v is a real number and not a bool: an entry a numeric column may hold."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
 def _integers(values, dtype):
     """(values as an array of the integer dtype, the mask of the entries
     that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range,
@@ -111,7 +116,7 @@ def _integers(values, dtype):
         if a.dtype.kind not in "fiu":
             # Entry by entry as given: numpy converts a list that mixes numbers and strings to strings.
             a = np.array(values, dtype=object)
-            real = [isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in a.flat]
+            real = [_real_entry(v) for v in a.flat]
             a = np.where(np.array(real, dtype=bool).reshape(a.shape), a, np.nan)
         info = np.iinfo(dtype)
         # Exact comparisons, Python ints (an object array) included; NaN fails both.
@@ -129,10 +134,16 @@ def _shaped(name, column, shape):
 
 def _real(name, values):
     """values as a float64 copy, refused by name unless numpy reads them as
-    floats or integers: not strings, bools, None or complex numbers. A bool
-    among numbers in a list is a number to numpy before it is seen, as for
-    _integers."""
+    floats or integers, or as objects that are all real numbers (Python ints
+    beyond int64) within float64's range: not strings, bools, None or
+    complex numbers. A bool among numbers in a list is a number to numpy
+    before it is seen, as for _integers."""
     column = np.array(values)
+    if column.dtype == object and all(map(_real_entry, column.flat)):
+        try:
+            column = column.astype(np.float64)
+        except OverflowError:
+            raise ValueError("%s: expected real numbers, got an entry beyond float64's range" % name) from None
     if column.dtype.kind not in "fiu":
         raise ValueError("%s: expected real numbers, got %s entries" % (name, column.dtype))
     return column.astype(np.float64, copy=False)
@@ -289,7 +300,7 @@ class Scenario:
     def loc_errors(self):
         """E_loc per positive, unchecked (may exceed 1 for an overlap that
         has drifted below tau; the metric-side check lives in geometry)."""
-        return loc_error_array(self.pos_box, self.gts[self.pos_gt], self.loc_kind)
+        return loc_error_and_grad_array(self.pos_box, self.gts[self.pos_gt], self.loc_kind)[0]
 
     def _replace(self, attr, name, values, anchors, field):
         """Copy with the column attr replaced by values, checked as _set_columns checks it."""
@@ -597,7 +608,6 @@ class RankingLossDef:
     negative above to absorb it; only the wrong-target variant sets it.
     """
 
-    name = "base"
     unconditional_positive_grads = False
 
     def normalizer(self, scenario):

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import LocErrorKind, boxes_with_iou
+from .geometry import boxes_with_iou
 # perfbench wraps these by this module's names: train() calls positive_ious and ranking_correlation
 # once per epoch, and reaches the losses through losses._named_loss, so they stay bound here for it.
 from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
@@ -46,11 +46,11 @@ class ScenarioGenSpec:
     """Parameters for the synthetic scenario generator.
 
     Ground-truth boxes are disjoint unit squares.  Each positive predicts a
-    box whose IoU with its ground truth is drawn from [iou_low, iou_high];
-    ``iou_order`` controls how those IoUs line up with the scores:
-    "anti" (default) gives the best IoU to the lowest-scored positive so a
-    trainer starts from rank correlation -1, "aligned" the reverse, and
-    "random" leaves the drawn order.
+    box whose IoU with its ground truth is drawn from [0.5, 0.7]; its E_loc
+    is LocErrorKind.iou() (tau 0.5).  ``iou_order`` controls how those IoUs
+    line up with the scores: "anti" (default) gives the best IoU to the
+    lowest-scored positive so a trainer starts from rank correlation -1,
+    "aligned" the reverse, and "random" leaves the drawn order.
 
     Scores default to sigmoid(standard normal), which keeps
     them strictly inside (0, 1) so a trainer can recover logits.  Passing
@@ -65,13 +65,10 @@ class ScenarioGenSpec:
     n_pos: int
     n_neg: int
     seed: int
-    iou_low: float = 0.5
-    iou_high: float = 0.7
     iou_order: str = "anti"
     score_low: Optional[float] = None
     score_high: Optional[float] = None
     pos_score_low: Optional[float] = None
-    loc_kind: LocErrorKind = field(default_factory=LocErrorKind.iou)
 
     def __post_init__(self):
         for name in ("n_pos", "n_neg", "seed"):
@@ -80,8 +77,6 @@ class ScenarioGenSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_pos < 1 or self.n_neg < 0:
             raise ValueError("need n_pos >= 1 and n_neg >= 0")
-        if not (0.0 <= self.iou_low <= self.iou_high <= 1.0):
-            raise ValueError("need 0 <= iou_low <= iou_high <= 1")
         if self.iou_order not in ("anti", "aligned", "random"):
             raise ValueError("iou_order must be 'anti', 'aligned', or 'random'")
         if (self.score_low is None) != (self.score_high is None):
@@ -113,7 +108,7 @@ def generate_scenario(spec: ScenarioGenSpec) -> Scenario:
         pos_scores = 1.0 / (1.0 + np.exp(-rng.standard_normal(spec.n_pos)))
         neg_scores = 1.0 / (1.0 + np.exp(-rng.standard_normal(spec.n_neg)))
 
-    ious = rng.uniform(spec.iou_low, spec.iou_high, spec.n_pos)
+    ious = rng.uniform(0.5, 0.7, spec.n_pos)
     if spec.iou_order != "random":
         ious = _ious_by_score(pos_scores, ious, spec.iou_order == "aligned")
 
@@ -124,7 +119,6 @@ def generate_scenario(spec: ScenarioGenSpec) -> Scenario:
         np.arange(spec.n_pos),
         boxes_with_iou(gts, ious),
         gts,
-        spec.loc_kind,
     )
 
 

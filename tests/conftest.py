@@ -15,6 +15,7 @@ rankloss.geometry.boxes_with_iou, and the file documents as dicts with their
 entry-by-entry readers, kept as the oracles for the column writers and
 screens of rankloss.fileio."""
 
+import dataclasses
 from dataclasses import replace
 from typing import Optional
 
@@ -69,7 +70,7 @@ from rankloss.ranking import (
     rank_stats,
     step,
 )
-from rankloss.trainer import _sigmoid, train
+from rankloss.trainer import ScenarioGenSpec, _sigmoid, generate_scenario, train
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,37 @@ def anchors_of(scenario):
     for i, gt, box in zip(scenario.pos_index.tolist(), scenario.pos_gt.tolist(), scenario.pos_box):
         out[i] = AnchorRecord(POS, out[i].score, gt, box.copy())
     return out
+
+
+def same(a, b):
+    """Equal as values: same shape, == everywhere, NaN where the other is
+    NaN (of either sign: a NaN's sign bit carries no value) and the same
+    sign on every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b))
+    )
+
+
+def assert_same_breakdown(got, want):
+    """Every field of two LossBreakdowns, their GradReports' included: the
+    same type and the same values (same)."""
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if dataclasses.is_dataclass(a):
+            for g in dataclasses.fields(a):
+                assert same(getattr(a, g.name), getattr(b, g.name)), f"{f.name}.{g.name}"
+        else:
+            assert type(a) is type(b) and same(a, b), f.name
+
+
+def generated_with(loc_kind, **spec):
+    """generate_scenario(ScenarioGenSpec(**spec)), its E_loc measured by
+    loc_kind instead of the generator's LocErrorKind.iou()."""
+    scn = generate_scenario(ScenarioGenSpec(**spec))
+    return Scenario.from_columns(scn.labels, scn.scores, scn.pos_gt, scn.pos_box, scn.gts, loc_kind)
 
 
 def detections_of(inputs):
@@ -895,10 +927,9 @@ def oracle_box_with_iou(gt, target):
     return np.array([x1, y1, x2, y1 + target * (y2 - y1)], dtype=np.float64)
 
 
-def oracle_scenario_to_eval(scenario, extra_gts=()):
+def oracle_scenario_to_eval(scenario):
     """scenario_to_eval through AnchorRecords, Boxes and Detections."""
     gts = [GroundTruth(Box(*g)) for g in scenario.gts.tolist()]
-    gts.extend(extra_gts)
     far_x = max(float(g.box.x2) for g in gts) + 10.0
     detections = []
     for i, rec in enumerate(anchors_of(scenario)):

@@ -5,7 +5,6 @@ LossBreakdown field and full trainer logs. Boxes are drawn on a half grid
 so that corners coincide exactly (branch ties), boxes collapse to zero
 area, and pairs of such boxes have zero union."""
 
-import dataclasses
 import math
 from unittest import mock
 
@@ -17,6 +16,8 @@ from hypothesis import strategies as st
 from conftest import (
     OracleScenario,
     anchors_of,
+    assert_same_breakdown,
+    generated_with,
     oracle_box_with_iou,
     oracle_giou,
     oracle_giou_grad,
@@ -25,6 +26,7 @@ from conftest import (
     oracle_loc_error,
     oracle_loc_error_grad,
     oracle_loc_error_and_grad_rows,
+    same,
     separate_pass_loss,
 )
 from rankloss import losses
@@ -32,36 +34,22 @@ from rankloss.geometry import (
     LocErrorKind,
     boxes_with_iou,
     giou,
-    giou_array,
     giou_grad,
     iou,
     iou_array,
     iou_grad,
     loc_error,
     loc_error_and_grad_array,
-    loc_error_array,
     loc_error_grad,
 )
 from rankloss.losses import alrp_loss, ap_loss, ndcg_loss, wrong_target_alrp
 from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind
-from rankloss.trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
+from rankloss.trainer import TrainConfig, train
 
 SETTINGS = settings(max_examples=150, deadline=None)
 LOC_KINDS = (LocErrorKind.iou(), LocErrorKind.giou(), LocErrorKind.iou(0.3), LocErrorKind.giou(0.25))
 STEPS = (StepKind.exact(), StepKind.smoothed(0.5))
 LOSSES = {"ap": ap_loss, "alrp": alrp_loss, "alrp-wrong-target": wrong_target_alrp, "ndcg": ndcg_loss}
-
-
-def same(a, b):
-    """Equal as values: same shape, == everywhere, NaN where the other is
-    NaN (of either sign: a NaN's sign bit carries no value) and the same
-    sign on every zero."""
-    a, b = np.asarray(a), np.asarray(b)
-    return (
-        a.shape == b.shape
-        and np.array_equal(a, b, equal_nan=True)
-        and np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b))
-    )
 
 
 half_grid = st.integers(-4, 8).map(lambda k: k / 2.0)
@@ -97,15 +85,11 @@ class TestGeometryAgainstOracle:
         one_pass, grads, tie = loc_error_and_grad_array(pred, gt, kind)
         assert grads.shape == (len(pairs), 4) and tie.shape == (len(pairs),) and tie.dtype == bool
         ious = iou_array(pred, gt)
-        values = giou_array(pred, gt)
-        errors = loc_error_array(pred, gt, kind)
-        assert same(one_pass, errors)
         for k, (p, g) in enumerate(pairs):
             want_g, want_tie = oracle_loc_error_grad(p, g, kind)
             assert same(grads[k], want_g) and tie[k] == want_tie
             assert same(ious[k], oracle_iou(p, g))
-            assert same(values[k], oracle_giou(p, g))
-            assert same(errors[k], oracle_loc_error(p, g, kind, check=False))
+            assert same(one_pass[k], oracle_loc_error(p, g, kind, check=False))
 
     @SETTINGS
     @given(st.one_of(grid_boxes(), any_boxes, odd_boxes), st.one_of(grid_boxes(), odd_boxes), st.sampled_from(LOC_KINDS))
@@ -147,16 +131,6 @@ def scenario_anchors(draw):
     anchors += [AnchorRecord(IGNORE, draw(score)) for _ in range(draw(st.integers(0, 2)))]
     order = draw(st.permutations(range(len(anchors))))
     return [anchors[i] for i in order], gts, draw(st.sampled_from(LOC_KINDS))
-
-
-def assert_same_breakdown(got, want):
-    for f in dataclasses.fields(got):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if dataclasses.is_dataclass(a):
-            for g in dataclasses.fields(a):
-                assert same(getattr(a, g.name), getattr(b, g.name)), f"{f.name}.{g.name}"
-        else:
-            assert type(a) is type(b) and same(a, b), f.name
 
 
 iou_targets = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, -0.0, 1.0)))
@@ -246,7 +220,7 @@ def test_train_logs_equal_the_oracle_scenario(config, loc_kind):
     """The trainer on the columnar Scenario against the trainer on the
     AnchorRecord-list Scenario with scalar E_loc and box gradients, row by
     row."""
-    scn = generate_scenario(ScenarioGenSpec(n_pos=12, n_neg=150, seed=3, loc_kind=loc_kind))
+    scn = generated_with(loc_kind, n_pos=12, n_neg=150, seed=3)
     cfg = TRAIN_CONFIGS[config]
     got = train(scn, cfg)
     with mock.patch.object(losses, "loc_error_and_grad_array", oracle_loc_error_and_grad_rows):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_col_sums, oracle_loss, oracle_support, oracle_window_sums
+from conftest import generated_with, oracle_col_sums, oracle_loss, oracle_support, oracle_window_sums
 from rankloss import geometry, losses, ranking, trainer
 from rankloss.geometry import LocErrorKind
 from rankloss.losses import (
@@ -656,7 +656,7 @@ class TestTracedEntryPoints:
     def test_one_overlap_pass_per_loss_call_and_two_per_epoch(self, monkeypatch, loc_kind):
         """The loss's E_loc and box gradients share one pass; the epoch's
         IoUs for rho and mean_iou (positive_ious) are the other."""
-        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=200, seed=0, loc_kind=loc_kind))
+        scn = generated_with(loc_kind, n_pos=20, n_neg=200, seed=0)
         calls = counted(monkeypatch, (geometry,), "_inter_union")
         for kind in (StepKind.exact(), StepKind.smoothed(0.5)):
             calls.clear()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import anchors_of, oracle_kept, oracle_loss, random_scenario
+from conftest import anchors_of, assert_same_breakdown, oracle_kept, oracle_loss, random_scenario
 from rankloss.fast_alrp import (
     FastConfig,
     active_backend,
@@ -17,7 +17,7 @@ from rankloss.fast_alrp import (
     operation_count,
     pruned_size,
 )
-from rankloss.losses import SelfBalancer, alrp_loss, ap_loss, ndcg_loss, wrong_target_alrp
+from rankloss.losses import EXACT, SelfBalancer, alrp_loss, ap_loss, ndcg_loss, wrong_target_alrp
 from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, StepRelation, rank_stats
 
 ALL_FIELDS_RTOL = 1e-12
@@ -86,6 +86,19 @@ class TestParityWithDirectAssembly:
         assert_breakdowns_match(
             fast_alrp(scn, config_for(kind), balancer=sb), oracle_loss("alrp", scn, kind, balancer=sb)
         )
+
+    @pytest.mark.parametrize("delta", (0.5, 3.0))
+    def test_an_exact_config_ignores_its_delta(self, delta):
+        """FastConfig(delta=0.5, exact=True) runs StepKind(False, 0.5), which
+        is not == EXACT: every field equals alrp_loss's under EXACT."""
+        rng = np.random.default_rng(36)
+        config = FastConfig(delta=delta, exact=True)
+        for tie_fraction in (0.0, 0.5):
+            scn = random_scenario(rng, n_pos=8, n_neg=60, spread=4.0, tie_fraction=tie_fraction)
+            for sb in (None, SelfBalancer(active_weight=4.0)):
+                want = alrp_loss(scn, EXACT, sb)
+                assert_same_breakdown(fast_alrp(scn, config, sb), want)
+                assert pruned_size(scn, config) == want.n_kept
 
     def test_ignored_anchors_stay_zero(self):
         rng = np.random.default_rng(34)

@@ -12,7 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import anchors_of, detections_of, oracle_eval_to_dict, oracle_scenario_to_dict
+from conftest import (
+    anchors_of,
+    assert_same_breakdown,
+    detections_of,
+    generated_with,
+    oracle_eval_to_dict,
+    oracle_scenario_to_dict,
+)
+from rankloss import cli, losses
 from rankloss.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from rankloss.fast_alrp import FastConfig, pruned_size
 from rankloss.fileio import (
@@ -26,7 +34,7 @@ from rankloss.fileio import (
 )
 from rankloss.fixtures import fixture_eval, fixture_scenario, write_fixture_files
 from rankloss.geometry import LocErrorKind
-from rankloss.losses import alrp_loss, ap_loss, balance_ratio, ndcg_loss, wrong_target_alrp
+from rankloss.losses import EXACT, alrp_loss, ap_loss, balance_ratio, ndcg_loss, wrong_target_alrp
 from rankloss.metrics import mean_ap
 from rankloss.ranking import IGNORE, MAX_DELTA, AnchorRecord, Scenario, StepKind
 from rankloss.trainer import ScenarioGenSpec, generate_scenario
@@ -60,9 +68,7 @@ class TestScenarioRoundTrip:
         assert alrp_loss(loaded).total == alrp_loss(scn).total
 
     def test_giou_kind_round_trips(self):
-        base = generate_scenario(
-            ScenarioGenSpec(n_pos=3, n_neg=5, seed=1, loc_kind=LocErrorKind.giou())
-        )
+        base = generated_with(LocErrorKind.giou(), n_pos=3, n_neg=5, seed=1)
         doc = oracle_scenario_to_dict(base)
         assert doc["loc_kind"] == {"variant": "giou", "tau": 0.0}
         again = scenario_from_dict(doc)
@@ -345,6 +351,23 @@ class TestCLILoss:
 
         expected = alrp_loss(fixture_scenario("aligned"), StepKind.smoothed(0.5)).total
         np.testing.assert_allclose(json.loads(capsys.readouterr().out)["total"], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ("aligned", "shuffled", "reversed"))
+    def test_exact_step_flag_runs_the_exact_loss(self, name, tmp_path, monkeypatch):
+        """--step exact computes every LossBreakdown field of alrp_loss(scn, EXACT)."""
+        path = tmp_path / f"{name}.json"
+        save_scenario(fixture_scenario(name), path)
+        calls = []
+
+        def named_loss(loss, scenario, kind, *rest):
+            calls.append((kind, losses._named_loss(loss, scenario, kind, *rest)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "_named_loss", named_loss)
+        assert main(["loss", "--scenario", str(path), "--step", "exact", "--grads"]) == EXIT_OK
+        [(kind, got)] = calls
+        assert kind == EXACT
+        assert_same_breakdown(got, alrp_loss(load_scenario(path), EXACT))
 
     def test_grads_included(self, scenario_file, capsys):
         assert main(["loss", "--scenario", scenario_file, "--grads"]) == EXIT_OK
@@ -702,9 +725,7 @@ class TestCLITrain:
         # GIoU overflows the loss; IoU scores a NaN box 0 and keeps a finite
         # loss, so there the non-finite corners end the run.
         for loc_kind in (LocErrorKind.giou(), LocErrorKind.iou()):
-            scn = generate_scenario(
-                ScenarioGenSpec(n_pos=4, n_neg=20, seed=3, loc_kind=loc_kind)
-            )
+            scn = generated_with(loc_kind, n_pos=4, n_neg=20, seed=3)
             path = tmp_path / f"{loc_kind.variant}.json"
             save_scenario(scn, path)
             rc = main(

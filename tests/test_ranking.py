@@ -253,6 +253,27 @@ class TestScenario:
         scn = Scenario.from_columns([POS, NEG], [0.5, True], [0], [[0, 0, 1, 0.9]], [[0, 0, 1, 1]])
         assert scn.scores.tolist() == [0.5, 1.0] and scn.scores.dtype == np.float64
 
+    @pytest.mark.parametrize("value", (2**70, -(2**70), 2**1023), ids=("2**70", "-2**70", "2**1023"))
+    def test_float_columns_take_python_ints_beyond_int64(self, value):
+        """numpy reads [2**70, 0.1] as objects: it was refused as "object
+        entries", while [1, 2**63] (uint64) was taken."""
+        scn = Scenario.from_columns([POS, NEG], [value, 0.1], [0], [[0, 0, 1, 1]], [[0, 0, 1, 1]])
+        assert scn.scores.tolist() == [float(value), 0.1] and scn.scores.dtype == np.float64
+        scn = Scenario.from_columns([POS, NEG], [0.9, 0.1], [0], [[0, 0, value, 1]], [[-(2**70), 0, 1, 1]])
+        assert scn.pos_box.tolist() == [[0.0, 0.0, float(value), 1.0]] and scn.gts[0, 0] == -(2.0**70)
+
+    @pytest.mark.parametrize("value", (2**1024, -(2**1024)), ids=("2**1024", "-2**1024"))
+    def test_float_columns_refuse_an_int_beyond_float64(self, value):
+        """Named by column, not numpy's bare OverflowError."""
+        labels, gts, box = [POS, NEG], [[0, 0, 1, 1]], [0, 0, 1, 0.9]
+        beyond = r"expected real numbers, got an entry beyond float64's range$"
+        with pytest.raises(ValueError, match=r"^scores: " + beyond):
+            Scenario.from_columns(labels, [value, 0.1], [0], [box], gts)
+        with pytest.raises(ValueError, match=r"^pos_box: " + beyond):
+            Scenario.from_columns(labels, [0.9, 0.1], [0], [[0, 0, 1, value]], gts)
+        with pytest.raises(ValueError, match=r"^scores: " + beyond):
+            Scenario.from_columns(labels, [0.9, 0.1], [0], [box], gts).with_scores([value, 0.1])
+
     def test_with_scores_refuses_a_longer_array(self):
         scn = fixture_scenario("shuffled")
         with pytest.raises(ValueError, match="scores"):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import anchors_of, sb_warmup_report, score_grad_to_logit_grad
+from conftest import anchors_of, generated_with, sb_warmup_report, score_grad_to_logit_grad
 from rankloss import losses
 from rankloss.geometry import LocErrorKind
 from rankloss.losses import alrp_loss
@@ -43,9 +43,9 @@ class TestScenarioGenerator:
         assert ranking_correlation(aligned) == 1.0
 
     def test_iou_bounds(self):
-        scn = generate_scenario(ScenarioGenSpec(n_pos=12, n_neg=0, seed=9, iou_low=0.55, iou_high=0.6))
+        scn = generate_scenario(ScenarioGenSpec(n_pos=12, n_neg=0, seed=9))
         ious = positive_ious(scn)
-        assert (ious >= 0.55 - 1e-12).all() and (ious <= 0.6 + 1e-12).all()
+        assert (ious >= 0.5 - 1e-12).all() and (ious <= 0.7 + 1e-12).all()
 
     def test_sigmoid_scores_stay_inside_unit_interval(self):
         scn = generate_scenario(SMALL_SPEC)
@@ -62,8 +62,6 @@ class TestScenarioGenerator:
     def test_validation(self):
         with pytest.raises(ValueError):
             ScenarioGenSpec(n_pos=0, n_neg=10, seed=1)
-        with pytest.raises(ValueError):
-            ScenarioGenSpec(n_pos=1, n_neg=10, seed=1, iou_low=0.8, iou_high=0.6)
         with pytest.raises(ValueError):
             ScenarioGenSpec(n_pos=1, n_neg=10, seed=1, iou_order="sorted")
         with pytest.raises(ValueError):
@@ -195,8 +193,7 @@ class TestTrainLoop:
             loss="alrp", epochs=12, lr=1.0, box_lr=1e308, step=StepKind.smoothed(0.5)
         )
         for loc_kind in (LocErrorKind.giou(), LocErrorKind.iou()):
-            spec = ScenarioGenSpec(n_pos=4, n_neg=20, seed=3, loc_kind=loc_kind)
-            log = train(generate_scenario(spec), cfg)
+            log = train(generated_with(loc_kind, n_pos=4, n_neg=20, seed=3), cfg)
             assert log.diverged_at is not None
             assert len(log.rows) == log.diverged_at < cfg.epochs + 1
             assert all(np.isfinite(log.values(column)).all() for column in ("total", "mean_iou"))
@@ -312,8 +309,8 @@ class TestSelfBalanceDuringTraining:
         assert all(w >= 1.0 for w in report["sb_weights"])
 
     def test_zero_loc_component_keeps_weight(self):
-        spec = ScenarioGenSpec(n_pos=4, n_neg=30, seed=13, iou_low=1.0, iou_high=1.0)
-        scn = generate_scenario(spec)
+        scn = generate_scenario(ScenarioGenSpec(n_pos=4, n_neg=30, seed=13))
+        scn = scn.with_positive_boxes(scn.pos_gt_boxes())
         cfg = TrainConfig(
             loss="alrp", epochs=6, lr=1.0, step=StepKind.smoothed(0.5), self_balance=True
         )
