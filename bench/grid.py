@@ -30,9 +30,22 @@ The eval rows time ``metrics.mean_ap`` (the four default IoU thresholds,
 101 recall points) and ``metrics.olrp`` at IoU 0.5 on perfbench's eval
 input (``perfbench/workloads.make_eval_input``, imported unedited) with
 every count of its layout times 1, 5 and 25: 200 x 40, 1880 x 200 and
-31 400 x 1000 detections x ground truths, with fewer reps at x25. One
-more row times ``fileio.load_eval`` of the x25 input, written to a
-temporary file by each tree's own ``save_eval``.
+31 400 x 1000 detections x ground truths, with fewer reps at x25. An
+``EvalInput`` keeps the class tables it builds, so each of these calls
+gets a fresh ``EvalInput`` of the same columns (its checks are timed too).
+Two more rows time the pair, ``mean_ap`` then ``olrp``: on a fresh input
+per call, and on one input kept across calls, as perfbench's ``eval`` op
+runs it. One more row times ``fileio.load_eval`` of the x25 input, written
+to a temporary file by each tree's own ``save_eval``.
+
+The stage rows split that work at x25 and x50: ``table`` builds every
+class's candidate table with the tree's table-building function (never
+its memo), ``match`` runs ``metrics._match`` at IoU 0.5 on those tables, ``AP
+reduction`` turns those matchings into AP on 101 recall points (``pr_curve``
+and ``interpolated_precision``), and ``LRP reduction`` runs oLRP's
+``metrics._lrp_tallies`` at every distinct score with the tables and
+matchings already made (the two calls that make them are replaced, for the
+call, by lookups).
 
 Three more rows time ``fileio.save_scenario`` and
 ``fileio.load_scenario`` of a ``generate_scenario`` draw at 200 x 100 000
@@ -40,7 +53,7 @@ Three more rows time ``fileio.save_scenario`` and
 (at score threshold 0.9) at IoU 0.5 on one class of G = 40 000 of the
 generator's ground truths, each matched by one ``geometry.boxes_with_iou``
 detection at an IoU uniform on [0.85, 0.95], with distinct scores uniform
-on [0, 1].
+on [0, 1], each call on a fresh ``EvalInput``.
 
 Each ``--src COLUMN=DIR`` tree is imported into this one process under its
 own package name, and every row's calls alternate between the trees call by
@@ -76,6 +89,7 @@ GRID = ((300, 30_000), (1000, 100_000), (3000, 300_000))
 SEEDS = (1, 2, 3)
 REPS = 15
 EVAL_SCALES = ((1, REPS), (5, REPS), (25, 3))  # (every count times, reps)
+STAGE_SCALES = ((25, 5), (50, 3))
 LOAD_EVAL_SCALE = 25
 IO_SIZE = (200, 100_000)
 LOSS_OP_SIZE = (200, 100_000)
@@ -169,12 +183,51 @@ def low_mass_call(rl, seed):
 
 
 def eval_calls(rl, inputs):
-    """{call: fn}: mean AP and oLRP on one eval input, for the package rl."""
+    """{call: fn}: mean AP, oLRP and the pair on a fresh EvalInput per call,
+    and the pair on one EvalInput kept across calls, for the package rl."""
+    m = rl.metrics
     columns = (inputs.det_scores, inputs.det_cls, inputs.det_boxes, inputs.gt_cls, inputs.gt_boxes)
-    own = rl.metrics.EvalInput(*columns)
+    kept = m.EvalInput(*columns)
+
+    def pair(own):
+        m.mean_ap(own, m.DEFAULT_TAUS, "coco101")
+        m.olrp(own, 0.5)
+
     return {
-        "mean_ap 4tau coco101": lambda: rl.metrics.mean_ap(own, rl.metrics.DEFAULT_TAUS, "coco101"),
-        "olrp 0.5": lambda: rl.metrics.olrp(own, 0.5),
+        "mean_ap 4tau coco101": lambda: m.mean_ap(m.EvalInput(*columns), m.DEFAULT_TAUS, "coco101"),
+        "olrp 0.5": lambda: m.olrp(m.EvalInput(*columns), 0.5),
+        "mean_ap+olrp fresh input": lambda: pair(m.EvalInput(*columns)),
+        "mean_ap+olrp one input": lambda: pair(kept),
+    }
+
+
+def stage_calls(rl, inputs):
+    """{stage: fn}: the eval stages at IoU 0.5 on the eval input, for the package rl."""
+    import numpy as np
+
+    m = rl.metrics
+    own = m.EvalInput(inputs.det_scores, inputs.det_cls, inputs.det_boxes, inputs.gt_cls, inputs.gt_boxes)
+    # Trees that keep tables on the input build them in _build_class_table.
+    build = getattr(m, "_build_class_table", m._class_table)
+    classes = sorted(set(own.gt_cls.tolist()) | set(own.det_cls.tolist()))
+    tables = {cls: build(own, cls) for cls in classes}
+    matches = {id(table): m._match(table, 0.5) for table in tables.values()}
+    grid = np.linspace(0.0, 1.0, 101)
+    scores = np.array(sorted(set(own.det_scores.tolist()), reverse=True))
+
+    def lrp_reduction():
+        real = m._class_table, m._match
+        m._class_table, m._match = (lambda _, cls: tables[cls]), (lambda table, _: matches[id(table)])
+        try:
+            m._lrp_tallies(own, 0.5, scores)
+        finally:
+            m._class_table, m._match = real
+
+    return {
+        "table": lambda: [build(own, cls) for cls in classes],
+        "match": lambda: [m._match(table, 0.5) for table in tables.values()],
+        "AP reduction": lambda: [m.pr_curve(matches[id(tables[cls])]).interpolated_precision(grid).mean() for cls in own.classes()],
+        "LRP reduction": lrp_reduction,
     }
 
 
@@ -205,10 +258,10 @@ def one_class_calls(rl, seed):
     gts = rl.trainer._gt_boxes(ONE_CLASS_G)
     dets = rl.geometry.boxes_with_iou(gts, rng.uniform(0.85, 0.95, ONE_CLASS_G))
     zeros = np.zeros(ONE_CLASS_G)
-    inputs = rl.metrics.EvalInput(rng.uniform(0.0, 1.0, ONE_CLASS_G), zeros, dets, zeros, gts)
+    columns = (rng.uniform(0.0, 1.0, ONE_CLASS_G), zeros, dets, zeros, gts)
     return {
-        f"olrp 0.5 one class G={ONE_CLASS_G}": lambda: rl.metrics.olrp(inputs, 0.5),
-        f"lrp_at 0.5 score 0.9 one class G={ONE_CLASS_G}": lambda: rl.metrics.lrp_at(inputs, 0.5, 0.9),
+        f"olrp 0.5 one class G={ONE_CLASS_G}": lambda: rl.metrics.olrp(rl.metrics.EvalInput(*columns), 0.5),
+        f"lrp_at 0.5 score 0.9 one class G={ONE_CLASS_G}": lambda: rl.metrics.lrp_at(rl.metrics.EvalInput(*columns), 0.5, 0.9),
     }
 
 
@@ -273,6 +326,12 @@ def measure(packages):
                 if scale == LOAD_EVAL_SCALE:
                     paths = {column: os.path.join(directory, f"{column}.json") for column in packages}
                     add(f"load_eval eval x{scale}", {c: load_eval_call(rl, inputs, paths[c]) for c, rl in packages.items()}, peak=True)
+    for scale, reps in STAGE_SCALES:
+        sizes = {key: count * scale for key, count in workloads.SIZES["full"]["eval"].items()}
+        for seed in SEEDS:
+            inputs = workloads.make_eval_input(seed, **sizes)
+            calls = {column: stage_calls(rl, inputs) for column, rl in packages.items()}
+            add_all({column: {f"eval stage {stage} x{scale}": fn for stage, fn in c.items()} for column, c in calls.items()}, reps, peak=True)
     return rows, peaks
 
 
@@ -326,6 +385,7 @@ def environment(src, rl, ref_ms):
         "reference_ms": ref_ms,
         "reps": REPS,
         "eval_scales_reps": [list(pair) for pair in EVAL_SCALES],
+        "stage_scales_reps": [list(pair) for pair in STAGE_SCALES],
         "seeds": list(SEEDS),
     }
 

@@ -137,7 +137,8 @@ def cmd_eval(args) -> int:
         doc = {
             "metric": "map",
             "value": out["mean_ap"],
-            "by_tau": {f"{t:g}": v for t, v in out["by_tau"].items()},
+            # repr round-trips, so distinct thresholds keep distinct keys.
+            "by_tau": {repr(t): v for t, v in out["by_tau"].items()},
         }
     else:
         res = olrp(inputs, args.tau) if args.metric == "olrp" else lrp_at(inputs, args.tau, args.score_threshold)

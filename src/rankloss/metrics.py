@@ -62,7 +62,12 @@ class EvalInput:
     among numbers in a list is read as 0 or 1, as for classes) and a
     class that is not an integer (a string, a bool or None included), then
     what Detection and Box refuse (ground-truth boxes first); build()
-    gathers them from Detection / GroundTruth objects."""
+    gathers them from Detection / GroundTruth objects.
+
+    Each class's candidate table (_class_table) is a memo, not a column:
+    it is built on first use and kept, read-only, so mean_ap, olrp and
+    lrp_at on one input share one build per class. The file writers never
+    see it."""
 
     def __init__(self, det_scores, det_cls, det_boxes, gt_cls, gt_boxes):
         scores = _real("det_scores", det_scores)
@@ -78,6 +83,7 @@ class EvalInput:
         bad = np.flatnonzero(~((boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])))
         if bad.size:
             raise ValueError(CORNER_ORDER % tuple(boxes[bad[0]].tolist()))
+        self._tables = {}
 
     @staticmethod
     def build(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth]) -> "EvalInput":
@@ -117,23 +123,33 @@ class _ClassTable:
     its ground truths in ascending order with their boxes, and each
     detection's candidates: the ground truths it overlaps with IoU > 0,
     highest IoU first, ties to the lower ground-truth position. Detection k's
-    candidates are cand_gt / cand_iou[start[k]:start[k + 1]] (Python lists,
-    for the matcher's walk), and top[k] is the first one's IoU (0 with
-    none). The matching of the detections scoring >= s is a prefix of the
-    full matching, so one table serves every threshold, on IoU and on score."""
+    candidates are cand_gt / cand_iou[start[k]:start[k + 1]] (tuples, for
+    the matcher's walk), and top[k] is the first one's IoU (0 with none).
+    The matching of the detections scoring >= s is a prefix of the full
+    matching, so one table serves every threshold, on IoU and on score.
+    A table is kept on its EvalInput and read by every later metric, so
+    its arrays are read-only."""
 
     det_indices: np.ndarray
     scores: np.ndarray
     det_boxes: np.ndarray
     gt_indices: np.ndarray
     gt_boxes: np.ndarray
-    start: list
-    cand_gt: list
-    cand_iou: list
+    start: tuple
+    cand_gt: tuple
+    cand_iou: tuple
     top: np.ndarray
 
 
 def _class_table(inputs: EvalInput, cls: int) -> _ClassTable:
+    """The class's candidate table, built on first use and kept on inputs."""
+    table = inputs._tables.get(cls)
+    if table is None:
+        table = inputs._tables[cls] = _build_class_table(inputs, cls)
+    return table
+
+
+def _build_class_table(inputs: EvalInput, cls: int) -> _ClassTable:
     det_idx = np.flatnonzero(inputs.det_cls == cls)
     gt_idx = np.flatnonzero(inputs.gt_cls == cls)
     scores = inputs.det_scores[det_idx]
@@ -157,13 +173,20 @@ def _class_table(inputs: EvalInput, cls: int) -> _ClassTable:
     ious = iou_array(dets[rows], gts[cols])
     keep = np.flatnonzero(ious > 0.0)
     rows, cols, ious = rows[keep], cols[keep], ious[keep]
-    order = np.lexsort((cols, -ious, rows))
-    start = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=det_idx.size))))
-    cols, ious = cols[order], ious[order]
+    counts = np.bincount(rows, minlength=det_idx.size)
+    start = np.concatenate(([0], np.cumsum(counts)))
+    # The pairs come grouped by detection in ascending order, so only the
+    # pairs of detections with two or more candidates need sorting, and
+    # their sorted order fills the positions they already hold.
+    multi = np.flatnonzero(counts[rows] > 1)
+    sub = multi[np.lexsort((cols[multi], -ious[multi], rows[multi]))]
+    cols[multi], ious[multi] = cols[sub], ious[sub]
     top = np.zeros(det_idx.size)
     some = start[:-1] < start[1:]
     top[some] = ious[start[:-1][some]]
-    return _ClassTable(det_idx, scores, dets, gt_idx, gts, start.tolist(), cols.tolist(), ious.tolist(), top)
+    return _ClassTable(
+        *map(_frozen, (det_idx, scores, dets, gt_idx, gts)), *(tuple(v.tolist()) for v in (start, cols, ious)), _frozen(top)
+    )
 
 
 def _first_not_nan(table: _ClassTable, k: int, free: list):
@@ -275,10 +298,11 @@ def _recall_grid(recall_points) -> np.ndarray:
 def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_points=TEN_POINT_RECALLS) -> dict:
     """AP averaged over IoU thresholds; returns the per-threshold table too.
 
-    Each class's candidate table is built once and matched at every
-    threshold.
-    Needs at least one threshold, each in [0, 1], and at least one recall
-    point ("coco101": 101 points from 0 to 1), each in [0, 1].
+    Each class's candidate table is built once per input, shared with olrp
+    and lrp_at, and matched at every threshold.
+    Needs at least one threshold, each in [0, 1] and none given twice (0.0
+    and -0.0 are one threshold), and at least one recall point ("coco101":
+    101 points from 0 to 1), each in [0, 1].
     """
     taus = [float(t) for t in taus]
     if not taus:
@@ -286,6 +310,10 @@ def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_poin
     bad = [t for t in taus if not 0.0 <= t <= 1.0]
     if bad:
         raise ValueError(f"mean AP needs IoU thresholds in [0, 1], got {bad[0]!r}")
+    repeated = [t for k, t in enumerate(taus) if t in taus[k + 1 :]]
+    if repeated:
+        n = taus.count(repeated[0])
+        raise ValueError(f"mean AP needs distinct IoU thresholds, got {repeated[0]!r} {'twice' if n == 2 else '%d times' % n}")
     grid = _recall_grid(recall_points)
     classes = inputs.classes()
     if not classes:

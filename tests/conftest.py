@@ -8,7 +8,8 @@ support test over all of the data, kept as the oracle for the kept suffix
 that StepRelation reads off its window edges, the AnchorRecord and
 Detection / GroundTruth views of the columns, the AnchorRecord-list Scenario and the scalar box geometry, kept as oracles for
 the columnar Scenario and the geometry array forms, and the per-threshold
-evaluator (scalar IoU per pair, one matching per score threshold), the
+evaluator (scalar IoU per pair, one matching per score threshold) and
+the class table that lexsorts every candidate pair, fresh on every call, the
 average-rank loop, the one-box IoU target and the object-based
 scenario_to_eval, kept as the oracles for rankloss.metrics and
 rankloss.geometry.boxes_with_iou, and the file documents as dicts with their
@@ -33,7 +34,7 @@ from rankloss.fileio import (
     _number,
     _ordered,
 )
-from rankloss.geometry import Box, LocErrorKind, _as_box_array
+from rankloss.geometry import Box, LocErrorKind, _as_box_array, iou_array
 from rankloss.losses import (
     ALRPLossDef,
     APLossDef,
@@ -51,6 +52,7 @@ from rankloss.metrics import (
     LRPResult,
     TEN_POINT_RECALLS,
     MatchResult,
+    _ClassTable,
     _recall_grid,
     mean_ap,
     pr_curve,
@@ -825,6 +827,41 @@ def oracle_match_class(detections, ground_truths, cls, tau):
             claimed.add(best_gt)
 
     return MatchResult(det_idx, is_tp, match_iou, match_gt, n_gt=len(gt_idx))
+
+
+def oracle_class_table(inputs, cls):
+    """The class table built with a lexsort of every candidate pair and
+    fresh on every call; its start, cand_gt and cand_iou are lists."""
+    det_idx = np.flatnonzero(inputs.det_cls == cls)
+    gt_idx = np.flatnonzero(inputs.gt_cls == cls)
+    scores = inputs.det_scores[det_idx]
+    # Descending score, ties by original index: no container ordering quirks.
+    order = np.argsort(-scores, kind="stable")
+    det_idx, scores = det_idx[order], scores[order]
+    dets, gts = inputs.det_boxes[det_idx], inputs.gt_boxes[gt_idx]
+    # IoU > 0 needs a float overlap width min(x2) - max(x1) > 0, which holds
+    # only if g.x1 < d.x2 and g.x2 > d.x1 (a - b > 0 needs a > b, infinities
+    # included). With the ground truths sorted by x1, those with x1 < d.x2
+    # are a prefix, and those before the first whose running maximum of x2
+    # exceeds d.x1 all have x2 <= d.x1: the window [lo, hi) between the two
+    # holds every pair with IoU > 0, with no slack and for any corners.
+    by_x1 = np.argsort(gts[:, 0], kind="stable")
+    lo = np.searchsorted(np.maximum.accumulate(gts[by_x1, 2]), dets[:, 0], "right")
+    hi = np.searchsorted(gts[by_x1, 0], dets[:, 2], "left")
+    n_in = np.maximum(hi - lo, 0)
+    rows = np.repeat(np.arange(det_idx.size), n_in)
+    cols = by_x1[np.arange(rows.size) - np.repeat(np.cumsum(n_in) - n_in - lo, n_in)]
+    # iou_array pair by pair: the bits of iou_array(dets[:, None], gts[None]).
+    ious = iou_array(dets[rows], gts[cols])
+    keep = np.flatnonzero(ious > 0.0)
+    rows, cols, ious = rows[keep], cols[keep], ious[keep]
+    order = np.lexsort((cols, -ious, rows))
+    start = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=det_idx.size))))
+    cols, ious = cols[order], ious[order]
+    top = np.zeros(det_idx.size)
+    some = start[:-1] < start[1:]
+    top[some] = ious[start[:-1][some]]
+    return _ClassTable(det_idx, scores, dets, gt_idx, gts, start.tolist(), cols.tolist(), ious.tolist(), top)
 
 
 def oracle_interpolated_precision(curve, recall_points):

@@ -5,8 +5,11 @@ inputs: score ties, exact IoU ties (coordinates on a 0.5 grid), zero-area
 and zero-union boxes, wide rows whose x windows leave ground truths out,
 infinite and overflowing corners (NaN IoUs, inside and outside a window),
 classes with detections but no ground truth and the reverse, no detections,
-tau <= 0 (where IoU 0 qualifies) and both recall grids. Also guards on the
-evaluator's work and memory (IoU entries evaluated, traced bytes), the
+tau <= 0 (where IoU 0 qualifies) and both recall grids; the class table an
+EvalInput keeps, field by field, against the oracle that lexsorts every
+candidate pair, with the metrics run in either order on one input. Also
+guards on the evaluator's work and memory (IoU entries evaluated, traced
+bytes, one table build per class, pairs lexsorted, a read-only memo), the
 columnar EvalInput (its object views and read-only columns) and
 scenario_to_eval against the object-based oracle, on ignored anchors,
 ground truths no positive references and bad positive boxes."""
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from conftest import (
     detections_of,
     ground_truths_of,
+    oracle_class_table,
     oracle_eval_to_dict,
     oracle_interpolated_precision,
     oracle_iou,
@@ -82,6 +86,17 @@ def extreme_boxes(draw):
     return Box(x[0], y[0], x[1], y[1])
 
 
+dense_sides = st.sampled_from((0.5, 1.0, 2.0))
+
+
+@st.composite
+def dense_boxes(draw):
+    """Corners on the 0.5 grid in [0, 1] and sides from 0.5 to 2: every
+    box overlaps every other, often at equal IoUs."""
+    x1, y1 = 0.5 * draw(st.integers(0, 2)), 0.5 * draw(st.integers(0, 2))
+    return Box(x1, y1, x1 + draw(dense_sides), y1 + draw(dense_sides))
+
+
 # Quarter steps: many detections share a score.
 scores = st.integers(0, 8).map(lambda k: 0.25 * k)
 classes = st.integers(0, 2)
@@ -100,6 +115,17 @@ def eval_inputs(draw, min_gts=0):
 
 
 @st.composite
+def crowded_inputs(draw):
+    """Dense ground truths of classes 0 and 1, and detections of classes 0
+    to 2 (2 has no ground truth) that are dense too (many candidates, often
+    at equal IoUs), far along a wide row (none or one) or extreme."""
+    gts = draw(st.lists(st.builds(GroundTruth, dense_boxes(), st.integers(0, 1)), min_size=1, max_size=8))
+    box = st.one_of(dense_boxes(), boxes(x_steps=80), extreme_boxes())
+    dets = draw(st.lists(st.builds(Detection, scores, box, classes), max_size=24))
+    return EvalInput.build(dets, gts)
+
+
+@st.composite
 def scenarios(draw):
     """Positives, negatives and ignored anchors interleaved, scores on a
     quarter grid (ties), unit ground truths, positive boxes near them that
@@ -114,6 +140,13 @@ def scenarios(draw):
     pos_box = [[3.0 * g + draw(corner), draw(corner), 3.0 * g + draw(corner), draw(corner)] for g in pos_gt]
     anchor_scores = [draw(scores) for _ in labels]
     return Scenario.from_columns(labels, anchor_scores, pos_gt, np.reshape(pos_box, (-1, 4)), gts)
+
+
+def assert_same_match(got, want):
+    for field in ("det_indices", "is_tp", "match_iou", "match_gt"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and np.array_equal(g, w), field
+    assert got.n_gt == want.n_gt
 
 
 def assert_same_lrp(got, want):
@@ -168,6 +201,22 @@ NAN_OUTSIDE_WINDOW = EvalInput.build(
     [GroundTruth(Box(10.0, -1e308, 11.0, 1e308)), GroundTruth(Box(20.0, 0.0, 21.0, 1.0))],
 )
 
+# Class 0: detection 0 overlaps ground truths 0 and 1 with IoU 0.6 exactly
+# (a tie), detection 1 shares its score and has one candidate, detection 2
+# has none, and detection 3, with infinite corners, has none either: it
+# overlaps every ground truth at IoU 0 (a finite overlap over an infinite
+# union). Class 1 has a detection and no ground truth.
+MIXED = EvalInput.build(
+    [
+        Detection(0.9, Box(0.5, 0.0, 2.5, 1.0)),
+        Detection(0.9, Box(10.0, 0.0, 11.0, 1.0)),
+        Detection(0.5, Box(20.0, 0.0, 21.0, 1.0)),
+        Detection(0.5, Box(-np.inf, 0.0, np.inf, 1.0)),
+        Detection(0.7, Box(0.0, 0.0, 1.0, 1.0), 1),
+    ],
+    [GroundTruth(Box(0.0, 0.0, 2.0, 1.0)), GroundTruth(Box(1.0, 0.0, 3.0, 1.0)), GroundTruth(Box(10.0, 0.0, 11.0, 1.0))],
+)
+
 
 class TestMatchingAgainstOracle:
     @SETTINGS
@@ -180,10 +229,7 @@ class TestMatchingAgainstOracle:
             with np.errstate(all="ignore"):
                 got = match_class(detections_of(inputs), ground_truths_of(inputs), cls, tau)
                 want = oracle_match_class(detections_of(inputs), ground_truths_of(inputs), cls, tau)
-            for field in ("det_indices", "is_tp", "match_iou", "match_gt"):
-                g, w = getattr(got, field), getattr(want, field)
-                assert g.dtype == w.dtype and np.array_equal(g, w), field
-            assert got.n_gt == want.n_gt
+            assert_same_match(got, want)
 
     def test_iou_tie_goes_to_lower_index_and_zero_iou_matches_at_tau_zero(self):
         # The first detection overlaps both ground truths with IoU 0.6 exactly;
@@ -207,6 +253,67 @@ class TestMatchingAgainstOracle:
         assert got.match_gt.tolist() == want.match_gt.tolist() == [1]
 
 
+def fresh(inputs):
+    """An EvalInput of the same columns with no table kept yet."""
+    return EvalInput(inputs.det_scores, inputs.det_cls, inputs.det_boxes, inputs.gt_cls, inputs.gt_boxes)
+
+
+def assert_same_table(got, want):
+    for field in ("det_indices", "scores", "det_boxes", "gt_indices", "gt_boxes", "top"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), field
+    for field in ("start", "cand_gt", "cand_iou"):
+        assert list(getattr(got, field)) == getattr(want, field), field
+
+
+class TestClassTableAgainstOracle:
+    """The table kept on an EvalInput equals the oracle's, built with a
+    lexsort of every candidate pair, and the metrics read it in either
+    order on one input: the first builds it, the next reads the memo."""
+
+    def test_mixed_has_every_kind_of_row(self):
+        table = metrics._class_table(fresh(MIXED), 0)
+        assert sorted(np.diff(table.start).tolist()) == [0, 0, 1, 2]
+        assert table.cand_iou[0] == table.cand_iou[1] == 0.6 and table.cand_gt[:2] == (0, 1)
+        assert np.isinf(table.det_boxes).any() and table.scores.tolist() == [0.9, 0.9, 0.5, 0.5]
+        assert metrics._class_table(fresh(MIXED), 1).gt_indices.size == 0
+
+    @SETTINGS
+    @given(st.one_of(eval_inputs(), crowded_inputs()))
+    @example(fresh(MIXED))
+    @example(fresh(WIDE_FIRST))
+    def test_table_fields(self, inputs):
+        for cls in (0, 1, 2, 3):
+            with np.errstate(all="ignore"):
+                got, want = metrics._class_table(inputs, cls), oracle_class_table(inputs, cls)
+            assert metrics._class_table(inputs, cls) is got
+            assert_same_table(got, want)
+
+    @SETTINGS
+    @given(
+        st.one_of(eval_inputs(min_gts=1), crowded_inputs()),
+        st.lists(st.sampled_from(TAUS), min_size=1, max_size=4, unique=True),
+        st.sampled_from(GRIDS),
+        st.sampled_from(TAUS),
+        st.sampled_from((float("-inf"), 0.25, 0.6, 1.0)),
+    )
+    @example(fresh(MIXED), [0.0, 0.5], "coco101", 0.5, 0.6)
+    def test_metrics_in_both_orders_on_one_input(self, inputs, taus, grid, tau, threshold):
+        with np.errstate(all="ignore"):
+            want_map = oracle_mean_ap(inputs, taus, grid)
+            first = fresh(inputs)
+            assert_same_lrp(olrp(first, tau), oracle_olrp(inputs, tau))
+            assert mean_ap(first, taus, grid) == want_map
+            second = fresh(inputs)
+            assert mean_ap(second, taus, grid) == want_map
+            assert_same_lrp(lrp_at(second, tau, threshold), oracle_lrp_at(inputs, tau, threshold))
+            for cls in (0, 1, 2, 3):
+                for t in MATCH_TAUS:
+                    want = oracle_match_class(detections_of(inputs), ground_truths_of(inputs), cls, t)
+                    for memo in (first, second):
+                        assert_same_match(metrics._match(metrics._class_table(memo, cls), t), want)
+
+
 class TestInterpolatedPrecision:
     @SETTINGS
     @given(st.lists(st.booleans(), max_size=30), st.integers(0, 5), st.sampled_from(GRIDS))
@@ -221,7 +328,7 @@ class TestInterpolatedPrecision:
 
 class TestMetricsAgainstOracle:
     @SETTINGS
-    @given(eval_inputs(min_gts=1), st.lists(st.sampled_from(TAUS), min_size=1, max_size=4), st.sampled_from(GRIDS))
+    @given(eval_inputs(min_gts=1), st.lists(st.sampled_from(TAUS), min_size=1, max_size=4, unique=True), st.sampled_from(GRIDS))
     def test_mean_ap(self, inputs, taus, grid):
         with np.errstate(all="ignore"):
             assert mean_ap(inputs, taus, grid) == oracle_mean_ap(inputs, taus, grid)
@@ -334,6 +441,47 @@ class TestCost:
             summed.clear()
             assert lrp_at(inputs, 0.5, threshold).n_tp > 0
             assert 0 < sum(summed) <= 2 * (2 * n)
+
+    @pytest.mark.parametrize("inputs", (MIXED, many_matches(0)), ids=("mixed", "many matches"))
+    def test_each_class_table_is_built_once(self, monkeypatch, inputs):
+        inputs, built = fresh(inputs), []
+        real = metrics._build_class_table
+        monkeypatch.setattr(metrics, "_build_class_table", lambda inputs, cls: built.append(cls) or real(inputs, cls))
+        with np.errstate(all="ignore"):
+            mean_ap(inputs, (0.0, 0.5), "coco101")
+            olrp(inputs, 0.5)
+            lrp_at(inputs, 0.3, 0.6)
+            mean_ap(inputs)
+        assert sorted(built) == sorted(set(inputs.gt_cls.tolist()) | set(inputs.det_cls.tolist()))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lexsort_sees_only_multi_candidate_pairs(self, monkeypatch, seed):
+        """many_matches plus 100 detections that each overlap three ground
+        truths: the one lexsort sorts those detections' pairs only."""
+        base = many_matches(seed)
+        wide = np.array([[4.0 * k + 1.0, 0.0, 4.0 * k + 9.0, 2.0] for k in range(100)])
+        inputs = EvalInput(
+            np.append(base.det_scores, np.linspace(0.0, 1.0, 100)),
+            np.zeros(2100),
+            np.concatenate((base.det_boxes, wide)),
+            base.gt_cls,
+            base.gt_boxes,
+        )
+        sorted_sizes = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys, *args: sorted_sizes.append(np.size(keys[0])) or real(keys, *args))
+        table = metrics._class_table(inputs, 0)
+        n = np.diff(table.start)
+        assert 0 < sum(sorted_sizes) <= n[n > 1].sum() < len(table.cand_gt)
+
+    def test_the_memo_is_read_only(self):
+        table = metrics._class_table(fresh(MIXED), 0)
+        for field in ("det_indices", "scores", "det_boxes", "gt_indices", "gt_boxes", "top"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, field)[...] = 0
+        assert [type(getattr(table, f)) for f in ("start", "cand_gt", "cand_iou")] == [tuple] * 3
+        with pytest.raises(ValueError, match="read-only"):
+            metrics._match(table, 0.5).det_indices[...] = 0
 
 
 class TestEvalInputColumns:

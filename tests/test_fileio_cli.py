@@ -509,6 +509,21 @@ class TestCLIEval:
         doc = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(doc["value"], 0.5133333333333333, rtol=1e-12)
 
+    def test_map_keys_every_threshold_apart(self, eval_file, capsys):
+        """The keys were f"{t:g}": "0.5", "0.5" and "1", two keys beside a
+        mean over three thresholds."""
+        assert main(["eval", "--input", eval_file, "--taus", "0.5,0.5000001,0.9999995"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["by_tau"]) == ["0.5", "0.5000001", "0.9999995"]
+        assert doc["value"] == sum(doc["by_tau"].values()) / 3
+        assert main(["eval", "--input", eval_file, "--taus", "0,1"]) == EXIT_OK
+        assert list(json.loads(capsys.readouterr().out)["by_tau"]) == ["0.0", "1.0"]
+
+    def test_map_refuses_a_repeated_threshold(self, eval_file, capsys):
+        assert main(["eval", "--input", eval_file, "--taus", "0.5,0.5"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: mean AP needs distinct IoU thresholds, got 0.5 twice\n"
+
     def test_map_coco101(self, eval_file, capsys):
         assert main(["eval", "--input", eval_file, "--taus", "0.5", "--recall-points", "coco101"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)

@@ -184,6 +184,17 @@ class TestGoldenAPTables:
         with pytest.raises(ValueError, match="IoU threshold"):
             mean_ap(fixture_eval("aligned"), taus)
 
+    @pytest.mark.parametrize(
+        "taus, message",
+        (((0.5, 0.5, 0.95), "0.5 twice"), ((0.0, 0.3, -0.0), "0.0 twice"), ((0.8, 0.8, 0.8), "0.8 3 times")),
+        ids=("0.5", "signed zeros", "thrice"),
+    )
+    def test_a_repeated_threshold_is_refused(self, taus, message):
+        """(0.5, 0.5, 0.95) read the mean over two thresholds, not three:
+        the per-threshold table is keyed by threshold."""
+        with pytest.raises(ValueError, match=r"^mean AP needs distinct IoU thresholds, got %s$" % message):
+            mean_ap(fixture_eval("shuffled"), taus)
+
     def test_thresholds_at_the_ends_accepted(self):
         assert set(mean_ap(fixture_eval("aligned"), (0.0, 1.0))["by_tau"]) == {0.0, 1.0}
 
