@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .fileio import load_eval, load_scenario
-from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio
+from .losses import LOSS_NAMES, _named_loss, balance_ratio
 from .metrics import DEFAULT_TAUS, TEN_POINT_RECALLS, lrp_at, mean_ap, olrp
 from .ranking import StepKind, check_positive
 from .trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
@@ -83,14 +83,11 @@ def _emit(doc: dict, fmt: str) -> None:
 def cmd_loss(args) -> int:
     if args.grads and args.format == "csv":
         raise ValueError("--grads has no CSV form (gradient lists); use --format json")
-    _only_with(args, "loss", ("alrp",), {"wrong_target": False, "sb_weight": None})
+    _only_with(args, "loss", ("alrp",), {"wrong_target": False, "sb_weight": 1.0})
     _only_with(args, "step", ("smooth",), {"delta": 1.0})
-    balancer = None
-    if args.sb_weight is not None:
-        check_positive("--sb-weight", args.sb_weight)
-        balancer = SelfBalancer(args.sb_weight)
+    check_positive("--sb-weight", args.sb_weight)
     scenario = load_scenario(args.scenario)
-    bd = _named_loss(args.loss, scenario, StepKind(args.step == "smooth", args.delta), args.wrong_target, balancer)
+    bd = _named_loss(args.loss, scenario, StepKind(args.step == "smooth", args.delta), args.wrong_target)
     if not np.isfinite(bd.total):
         raise NumericalFailure("loss is not finite")
     doc = {
@@ -100,13 +97,13 @@ def cmd_loss(args) -> int:
         "cls": bd.cls_component,
         "loc": bd.loc_component,
         "balance_ratio": balance_ratio(bd, scenario),
-        "sb_weight": bd.sb_weight_applied,
+        "sb_weight": args.sb_weight,
         "n_nonsmooth": bd.n_nonsmooth,
         "n_kept": bd.n_kept,
     }
     if args.grads:
-        doc["score_grads"] = [float(g) for g in bd.score_grads]
-        doc["box_grads"] = [[float(v) for v in row] for row in np.atleast_2d(bd.box_grads)] if bd.box_grads.size else []
+        doc["score_grads"] = bd.score_grads.tolist()
+        doc["box_grads"] = (args.sb_weight * bd.box_grads).tolist()
     _emit(doc, args.format)
     return EXIT_OK
 
@@ -251,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--loss", choices=LOSS_NAMES, default="alrp")
     _add_step_args(p, "exact")
-    p.add_argument("--sb-weight", type=float, help="self-balance weight to apply, finite and > 0 (alrp only)")
+    p.add_argument("--sb-weight", type=float, help="self-balance weight on the box gradients, finite and > 0 (default 1.0; alrp only)")
     p.add_argument("--wrong-target", action="store_true", help="alrp with the broken (zero) target")
     p.add_argument("--grads", action="store_true", help="include gradient arrays in the output")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -4,7 +4,7 @@ fast_alrp(scenario, FastConfig(...)) runs exactly the code of
 losses.alrp_loss: the sort-based ranking engine (ranking.step_sums), which
 builds every step sum from one sort, prefix sums and binary searches and
 never forms the positive x negative pair table. Results are identical to
-alrp_loss with the matching step.
+alrp_loss with the matching step, unweighted box gradients included.
 
 Also here: pruned_size, the number of negatives inside some positive's step
 support (the suffix of the scenario's sorted negatives from the lowest
@@ -43,9 +43,9 @@ def active_backend():
     return "numpy"
 
 
-def fast_alrp(scenario, config=FastConfig(), balancer=None):
+def fast_alrp(scenario, config=FastConfig()):
     """LossBreakdown identical to losses.alrp_loss with config's step."""
-    return losses._loss(scenario, StepKind(not config.exact, config.delta), losses.ALRPLossDef(), balancer)
+    return losses._loss(scenario, StepKind(not config.exact, config.delta), losses.ALRPLossDef())
 
 
 def pruned_size(scenario, config=FastConfig()):

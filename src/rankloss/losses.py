@@ -33,7 +33,6 @@ from .ranking import (  # noqa: F401
     RankingLossDef,
     StepKind,
     assemble_gradients,
-    check_positive,
     gradient_sums,
     rank_stats,
     step_sums,
@@ -49,7 +48,7 @@ class LossBreakdown:
 
     total = cls_component + loc_component (exactly; ap/ndcg have loc 0).
     score_grads is per anchor; box_grads is per positive (4 columns) and
-    already includes any self-balance weight, recorded in sb_weight_applied.
+    unweighted: a trainer's self-balance weight multiplies them outside.
     n_nonsmooth counts the positives whose box gradient sits on a branch tie
     of the overlap (the tie-averaged derivative; see geometry); 0 for ap and
     ndcg, which have no box gradients. n_kept counts the negatives inside
@@ -65,36 +64,8 @@ class LossBreakdown:
     score_grads: np.ndarray
     box_grads: np.ndarray
     grad_report: GradReport
-    sb_weight_applied: float = 1.0
     n_nonsmooth: int = 0
     n_kept: int = 0
-
-
-@dataclass(frozen=True)
-class SelfBalancer:
-    """Carries the box-gradient multiplier between epochs.
-
-    active_weight starts at 1.0 and is replaced at each epoch boundary by
-    the epoch's mean total/loc_component ratio (iterations with a zero loc
-    component are skipped). total >= loc always, so the weight is >= 1.
-    A weight that is not finite and > 0 is refused.
-    """
-
-    active_weight: float = 1.0
-
-    def __post_init__(self):
-        check_positive("active_weight", self.active_weight)
-
-
-def self_balance_update(balancer, epoch_pairs):
-    """Fold an epoch's (total, loc_component) pairs into a new balancer.
-
-    If every iteration had loc_component == 0 the weight is left unchanged.
-    """
-    ratios = [t / l for (t, l) in epoch_pairs if l > 0.0]
-    if not ratios:
-        return balancer
-    return SelfBalancer(float(np.mean(ratios)))
 
 
 def _exact_pos_loc_sums(scenario, e_loc):
@@ -177,23 +148,20 @@ def alrp_soft_weights(scenario, kind=EXACT, rank=None):
     return step_sums(-ps, -ps, EXACT, 1.0 / rank) / ps.size
 
 
-def _loss(scenario, kind, loss_def, balancer=None):
+def _loss(scenario, kind, loss_def):
     """The LossBreakdown of loss_def: every loss entry point runs this. The
     rank statistics are computed once and feed the loss terms, the box
-    gradients and the score gradients; balancer scales the box gradients
-    only."""
+    gradients and the score gradients."""
     stats = rank_stats(scenario, kind)
     ell, ell_star, cls_c, loc_c, box, n_nonsmooth = loss_def.terms(scenario, stats, kind)
     report = assemble_gradients(scenario, loss_def, kind, stats, (ell, ell_star))
-    sb = balancer.active_weight if balancer is not None else 1.0
     return LossBreakdown(
         total=cls_c + loc_c,
         cls_component=cls_c,
         loc_component=loc_c,
         score_grads=report.score_grads,
-        box_grads=sb * box,
+        box_grads=box,
         grad_report=report,
-        sb_weight_applied=float(sb),
         n_nonsmooth=int(n_nonsmooth),
         n_kept=int(stats.relation.idx.size),
     )
@@ -205,29 +173,28 @@ def ap_loss(scenario, kind=EXACT):
     return _loss(scenario, kind, APLossDef())
 
 
-def alrp_loss(scenario, kind=EXACT, balancer=None, use_fast=False):
+def alrp_loss(scenario, kind=EXACT, use_fast=False):
     """Average LRP over positives, split into a ranking (cls) part and a
     localization part, with score and box gradients.
 
-    balancer scales box gradients only. use_fast=True is kept as a spelling
-    that goes through fast_alrp, which runs this same code: the results are
-    identical.
+    use_fast=True is kept as a spelling that goes through fast_alrp, which
+    runs this same code: the results are identical.
     """
     if use_fast:
         from .fast_alrp import FastConfig, fast_alrp
 
-        return fast_alrp(scenario, FastConfig(delta=kind.delta, exact=not kind.smooth), balancer)
-    return _loss(scenario, kind, ALRPLossDef(), balancer)
+        return fast_alrp(scenario, FastConfig(delta=kind.delta, exact=not kind.smooth))
+    return _loss(scenario, kind, ALRPLossDef())
 
 
-def wrong_target_alrp(scenario, kind=EXACT, balancer=None):
+def wrong_target_alrp(scenario, kind=EXACT):
     """aLRP with the update target forced to zero (see WrongTargetALRPDef).
 
     Identical values and box gradients; only the score gradients differ,
     and their positive/negative sums stop matching once some positive has
     no negative ranked above it but still carries localization error.
     """
-    return _loss(scenario, kind, WrongTargetALRPDef(), balancer)
+    return _loss(scenario, kind, WrongTargetALRPDef())
 
 
 def ndcg_loss(scenario, kind=EXACT):
@@ -235,17 +202,17 @@ def ndcg_loss(scenario, kind=EXACT):
     return _loss(scenario, kind, NDCGLossDef())
 
 
-def _named_loss(name, scenario, kind, wrong_target=False, balancer=None):
+def _named_loss(name, scenario, kind, wrong_target=False):
     """The loss the CLI and the trainer choose by name (one of LOSS_NAMES);
-    wrong_target and balancer apply to "alrp" only. Calls go through this
-    module's names, which perfbench wraps."""
+    wrong_target applies to "alrp" only. Calls go through this module's
+    names, which perfbench wraps."""
     if name == "ap":
         return ap_loss(scenario, kind)
     if name == "ndcg":
         return ndcg_loss(scenario, kind)
     if wrong_target:
-        return wrong_target_alrp(scenario, kind, balancer=balancer)
-    return alrp_loss(scenario, kind, balancer=balancer)
+        return wrong_target_alrp(scenario, kind)
+    return alrp_loss(scenario, kind)
 
 
 def balance_ratio(breakdown, scenario):

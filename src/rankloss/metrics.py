@@ -281,11 +281,18 @@ def pr_curve(match: MatchResult) -> PRCurve:
     return PRCurve(recall, precision, match.n_gt)
 
 
+def _check_1d(name, values):
+    """Refuse, by name, values that are not one-dimensional (a scalar, a table)."""
+    if np.ndim(values) != 1:
+        raise ValueError(f"{name} must be one-dimensional, got {values!r}")
+
+
 def _recall_grid(recall_points) -> np.ndarray:
     if isinstance(recall_points, str):
         if recall_points == "coco101":
             return np.linspace(0.0, 1.0, 101)
         raise ValueError(f"unknown recall grid {recall_points!r}")
+    _check_1d("recall_points", recall_points)
     grid = np.asarray(recall_points, dtype=np.float64)
     if not grid.size:
         raise ValueError("mean AP needs at least one recall point")
@@ -300,10 +307,11 @@ def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_poin
 
     Each class's candidate table is built once per input, shared with olrp
     and lrp_at, and matched at every threshold.
-    Needs at least one threshold, each in [0, 1] and none given twice (0.0
-    and -0.0 are one threshold), and at least one recall point ("coco101":
-    101 points from 0 to 1), each in [0, 1].
+    Needs 1-D taus and recall_points: at least one threshold, each in
+    [0, 1] and none given twice (0.0 and -0.0 are one threshold), and at
+    least one recall point ("coco101": 101 points from 0 to 1), in [0, 1].
     """
+    _check_1d("taus", taus)
     taus = [float(t) for t in taus]
     if not taus:
         raise ValueError("mean AP needs at least one IoU threshold")

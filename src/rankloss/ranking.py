@@ -33,7 +33,9 @@ MAX_DELTA = 2.0**900
 
 
 def check_positive(name, value, zero_ok=False):
-    """Refuse, by name, a value that is not finite and > 0 (>= 0 with zero_ok)."""
+    """Refuse, by name, a value that is not a real number (a bool is not one), finite and > 0 (>= 0 with zero_ok)."""
+    if not _real_entry(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
         raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
 

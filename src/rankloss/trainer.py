@@ -23,7 +23,7 @@ from .geometry import boxes_with_iou
 # perfbench wraps these by this module's names: train() calls positive_ious and ranking_correlation
 # once per epoch, and reaches the losses through losses._named_loss, so they stay bound here for it.
 from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
-from .losses import LOSS_NAMES, SelfBalancer, _named_loss, balance_ratio, self_balance_update
+from .losses import LOSS_NAMES, _named_loss, balance_ratio
 from .metrics import _ious_by_score, positive_ious, ranking_correlation
 from .ranking import NEG, POS, Scenario, StepKind, check_positive
 
@@ -36,8 +36,8 @@ SCORE_EPS = 1e-4
 
 
 def _check_integer(name, value):
-    """Refuse, by name, a value that is not an integer (2.5, 2.0, "2")."""
-    if not isinstance(value, numbers.Integral):
+    """Refuse, by name, a value that is not an integer (2.5, 2.0, "2", True)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -241,15 +241,15 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
     """Full-batch gradient descent with momentum MOMENTUM on the toy model.
 
     Box gradients move only the positives' boxes; score gradients move the
-    logits of every positive and negative anchor.  With self-balancing on,
-    the weight for epoch e+1 is the mean total/loc ratio observed at epoch
-    e (identity weight at epoch 0, and iterations with a zero localisation
-    component leave the weight unchanged). A non-finite total or box corner
-    ends the run with diverged_at set.
+    logits of every positive and negative anchor.  Box gradients are
+    scaled by the self-balance weight: 1.0 at epoch 0 and, with
+    self-balancing on, epoch e's total / loc from epoch e + 1 on (kept
+    while loc is 0). A non-finite total or box corner ends the run with
+    diverged_at set.
     """
     model = ToyModel(scenario)
     box_lr = cfg.lr if cfg.box_lr is None else cfg.box_lr
-    balancer = SelfBalancer()
+    sb_weight = 1.0
     log = TrainLog()
     vel_logit = np.zeros_like(model.logits)
     vel_box = np.zeros_like(model.boxes)
@@ -261,11 +261,12 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
             break
         scn = model.current_scenario()
         s = scn.scores[model.train_index]
-        bd = _named_loss(cfg.loss, scn, cfg.step, cfg.wrong_target, balancer)
+        bd = _named_loss(cfg.loss, scn, cfg.step, cfg.wrong_target)
         if not np.isfinite(bd.total):
             log.diverged_at = epoch
             break
         ious = positive_ious(scn)
+        box_grads = sb_weight * bd.box_grads
         log.rows.append(
             {
                 "epoch": epoch,
@@ -273,13 +274,13 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
                 "cls": bd.cls_component,
                 "loc": bd.loc_component,
                 "ratio": balance_ratio(bd, scn),
-                "sb_weight": bd.sb_weight_applied,
+                "sb_weight": sb_weight,
                 "rho": _safe_rho(scn, ious),
                 "mean_iou": float(ious.mean()),
                 "n_nonsmooth": bd.n_nonsmooth,
                 "n_kept": bd.n_kept,
                 "residual": bd.grad_report.primary_term_sum_check,
-                "box_grad_norm": float(np.linalg.norm(bd.box_grads)),
+                "box_grad_norm": float(np.linalg.norm(box_grads)),
             }
         )
         if epoch == cfg.epochs:
@@ -288,14 +289,14 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
         g_logit = model._logit_grad(bd.score_grads, s)
         vel_logit = MOMENTUM * vel_logit + g_logit
         model.logits = model.logits - cfg.lr * vel_logit
-        vel_box = MOMENTUM * vel_box + bd.box_grads
+        vel_box = MOMENTUM * vel_box + box_grads
         model.boxes = model.boxes - box_lr * vel_box
         # Keep corner order valid: a step can push an edge past its
         # partner, and an inverted box has no meaningful overlap.
         model.boxes[:, 2] = np.maximum(model.boxes[:, 2], model.boxes[:, 0])
         model.boxes[:, 3] = np.maximum(model.boxes[:, 3], model.boxes[:, 1])
 
-        if cfg.self_balance:
-            balancer = self_balance_update(balancer, [(bd.total, bd.loc_component)])
+        if cfg.self_balance and bd.loc_component > 0.0:
+            sb_weight = bd.total / bd.loc_component
     return log
 

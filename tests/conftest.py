@@ -404,7 +404,7 @@ def oracle_kept(scenario, kind):
     return int(np.count_nonzero((table > 0.0).any(axis=0)))
 
 
-def _breakdown_from(scenario, kind, total, cls_c, loc_c, report, box_grads, sb_weight, n_nonsmooth=0):
+def _breakdown_from(scenario, kind, total, cls_c, loc_c, report, box_grads, n_nonsmooth=0):
     """A LossBreakdown with the field types the losses return; n_kept is
     counted by oracle_kept."""
     return LossBreakdown(
@@ -414,7 +414,6 @@ def _breakdown_from(scenario, kind, total, cls_c, loc_c, report, box_grads, sb_w
         score_grads=report.score_grads,
         box_grads=box_grads,
         grad_report=report,
-        sb_weight_applied=float(sb_weight),
         n_nonsmooth=int(n_nonsmooth),
         n_kept=oracle_kept(scenario, kind),
     )
@@ -428,7 +427,7 @@ ORACLE_DEFS = {
 }
 
 
-def oracle_loss(name, scenario, kind, balancer=None):
+def oracle_loss(name, scenario, kind):
     """The LossBreakdown of loss `name` (a key of ORACLE_DEFS) built from
     the per-positive oracles only."""
     stats = oracle_rank_stats(scenario, kind)
@@ -436,11 +435,10 @@ def oracle_loss(name, scenario, kind, balancer=None):
     n = scenario.n_pos
     if name == "ap":
         total = float((stats.n_fp / stats.rank).mean())
-        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)))
     if name == "ndcg":
         total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / ndcg_ideal_gain(n)
-        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)), 1.0)
-    sb = balancer.active_weight if balancer is not None else 1.0
+        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)))
     e_loc = scenario.loc_errors()
     c = oracle_exact_pos_loc_sums(scenario, e_loc)
     cls_c = float((stats.n_fp / stats.rank).mean())
@@ -453,7 +451,7 @@ def oracle_loss(name, scenario, kind, balancer=None):
         g, tie = oracle_loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
         box[i] = w[i] * g
         n_nonsmooth += bool(tie)
-    return _breakdown_from(scenario, kind, cls_c + loc_c, cls_c, loc_c, report, sb * box, sb, n_nonsmooth)
+    return _breakdown_from(scenario, kind, cls_c + loc_c, cls_c, loc_c, report, box, n_nonsmooth)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +748,7 @@ def oracle_loc_error_and_grad_rows(pred, gt, kind):
     return e_loc, grads, np.array([tie for _, tie in rows], dtype=bool)
 
 
-def separate_pass_loss(name, scenario, kind, balancer=None):
+def separate_pass_loss(name, scenario, kind):
     """The LossBreakdown of loss `name` with every part computed by its own
     public entry point: assemble_gradients and alrp_soft_weights each
     recompute the rank statistics, E_loc and C(i) are recomputed for the
@@ -761,13 +759,12 @@ def separate_pass_loss(name, scenario, kind, balancer=None):
     if name == "ap":
         total = float((stats.n_fp / stats.rank).mean())
         report = assemble_gradients(scenario, APLossDef(), kind)
-        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)))
     if name == "ndcg":
         total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / ndcg_ideal_gain(n)
         report = assemble_gradients(scenario, NDCGLossDef(), kind)
-        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)), 1.0)
+        return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)))
     loss_def = ALRPLossDef() if name == "alrp" else WrongTargetALRPDef()
-    sb = balancer.active_weight if balancer is not None else 1.0
     e_loc = scenario.loc_errors()
     c = _exact_pos_loc_sums(scenario, e_loc)
     cls_c = float((stats.n_fp / stats.rank).mean())
@@ -778,7 +775,7 @@ def separate_pass_loss(name, scenario, kind, balancer=None):
     box = np.empty((n, 4))
     for i in range(n):
         box[i] = w[i] * grads[i]
-    return _breakdown_from(scenario, kind, cls_c + loc_c, cls_c, loc_c, report, sb * box, sb, int(tie.sum()))
+    return _breakdown_from(scenario, kind, cls_c + loc_c, cls_c, loc_c, report, box, int(tie.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from rankloss.fast_alrp import (
     operation_count,
     pruned_size,
 )
-from rankloss.losses import EXACT, SelfBalancer, alrp_loss, ap_loss, ndcg_loss, wrong_target_alrp
+from rankloss.losses import EXACT, alrp_loss, ap_loss, ndcg_loss, wrong_target_alrp
 from rankloss.ranking import IGNORE, NEG, POS, AnchorRecord, Scenario, StepKind, StepRelation, rank_stats
 
 ALL_FIELDS_RTOL = 1e-12
@@ -30,7 +30,6 @@ def assert_breakdowns_match(fast, slow, rtol=ALL_FIELDS_RTOL):
     np.testing.assert_allclose(fast.loc_component, slow.loc_component, rtol=rtol)
     np.testing.assert_allclose(fast.score_grads, slow.score_grads, rtol=rtol, atol=GRAD_ATOL)
     np.testing.assert_allclose(fast.box_grads, slow.box_grads, rtol=rtol, atol=GRAD_ATOL)
-    assert fast.sb_weight_applied == slow.sb_weight_applied
     np.testing.assert_allclose(
         fast.grad_report.loss_value, slow.grad_report.loss_value, rtol=rtol
     )
@@ -50,7 +49,6 @@ def assert_breakdowns_identical(a, b):
     assert (a.total, a.cls_component, a.loc_component) == (b.total, b.cls_component, b.loc_component)
     np.testing.assert_array_equal(a.score_grads, b.score_grads)
     np.testing.assert_array_equal(a.box_grads, b.box_grads)
-    assert a.sb_weight_applied == b.sb_weight_applied
     assert a.grad_report.loss_value == b.grad_report.loss_value
     assert a.grad_report.primary_term_sum_check == b.grad_report.primary_term_sum_check
 
@@ -78,15 +76,6 @@ class TestParityWithDirectAssembly:
         assert_breakdowns_identical(via_flag, fast_alrp(scn, config_for(kind)))
         assert_breakdowns_identical(via_flag, alrp_loss(scn, kind))
 
-    def test_balancer_passthrough(self):
-        rng = np.random.default_rng(33)
-        scn = random_scenario(rng, n_pos=6, n_neg=40)
-        sb = SelfBalancer(active_weight=4.0)
-        kind = StepKind.exact()
-        assert_breakdowns_match(
-            fast_alrp(scn, config_for(kind), balancer=sb), oracle_loss("alrp", scn, kind, balancer=sb)
-        )
-
     @pytest.mark.parametrize("delta", (0.5, 3.0))
     def test_an_exact_config_ignores_its_delta(self, delta):
         """FastConfig(delta=0.5, exact=True) runs StepKind(False, 0.5), which
@@ -95,10 +84,9 @@ class TestParityWithDirectAssembly:
         config = FastConfig(delta=delta, exact=True)
         for tie_fraction in (0.0, 0.5):
             scn = random_scenario(rng, n_pos=8, n_neg=60, spread=4.0, tie_fraction=tie_fraction)
-            for sb in (None, SelfBalancer(active_weight=4.0)):
-                want = alrp_loss(scn, EXACT, sb)
-                assert_same_breakdown(fast_alrp(scn, config, sb), want)
-                assert pruned_size(scn, config) == want.n_kept
+            want = alrp_loss(scn, EXACT)
+            assert_same_breakdown(fast_alrp(scn, config), want)
+            assert pruned_size(scn, config) == want.n_kept
 
     def test_ignored_anchors_stay_zero(self):
         rng = np.random.default_rng(34)

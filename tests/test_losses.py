@@ -1,8 +1,6 @@
 """Loss definitions on the canonical fixtures: golden totals, per-positive
 rows, soft weights, self-balancing, and the wrong-target variant."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from rankloss.losses import (
     ALRPLossDef,
     APLossDef,
     NDCGLossDef,
-    SelfBalancer,
     WrongTargetALRPDef,
     alrp_loss,
     alrp_soft_weights,
@@ -21,7 +18,6 @@ from rankloss.losses import (
     balance_ratio,
     ndcg_ideal_gain,
     ndcg_loss,
-    self_balance_update,
     wrong_target_alrp,
 )
 from rankloss.ranking import (
@@ -238,41 +234,13 @@ class TestLossTargetIdentity:
 
 
 class TestSelfBalancing:
-    def test_update_takes_mean_ratio(self):
-        sb = self_balance_update(SelfBalancer(), [(0.9, 0.1)])
-        np.testing.assert_allclose(sb.active_weight, 9.0, rtol=1e-14)
-        sb = self_balance_update(SelfBalancer(), [(0.9, 0.1), (1.2, 0.3)])
-        np.testing.assert_allclose(sb.active_weight, (9.0 + 4.0) / 2.0, rtol=1e-14)
-
-    def test_zero_loc_iterations_are_skipped(self):
-        sb = self_balance_update(SelfBalancer(), [(0.9, 0.1), (0.5, 0.0)])
-        np.testing.assert_allclose(sb.active_weight, 9.0, rtol=1e-14)
-        unchanged = self_balance_update(SelfBalancer(active_weight=3.0), [(0.5, 0.0)])
-        assert unchanged.active_weight == 3.0
-
-    def test_weight_scales_box_grads_only(self):
-        scn = fixture_scenario("aligned")
-        plain = alrp_loss(scn, EXACT)
-        weighted = alrp_loss(scn, EXACT, balancer=SelfBalancer(active_weight=5.0))
-        np.testing.assert_array_equal(weighted.score_grads, plain.score_grads)
-        np.testing.assert_allclose(weighted.box_grads, 5.0 * plain.box_grads, rtol=1e-14)
-        assert weighted.sb_weight_applied == 5.0
-        assert weighted.total == plain.total
-
-    @pytest.mark.parametrize("weight", (float("nan"), float("inf"), -2.0, 0.0), ids=str)
-    def test_weight_must_be_finite_and_positive(self, weight):
-        """A NaN weight gave NaN box gradients beside a finite total, and -2
-        flipped them; both are refused, by field name, as --sb-weight is."""
-        with pytest.raises(ValueError, match=r"^active_weight must be finite and > 0, got %s$" % re.escape(repr(weight))):
-            SelfBalancer(weight)
-
     def test_weight_at_least_one_on_real_scenarios(self):
+        """The trainer's next self-balance weight, total / loc, is >= 1."""
         rng = np.random.default_rng(25)
         for _ in range(10):
             scn = random_scenario(rng, n_pos=5, n_neg=20)
             bd = alrp_loss(scn, EXACT)
-            sb = self_balance_update(SelfBalancer(), [(bd.total, bd.loc_component)])
-            assert sb.active_weight >= 1.0  # total always includes loc
+            assert bd.total >= bd.loc_component  # total always includes loc
 
 
 class TestWrongTargetVariant:

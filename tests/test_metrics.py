@@ -209,6 +209,23 @@ class TestGoldenAPTables:
         with pytest.raises(ValueError, match=r"^mean AP needs at least one recall point$"):
             mean_ap(fixture_eval("shuffled"), recall_points=[])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        (
+            {"recall_points": [[0.1, 0.5], [0.9, 1.0]]},
+            {"recall_points": 0.5},
+            {"taus": 0.5},
+            {"taus": np.array([[0.5]])},
+        ),
+        ids=("grid-table", "grid-scalar", "tau-scalar", "tau-table"),
+    )
+    def test_thresholds_and_grid_must_be_one_dimensional(self, kwargs):
+        """A 2x2 grid was averaged as four points and a scalar grid taken as
+        one; a scalar or 2-D taus raised a bare TypeError."""
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=r"^%s must be one-dimensional, got " % name):
+            mean_ap(fixture_eval("shuffled"), **kwargs)
+
     def test_recall_points_at_the_ends_accepted(self):
         result = mean_ap(fixture_eval("shuffled"), (0.5,), (0.0, 1.0))
         assert result["by_tau"] == {0.5: 0.5}

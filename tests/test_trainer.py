@@ -97,8 +97,10 @@ class TestScenarioGenerator:
             ({"n_neg": 10.0}, "n_neg must be an integer, got 10.0"),
             ({"seed": "1"}, "seed must be an integer, got '1'"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"n_pos": True}, "n_pos must be an integer, got True"),
+            ({"n_neg": False}, "n_neg must be an integer, got False"),
         ),
-        ids=("fractional-n-pos", "float-n-neg", "string-seed", "negative-seed"),
+        ids=("fractional-n-pos", "float-n-neg", "string-seed", "negative-seed", "bool-n-pos", "bool-n-neg"),
     )
     def test_counts_and_seed_must_be_integers(self, fields, message):
         with pytest.raises(ValueError) as exc:
@@ -246,8 +248,14 @@ class TestTrainLoop:
             ({"box_lr": float("nan")}, "box_lr must be finite and >= 0, got nan"),
             ({"box_lr": float("inf")}, "box_lr must be finite and >= 0, got inf"),
             ({"box_lr": -0.1}, "box_lr must be finite and >= 0, got -0.1"),
+            ({"lr": True}, "lr must be a real number, got True"),
+            ({"lr": np.True_}, "lr must be a real number, got %r" % np.True_),
+            ({"box_lr": False}, "box_lr must be a real number, got False"),
         ),
-        ids=("nan-lr", "inf-lr", "zero-lr", "nan-box-lr", "inf-box-lr", "negative-box-lr"),
+        ids=(
+            "nan-lr", "inf-lr", "zero-lr", "nan-box-lr", "inf-box-lr", "negative-box-lr",
+            "bool-lr", "numpy-bool-lr", "bool-box-lr",
+        ),
     )
     def test_learning_rates_must_be_finite(self, fields, message):
         with pytest.raises(ValueError) as exc:
@@ -255,9 +263,10 @@ class TestTrainLoop:
         assert str(exc.value) == message
 
     def test_epochs_must_be_an_integer(self):
-        with pytest.raises(ValueError) as exc:
-            TrainConfig(epochs=2.5)
-        assert str(exc.value) == "epochs must be an integer, got 2.5"
+        for epochs in (2.5, True):  # True ran one epoch
+            with pytest.raises(ValueError) as exc:
+                TrainConfig(epochs=epochs)
+            assert str(exc.value) == f"epochs must be an integer, got {epochs!r}"
 
     def test_zero_box_lr_freezes_the_boxes(self):
         log = train(generate_scenario(SMALL_SPEC), replace(SMALL_CFG, epochs=10, box_lr=0.0))
@@ -288,8 +297,9 @@ class TestSelfBalanceDuringTraining:
         log = train(scn, cfg)
         sb = log.values("sb_weight")
         assert sb[0] == 1.0  # identity until the first epoch completes
-        row0 = log.rows[0]
-        np.testing.assert_allclose(sb[1], row0["total"] / row0["loc"], rtol=1e-12)
+        # One iteration per epoch: each weight is the previous row's total / loc, bit for bit.
+        for prev, row in zip(log.rows, log.rows[1:]):
+            assert row["sb_weight"] == prev["total"] / prev["loc"]
         assert (sb >= 1.0).all()
 
     def test_warmup_report_scales_box_grads_exactly(self):
