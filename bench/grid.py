@@ -39,7 +39,7 @@ runs it. One more row times ``fileio.load_eval`` of the x25 input, written
 to a temporary file by each tree's own ``save_eval``.
 
 The stage rows split that work at x25 and x50: ``table`` builds every
-class's candidate table with the tree's table-building function (never
+class's candidate table with ``metrics._build_class_table`` (never
 its memo), ``match`` runs ``metrics._match`` at IoU 0.5 on those tables, ``AP
 reduction`` turns those matchings into AP on 101 recall points (``pr_curve``
 and ``interpolated_precision``), and ``LRP reduction`` runs oLRP's
@@ -207,10 +207,8 @@ def stage_calls(rl, inputs):
 
     m = rl.metrics
     own = m.EvalInput(inputs.det_scores, inputs.det_cls, inputs.det_boxes, inputs.gt_cls, inputs.gt_boxes)
-    # Trees that keep tables on the input build them in _build_class_table.
-    build = getattr(m, "_build_class_table", m._class_table)
     classes = sorted(set(own.gt_cls.tolist()) | set(own.det_cls.tolist()))
-    tables = {cls: build(own, cls) for cls in classes}
+    tables = {cls: m._build_class_table(own, cls) for cls in classes}
     matches = {id(table): m._match(table, 0.5) for table in tables.values()}
     grid = np.linspace(0.0, 1.0, 101)
     scores = np.array(sorted(set(own.det_scores.tolist()), reverse=True))
@@ -224,7 +222,7 @@ def stage_calls(rl, inputs):
             m._class_table, m._match = real
 
     return {
-        "table": lambda: [build(own, cls) for cls in classes],
+        "table": lambda: [m._build_class_table(own, cls) for cls in classes],
         "match": lambda: [m._match(table, 0.5) for table in tables.values()],
         "AP reduction": lambda: [m.pr_curve(matches[id(tables[cls])]).interpolated_precision(grid).mean() for cls in own.classes()],
         "LRP reduction": lrp_reduction,

@@ -49,14 +49,14 @@ def fast_alrp(scenario, config=FastConfig()):
 
 
 def pruned_size(scenario, config=FastConfig()):
-    """How many negatives the engine keeps: the kept data of the relation
-    behind N_FP (the sorted negatives, Scenario.neg_order, against the
-    positives), the n_kept of fast_alrp's result. Every negative when
-    config.prune is False."""
+    """How many negatives the engine keeps, the n_kept of fast_alrp's result:
+    the kept data of the relation behind N_FP, the sorted negatives
+    (Scenario.neg_order) from the lowest positive's window on, so that
+    positive alone is searched. Every negative when config.prune is False."""
     if not config.prune:
         return scenario.n_neg
-    kind = StepKind(not config.exact, config.delta)
-    return int(StepRelation(None, scenario.pos_scores(), kind, scenario.neg_order()).idx.size)
+    kind, ps = StepKind(not config.exact, config.delta), scenario.pos_scores()
+    return int(StepRelation(None, ps[[ps.argmin()]], kind, scenario.neg_order()).idx.size)
 
 
 def operation_count(n_pos, n_neg, n_kept):

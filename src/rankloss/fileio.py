@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .geometry import CORNER_ORDER, LocErrorKind
+from .geometry import CORNER_ORDER, LocErrorKind, _real_entry
 from .metrics import EvalInput
 from .ranking import IGNORE, NEG, POS, Scenario
 
@@ -41,7 +41,7 @@ def _expect(condition: bool, path: str, message: str) -> None:
 
 
 def _number(value, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
+    _expect(_real_entry(value), path, "expected a number")
     # 2**1024 - 2**970 is the least integer that float() rounds up to overflow.
     _expect(isinstance(value, float) or abs(value) < 2**1024 - 2**970, path, "expected a finite number")
     return float(value)

@@ -12,12 +12,25 @@ differences converge to -- and the result is flagged as nonsmooth.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 
 CORNER_ORDER = "box corners out of order: (%r, %r, %r, %r)"
+
+
+def _real_entry(v):
+    """Whether v is a real number and not a bool: an entry a numeric column may hold, or a scalar parameter."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
+def _real_scalar(name, value):
+    """value, refused by name unless it is a real number (_real_entry): not a bool, a string or None."""
+    if not _real_entry(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,7 @@ class LocErrorKind:
     def __post_init__(self):
         if self.variant not in ("iou", "giou"):
             raise ValueError("unknown loc error variant: %r" % (self.variant,))
-        if not (0.0 <= self.tau < 1.0):
+        if not (0.0 <= _real_scalar("tau", self.tau) < 1.0):
             raise ValueError("tau must be in [0, 1), got %r" % (self.tau,))
 
     @classmethod

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CORNER_ORDER, Box, _loc_error_of, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
+from .geometry import CORNER_ORDER, Box, _loc_error_of, _real_scalar, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
 from .ranking import IGNORE, Scenario, _column, _frozen, _integers, _real, _shaped
 
 # Default IoU thresholds for the mean-AP sweep.
@@ -189,14 +189,6 @@ def _build_class_table(inputs: EvalInput, cls: int) -> _ClassTable:
     )
 
 
-def _first_not_nan(table: _ClassTable, k: int, free: list):
-    """The first ground-truth position in free whose IoU with detection k is
-    not NaN, and that IoU; (None, None) if there is none."""
-    row = iou_array(table.det_boxes[k], table.gt_boxes[free])
-    ok = np.flatnonzero(row == row)
-    return (free[ok[0]], float(row[ok[0]])) if ok.size else (None, None)
-
-
 def _match(table: _ClassTable, tau: float) -> MatchResult:
     """Greedy matching on a class table; see ``match_class``.
 
@@ -204,7 +196,7 @@ def _match(table: _ClassTable, tau: float) -> MatchResult:
     IoU is below tau: the highest free IoU, ties to the lower index. At
     tau <= 0 an IoU of 0 qualifies too, so a detection whose candidates are
     all claimed takes the lowest free ground truth whose IoU with it is not
-    NaN (0 * inf can be NaN outside the window); that IoU is read only then.
+    NaN (0 * inf can be NaN outside the window); those IoUs are read only then.
     """
     n_det, n_gt = table.det_indices.size, table.gt_indices.size
     start, cand_gt, cand_iou = table.start, table.cand_gt, table.cand_iou
@@ -220,10 +212,11 @@ def _match(table: _ClassTable, tau: float) -> MatchResult:
             if not claimed[cand_gt[c]]:
                 j, v = cand_gt[c], cand_iou[c]
                 break
-        if j is None and lenient and first_free < n_gt:
-            j, v = _first_not_nan(table, k, [first_free])
-            if j is None:
-                j, v = _first_not_nan(table, k, [i for i in range(first_free + 1, n_gt) if not claimed[i]])
+        if j is None and lenient:
+            for i in range(first_free, n_gt):  # no comprehension: it would make _match's locals closure cells
+                if not claimed[i] and (v := float(iou_array(table.det_boxes[k], table.gt_boxes[i]))) == v:  # not NaN
+                    j = i
+                    break
         if j is not None:
             claimed[j] = True
             hits.append(k)
@@ -281,10 +274,17 @@ def pr_curve(match: MatchResult) -> PRCurve:
     return PRCurve(recall, precision, match.n_gt)
 
 
-def _check_1d(name, values):
-    """Refuse, by name, values that are not one-dimensional (a scalar, a table)."""
-    if np.ndim(values) != 1:
+def _unit_list(name, values, what) -> np.ndarray:
+    """values as a float64 copy (_real), refused by name unless they are one-dimensional, at least one, all in [0, 1]."""
+    column = _real(name, values)
+    if column.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got {values!r}")
+    if not column.size:
+        raise ValueError(f"mean AP needs at least one {what}")
+    bad = column[~((0.0 <= column) & (column <= 1.0))]
+    if bad.size:
+        raise ValueError(f"mean AP needs {what}s in [0, 1], got {bad[0].item()!r}")
+    return column
 
 
 def _recall_grid(recall_points) -> np.ndarray:
@@ -292,14 +292,7 @@ def _recall_grid(recall_points) -> np.ndarray:
         if recall_points == "coco101":
             return np.linspace(0.0, 1.0, 101)
         raise ValueError(f"unknown recall grid {recall_points!r}")
-    _check_1d("recall_points", recall_points)
-    grid = np.asarray(recall_points, dtype=np.float64)
-    if not grid.size:
-        raise ValueError("mean AP needs at least one recall point")
-    bad = grid[~((0.0 <= grid) & (grid <= 1.0))]
-    if bad.size:
-        raise ValueError(f"mean AP needs recall points in [0, 1], got {bad[0].item()!r}")
-    return grid
+    return _unit_list("recall_points", recall_points, "recall point")
 
 
 def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_points=TEN_POINT_RECALLS) -> dict:
@@ -307,17 +300,11 @@ def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_poin
 
     Each class's candidate table is built once per input, shared with olrp
     and lrp_at, and matched at every threshold.
-    Needs 1-D taus and recall_points: at least one threshold, each in
+    Needs 1-D real taus and recall_points: at least one threshold, each in
     [0, 1] and none given twice (0.0 and -0.0 are one threshold), and at
     least one recall point ("coco101": 101 points from 0 to 1), in [0, 1].
     """
-    _check_1d("taus", taus)
-    taus = [float(t) for t in taus]
-    if not taus:
-        raise ValueError("mean AP needs at least one IoU threshold")
-    bad = [t for t in taus if not 0.0 <= t <= 1.0]
-    if bad:
-        raise ValueError(f"mean AP needs IoU thresholds in [0, 1], got {bad[0]!r}")
+    taus = _unit_list("taus", taus, "IoU threshold").tolist()
     repeated = [t for k, t in enumerate(taus) if t in taus[k + 1 :]]
     if repeated:
         n = taus.count(repeated[0])
@@ -363,7 +350,7 @@ def _lrp_tallies(inputs: EvalInput, tau: float, thresholds: np.ndarray):
     sum in sorted class order: the sums that matching the kept detections
     alone would give, added in the same order.
     """
-    if not 0.0 <= tau < 1.0:
+    if not 0.0 <= _real_scalar("tau", tau) < 1.0:
         raise ValueError("LRP needs an IoU threshold in [0, 1)")
     classes = sorted(set(inputs.gt_cls.tolist()) | set(inputs.det_cls.tolist()))
     n_tp = n_fp = n_fn = np.zeros(thresholds.size, dtype=np.int64)
@@ -396,7 +383,7 @@ def lrp_at(inputs: EvalInput, tau: float = 0.5, score_threshold: float = float("
     in [0, 1) because a match requires IoU >= tau. A NaN threshold keeps
     no detection and is refused.
     """
-    if math.isnan(score_threshold):
+    if math.isnan(_real_scalar("score_threshold", score_threshold)):
         raise ValueError("LRP needs a score threshold that is not NaN")
     tallies = _lrp_tallies(inputs, tau, np.array([score_threshold], dtype=np.float64))
     n_tp, n_fp, n_fn, loc_sum = (v.item() for v in tallies)

@@ -26,18 +26,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, LocErrorKind, loc_error_and_grad_array
+from .geometry import Box, LocErrorKind, _real_entry, _real_scalar, loc_error_and_grad_array
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
 MAX_DELTA = 2.0**900
 
 
 def check_positive(name, value, zero_ok=False):
-    """Refuse, by name, a value that is not a real number (a bool is not one), finite and > 0 (>= 0 with zero_ok)."""
-    if not _real_entry(value):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+    """Refuse, by name, a value that is not a real number (_real_scalar), finite and > 0 (>= 0 with zero_ok)."""
+    if not (math.isfinite(_real_scalar(name, value)) and (value >= 0.0 if zero_ok else value > 0.0)):
         raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
+def check_integer(name, value):
+    """Refuse, by name, a value that is not an integer (2.5, 2.0, "2", True)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class StepKind:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.smooth and not 0.0 < self.delta < np.inf:
+        if self.smooth and not 0.0 < _real_scalar("delta", self.delta) < np.inf:
             raise ValueError("smooth step needs a finite delta > 0, got %r" % (self.delta,))
         if self.smooth and self.delta > MAX_DELTA:
             raise ValueError("smooth step needs a delta of at most 2**900, got %r" % (self.delta,))
@@ -102,11 +106,6 @@ def _frozen(a):
     return a
 
 
-def _real_entry(v):
-    """Whether v is a real number and not a bool: an entry a numeric column may hold."""
-    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
-
-
 def _integers(values, dtype):
     """(values as an array of the integer dtype, the mask of the entries
     that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range,
@@ -139,8 +138,11 @@ def _real(name, values):
     floats or integers, or as objects that are all real numbers (Python ints
     beyond int64) within float64's range: not strings, bools, None or
     complex numbers. A bool among numbers in a list is a number to numpy
-    before it is seen, as for _integers."""
-    column = np.array(values)
+    before it is seen, as for _integers; a ragged sequence is refused too."""
+    try:
+        column = np.array(values)
+    except ValueError:
+        raise ValueError("%s: expected real numbers, got a ragged sequence" % name) from None
     if column.dtype == object and all(map(_real_entry, column.flat)):
         try:
             column = column.astype(np.float64)

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .geometry import boxes_with_iou
+from .geometry import _real_scalar, boxes_with_iou
 # perfbench wraps these by this module's names: train() calls positive_ious and ranking_correlation
 # once per epoch, and reaches the losses through losses._named_loss, so they stay bound here for it.
 from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
 from .losses import LOSS_NAMES, _named_loss, balance_ratio
 from .metrics import _ious_by_score, positive_ious, ranking_correlation
-from .ranking import NEG, POS, Scenario, StepKind, check_positive
+from .ranking import NEG, POS, Scenario, StepKind, check_integer, check_positive
 
 LOG_COLUMNS = (
     "epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou",
@@ -33,12 +32,6 @@ LOG_COLUMNS = (
 )
 MOMENTUM = 0.9
 SCORE_EPS = 1e-4
-
-
-def _check_integer(name, value):
-    """Refuse, by name, a value that is not an integer (2.5, 2.0, "2", True)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ class ScenarioGenSpec:
     ``score_low``/``score_high`` switches to uniform scores on that range
     (``pos_score_low`` optionally raises the positives' floor), which the
     complexity probe uses to control how many negatives survive pruning.
-    Bounds must be finite, ``score_low <= score_high`` and
+    Bounds must be finite real numbers, ``score_low <= score_high`` and
     ``pos_score_low <= score_high``; ``pos_score_low`` alone is refused.
     ``n_pos >= 1``, ``n_neg >= 0`` and ``seed >= 0`` must be integers.
     """
@@ -72,7 +65,7 @@ class ScenarioGenSpec:
 
     def __post_init__(self):
         for name in ("n_pos", "n_neg", "seed"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_pos < 1 or self.n_neg < 0:
@@ -83,11 +76,12 @@ class ScenarioGenSpec:
             raise ValueError("score_low and score_high must be given together")
         if self.pos_score_low is not None and self.score_low is None:
             raise ValueError("pos_score_low needs score_low and score_high")
-        for name in ("score_low", "score_high", "pos_score_low"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+        given = {n: getattr(self, n) for n in ("score_low", "score_high", "pos_score_low")}
+        bounds = {n: _real_scalar(n, v) for n, v in given.items() if v is not None}  # all before any comparison
+        for name, value in bounds.items():
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            if value is not None and value > self.score_high:
+            if value > self.score_high:
                 raise ValueError(f"{name} must be <= score_high, got {value!r} > {self.score_high!r}")
 
 
@@ -216,7 +210,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_NAMES:
             raise ValueError("loss must be 'ap', 'alrp', or 'ndcg'")
-        _check_integer("epochs", self.epochs)
+        check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.wrong_target and self.loss != "alrp":

@@ -351,6 +351,18 @@ class TestMetricsAgainstOracle:
         with np.errstate(all="ignore"):
             assert_same_lrp(olrp(inputs, tau), oracle_olrp(inputs, tau))
 
+    @pytest.mark.parametrize("value", (False, np.bool_(True), "0.5", None), ids=repr)
+    def test_a_tau_or_threshold_that_is_not_a_real_number_is_refused(self, value):
+        """False was taken as tau 0 and True as threshold 1; a string raised a bare TypeError."""
+        inputs = EvalInput([0.9], [0], [BOX], [0], [BOX])
+        got = re.escape(repr(value))
+        with pytest.raises(ValueError, match=r"^tau must be a real number, got %s$" % got):
+            olrp(inputs, value)
+        with pytest.raises(ValueError, match=r"^tau must be a real number, got %s$" % got):
+            lrp_at(inputs, value)
+        with pytest.raises(ValueError, match=r"^score_threshold must be a real number, got %s$" % got):
+            lrp_at(inputs, 0.5, value)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_lrp_and_olrp_with_many_matches(self, seed):
         # 40 jittered matches in one class: the localisation sums run over
@@ -566,6 +578,16 @@ class TestEvalInputColumns:
         reads [0, True] as integers for a class."""
         inputs = EvalInput([0.5, True], [0, 0], [BOX, BOX], [0], [BOX])
         assert inputs.det_scores.tolist() == [0.5, 1.0] and inputs.det_scores.dtype == np.float64
+
+    def test_constructor_refuses_a_ragged_column(self):
+        """It raised numpy's message, which names no column."""
+        for name, columns in (
+            ("det_scores", ([0.5, [0.6]], [0, 0], [BOX, BOX], [0], [BOX])),
+            ("det_boxes", ([0.5, 0.6], [0, 0], [BOX, BOX[:3]], [0], [BOX])),
+            ("gt_boxes", ([0.5], [0], [BOX], [0, 0], [BOX, BOX[:3]])),
+        ):
+            with pytest.raises(ValueError, match=r"^%s: expected real numbers, got a ragged sequence$" % name):
+                EvalInput(*columns)
 
     def test_a_string_class_is_named_among_numbers(self):
         with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got '7'$"):

@@ -198,6 +198,9 @@ class TestPruning:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             FastConfig(delta=0.0)
+        # It ran the smooth step at delta 1.
+        with pytest.raises(ValueError, match=r"^delta must be a real number, got True$"):
+            FastConfig(delta=True)
 
 
 class TestOperationCounting:

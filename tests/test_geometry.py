@@ -1,5 +1,6 @@
 """Box primitives: overlap measures, localization error, and their gradients."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -68,6 +69,10 @@ class TestLocErrorKind:
             LocErrorKind("iou", 1.0)
         with pytest.raises(ValueError):
             LocErrorKind("iou", -0.1)
+        # False was taken as tau 0 and "0.5" raised a bare TypeError.
+        for tau in (False, "0.5", None):
+            with pytest.raises(ValueError, match=r"^tau must be a real number, got %s$" % re.escape(repr(tau))):
+                LocErrorKind("iou", tau)
 
 
 class TestIoU:

@@ -210,20 +210,31 @@ class TestGoldenAPTables:
             mean_ap(fixture_eval("shuffled"), recall_points=[])
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         (
-            {"recall_points": [[0.1, 0.5], [0.9, 1.0]]},
-            {"recall_points": 0.5},
-            {"taus": 0.5},
-            {"taus": np.array([[0.5]])},
+            ({"recall_points": [[0.1, 0.5], [0.9, 1.0]]}, " must be one-dimensional, got "),
+            ({"recall_points": 0.5}, " must be one-dimensional, got "),
+            ({"taus": 0.5}, " must be one-dimensional, got "),
+            ({"taus": np.array([[0.5]])}, " must be one-dimensional, got "),
+            ({"recall_points": ["0.5"]}, r": expected real numbers, got <U3 entries$"),
+            ({"recall_points": [True]}, r": expected real numbers, got bool entries$"),
+            ({"recall_points": [0.5, [0.6]]}, r": expected real numbers, got a ragged sequence$"),
+            ({"taus": ["0.5"]}, r": expected real numbers, got <U3 entries$"),
+            ({"taus": [True]}, r": expected real numbers, got bool entries$"),
+            ({"taus": [0.5, [0.6]]}, r": expected real numbers, got a ragged sequence$"),
         ),
-        ids=("grid-table", "grid-scalar", "tau-scalar", "tau-table"),
+        ids=(
+            "grid-table", "grid-scalar", "tau-scalar", "tau-table",
+            "grid-string", "grid-bool", "grid-ragged", "tau-string", "tau-bool", "tau-ragged",
+        ),
     )
-    def test_thresholds_and_grid_must_be_one_dimensional(self, kwargs):
+    def test_thresholds_and_grid_must_be_one_dimensional(self, kwargs, message):
         """A 2x2 grid was averaged as four points and a scalar grid taken as
-        one; a scalar or 2-D taus raised a bare TypeError."""
+        one; a scalar or 2-D taus raised a bare TypeError. A string was read
+        as its number and a bool as 0 or 1, and a ragged list raised numpy's
+        message, which names no argument."""
         (name,) = kwargs
-        with pytest.raises(ValueError, match=r"^%s must be one-dimensional, got " % name):
+        with pytest.raises(ValueError, match=r"^%s%s" % (name, message)):
             mean_ap(fixture_eval("shuffled"), **kwargs)
 
     def test_recall_points_at_the_ends_accepted(self):

@@ -1,6 +1,8 @@
 """Difference-transform machinery: step kinds, rank statistics, and the
 error-driven gradient assembly shared by every ranking loss."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,10 @@ class TestStepKind:
             StepKind.smoothed(0.0)
         with pytest.raises(ValueError):
             StepKind(smooth=True, delta=-1.0)
+        # A bool or a string was taken as delta 1 or raised a bare TypeError.
+        for delta in (True, np.bool_(True), "1", None):
+            with pytest.raises(ValueError, match=r"^delta must be a real number, got %s$" % re.escape(repr(delta))):
+                StepKind.smoothed(delta)
 
     @pytest.mark.parametrize("delta", (float("inf"), float("nan")))
     def test_rejects_non_finite_delta(self, delta):
@@ -295,6 +301,9 @@ class TestScenario:
             scn.with_scores(scn.scores[:, None])
         with pytest.raises(ValueError, match=r"^boxes: expected shape \(4, 4\), got \(16,\)$"):
             scn.with_positive_boxes(scn.pos_boxes().ravel())
+        # A ragged sequence raised numpy's message, which names no column.
+        with pytest.raises(ValueError, match=r"^scores: expected real numbers, got a ragged sequence$"):
+            scn.with_scores([*scn.scores[:-1], [0.5]])
 
     def test_with_positive_boxes_refuses_extra_rows(self):
         scn = fixture_scenario("shuffled")
@@ -322,6 +331,9 @@ class TestScenario:
             np.testing.assert_array_equal(getattr(again, column), getattr(scn, column))
         with pytest.raises(ValueError, match="pos_box"):
             Scenario.from_columns(scn.labels, scn.scores, scn.pos_gt, scn.pos_box[:, :3], scn.gts)
+        ragged = [*scn.pos_box[:-1].tolist(), [0.0, 0.0, 1.0]]
+        with pytest.raises(ValueError, match=r"^pos_box: expected real numbers, got a ragged sequence$"):
+            Scenario.from_columns(scn.labels, scn.scores, scn.pos_gt, ragged, scn.gts)
         with pytest.raises(ValueError, match="unknown anchor label: 'background'"):
             Scenario.from_columns(["background", *scn.labels[1:]], scn.scores, scn.pos_gt, scn.pos_box, scn.gts)
 

@@ -82,8 +82,18 @@ class TestScenarioGenerator:
                 {"score_low": 0.0, "score_high": 1.0, "pos_score_low": float("nan")},
                 "pos_score_low must be finite, got nan",
             ),
+            ({"score_low": False, "score_high": True}, "score_low must be a real number, got False"),
+            ({"score_low": "0", "score_high": "1"}, "score_low must be a real number, got '0'"),
+            ({"score_low": 0.0, "score_high": "1"}, "score_high must be a real number, got '1'"),
+            (
+                {"score_low": 0.0, "score_high": 1.0, "pos_score_low": np.bool_(True)},
+                "pos_score_low must be a real number, got %r" % np.bool_(True),
+            ),
         ),
-        ids=("pos-low-alone", "low-above-high", "pos-low-above-high", "nan-low", "inf-high", "nan-pos-low"),
+        ids=(
+            "pos-low-alone", "low-above-high", "pos-low-above-high", "nan-low", "inf-high", "nan-pos-low",
+            "bool-bounds", "string-bounds", "string-high", "numpy-bool-pos-low",
+        ),
     )
     def test_score_bounds_it_would_ignore_or_fail_on_are_refused(self, bounds, message):
         with pytest.raises(ValueError) as exc:
