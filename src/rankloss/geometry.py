@@ -182,6 +182,12 @@ def iou_array(pred, gt):
     return _overlap_of(*_inter_union(_sides(a, b), b))
 
 
+# Rows of the edges x1, y1, x2, y2: the low edges' overlap is a max, the high edges' a min; a
+# low edge moved outwards shrinks the overlap.
+_LOW_EDGES = np.array(((True,), (True,), (False,), (False,)))
+_EDGE_SIGNS = np.array(((-1.0,), (-1.0,), (1.0,), (1.0,)))
+
+
 def _overlap_pass(pred, gt, variant):
     """(overlap, d overlap / d pred, tie mask) over (P, 4) arrays from one
     _inter_union pass, the overlap IoU (as iou_array) or GIoU = IoU minus
@@ -195,34 +201,33 @@ def _overlap_pass(pred, gt, variant):
     """
     a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
     sides = _sides(a, b)
-    # Slopes of the clamps (read before _inter_union clamps the sides) and of the intersection's edges.
-    (rw, t5), (rh, t6), (sw, tw), (sh, th) = [_slope(0.0, s) for s in sides]
+    # Every piece below is a (4, P) stack, one row per corner or side, transposed at the end.
+    # The slopes of the clamps of iw, ih, w and h (read before _inter_union clamps the sides).
+    clamp, clamp_tie = _slope(0.0, np.array(sides))
     inter, union = _inter_union(sides, b)
     ciw, cih, cw, ch = sides
-    ix2, t1 = _slope(a[..., 2], b[..., 2])
-    ix1, t2 = _slope(b[..., 0], a[..., 0])
-    iy2, t3 = _slope(a[..., 3], b[..., 3])
-    iy1, t4 = _slope(b[..., 1], a[..., 1])
-    tie = t1 | t2 | t3 | t4 | (t5 & (cih > 0.0)) | (t6 & (ciw > 0.0))
-    d_inter = np.stack([-ix1 * rw * cih, -iy1 * rh * ciw, ix2 * rw * cih, iy2 * rh * ciw], axis=-1)
-    d_union = np.stack([-sw * ch, -sh * cw, sw * ch, sh * cw], axis=-1) - d_inter
+    # The slopes of the intersection's edges x1, y1, x2, y2: of max(a, b) for x1 and y1, of min(a, b) for x2 and y2.
+    at, bt = a.T, b.T
+    edge, edge_tie = _slope(np.where(_LOW_EDGES, bt, at), np.where(_LOW_EDGES, at, bt))
+    tie = np.logical_or.reduce(edge_tie) | (clamp_tie[0] & (cih > 0.0)) | (clamp_tie[1] & (ciw > 0.0))
+    d_inter = _EDGE_SIGNS * edge * clamp[[0, 1, 0, 1]] * np.array((cih, ciw, cih, ciw))
+    d_union = _EDGE_SIGNS * clamp[[2, 3, 2, 3]] * np.array((ch, cw, ch, cw)) - d_inter
 
-    u, i = union[..., None], inter[..., None]
     degenerate = union <= 0.0
     hull = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (d_inter * u - i * d_union) / (u * u)
+        g = (d_inter * union - inter * d_union) / (union * union)
         if variant == "giou":
             # GIoU = IoU - 1 + union/hull. The hull edges are the other
             # branches of the intersection's min/max: their slopes are 1
             # minus those above, with the same tie masks.
             hw, hh, hull = _hull(a, b)
-            d_hull = np.stack([-(1.0 - ix1) * hh, -(1.0 - iy1) * hw, (1.0 - ix2) * hh, (1.0 - iy2) * hw], axis=-1)
-            hl = hull[..., None]
-            g = g + (d_union * hl - u * d_hull) / (hl * hl)
-            tie = tie | (tw & (ch > 0.0)) | (th & (cw > 0.0))
+            d_hull = _EDGE_SIGNS * (1.0 - edge) * np.array((hh, hw, hh, hw))
+            g = g + (d_union * hull - union * d_hull) / (hull * hull)
+            tie = tie | (clamp_tie[2] & (ch > 0.0)) | (clamp_tie[3] & (cw > 0.0))
             degenerate = degenerate | (hull <= 0.0)
-        return _overlap_of(inter, union, hull), np.where(degenerate[..., None], 0.0, g), tie | degenerate
+        # A C-ordered copy, as the stacks' other order would change the rounding of a sum over its entries.
+        return _overlap_of(inter, union, hull), np.where(degenerate, 0.0, g).T.copy(), tie | degenerate
 
 
 def loc_error_and_grad_array(pred, gt, kind):

@@ -45,11 +45,13 @@ class GroundTruth:
     cls: int = 0
 
 
-def _class_column(name, values, rows):
-    column, bad = _integers(values, np.int64)
+def _class_column(name, values, rows=None):
+    """values as int64 classes, refused by name unless each is an integer and they are one row of rows
+    entries (None: of their own number)."""
+    column, bad = _integers(name, values, np.int64)
     if bad.any():
         raise ValueError("%s: class must be an integer, got %r" % (name, np.asarray(values)[bad].tolist()[0]))
-    return _shaped(name, column, (rows,))
+    return _shaped(name, column, (column.size if rows is None else rows,))
 
 
 class EvalInput:
@@ -71,12 +73,12 @@ class EvalInput:
 
     def __init__(self, det_scores, det_cls, det_boxes, gt_cls, gt_boxes):
         scores = _real("det_scores", det_scores)
-        d, g = scores.size, np.size(gt_cls)
+        d = scores.size
         self.det_scores = _frozen(_shaped("det_scores", scores, (d,)))
         self.det_cls = _frozen(_class_column("det_cls", det_cls, d))
         self.det_boxes = _frozen(_column("det_boxes", det_boxes, (d, 4)))
-        self.gt_cls = _frozen(_class_column("gt_cls", gt_cls, g))
-        self.gt_boxes = _frozen(_column("gt_boxes", gt_boxes, (g, 4)))
+        self.gt_cls = _frozen(_class_column("gt_cls", gt_cls))
+        self.gt_boxes = _frozen(_column("gt_boxes", gt_boxes, (self.gt_cls.size, 4)))
         if not np.isfinite(self.det_scores).all():
             raise ValueError("detection score must be finite")
         boxes = np.concatenate((self.gt_boxes, self.det_boxes))
@@ -239,8 +241,10 @@ def match_class(detections: Sequence[Detection], ground_truths: Sequence[GroundT
     Detections are visited in descending score order.  Each one claims the
     unclaimed ground-truth box of the same class with the highest IoU, if
     that IoU reaches ``tau``; IoU ties go to the lower ground-truth index.
-    Every ground-truth box can be claimed at most once.
+    Every ground-truth box can be claimed at most once. tau must be a real
+    number (not a bool, a string or None).
     """
+    tau = _real_scalar("tau", tau)
     return _match(_class_table(EvalInput.build(detections, ground_truths), cls), tau)
 
 
@@ -442,13 +446,13 @@ def reference_losses(scenario: Scenario) -> dict:
 def average_ranks_desc(values: np.ndarray) -> np.ndarray:
     """Descending ranks (1 = largest) with ties sharing their mean rank."""
     v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(-v, kind="stable")
+    order = (-v).argsort(kind="stable")
     s = v[order]
-    # A group of ties starts where sorted neighbours differ (each NaN alone).
-    start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    end = np.append(start[1:], v.size) - 1
+    # A group of ties starts where sorted neighbours differ (each NaN alone); then v.size.
+    bounds = np.concatenate(([True], s[1:] != s[:-1], [True])).nonzero()[0]
+    start, end = bounds[:-1], bounds[1:] - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
+    ranks[order] = (0.5 * (start + end) + 1.0).repeat(end - start + 1)
     return ranks
 
 
@@ -464,17 +468,23 @@ def ranking_correlation(scenario: Scenario, ious: np.ndarray | None = None) -> f
     order agrees perfectly with localisation quality and -1 means it is
     exactly reversed.  Needs at least two positives and nonconstant ranks.
     ious, if given, is positive_ious(scenario).
+
+    The float operations are np.corrcoef's (through np.cov), in its order:
+    the rows' means, the centred rows' product with their transpose, scaled
+    by 1 / (n - 1), divided by both deviations and clipped to [-1, 1].
     """
     ious = positive_ious(scenario) if ious is None else ious
     scores = scenario.pos_scores()
-    if scores.size < 2:
+    n = scores.size
+    if n < 2:
         raise ValueError("rank correlation needs at least two positives")
-    r_score = average_ranks_desc(scores)
-    r_iou = average_ranks_desc(ious)
-    if np.all(r_score == r_score[0]) or np.all(r_iou == r_iou[0]):
+    x = np.array((average_ranks_desc(scores), average_ranks_desc(ious)))
+    x -= (np.add.reduce(x, axis=1) / n)[:, None]
+    (c00, c01), (_, c11) = (np.dot(x, x.T.conj()) * (1.0 / (n - 1))).tolist()
+    # Ranks are exact halves, so a constant row, and only that, centres to zeros.
+    if not (c00 > 0.0 and c11 > 0.0):
         raise ValueError("rank correlation is undefined for constant rank vectors")
-    c = np.corrcoef(r_score, r_iou)
-    return float(c[0, 1])
+    return min(max(c01 / math.sqrt(c00) / math.sqrt(c11), -1.0), 1.0)
 
 
 def _ious_by_score(scores: np.ndarray, ious: np.ndarray, best_first: bool) -> np.ndarray:

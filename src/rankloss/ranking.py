@@ -19,7 +19,6 @@ The central objects:
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -82,7 +81,7 @@ def step(x, kind):
     if not kind.smooth:
         return (x >= 0.0).astype(np.float64)
     # One buffer, as a large x's fresh temporaries cost more than the arithmetic; [()]: a scalar x gives a scalar.
-    h = np.divide(x, 2.0 * kind.delta, out=np.empty_like(x))
+    h = np.divide(x, 2.0 * kind.delta, out=np.empty(x.shape))
     h += 0.5
     return np.minimum(np.maximum(h, 0.0, out=h), 1.0, out=h)[()]
 
@@ -106,13 +105,22 @@ def _frozen(a):
     return a
 
 
-def _integers(values, dtype):
+def _array(name, values, what):
+    """np.array(values), refused by name if values is a ragged sequence."""
+    try:
+        return np.array(values)
+    except ValueError:
+        raise ValueError("%s: expected %s, got a ragged sequence" % (name, what)) from None
+
+
+def _integers(name, values, dtype):
     """(values as an array of the integer dtype, the mask of the entries
     that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range,
     whether a float, a uint64 or a Python int; and each entry that is not a
     real number, such as a string, a bool or None. A bool among ints in a
-    list is an int to numpy before it is seen.)"""
-    a = np.asarray(values)
+    list is an int to numpy before it is seen.) A ragged sequence is
+    refused by name, as _real refuses it."""
+    a = _array(name, values, "integers")
     with np.errstate(invalid="ignore"):
         if a.dtype.kind not in "fiu":
             # Entry by entry as given: numpy converts a list that mixes numbers and strings to strings.
@@ -139,10 +147,7 @@ def _real(name, values):
     beyond int64) within float64's range: not strings, bools, None or
     complex numbers. A bool among numbers in a list is a number to numpy
     before it is seen, as for _integers; a ragged sequence is refused too."""
-    try:
-        column = np.array(values)
-    except ValueError:
-        raise ValueError("%s: expected real numbers, got a ragged sequence" % name) from None
+    column = _array(name, values, "real numbers")
     if column.dtype == object and all(map(_real_entry, column.flat)):
         try:
             column = column.astype(np.float64)
@@ -164,7 +169,7 @@ def _column(name, values, shape):
 def _not_finite(column, anchors, field):
     """(anchors[k], "anchors[%d].<field> is not finite") for the first row k of column not all finite, or None."""
     finite = np.isfinite(column)
-    bad = np.flatnonzero(~(finite if finite.ndim == 1 else finite.all(axis=1)))
+    bad = (~(finite if finite.ndim == 1 else np.logical_and.reduce(finite, axis=1))).nonzero()[0]
     return (anchors[bad[0]], "anchors[%d].%s is not finite" % (anchors[bad[0]], field)) if bad.size else None
 
 
@@ -250,7 +255,7 @@ class Scenario:
             raise ValueError("scenario has no positive anchors")
         gts = _gt_array(gts)
         scores = _column("scores", scores, labels.shape)
-        pos_gt, not_integer = _integers(pos_gt, np.intp)
+        pos_gt, not_integer = _integers("pos_gt", pos_gt, np.intp)
         _shaped("pos_gt", pos_gt, pos_index.shape)
         pos_box = _column("pos_box", pos_box, (pos_index.size, 4))
         # Report the first offending anchor and, for it, the first failed
@@ -311,7 +316,8 @@ class Scenario:
         column = _column(name, values, getattr(self, attr).shape)
         if found := _not_finite(column, anchors, field):
             raise ValueError(found[1])
-        new = copy.copy(self)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
         setattr(new, attr, _frozen(column))
         return new
 
@@ -336,13 +342,14 @@ def _prefix(v):
     that their running sums are exact, so the difference of two prefixes
     (see _sum) is as precise as the terms between them, however large the
     prefix before them."""
-    grid = np.ldexp(1.0, np.maximum(np.frexp(np.abs(v).sum(axis=-1, keepdims=True))[1] - 52, -1022))
-    # In place, as in step(): high = rint(v / grid) * grid, then low = v - high in its buffer.
+    grid = np.ldexp(1.0, np.maximum(np.frexp(np.add.reduce(np.abs(v), axis=-1, keepdims=True))[1] - 52, -1022))
+    # In place, as in step(): high = rint(v / grid) * grid, then low = v - high in its buffer. The
+    # ufuncs' own reduce and accumulate are the arithmetic of ndarray.sum and np.cumsum.
     high = v / grid
     high = np.multiply(np.rint(high, out=high), grid, out=high)
     out = np.zeros((2, *v.shape[:-1], v.shape[-1] + 1))
-    np.cumsum(high, axis=-1, out=out[0, ..., 1:])
-    np.cumsum(np.subtract(v, high, out=high), axis=-1, out=out[1, ..., 1:])
+    np.add.accumulate(high, axis=-1, out=out[0, ..., 1:])
+    np.add.accumulate(np.subtract(v, high, out=high), axis=-1, out=out[1, ..., 1:])
     return out
 
 
@@ -358,28 +365,61 @@ def _running(v):
     return high[..., 1:] + low[..., 1:]
 
 
-def _first(x, q, test, guess):
-    """Per query q_i, the first position k of sorted x with test(x_k - q_i)
-    true (x.size if none); test must be monotone in x. guess is returned as
-    it is when every entry is that position; otherwise a copy with the wrong
-    entries replaced by bisection."""
+# A window edge's search tests step(x_k - q) > floor: floor 0 for lo (above 0) and the float below 1
+# for hi (at full height, as step() is at most 1), rows of one step() evaluation.
+_FLOORS = np.array(((0.0,), (np.nextafter(1.0, 0.0),)))
+# How far from a wrong guess the search looks first: two of perfbench's 200 hi guesses on 3-decimal
+# ties are off by up to 12 positions.
+_BRACKET = 16
+
+
+def _holds(x, q, kind, k, floor):
+    """Whether each position k of sorted x is at or past the first with step(x_k - q) > floor (x.size always is)."""
     n = x.size
+    return (k >= n) | (step(x[np.minimum(k, n - 1)] - q, kind) > floor)
 
-    def holds(k, qq):
-        return (k >= n) | test(x[np.minimum(k, n - 1)] - qq)
 
-    bad = np.flatnonzero(~holds(guess, q) | ((guess > 0) & holds(guess - 1, q)))
-    if not bad.size:
-        return guess
-    k = guess.copy()
-    lo, hi, qb = np.zeros(bad.size, np.intp), np.full(bad.size, n, np.intp), q[bad]
-    while np.any(lo < hi):
+def _misplaced(x, q, kind, k, floor):
+    """(whether k is not the first position that holds, whether it holds), from one step() evaluation."""
+    h = _holds(x, q, kind, np.array((k, k - 1)), floor)
+    return ~h[0] | ((k > 0) & h[1]), h[0]
+
+
+def _bisect(x, q, kind, floor, lo, hi):
+    """The first position in [lo, hi] that holds, hi if none below it does (by bisection)."""
+    while np.logical_or.reduce(lo < hi):
         mid = (lo + hi) // 2
-        found, open_ = holds(mid, qb), lo < hi
+        found, open_ = _holds(x, q, kind, mid, floor), lo < hi
         hi = np.where(open_ & found, mid, hi)
         lo = np.where(open_ & ~found, mid + 1, lo)
-    k[bad] = lo
-    return k
+    return lo
+
+
+def _windows(x, q, kind):
+    """(lo, hi) per query q_i of the smooth step over sorted data x: the
+    first position k with step(x_k - q_i) > 0, and the first with
+    step(x_k - q_i) >= 1 (x.size if none). The tests are monotone in x_k.
+
+    The searchsorted guesses at q_i -/+ delta are right unless a rounding
+    of q_i -/+ delta or of x_k - q_i moves the edge; one step() evaluation
+    checks them all, with their predecessors. A wrong guess is bisected
+    within _BRACKET positions on the side its check points to, and over all
+    of x only if the position found there fails the same check."""
+    n, d = x.size, kind.delta
+    guess = np.array((x.searchsorted(q - d, "right"), x.searchsorted(q + d, "left")))
+    bad, past = _misplaced(x, q, kind, guess, _FLOORS)
+    row, i = bad.nonzero()
+    if not row.size:
+        return guess
+    g, qb, floor, past = guess[row, i], q[i], _FLOORS[row, 0], past[row, i]
+    # The edge lies before a guess that holds with its predecessor, after one that does not hold.
+    lo = np.where(past, np.maximum(g - _BRACKET, 0), g + 1)
+    k = _bisect(x, qb, kind, floor, lo, np.where(past, g - 1, np.minimum(g + _BRACKET, n)))
+    far = _misplaced(x, qb, kind, k, floor)[0].nonzero()[0]
+    if far.size:
+        k[far] = _bisect(x, qb[far], kind, floor[far], np.zeros(far.size, np.intp), np.full(far.size, n, np.intp))
+    guess[row, i] = k
+    return guess
 
 
 def _weights(weights):
@@ -388,7 +428,7 @@ def _weights(weights):
     gives NaN sums, so that a NaN E_loc (an overflowing GIoU) makes a NaN
     loss, not an error."""
     w = np.asarray(weights, dtype=np.float64)
-    bad = np.flatnonzero(w < 0.0)
+    bad = (w < 0.0).ravel().nonzero()[0]
     if bad.size:
         raise ValueError("weights must be >= 0, got %r at %d" % (w.flat[bad[0]].item(), bad[0]))
     return w
@@ -439,13 +479,12 @@ class StepRelation:
         self.kind, self.q, self.size = kind, q, x.size
         d = kind.delta
         if kind.smooth and x.size:
-            lo = _first(x, q, lambda v: step(v, kind) > 0.0, np.searchsorted(x, q - d, "right"))
-            hi = _first(x, q, lambda v: step(v, kind) >= 1.0, np.searchsorted(x, q + d, "left"))
+            lo, hi = _windows(x, q, kind)
         else:
-            lo = hi = np.searchsorted(x, q, "left")
+            lo = hi = x.searchsorted(q, "left")
         # The kept data start at the lowest query's window, the widest (H and fl(x - q) are monotone
         # in q); idx: their positions in the data. The windows are shifted onto them.
-        start = lo.min(initial=x.size)
+        start = np.minimum.reduce(lo, initial=x.size)
         self.idx, self.x, self.lo, self.hi = idx[start:], x[start:], lo - start, hi - start
         x = self.x
         n = x.size
@@ -454,11 +493,11 @@ class StepRelation:
             return
 
         cell = np.floor(x / (4.0 * d))
-        first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-        bounds = np.concatenate((first, [n]))
-        size = bounds[1:] - bounds[:-1]
-        ref = np.concatenate((np.repeat(x[first], size), [0.0]))
-        cell_end = np.concatenate((np.repeat(bounds[1:], size), [n]))
+        # Each cell's first datum, then n.
+        bounds = np.concatenate(([True], cell[1:] != cell[:-1], [True])).nonzero()[0]
+        first, size = bounds[:-1], bounds[1:] - bounds[:-1]
+        ref = np.concatenate((x[first].repeat(size), [0.0]))
+        cell_end = np.concatenate((bounds[1:].repeat(size), [n]))
         self.t = x - ref[:-1]
         self.mid = np.minimum(cell_end[self.lo], self.hi)
         # Zero on an empty segment, where ref may lie far from q.
@@ -467,7 +506,7 @@ class StepRelation:
         # A window's lowest term t + c1 is above 0, as step() is, unless the roundings of t = x - ref and
         # of c1 take it to 0 or below: there c1 comes from step()'s own term, so the step mass stays > 0.
         t_lo = self.t[np.minimum(self.lo, n - 1)]
-        low = np.flatnonzero((self.lo < self.mid) & (t_lo + self.c1 <= 0.0))
+        low = ((self.lo < self.mid) & (t_lo + self.c1 <= 0.0)).nonzero()[0]
         if low.size:
             v = (x[self.lo[low]] - q[low]) + d
             self.c1[low] = np.maximum(v - t_lo[low], np.nextafter(-t_lo[low], np.inf))
@@ -479,7 +518,8 @@ class StepRelation:
             return (n - self.hi).astype(np.float64) if w is None else _sum(_prefix(w), self.hi, n)
         # The windows' segments [a, b): [hi, n) at full height, then [lo, mid) and [mid, hi) on the ramp.
         a = np.array((self.hi, self.lo, self.mid))
-        b = np.array((np.full_like(self.hi, n), self.mid, self.hi))
+        b = np.array((self.hi, self.mid, self.hi))
+        b[0] = n
         span = (b - a).astype(np.float64) if w is None else _sum(_prefix(w), a, b)
         pt = _sum(_prefix(self.t if w is None else w * self.t), a[1:], b[1:])
         return span[0] + (pt[0] + self.c1 * span[1] + pt[1] + self.c2 * span[2]) / (2.0 * self.kind.delta)
@@ -503,16 +543,16 @@ class StepRelation:
         # Marked, not np.unique: its first call raises the peak RSS by over 1 MB.
         marked = np.zeros(n + 1, dtype=bool)
         marked[self.lo] = marked[self.mid] = marked[self.hi] = True
-        edges = np.flatnonzero(marked[:n])
+        edges = marked[:n].nonzero()[0]
         m = edges.size + 1
         # Each row's weights put down at its window edges' numbers (n is m - 1, dropped), all
         # rows in one bincount over row-offset bins: row r's edge e is bin r * m + e.
         if self.kind.smooth:
-            hi, lo, mid = np.searchsorted(edges, np.array((self.hi, self.lo, self.mid)))
+            hi, lo, mid = edges.searchsorted(np.array((self.hi, self.lo, self.mid)))
             wc1, wc2 = w * self.c1, w * self.c2
             at, v = (hi, lo, lo, mid, mid, hi), (w, w, wc1, wc1, wc2, wc2)
         else:
-            at, v = (np.searchsorted(edges, self.hi),), (w,)
+            at, v = (edges.searchsorted(self.hi),), (w,)
         bins = np.array(at) + (m * np.arange(len(at)))[:, None]
         s = np.bincount(bins.ravel(), np.concatenate(v), len(at) * m).reshape(len(at), m)[:, :-1]
         # The rows to run: full height, and on the ramp the data's and the offsets' shares.
@@ -520,13 +560,14 @@ class StepRelation:
             s = np.array((s[0], s[1] - s[0], s[2] - s[3] + s[4] - s[5]))
         # _running over the data adds only +0 between edges, which changes no sum; only a row's
         # grid can differ, when the sum that sets it is near a power of two: run that case whole.
-        near = np.abs(np.frexp(np.abs(s).sum(axis=-1))[0] - 0.75)
-        if np.any((0.25 - 2.0**-40 < near) & (near < 0.5)):
+        near = np.abs(np.frexp(np.add.reduce(np.abs(s), axis=-1))[0] - 0.75)
+        if np.logical_or.reduce((0.25 - 2.0**-40 < near) & (near < 0.5)):
             bins = edges + n * np.arange(len(s))[:, None]
             held = _running(np.bincount(bins.ravel(), s.ravel(), len(s) * n).reshape(len(s), n))
         else:
             held = np.concatenate((np.zeros((len(s), 1)), _running(s)), axis=1)
-            held = np.repeat(held, np.diff(np.concatenate(([0], edges, [n]))), axis=1)
+            bounds = np.concatenate(([0], edges, [n]))
+            held = held.repeat(bounds[1:] - bounds[:-1], axis=1)
         g = held[0]
         if self.kind.smooth:
             g = g + (self.t * held[1] + held[2]) / (2.0 * self.kind.delta)
@@ -643,7 +684,7 @@ def assemble_gradients(scenario, loss_def, kind, stats=None, errors=None):
     ell, ell_star = loss_def.local_errors(scenario, stats, kind) if errors is None else errors
     z = float(loss_def.normalizer(scenario))
     gap = ell - ell_star
-    bad = np.flatnonzero(gap < -1e-12 * np.maximum(1.0, np.abs(ell)))
+    bad = (gap < -1e-12 * np.maximum(1.0, np.abs(ell))).nonzero()[0]
     if bad.size:
         i = bad[0]
         raise ValueError(
@@ -658,7 +699,7 @@ def assemble_gradients(scenario, loss_def, kind, stats=None, errors=None):
         grads[scenario.pos_index] = -gap / z
     else:
         grads[scenario.pos_index] = -gap * mass / z
-    share = np.divide(gap, stats.n_fp * z, out=np.zeros_like(gap), where=mass > 0.0)
+    share = np.divide(gap, stats.n_fp * z, out=np.zeros(gap.shape), where=mass > 0.0)
     # Each negative's gradient: the column sums of the relation behind N_FP.
     grads[scenario.neg_index] = stats.relation.col_sums(share)
     loss_value = float((ell * mass).sum()) / z

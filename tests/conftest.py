@@ -5,7 +5,12 @@ oracles for the sort-based engine (rankloss.ranking.step_sums), its window
 sums over the full length of the data, kept as oracles for the sums at the
 window edges (StepRelation.col_sums and the unit-weight row sums), the
 support test over all of the data, kept as the oracle for the kept suffix
-that StepRelation reads off its window edges, the AnchorRecord and
+that StepRelation reads off its window edges, the forms that a loss call
+and a trainer epoch replaced by fewer numpy calls (the prefix sums through
+ndarray.sum and np.cumsum, the window search with two step() checks per
+guess and a bisection over all of the data, the overlap pass with eight
+slope calls, and the rank correlation through np.corrcoef), kept as oracles
+for the same bits, the AnchorRecord and
 Detection / GroundTruth views of the columns, the AnchorRecord-list Scenario and the scalar box geometry, kept as oracles for
 the columnar Scenario and the geometry array forms, and the per-threshold
 evaluator (scalar IoU per pair, one matching per score threshold) and
@@ -34,7 +39,17 @@ from rankloss.fileio import (
     _number,
     _ordered,
 )
-from rankloss.geometry import Box, LocErrorKind, _as_box_array, iou_array
+from rankloss.geometry import (
+    Box,
+    LocErrorKind,
+    _as_box_array,
+    _hull,
+    _inter_union,
+    _overlap_of,
+    _sides,
+    _slope,
+    iou_array,
+)
 from rankloss.losses import (
     ALRPLossDef,
     APLossDef,
@@ -275,6 +290,97 @@ def oracle_col_sums(rel, weights):
         g = g + (rel.t * a + b) / (2.0 * rel.kind.delta)
     out[rel.idx] = np.maximum(g, 0.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The forms replaced by fewer numpy calls, which the new ones must match bit
+# for bit: their float operations are the same, only numpy's Python layers
+# (ndarray.sum, np.cumsum, np.corrcoef through np.cov) and the number of
+# step() and _slope() calls differ.
+# ---------------------------------------------------------------------------
+
+
+def oracle_prefix(v):
+    """ranking._prefix through ndarray.sum and np.cumsum."""
+    grid = np.ldexp(1.0, np.maximum(np.frexp(np.abs(v).sum(axis=-1, keepdims=True))[1] - 52, -1022))
+    high = v / grid
+    high = np.multiply(np.rint(high, out=high), grid, out=high)
+    out = np.zeros((2, *v.shape[:-1], v.shape[-1] + 1))
+    np.cumsum(high, axis=-1, out=out[0, ..., 1:])
+    np.cumsum(np.subtract(v, high, out=high), axis=-1, out=out[1, ..., 1:])
+    return out
+
+
+def oracle_first(x, q, test, guess):
+    """Per query q_i, the first position k of sorted x with test(x_k - q_i)
+    true (x.size if none): guess where it and its predecessor check out,
+    by two test() calls, and a bisection over all of x where they do not."""
+    n = x.size
+
+    def holds(k, qq):
+        return (k >= n) | test(x[np.minimum(k, n - 1)] - qq)
+
+    bad = np.flatnonzero(~holds(guess, q) | ((guess > 0) & holds(guess - 1, q)))
+    if not bad.size:
+        return guess
+    k = guess.copy()
+    lo, hi, qb = np.zeros(bad.size, np.intp), np.full(bad.size, n, np.intp), q[bad]
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        found, open_ = holds(mid, qb), lo < hi
+        hi = np.where(open_ & found, mid, hi)
+        lo = np.where(open_ & ~found, mid + 1, lo)
+    k[bad] = lo
+    return k
+
+
+def oracle_windows(x, q, kind):
+    """ranking._windows as two oracle_first searches, one per window edge."""
+    d = kind.delta
+    lo = oracle_first(x, q, lambda v: step(v, kind) > 0.0, np.searchsorted(x, q - d, "right"))
+    hi = oracle_first(x, q, lambda v: step(v, kind) >= 1.0, np.searchsorted(x, q + d, "left"))
+    return lo, hi
+
+
+def oracle_overlap_pass(pred, gt, variant):
+    """geometry._overlap_pass with one _slope call per clamp and per edge."""
+    a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    sides = _sides(a, b)
+    (rw, t5), (rh, t6), (sw, tw), (sh, th) = [_slope(0.0, s) for s in sides]
+    inter, union = _inter_union(sides, b)
+    ciw, cih, cw, ch = sides
+    ix2, t1 = _slope(a[..., 2], b[..., 2])
+    ix1, t2 = _slope(b[..., 0], a[..., 0])
+    iy2, t3 = _slope(a[..., 3], b[..., 3])
+    iy1, t4 = _slope(b[..., 1], a[..., 1])
+    tie = t1 | t2 | t3 | t4 | (t5 & (cih > 0.0)) | (t6 & (ciw > 0.0))
+    d_inter = np.stack([-ix1 * rw * cih, -iy1 * rh * ciw, ix2 * rw * cih, iy2 * rh * ciw], axis=-1)
+    d_union = np.stack([-sw * ch, -sh * cw, sw * ch, sh * cw], axis=-1) - d_inter
+    u, i = union[..., None], inter[..., None]
+    degenerate = union <= 0.0
+    hull = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (d_inter * u - i * d_union) / (u * u)
+        if variant == "giou":
+            hw, hh, hull = _hull(a, b)
+            d_hull = np.stack([-(1.0 - ix1) * hh, -(1.0 - iy1) * hw, (1.0 - ix2) * hh, (1.0 - iy2) * hw], axis=-1)
+            hl = hull[..., None]
+            g = g + (d_union * hl - u * d_hull) / (hl * hl)
+            tie = tie | (tw & (ch > 0.0)) | (th & (cw > 0.0))
+            degenerate = degenerate | (hull <= 0.0)
+        return _overlap_of(inter, union, hull), np.where(degenerate[..., None], 0.0, g), tie | degenerate
+
+
+def oracle_ranking_correlation(scenario, ious):
+    """metrics.ranking_correlation through np.corrcoef, on the loop's average ranks."""
+    scores = scenario.pos_scores()
+    if scores.size < 2:
+        raise ValueError("rank correlation needs at least two positives")
+    r_score = oracle_average_ranks_desc(scores)
+    r_iou = oracle_average_ranks_desc(ious)
+    if np.all(r_score == r_score[0]) or np.all(r_iou == r_iou[0]):
+        raise ValueError("rank correlation is undefined for constant rank vectors")
+    return float(np.corrcoef(r_score, r_iou)[0, 1])
 
 
 # ---------------------------------------------------------------------------

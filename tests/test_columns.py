@@ -26,10 +26,11 @@ from conftest import (
     oracle_loc_error,
     oracle_loc_error_grad,
     oracle_loc_error_and_grad_rows,
+    oracle_overlap_pass,
     same,
     separate_pass_loss,
 )
-from rankloss import losses
+from rankloss import geometry, losses
 from rankloss.geometry import (
     LocErrorKind,
     boxes_with_iou,
@@ -90,6 +91,19 @@ class TestGeometryAgainstOracle:
             assert same(grads[k], want_g) and tie[k] == want_tie
             assert same(ious[k], oracle_iou(p, g))
             assert same(one_pass[k], oracle_loc_error(p, g, kind, check=False))
+
+    @SETTINGS
+    @given(box_pairs, st.sampled_from(("iou", "giou")))
+    def test_overlap_pass_equals_one_slope_call_per_corner(self, pairs, variant):
+        """The (4, P) stacks' overlap, gradients and tie mask against the
+        form with eight _slope calls: equal with signs of zero (so the same
+        bits, but for a NaN's sign, which follows numpy's loop order), and
+        the gradients C-ordered."""
+        pred = np.array([p for p, _ in pairs], dtype=np.float64)
+        gt = np.array([g for _, g in pairs], dtype=np.float64)
+        got, want = geometry._overlap_pass(pred, gt, variant), oracle_overlap_pass(pred, gt, variant)
+        assert got[1].flags.c_contiguous and got[2].dtype == bool
+        assert all(same(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
     @SETTINGS
     @given(st.one_of(grid_boxes(), any_boxes, odd_boxes), st.one_of(grid_boxes(), odd_boxes), st.sampled_from(LOC_KINDS))

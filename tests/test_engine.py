@@ -5,6 +5,8 @@ exactly on a support edge, a single positive, no negatives and all-equal
 scores. The window sums at the edges are compared with their full-length
 oracles by ==, and counted: the running sums in col_sums are no longer
 than the distinct window edges, and no all-ones array is prefix-summed.
+The window search and the prefix sums equal, by bytes, the forms with more
+numpy calls that they replaced, kept in conftest.
 The memory of one loss call on a layout of low step mass is bounded, and
 the calls into the package's own functions during one small loss call and
 the calls of the traced layer entry points are counted."""
@@ -21,7 +23,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import generated_with, oracle_col_sums, oracle_loss, oracle_support, oracle_window_sums
+from conftest import (
+    generated_with,
+    oracle_col_sums,
+    oracle_loss,
+    oracle_prefix,
+    oracle_support,
+    oracle_window_sums,
+    oracle_windows,
+)
 from rankloss import geometry, losses, ranking, trainer
 from rankloss.geometry import LocErrorKind
 from rankloss.losses import (
@@ -342,6 +352,21 @@ def edge_relations(draw):
     return np.array(data) + offset, np.array(queries) + offset, kind, np.array(weights)
 
 
+@st.composite
+def prefix_terms(draw):
+    """A 1-D array or a stack of up to three rows of up to 30 terms each:
+    values over 23 decades, signed zeros, a sum near a power of two, NaN
+    and inf, and no terms at all."""
+    rows, n = draw(st.integers(0, 3)), draw(st.integers(0, 30))
+    term = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.floats(-1.0, 1.0).map(lambda f: f * 1e-20),
+        st.sampled_from((0.0, -0.0, 0.25, 1.0 - 2.0**-53, float("nan"), float("inf"))),
+    )
+    v = np.array(draw(st.lists(term, min_size=max(rows, 1) * n, max_size=max(rows, 1) * n)), dtype=np.float64)
+    return v.reshape(rows, n) if rows else v
+
+
 class TestWindowEdges:
     @settings(max_examples=300, deadline=None)
     @given(edge_relations())
@@ -353,6 +378,15 @@ class TestWindowEdges:
         ones = np.ones(rel.x.size)
         assert same(rel._sums(), oracle_window_sums(rel, ones))
         assert same(rel.col_sums(weights), oracle_col_sums(rel, weights))
+
+    @settings(max_examples=150, deadline=None)
+    @given(prefix_terms())
+    def test_prefix_sums_equal_the_wrapped_form(self, v):
+        """_prefix through the add ufunc's reduce and accumulate, against
+        ndarray.sum and np.cumsum."""
+        with np.errstate(invalid="ignore"):
+            got, want = ranking._prefix(v), oracle_prefix(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_grid_from_a_sum_near_a_power_of_two(self):
         """Weights whose pairwise sum is 1 - 2**-53 over the 13 edges but 1
@@ -468,7 +502,11 @@ class TestGivenOrder:
     def test_a_loss_call_on_sorted_negatives_steps_no_longer_array_than_the_positives(self, kind):
         """The kept suffix is read off the window edges: with the scenario's
         negatives already sorted, a loss call evaluates step() on no array
-        longer than the 20 positives, not on the 2000 negatives."""
+        longer than 4P = 80 (a relation's lo and hi guesses and their
+        predecessors, checked in one evaluation), never on the 2000
+        negatives, and on 161 elements in all (H(0) and two smooth
+        relations of 80; 161 as nine calls of 20 and one before the checks
+        were fused)."""
         scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=2000, seed=0))
         scn.neg_order()
         sizes, real = [], ranking.step
@@ -479,8 +517,68 @@ class TestGivenOrder:
 
         with mock.patch.object(ranking, "step", counting):
             alrp_loss(scn, kind)
-        assert sizes and max(sizes) <= 20
+        assert sizes and max(sizes) <= 4 * scn.n_pos and sum(sizes) <= 161
 
+
+
+@st.composite
+def window_edges(draw):
+    """(x, q, kind): sorted data in runs of up to 40 ties at and next to the
+    3-decimal roundings of each query's q -/+ delta, where the searchsorted
+    guess of a window edge can miss it by a whole run; or all-equal data;
+    optionally every value 1e6 above delta. One query (a single positive)
+    or several."""
+    kind = StepKind.smoothed(draw(st.sampled_from([0.1, 0.3, 0.5, 1e-3])))
+    d = kind.delta
+    queries = draw(st.lists(st.integers(0, 2000).map(lambda k: k / 1000), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        data = [queries[0]] * draw(st.integers(1, 60))
+    else:
+        data = [queries[0]]
+        for q in queries:
+            for edge in (q - d, q + d):
+                for k in (-1, 0, 1):
+                    data += [round(edge, 3) + k / 1000] * draw(st.integers(0, 40))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    return np.sort(np.array(data) + offset), np.array(queries) + offset, kind
+
+
+def counting_bisections(monkeypatch):
+    """Patch ranking._bisect to record, per call, whether it searched all of the data."""
+    full, real = [], ranking._bisect
+
+    def wrapper(x, q, kind, floor, lo, hi):
+        full.append(bool(np.all((lo == 0) & (hi == x.size))))
+        return real(x, q, kind, floor, lo, hi)
+
+    monkeypatch.setattr(ranking, "_bisect", wrapper)
+    return full
+
+
+class TestWindowSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(window_edges(), st.sampled_from([1, 16]))
+    def test_window_edges_equal_two_searches_with_bisection_over_all_data(self, drawn, bracket):
+        """Bracket 16 as shipped, and 1, where nearly every wrong guess
+        falls back to the bisection over all of the data."""
+        x, q, kind = drawn
+        with mock.patch.object(ranking, "_BRACKET", bracket):
+            lo, hi = ranking._windows(x, q, kind)
+        want_lo, want_hi = oracle_windows(x, q, kind)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+
+    @pytest.mark.parametrize("run, searches", ((10, [False]), (40, [False, True])), ids=("bracket", "all-data"))
+    def test_a_guess_a_run_of_ties_away_is_bisected_near_it(self, monkeypatch, run, searches):
+        """delta 0.1, q 0.002: fl(q + delta) lies above 0.102, while
+        step(0.102 - q) is 1, so the hi guess sits after the run of 0.102s
+        instead of at its start. A run of 10 is found within the bracket; a
+        run of 40 only by the bisection over all of the data."""
+        kind = StepKind.smoothed(0.1)
+        x, q = np.array([-0.5] * 5 + [0.102] * run + [0.5] * 5), np.array([0.002])
+        full = counting_bisections(monkeypatch)
+        lo, hi = ranking._windows(x, q, kind)
+        assert full == searches and (lo[0], hi[0]) == (5, 5)
+        assert (lo, hi) == tuple(map(tuple, oracle_windows(x, q, kind)))
 
 
 def exact_step(x, q, delta):
@@ -602,6 +700,30 @@ class TestCallCount:
         finally:
             sys.setprofile(previous)
         assert len(calls) <= 132
+
+    def test_a_small_loss_call_makes_few_python_level_calls(self):
+        """The same call, counted by every Python function and builtin it
+        enters, numpy's Python layers (np.flatnonzero, np.cumsum, ...)
+        included: 263 (127 functions and 136 builtins), against 606 (374
+        and 232) when the window search checked each guess with two step()
+        calls, the overlap pass made eight _slope calls and the sums went
+        through numpy's Python wrappers."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=200, seed=0))
+        kind = StepKind.smoothed(0.5)
+        alrp_loss(scn, kind)  # any first-call set-up
+        counts = {"call": 0, "c_call": 0}
+
+        def profile(frame, event, arg):
+            if event in counts:
+                counts[event] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            alrp_loss(scn, kind)
+        finally:
+            sys.setprofile(previous)
+        assert counts["call"] + counts["c_call"] <= 263
 
 
 def counted(monkeypatch, owners, name):

@@ -353,9 +353,12 @@ class TestMetricsAgainstOracle:
 
     @pytest.mark.parametrize("value", (False, np.bool_(True), "0.5", None), ids=repr)
     def test_a_tau_or_threshold_that_is_not_a_real_number_is_refused(self, value):
-        """False was taken as tau 0 and True as threshold 1; a string raised a bare TypeError."""
+        """False was taken as tau 0 and True as threshold 1; a string raised a bare TypeError.
+        match_class matched at IoU 1 for tau True."""
         inputs = EvalInput([0.9], [0], [BOX], [0], [BOX])
         got = re.escape(repr(value))
+        with pytest.raises(ValueError, match=r"^tau must be a real number, got %s$" % got):
+            match_class(detections_of(inputs), ground_truths_of(inputs), 0, value)
         with pytest.raises(ValueError, match=r"^tau must be a real number, got %s$" % got):
             olrp(inputs, value)
         with pytest.raises(ValueError, match=r"^tau must be a real number, got %s$" % got):
@@ -587,6 +590,12 @@ class TestEvalInputColumns:
             ("gt_boxes", ([0.5], [0], [BOX], [0, 0], [BOX, BOX[:3]])),
         ):
             with pytest.raises(ValueError, match=r"^%s: expected real numbers, got a ragged sequence$" % name):
+                EvalInput(*columns)
+        for name, columns in (
+            ("det_cls", ([0.5, 0.4], [0, [1]], [BOX, BOX], [0], [BOX])),
+            ("gt_cls", ([0.5], [0], [BOX], [0, [1]], [BOX, BOX])),
+        ):
+            with pytest.raises(ValueError, match=r"^%s: expected integers, got a ragged sequence$" % name):
                 EvalInput(*columns)
 
     def test_a_string_class_is_named_among_numbers(self):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ap_at_iou, detections_of, ground_truths_of, oracle_average_ranks_desc
+from conftest import ap_at_iou, detections_of, ground_truths_of, oracle_average_ranks_desc, oracle_ranking_correlation
 from rankloss.fixtures import fixture_eval, fixture_scenario
 from rankloss.geometry import Box
+from rankloss.ranking import Scenario
 from rankloss.metrics import (
     DEFAULT_TAUS,
     Detection,
@@ -366,6 +367,32 @@ class TestRankVectors:
         got = average_ranks_desc(np.array(values, dtype=np.float64))
         want = oracle_average_ranks_desc(np.array(values, dtype=np.float64))
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 3).map(lambda k: k / 4.0), min_size=n, max_size=n),
+                st.lists(st.one_of(st.integers(0, 3).map(lambda k: 0.5 + k / 8.0), st.floats(0.0, 1.0)), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_correlation_equals_np_corrcoef(self, drawn):
+        """On tied, all-equal and single-positive rank vectors: the same
+        float, or the same refusal, as np.corrcoef on the loop's ranks."""
+        scores, ious = drawn
+        n = len(scores)
+        gts = np.array([[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(n)])
+        scn = Scenario.from_columns(["pos"] * n, scores, np.arange(n), gts, gts)
+        ious = np.array(ious)
+        try:
+            want = oracle_ranking_correlation(scn, ious)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                ranking_correlation(scn, ious)
+        else:
+            got = ranking_correlation(scn, ious)
+            assert type(got) is float and got == want
 
     def test_correlation_extremes(self):
         assert ranking_correlation(fixture_scenario("aligned")) == 1.0

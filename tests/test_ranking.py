@@ -334,6 +334,9 @@ class TestScenario:
         ragged = [*scn.pos_box[:-1].tolist(), [0.0, 0.0, 1.0]]
         with pytest.raises(ValueError, match=r"^pos_box: expected real numbers, got a ragged sequence$"):
             Scenario.from_columns(scn.labels, scn.scores, scn.pos_gt, ragged, scn.gts)
+        # A ragged gt index column raised numpy's message, which names no column.
+        with pytest.raises(ValueError, match=r"^pos_gt: expected integers, got a ragged sequence$"):
+            Scenario.from_columns(scn.labels, scn.scores, [0, [1], 2, 3], scn.pos_box, scn.gts)
         with pytest.raises(ValueError, match="unknown anchor label: 'background'"):
             Scenario.from_columns(["background", *scn.labels[1:]], scn.scores, scn.pos_gt, scn.pos_box, scn.gts)
 
