@@ -343,8 +343,7 @@ def _prefix(v):
     (see _sum) is as precise as the terms between them, however large the
     prefix before them."""
     grid = np.ldexp(1.0, np.maximum(np.frexp(np.add.reduce(np.abs(v), axis=-1, keepdims=True))[1] - 52, -1022))
-    # In place, as in step(): high = rint(v / grid) * grid, then low = v - high in its buffer. The
-    # ufuncs' own reduce and accumulate are the arithmetic of ndarray.sum and np.cumsum.
+    # In place, as in step(): high = rint(v / grid) * grid, then low = v - high in its buffer.
     high = v / grid
     high = np.multiply(np.rint(high, out=high), grid, out=high)
     out = np.zeros((2, *v.shape[:-1], v.shape[-1] + 1))

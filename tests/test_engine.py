@@ -543,18 +543,6 @@ def window_edges(draw):
     return np.sort(np.array(data) + offset), np.array(queries) + offset, kind
 
 
-def counting_bisections(monkeypatch):
-    """Patch ranking._bisect to record, per call, whether it searched all of the data."""
-    full, real = [], ranking._bisect
-
-    def wrapper(x, q, kind, floor, lo, hi):
-        full.append(bool(np.all((lo == 0) & (hi == x.size))))
-        return real(x, q, kind, floor, lo, hi)
-
-    monkeypatch.setattr(ranking, "_bisect", wrapper)
-    return full
-
-
 class TestWindowSearch:
     @settings(max_examples=300, deadline=None)
     @given(window_edges(), st.sampled_from([1, 16]))
@@ -575,7 +563,13 @@ class TestWindowSearch:
         run of 40 only by the bisection over all of the data."""
         kind = StepKind.smoothed(0.1)
         x, q = np.array([-0.5] * 5 + [0.102] * run + [0.5] * 5), np.array([0.002])
-        full = counting_bisections(monkeypatch)
+        full, real = [], ranking._bisect
+
+        def bisect(x, q, kind, floor, lo, hi):
+            full.append(bool(np.all((lo == 0) & (hi == x.size))))  # a search over all of the data
+            return real(x, q, kind, floor, lo, hi)
+
+        monkeypatch.setattr(ranking, "_bisect", bisect)
         lo, hi = ranking._windows(x, q, kind)
         assert full == searches and (lo[0], hi[0]) == (5, 5)
         assert (lo, hi) == tuple(map(tuple, oracle_windows(x, q, kind)))
