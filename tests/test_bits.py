@@ -67,9 +67,9 @@ def _workloads():
 
 
 def digest(value):
-    """repr for a scalar; dtype, shape and a hash of the bytes for an array."""
+    """repr for a scalar; dtype, shape and a hash of the bytes (in C order) for an array."""
     if isinstance(value, np.ndarray):
-        return "%s %s %s" % (value.dtype.str, value.shape, hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()[:20])
+        return "%s %s %s" % (value.dtype.str, value.shape, hashlib.sha256(value.tobytes()).hexdigest()[:20])
     return repr(value)
 
 
@@ -132,7 +132,8 @@ def _eval_outputs(out, name, inputs):
     out[f"{name}.olrp"] = digest(metrics.olrp(inputs, 0.5))
     out[f"{name}.lrp_at.all"] = digest(metrics.lrp_at(inputs, 0.5))
     out[f"{name}.lrp_at.median"] = digest(metrics.lrp_at(inputs, 0.5, float(np.median(inputs.det_scores))))
-    dets = [metrics.Detection(s, Box(*b), c) for s, b, c in zip(*(v.tolist() for v in (inputs.det_scores, inputs.det_boxes, inputs.det_cls)))]
+    columns = (inputs.det_scores.tolist(), inputs.det_boxes.tolist(), inputs.det_cls.tolist())
+    dets = [metrics.Detection(s, Box(*b), c) for s, b, c in zip(*columns)]
     gts = [metrics.GroundTruth(Box(*b), c) for b, c in zip(inputs.gt_boxes.tolist(), inputs.gt_cls.tolist())]
     for cls in inputs.classes():
         for tau in (-1.0, 0.0, 0.5):
