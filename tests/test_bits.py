@@ -17,9 +17,14 @@ recorded in bits.json beside it:
   ``alrp_loss(use_fast=True)``; ranking_correlation; every train() log
   row for perfbench's train configuration and for AP and NDCG; mean_ap,
   olrp, lrp_at and every class's MatchResult at IoU thresholds -1, 0 and
-  0.5.
+  0.5;
+* files and text: the bytes of every scenario and eval file the writers
+  (``save_scenario``, ``save_eval``) make of these inputs, and the stdout
+  of the CLI's ``loss`` (json and csv), ``eval`` (map, olrp and lrp) and
+  ``train`` on the fixture files, with ``train``'s CSV log.
 
-An array is digested with its dtype, shape and bytes, a float by repr. A
+An array is digested with its dtype, shape and bytes, a float by repr, a
+file or a text by a hash of its bytes. A
 change that moves outputs on purpose rewrites the file and names the moved
 digests in CHANGES.md:
 
@@ -28,8 +33,10 @@ digests in CHANGES.md:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import importlib.util
 import json
 import platform
@@ -44,7 +51,8 @@ if __name__ == "__main__":
 import numpy as np
 
 from rankloss import losses, metrics, trainer
-from rankloss.fixtures import FIXTURE_NAMES, fixture_eval, fixture_scenario
+from rankloss.cli import EXIT_OK, main
+from rankloss.fixtures import FIXTURE_NAMES, fixture_eval, fixture_scenario, write_fixture_files
 from rankloss.geometry import Box
 from rankloss.ranking import StepKind, StepRelation
 
@@ -66,11 +74,20 @@ def _workloads():
     return module
 
 
+def _hash(data):
+    return hashlib.sha256(data).hexdigest()[:20]
+
+
 def digest(value):
     """repr for a scalar; dtype, shape and a hash of the bytes (in C order) for an array."""
     if isinstance(value, np.ndarray):
-        return "%s %s %s" % (value.dtype.str, value.shape, hashlib.sha256(value.tobytes()).hexdigest()[:20])
+        return "%s %s %s" % (value.dtype.str, value.shape, _hash(value.tobytes()))
     return repr(value)
+
+
+def _file(path):
+    data = Path(path).read_bytes()
+    return "%d bytes %s" % (len(data), _hash(data))
 
 
 def _breakdown(out, key, bd):
@@ -123,7 +140,7 @@ def _train_outputs(out, name, scn, perfbench_config):
         out[f"{key}.diverged_at"] = digest(log.diverged_at)
         for column in trainer.LOG_COLUMNS:
             values = "\n".join(digest(row[column]) for row in log.rows)
-            out[f"{key}.{column}"] = "%d rows %s" % (len(log.rows), hashlib.sha256(values.encode()).hexdigest()[:20])
+            out[f"{key}.{column}"] = "%d rows %s" % (len(log.rows), _hash(values.encode()))
 
 
 def _eval_outputs(out, name, inputs):
@@ -142,6 +159,38 @@ def _eval_outputs(out, name, inputs):
                 out[f"{name}.match.{cls}.{tau!r}.{f.name}"] = digest(getattr(match, f.name))
 
 
+def _cli(argv):
+    """The stdout of one CLI run, which must succeed."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(argv)
+    assert code == EXIT_OK, (argv, code)
+    return stdout.getvalue()
+
+
+def _cli_outputs(out, workdir):
+    """The fixture files' bytes, and the CLI's stdout on them."""
+    for path in write_fixture_files(workdir):
+        out[f"file.fixture.{Path(path).stem}"] = _file(path)
+    log = str(Path(workdir) / "log.csv")
+    for name in FIXTURE_NAMES:
+        scenario, inputs = str(Path(workdir) / f"{name}_scenario.json"), str(Path(workdir) / f"{name}_eval.json")
+        runs = {
+            "loss.json": ["loss", "--scenario", scenario, "--step", "smooth", "--delta", "0.5", "--grads"],
+            "loss.csv": ["loss", "--scenario", scenario, "--format", "csv"],
+            "loss.ap.csv": ["loss", "--scenario", scenario, "--loss", "ap", "--format", "csv"],
+            "eval.map": ["eval", "--input", inputs],
+            "eval.map.csv": ["eval", "--input", inputs, "--recall-points", "coco101", "--format", "csv"],
+            "eval.olrp": ["eval", "--input", inputs, "--metric", "olrp"],
+            "eval.lrp.csv": ["eval", "--input", inputs, "--metric", "lrp", "--score-threshold", "0.45", "--format", "csv"],
+            "train": ["train", "--scenario", scenario, "--epochs", "12", "--delta", "0.5", "--sb", "--out", log],
+        }
+        for run, argv in runs.items():
+            # The log's path is the temporary directory's, so it is left out of the digest.
+            text = _cli(argv).replace(log, "LOG")
+            out[f"cli.{name}.{run}"] = "%d chars %s" % (len(text), _hash(text.encode()))
+        out[f"cli.{name}.train.log"] = _file(log)
+
+
 def outputs():
     """{output name: digest} over every input and output listed above."""
     workloads = _workloads()
@@ -153,12 +202,18 @@ def outputs():
         for size_name, size in sizes.items():
             for seed in SEEDS:
                 tag = f"{size_name}{seed}"
+                # Each set-up writes its input with save_scenario or save_eval, then reads it back.
                 loss = workloads.WORKLOADS["loss"].setup(seed, workdir, size["loss"])
+                out[f"file.loss.{tag}"] = _file(Path(workdir) / "loss_scenario.json")
                 _scenario_outputs(out, f"loss.{tag}", loss["scenario"])
                 train = workloads.WORKLOADS["train"].setup(seed, workdir, size["train"])
+                out[f"file.train.{tag}"] = _file(Path(workdir) / "train_scenario.json")
                 _scenario_outputs(out, f"train.{tag}", train["scenario"])
                 _train_outputs(out, f"train.{tag}", train["scenario"], train["config"])
-                _eval_outputs(out, f"eval.{tag}", workloads.WORKLOADS["eval"].setup(seed, workdir, size["eval"])["inputs"])
+                inputs = workloads.WORKLOADS["eval"].setup(seed, workdir, size["eval"])["inputs"]
+                out[f"file.eval.{tag}"] = _file(Path(workdir) / "eval_input.json")
+                _eval_outputs(out, f"eval.{tag}", inputs)
+        _cli_outputs(out, workdir)
     for name in FIXTURE_NAMES:
         _scenario_outputs(out, f"fixture.{name}", fixture_scenario(name))
         _eval_outputs(out, f"fixture.{name}", fixture_eval(name))
