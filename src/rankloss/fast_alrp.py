@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import losses
-from .geometry import loc_error_grad  # noqa: F401  (re-exported for callers that look it up here)
+from .geometry import _flag, loc_error_grad  # noqa: F401  (loc_error_grad is re-exported for callers that look it up here)
 from .ranking import StepKind, StepRelation
 
 
@@ -35,7 +35,8 @@ class FastConfig:
     exact: bool = False
 
     def __post_init__(self):
-        StepKind(not self.exact, self.delta)  # refuses a delta the smooth step cannot use
+        _flag("prune", self.prune)
+        StepKind(not _flag("exact", self.exact), self.delta)  # refuses a delta the smooth step cannot use
 
 
 def active_backend():

@@ -33,9 +33,56 @@ def _real_scalar(name, value):
     return value
 
 
+def _flag(name, value):
+    """value, refused by name unless it is a bool (numpy's included): not "no", 1, 0.0 or None."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+def _array(name, values, what):
+    """np.array(values), refused by name if values is a ragged sequence."""
+    try:
+        return np.array(values)
+    except ValueError:
+        raise ValueError("%s: expected %s, got a ragged sequence" % (name, what)) from None
+
+
+def _shaped(name, column, shape):
+    """column, refused by name unless it has the shape."""
+    if column.shape != shape:
+        raise ValueError("%s: expected shape %s, got %s" % (name, shape, column.shape))
+    return column
+
+
+def _real(name, values):
+    """values as a float64 copy, refused by name unless numpy reads them as
+    floats or integers, or as objects that are all real numbers (Python ints
+    beyond int64) within float64's range: not strings, bools, None or
+    complex numbers. A bool among numbers in a list is a number to numpy
+    before it is seen, as for ranking._integers; a ragged sequence is refused too."""
+    column = _array(name, values, "real numbers")
+    if column.dtype == object and all(map(_real_entry, column.flat)):
+        try:
+            column = column.astype(np.float64)
+        except OverflowError:
+            raise ValueError("%s: expected real numbers, got an entry beyond float64's range" % name) from None
+    if column.dtype.kind not in "fiu":
+        raise ValueError("%s: expected real numbers, got %s entries" % (name, column.dtype))
+    return column.astype(np.float64, copy=False)
+
+
+def _column(name, values, shape):
+    """values as float64 of the shape (_real), refused by name otherwise; empty values are an empty column of any width."""
+    column = _real(name, values)
+    if column.shape[:1] == shape[:1] == (0,):
+        column = column.reshape(shape)
+    return _shaped(name, column, shape)
+
+
 @dataclass(frozen=True)
 class Box:
-    """Corner-form box. Validates corner ordering on construction."""
+    """Corner-form box. Validates corner ordering on construction; as an array, its corners as given (read by _real)."""
 
     x1: float
     y1: float
@@ -46,8 +93,11 @@ class Box:
         if not (self.x1 <= self.x2 and self.y1 <= self.y2):
             raise ValueError(CORNER_ORDER % (self.x1, self.y1, self.x2, self.y2))
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array((self.x1, self.y1, self.x2, self.y2), dtype)
+
     def as_array(self):
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
+        return _as_box_array(self)
 
 
 @dataclass(frozen=True)
@@ -77,13 +127,9 @@ class LocErrorKind:
         return cls("giou", tau)
 
 
-def _as_box_array(b):
-    if isinstance(b, Box):
-        return b.as_array()
-    a = np.asarray(b, dtype=np.float64)
-    if a.shape != (4,):
-        raise ValueError("expected a length-4 corner-form box, got shape %s" % (a.shape,))
-    return a
+def _as_box_array(b, name="box"):
+    """A Box or four real numbers as a float64 (4,) array (_column), refused by name otherwise."""
+    return _column(name, b, (4,))
 
 
 # --- array forms -------------------------------------------------------------
@@ -148,7 +194,7 @@ def boxes_with_iou(gts, ious):
     intersection is iou times the area and the union is the area."""
     if not np.all((0.0 <= ious) & (ious <= 1.0)):
         raise ValueError("target IoU must lie in [0, 1]")
-    boxes = np.array(gts, dtype=np.float64)
+    boxes = _real("gts", gts)
     boxes[:, 3] = boxes[:, 1] + ious * (boxes[:, 3] - boxes[:, 1])
     return boxes
 
@@ -247,7 +293,7 @@ def loc_error_and_grad_array(pred, gt, kind):
 
 
 def _single(fn, pred, gt, *rest):
-    return fn(_as_box_array(pred)[None], _as_box_array(gt)[None], *rest)
+    return fn(_as_box_array(pred, "pred")[None], _as_box_array(gt, "gt")[None], *rest)
 
 
 def iou(pred, gt):

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CORNER_ORDER, Box, _loc_error_of, _real_scalar, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
-from .ranking import IGNORE, Scenario, _column, _frozen, _integers, _real, _shaped
+from .geometry import CORNER_ORDER, Box, _column, _loc_error_of, _real, _real_scalar, _shaped, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
+from .ranking import IGNORE, Scenario, _frozen, _integers
 
 # Default IoU thresholds for the mean-AP sweep.
 DEFAULT_TAUS = (0.50, 0.65, 0.80, 0.95)
@@ -33,7 +33,7 @@ class Detection:
     cls: int = 0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.score):
+        if not math.isfinite(_real_scalar("score", self.score)):
             raise ValueError("detection score must be finite")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, LocErrorKind, _real_entry, _real_scalar, loc_error_and_grad_array
+from .geometry import LocErrorKind, _array, _column, _flag, _real, _real_entry, _real_scalar, _shaped, loc_error_and_grad_array
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
 MAX_DELTA = 2.0**900
@@ -61,7 +61,7 @@ class StepKind:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.smooth and not 0.0 < _real_scalar("delta", self.delta) < np.inf:
+        if _flag("smooth", self.smooth) and not 0.0 < _real_scalar("delta", self.delta) < np.inf:
             raise ValueError("smooth step needs a finite delta > 0, got %r" % (self.delta,))
         if self.smooth and self.delta > MAX_DELTA:
             raise ValueError("smooth step needs a delta of at most 2**900, got %r" % (self.delta,))
@@ -105,14 +105,6 @@ def _frozen(a):
     return a
 
 
-def _array(name, values, what):
-    """np.array(values), refused by name if values is a ragged sequence."""
-    try:
-        return np.array(values)
-    except ValueError:
-        raise ValueError("%s: expected %s, got a ragged sequence" % (name, what)) from None
-
-
 def _integers(name, values, dtype):
     """(values as an array of the integer dtype, the mask of the entries
     that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range,
@@ -134,38 +126,6 @@ def _integers(name, values, dtype):
     return out, bad | np.asarray(out != a, dtype=bool)
 
 
-def _shaped(name, column, shape):
-    """column, refused by name unless it has the shape."""
-    if column.shape != shape:
-        raise ValueError("%s: expected shape %s, got %s" % (name, shape, column.shape))
-    return column
-
-
-def _real(name, values):
-    """values as a float64 copy, refused by name unless numpy reads them as
-    floats or integers, or as objects that are all real numbers (Python ints
-    beyond int64) within float64's range: not strings, bools, None or
-    complex numbers. A bool among numbers in a list is a number to numpy
-    before it is seen, as for _integers; a ragged sequence is refused too."""
-    column = _array(name, values, "real numbers")
-    if column.dtype == object and all(map(_real_entry, column.flat)):
-        try:
-            column = column.astype(np.float64)
-        except OverflowError:
-            raise ValueError("%s: expected real numbers, got an entry beyond float64's range" % name) from None
-    if column.dtype.kind not in "fiu":
-        raise ValueError("%s: expected real numbers, got %s entries" % (name, column.dtype))
-    return column.astype(np.float64, copy=False)
-
-
-def _column(name, values, shape):
-    """values as float64 of the shape (_real), refused by name otherwise; empty values are an empty column of any width."""
-    column = _real(name, values)
-    if column.shape[:1] == shape[:1] == (0,):
-        column = column.reshape(shape)
-    return _shaped(name, column, shape)
-
-
 def _not_finite(column, anchors, field):
     """(anchors[k], "anchors[%d].<field> is not finite") for the first row k of column not all finite, or None."""
     finite = np.isfinite(column)
@@ -174,7 +134,7 @@ def _not_finite(column, anchors, field):
 
 
 def _gt_array(gts):
-    rows = [g.as_array() if isinstance(g, Box) else _real("gts[%d]" % j, g) for j, g in enumerate(gts)]
+    rows = [_real("gts[%d]" % j, g) for j, g in enumerate(gts)]
     for j, row in enumerate(rows):
         if row.shape != (4,):
             raise ValueError("gts[%d]: expected four entries, got shape %s" % (j, row.shape))
@@ -220,22 +180,14 @@ class Scenario:
         pos_box = np.zeros((len(pos), 4))
         box_errors = []
         for k, (i, a) in enumerate(pos):
-            box = None if a.box is None else np.asarray(a.box, dtype=np.float64)
-            if box is None:
+            if a.box is None:
                 box_errors.append((i, "anchors[%d]: positive needs a predicted box" % i))
-            elif box.shape != (4,):
-                box_errors.append((i, "anchors[%d].box: expected four entries, got shape %s" % (i, box.shape)))
-            else:
+            elif (box := _real("pos_box", a.box)).shape == (4,):
                 pos_box[k] = box
-        self._set_columns(
-            [a.label for a in anchors],
-            [a.score for a in anchors],
-            [-1 if a.gt is None else a.gt for _, a in pos],
-            pos_box,
-            gts,
-            loc_kind,
-            box_errors,
-        )
+            else:
+                box_errors.append((i, "anchors[%d].box: expected four entries, got shape %s" % (i, box.shape)))
+        pos_gt = [-1 if a.gt is None else a.gt for _, a in pos]
+        self._set_columns([a.label for a in anchors], [a.score for a in anchors], pos_gt, pos_box, gts, loc_kind, box_errors)
 
     @classmethod
     def from_columns(cls, labels, scores, pos_gt, pos_box, gts, loc_kind=None):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import _real_scalar, boxes_with_iou
+from .geometry import _flag, _real_scalar, boxes_with_iou
 # perfbench wraps these by this module's names: train() calls positive_ious and ranking_correlation
 # once per epoch, and reaches the losses through losses._named_loss, so they stay bound here for it.
 from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
@@ -213,9 +213,9 @@ class TrainConfig:
         check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.wrong_target and self.loss != "alrp":
+        if _flag("wrong_target", self.wrong_target) and self.loss != "alrp":
             raise ValueError("the wrong-target variant only applies to the alrp loss")
-        if self.self_balance and self.loss != "alrp":
+        if _flag("self_balance", self.self_balance) and self.loss != "alrp":
             raise ValueError("self-balancing only applies to the alrp loss")
         if self.box_lr is not None and self.loss != "alrp":
             raise ValueError("box_lr only applies to the alrp loss (ap and ndcg have no box gradients)")
