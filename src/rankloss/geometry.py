@@ -40,6 +40,13 @@ def _flag(name, value):
     return value
 
 
+def _instance(name, value, cls):
+    """value, refused by name unless it is a cls: a Box, not four corners; a StepKind, not "smooth"."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def _array(name, values, what):
     """np.array(values), refused by name if values is a ragged sequence."""
     try:
@@ -96,9 +103,6 @@ class Box:
     def __array__(self, dtype=None, copy=None):
         return np.array((self.x1, self.y1, self.x2, self.y2), dtype)
 
-    def as_array(self):
-        return _as_box_array(self)
-
 
 @dataclass(frozen=True)
 class LocErrorKind:
@@ -125,11 +129,6 @@ class LocErrorKind:
     @classmethod
     def giou(cls, tau=0.0):
         return cls("giou", tau)
-
-
-def _as_box_array(b, name="box"):
-    """A Box or four real numbers as a float64 (4,) array (_column), refused by name otherwise."""
-    return _column(name, b, (4,))
 
 
 # --- array forms -------------------------------------------------------------
@@ -293,7 +292,7 @@ def loc_error_and_grad_array(pred, gt, kind):
 
 
 def _single(fn, pred, gt, *rest):
-    return fn(_as_box_array(pred, "pred")[None], _as_box_array(gt, "gt")[None], *rest)
+    return fn(_column("pred", pred, (4,))[None], _column("gt", gt, (4,))[None], *rest)
 
 
 def iou(pred, gt):

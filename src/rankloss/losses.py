@@ -75,32 +75,22 @@ def _exact_pos_loc_sums(scenario, e_loc):
 
 
 class APLossDef(RankingLossDef):
-    def normalizer(self, scenario):
-        return scenario.n_pos
-
     def terms(self, scenario, stats, kind):
         ell = stats.n_fp / stats.rank
         return ell, np.zeros_like(ell), float(ell.mean()), 0.0, np.zeros((scenario.n_pos, 4)), 0
 
 
 class ALRPLossDef(RankingLossDef):
-    def normalizer(self, scenario):
-        return scenario.n_pos
-
     def terms(self, scenario, stats, kind):
         # One overlap pass: E_loc and dE_loc/d(box), which the soft weights turn into d(loc_component)/d(box).
         e_loc, g, tie = loc_error_and_grad_array(scenario.pos_box, scenario.pos_gt_boxes(), scenario.loc_kind)
         c = _exact_pos_loc_sums(scenario, e_loc)
+        ell = (stats.n_fp + e_loc + c) / stats.rank
+        ell_star = e_loc / stats.rank
         cls_c = float((stats.n_fp / stats.rank).mean())
         loc_c = float(((e_loc + c) / stats.rank).mean())
         w = alrp_soft_weights(scenario, kind, stats.rank)
-        return (*self.errors(stats, e_loc, c), cls_c, loc_c, w[:, None] * g, np.count_nonzero(tie))
-
-    def errors(self, stats, e_loc, c):
-        """(l, l*) from E_loc and C(i)."""
-        ell = (stats.n_fp + e_loc + c) / stats.rank
-        ell_star = e_loc / stats.rank
-        return ell, ell_star
+        return ell, ell_star, cls_c, loc_c, w[:, None] * g, np.count_nonzero(tie)
 
 
 class WrongTargetALRPDef(ALRPLossDef):
@@ -111,9 +101,9 @@ class WrongTargetALRPDef(ALRPLossDef):
 
     unconditional_positive_grads = True
 
-    def errors(self, stats, e_loc, c):
-        ell, _ = super().errors(stats, e_loc, c)
-        return ell, np.zeros_like(ell)
+    def terms(self, scenario, stats, kind):
+        ell, _, *rest = super().terms(scenario, stats, kind)
+        return (ell, np.zeros_like(ell), *rest)
 
 
 class NDCGLossDef(RankingLossDef):

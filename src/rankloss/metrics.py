@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CORNER_ORDER, Box, _column, _loc_error_of, _real, _real_scalar, _shaped, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
+from .geometry import CORNER_ORDER, Box, _column, _instance, _loc_error_of, _real, _real_scalar, _shaped, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
 from .ranking import IGNORE, Scenario, _frozen, _integers
 
 # Default IoU thresholds for the mean-AP sweep.
@@ -35,6 +35,7 @@ class Detection:
     def __post_init__(self) -> None:
         if not math.isfinite(_real_scalar("score", self.score)):
             raise ValueError("detection score must be finite")
+        _instance("box", self.box, Box)
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class GroundTruth:
 
     box: Box
     cls: int = 0
+
+    def __post_init__(self) -> None:
+        _instance("box", self.box, Box)
 
 
 def _class_column(name, values, rows=None):
@@ -156,7 +160,7 @@ def _build_class_table(inputs: EvalInput, cls: int) -> _ClassTable:
     gt_idx = np.flatnonzero(inputs.gt_cls == cls)
     scores = inputs.det_scores[det_idx]
     # Descending score, ties by original index: no container ordering quirks.
-    order = np.argsort(-scores, kind="stable")
+    order = (-scores).argsort(kind="stable")
     det_idx, scores = det_idx[order], scores[order]
     dets, gts = inputs.det_boxes[det_idx], inputs.gt_boxes[gt_idx]
     # IoU > 0 needs a float overlap width min(x2) - max(x1) > 0, which holds
@@ -165,7 +169,7 @@ def _build_class_table(inputs: EvalInput, cls: int) -> _ClassTable:
     # are a prefix, and those before the first whose running maximum of x2
     # exceeds d.x1 all have x2 <= d.x1: the window [lo, hi) between the two
     # holds every pair with IoU > 0, with no slack and for any corners.
-    by_x1 = np.argsort(gts[:, 0], kind="stable")
+    by_x1 = gts[:, 0].argsort(kind="stable")
     lo = np.searchsorted(np.maximum.accumulate(gts[by_x1, 2]), dets[:, 0], "right")
     hi = np.searchsorted(gts[by_x1, 0], dets[:, 2], "left")
     n_in = np.maximum(hi - lo, 0)
@@ -491,7 +495,7 @@ def _ious_by_score(scores: np.ndarray, ious: np.ndarray, best_first: bool) -> np
     """The IoU multiset handed out in descending score order (ties by
     index): highest IoU first when best_first, lowest first otherwise."""
     out = np.empty_like(ious)
-    out[np.argsort(-scores, kind="stable")] = np.sort(ious)[::-1] if best_first else np.sort(ious)
+    out[(-scores).argsort(kind="stable")] = np.sort(ious)[::-1] if best_first else np.sort(ious)
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LocErrorKind, _array, _column, _flag, _real, _real_entry, _real_scalar, _shaped, loc_error_and_grad_array
+from .geometry import LocErrorKind, _array, _column, _flag, _instance, _real, _real_entry, _real_scalar, _shaped, loc_error_and_grad_array
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
 MAX_DELTA = 2.0**900
@@ -155,7 +155,7 @@ class Scenario:
       pos_gt     (P,)   each positive's ground-truth index
       pos_box    (P, 4) each positive's predicted box (order of pos_index)
       gts        (G, 4) ground-truth boxes
-    plus loc_kind.
+    plus loc_kind, a LocErrorKind (LocErrorKind.iou() if None).
 
     The negatives' ascending score order (neg_order) is a memo, not a
     column: it is sorted on first use and kept, so every loss call on the
@@ -225,7 +225,7 @@ class Scenario:
         self.pos_gt = _frozen(pos_gt)
         self.pos_box = _frozen(pos_box)
         self.gts = _frozen(gts)
-        self.loc_kind = loc_kind if loc_kind is not None else LocErrorKind.iou()
+        self.loc_kind = LocErrorKind.iou() if loc_kind is None else _instance("loc_kind", loc_kind, LocErrorKind)
         self._neg_order = None
 
     @property
@@ -248,7 +248,7 @@ class Scenario:
         on first use, then kept."""
         if self._neg_order is None:
             scores = self.neg_scores()
-            order = np.argsort(scores)
+            order = scores.argsort()
             self._neg_order = (_frozen(order), _frozen(scores[order]))
         return self._neg_order
 
@@ -396,15 +396,14 @@ class StepRelation:
 
     order, if given, is the data's ascending order as (positions in the
     data, the data at those positions), such as Scenario.neg_order() keeps
-    for reuse; data is then not read. Without it the data are sorted here
-    with np.argsort. Only the order of tied data can differ between two
-    such orders, and no unweighted row sum or column sum depends on it: a
-    datum's terms depend on its value and on window edges, and an edge
-    never splits tied values (a row sum with data weights adds tied data's
-    weights in that order, so its rounding can). The cost is that sort (none when order is
-    given) and two binary searches per query, then per sum O(M) work at
-    the window edges of the M queries, beside a few elementwise passes
-    over the data.
+    for reuse; data is then not read. Without it the data are sorted here.
+    Only the order of tied data can differ between two such orders, and no
+    unweighted row sum or column sum depends on it: a datum's terms depend
+    on its value and on window edges, and an edge never splits tied values
+    (a row sum with data weights adds tied data's weights in that order, so
+    its rounding can). The cost is that sort (none when order is given) and
+    two binary searches per query, then per sum O(M) work at the window
+    edges of the M queries, beside a few elementwise passes over the data.
 
     lo and hi are found by evaluating step() itself, so whether a pair is
     in the support, or at full height, agrees with step() bit for bit at
@@ -424,10 +423,10 @@ class StepRelation:
         q = np.asarray(queries, dtype=np.float64)
         if order is None:
             x = np.asarray(data, dtype=np.float64)
-            idx = np.argsort(x)
+            idx = x.argsort()
             order = (idx, x[idx])
         idx, x = order
-        self.kind, self.q, self.size = kind, q, x.size
+        self.kind, self.size = kind, x.size
         d = kind.delta
         if kind.smooth and x.size:
             lo, hi = _windows(x, q, kind)
@@ -593,8 +592,9 @@ class GradReport:
 class RankingLossDef:
     """Plug-in contract for the shared assembly routine.
 
-    Subclasses provide the normalizer Z and terms(): the per-positive local /
+    A loss definition overrides one hook, terms(): the per-positive local /
     target errors (l(i), l*(i)), the loss components and the box gradients.
+    normalizer() gives Z, |P| unless a loss overrides it (NDCG's is 1).
     The pairwise distribution over negatives is uniform over step mass,
     p(j|i) = H(x_ij)/N_FP(i), defined as all-zero when N_FP(i) = 0 so there
     is never a 0/0.
@@ -607,17 +607,13 @@ class RankingLossDef:
     unconditional_positive_grads = False
 
     def normalizer(self, scenario):
-        raise NotImplementedError
+        return scenario.n_pos
 
     def terms(self, scenario, stats, kind):
         """(ell, ell_star, cls, loc, box_grads, n_nonsmooth): the local errors and targets (arrays
         aligned with pos_index), the loss value as its cls and loc components (floats), and the
         (P, 4) box gradients with the count of positives whose gradient sits on a branch tie."""
         raise NotImplementedError
-
-    def local_errors(self, scenario, stats, kind):
-        """Return (ell, ell_star) arrays aligned with pos_index."""
-        return self.terms(scenario, stats, kind)[:2]
 
 
 def assemble_gradients(scenario, loss_def, kind, stats=None, errors=None):
@@ -632,7 +628,7 @@ def assemble_gradients(scenario, loss_def, kind, stats=None, errors=None):
     targets (l, l*) passes them as stats and errors.
     """
     stats = rank_stats(scenario, kind) if stats is None else stats
-    ell, ell_star = loss_def.local_errors(scenario, stats, kind) if errors is None else errors
+    ell, ell_star = loss_def.terms(scenario, stats, kind)[:2] if errors is None else errors
     z = float(loss_def.normalizer(scenario))
     gap = ell - ell_star
     bad = (gap < -1e-12 * np.maximum(1.0, np.abs(ell))).nonzero()[0]

@@ -42,7 +42,7 @@ from rankloss.fileio import (
 from rankloss.geometry import (
     Box,
     LocErrorKind,
-    _as_box_array,
+    _column,
     _hull,
     _inter_union,
     _overlap_of,
@@ -107,7 +107,7 @@ def primary_term_sum(scenario, loss_def, kind):
 
 def lrp_per_positive(scenario, kind):
     """The per-positive ranking-LRP values l(i) the aLRP loss averages."""
-    ell, _ = ALRPLossDef().local_errors(scenario, rank_stats(scenario, kind), kind)
+    ell, _ = ALRPLossDef().terms(scenario, rank_stats(scenario, kind), kind)[:2]
     return ell
 
 
@@ -236,7 +236,7 @@ def naive_pair_tables(scenario, loss_def, kind):
     sums over these tables without ever building them.
     """
     stats = oracle_rank_stats(scenario, kind)
-    ell, ell_star = loss_def.local_errors(scenario, stats, kind)
+    ell, ell_star = loss_def.terms(scenario, stats, kind)[:2]
     z = float(loss_def.normalizer(scenario))
     ps, ns = scenario.pos_scores(), scenario.neg_scores()
     table = np.zeros((ps.size, ns.size))
@@ -429,29 +429,40 @@ def oracle_alrp_soft_weights(scenario, kind):
 
 
 class OracleALRPDef(ALRPLossDef):
-    """ALRPLossDef with C(i) from the per-positive loop."""
+    """ALRPLossDef's terms from the per-positive loops: C(i), the soft
+    weights and one box gradient per positive."""
 
-    def local_errors(self, scenario, stats, kind):
+    def terms(self, scenario, stats, kind):
         e_loc = scenario.loc_errors()
         c = oracle_exact_pos_loc_sums(scenario, e_loc)
         ell = (stats.n_fp + e_loc + c) / stats.rank
         ell_star = e_loc / stats.rank
-        return ell, ell_star
+        cls_c = float((stats.n_fp / stats.rank).mean())
+        loc_c = float(((e_loc + c) / stats.rank).mean())
+        w = oracle_alrp_soft_weights(scenario, kind)
+        boxes, gts = scenario.pos_boxes(), scenario.pos_gt_boxes()
+        box = np.empty((scenario.n_pos, 4))
+        n_nonsmooth = 0
+        for i in range(scenario.n_pos):
+            g, tie = oracle_loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
+            box[i] = w[i] * g
+            n_nonsmooth += bool(tie)
+        return ell, ell_star, cls_c, loc_c, box, n_nonsmooth
 
 
 class OracleWrongTargetDef(WrongTargetALRPDef, OracleALRPDef):
-    """WrongTargetALRPDef on top of OracleALRPDef's local errors: the
-    target forced to zero."""
+    """WrongTargetALRPDef on top of OracleALRPDef's terms: the target
+    forced to zero."""
 
-    def local_errors(self, scenario, stats, kind):
-        ell, _ = super().local_errors(scenario, stats, kind)
-        return ell, np.zeros_like(ell)
+    def terms(self, scenario, stats, kind):
+        ell, _, *rest = OracleALRPDef.terms(self, scenario, stats, kind)
+        return (ell, np.zeros_like(ell), *rest)
 
 
 def oracle_assemble_gradients(scenario, loss_def, kind):
     """Stream the pairwise error table row by row and accumulate gradients."""
     stats = oracle_rank_stats(scenario, kind)
-    ell, ell_star = loss_def.local_errors(scenario, stats, kind)
+    ell, ell_star = loss_def.terms(scenario, stats, kind)[:2]
     z = float(loss_def.normalizer(scenario))
     ps = scenario.pos_scores()
     ns = scenario.neg_scores()
@@ -545,18 +556,7 @@ def oracle_loss(name, scenario, kind):
     if name == "ndcg":
         total = 1.0 - float((1.0 / np.log2(1.0 + stats.rank)).sum()) / ndcg_ideal_gain(n)
         return _breakdown_from(scenario, kind, total, total, 0.0, report, np.zeros((n, 4)))
-    e_loc = scenario.loc_errors()
-    c = oracle_exact_pos_loc_sums(scenario, e_loc)
-    cls_c = float((stats.n_fp / stats.rank).mean())
-    loc_c = float(((e_loc + c) / stats.rank).mean())
-    w = oracle_alrp_soft_weights(scenario, kind)
-    boxes, gts = scenario.pos_boxes(), scenario.pos_gt_boxes()
-    box = np.empty((n, 4))
-    n_nonsmooth = 0
-    for i in range(n):
-        g, tie = oracle_loc_error_grad(boxes[i], gts[i], scenario.loc_kind)
-        box[i] = w[i] * g
-        n_nonsmooth += bool(tie)
+    _, _, cls_c, loc_c, box, n_nonsmooth = ORACLE_DEFS[name].terms(scenario, stats, kind)
     return _breakdown_from(scenario, kind, cls_c + loc_c, cls_c, loc_c, report, box, n_nonsmooth)
 
 
@@ -580,7 +580,7 @@ class OracleScenario:
 
     def __init__(self, anchors, gts, loc_kind=None):
         self.anchors = list(anchors)
-        self.gts = [g.as_array() if isinstance(g, Box) else np.asarray(g, np.float64) for g in gts]
+        self.gts = [np.asarray(g, np.float64) for g in gts]
         self.loc_kind = loc_kind if loc_kind is not None else LocErrorKind.iou()
         self._validate()
         labels = [a.label for a in self.anchors]
@@ -669,8 +669,8 @@ def oracle_iou(pred, gt):
     Degenerate (inverted) widths are clamped to zero so a malformed
     prediction scores 0 instead of producing a negative area.
     """
-    a = _as_box_array(pred)
-    b = _as_box_array(gt)
+    a = _column("pred", pred, (4,))
+    b = _column("gt", gt, (4,))
     iw = min(a[2], b[2]) - max(a[0], b[0])
     ih = min(a[3], b[3]) - max(a[1], b[1])
     inter = max(0.0, iw) * max(0.0, ih)
@@ -684,8 +684,8 @@ def oracle_iou(pred, gt):
 
 def oracle_giou(pred, gt):
     """Generalized IoU: IoU minus (hull \\ union) / hull, in [-1, 1]."""
-    a = _as_box_array(pred)
-    b = _as_box_array(gt)
+    a = _column("pred", pred, (4,))
+    b = _column("gt", gt, (4,))
     iw = min(a[2], b[2]) - max(a[0], b[0])
     ih = min(a[3], b[3]) - max(a[1], b[1])
     inter = max(0.0, iw) * max(0.0, ih)
@@ -760,8 +760,8 @@ def _oracle_overlap_pieces(pred, gt):
     predicted box and area_tie flags a clamp tie of the predicted box's
     area that reaches the union.
     """
-    a = _as_box_array(pred)
-    b = _as_box_array(gt)
+    a = _column("pred", pred, (4,))
+    b = _column("gt", gt, (4,))
     tie = False
 
     # Intersection width/height and their derivative through the clamp.

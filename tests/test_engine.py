@@ -479,23 +479,29 @@ class TestGivenOrder:
         assert own.row_sums().tobytes() == given_order.row_sums().tobytes()
         assert own.col_sums(weights).tobytes() == given_order.col_sums(weights).tobytes()
 
-    def test_five_loss_calls_sort_the_negatives_once(self, monkeypatch):
+    def test_five_loss_calls_sort_the_negatives_once(self):
         """perfbench's five loss calls on one 20 x 2000 scenario: one
         argsort over the 2000 negatives (the scenario's neg_order), and no
-        other argsort over more than the 20 positives."""
+        other argsort over more than the 20 positives. Each sort is seen as
+        the builtin call of its array's argsort, which np.argsort reaches
+        too, so the count does not depend on the spelling."""
         scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=2000, seed=0))
-        half, sizes, real = StepKind.smoothed(0.5), [], np.argsort
+        half, sizes = StepKind.smoothed(0.5), []
 
-        def counting(a, *args, **kwargs):
-            sizes.append(np.size(a))
-            return real(a, *args, **kwargs)
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", None) == "argsort":
+                sizes.append(arg.__self__.size)
 
-        monkeypatch.setattr(np, "argsort", counting)
-        alrp_loss(scn, half)
-        alrp_loss(scn)
-        alrp_loss(scn, half, use_fast=True)
-        ap_loss(scn, half)
-        ndcg_loss(scn, half)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            alrp_loss(scn, half)
+            alrp_loss(scn)
+            alrp_loss(scn, half, use_fast=True)
+            ap_loss(scn, half)
+            ndcg_loss(scn, half)
+        finally:
+            sys.setprofile(previous)
         assert sizes.count(2000) == 1 and max(s for s in sizes if s != 2000) <= 20
 
     @pytest.mark.parametrize("kind", (StepKind.smoothed(0.5), StepKind.exact()), ids=("smooth", "exact"))
@@ -786,7 +792,7 @@ class TestTracedEntryPoints:
     def test_precomputed_inputs_change_no_output(self, scn, kind):
         stats = rank_stats(scn, kind)
         for loss_def in (APLossDef(), ALRPLossDef(), WrongTargetALRPDef(), NDCGLossDef()):
-            errors = loss_def.local_errors(scn, stats, kind)
+            errors = loss_def.terms(scn, stats, kind)[:2]
             want = assemble_gradients(scn, loss_def, kind)
             for given_inputs in ({"stats": stats}, {"errors": errors}, {"stats": stats, "errors": errors}):
                 got = assemble_gradients(scn, loss_def, kind, **given_inputs)

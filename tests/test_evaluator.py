@@ -125,6 +125,19 @@ def crowded_inputs(draw):
     return EvalInput.build(dets, gts)
 
 
+def mixed_inputs(min_gts=0):
+    """eval_inputs or crowded_inputs (which always hold a ground truth):
+    every evaluator oracle test draws from both, as eval_inputs alone
+    almost never gives a detection two or more candidates."""
+    return st.one_of(eval_inputs(min_gts=min_gts), crowded_inputs())
+
+
+def has_multi_candidate_detection(inputs):
+    """Whether some detection has two or more candidates (IoU > 0), by the oracle's class tables."""
+    with np.errstate(all="ignore"):
+        return any(np.diff(oracle_class_table(inputs, cls).start).max(initial=0) >= 2 for cls in inputs.classes())
+
+
 @st.composite
 def scenarios(draw):
     """Positives, negatives and ignored anchors interleaved, scores on a
@@ -133,7 +146,7 @@ def scenarios(draw):
     ground truths that no positive references (missed objects)."""
     n_gt = draw(st.integers(1, 4))
     gts = [[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(n_gt)]
-    gts += [b.as_array().tolist() for b in draw(st.lists(boxes(), max_size=4))]
+    gts += [np.asarray(b).tolist() for b in draw(st.lists(boxes(), max_size=4))]
     labels = draw(st.lists(st.sampled_from((POS, NEG, IGNORE)), min_size=1, max_size=16).filter(lambda v: POS in v))
     pos_gt = [draw(st.integers(0, n_gt - 1)) for label in labels if label == POS]
     corner = st.integers(-2, 4).map(lambda k: 0.5 * k)
@@ -155,12 +168,27 @@ def assert_same_lrp(got, want):
     assert [type(v) for v in dataclasses.astuple(got)] == [type(v) for v in dataclasses.astuple(want)]
 
 
+class TestDrawnLayouts:
+    def test_the_mix_often_gives_a_detection_several_candidates(self):
+        """Over 150 derandomised draws of mixed_inputs(), at least 5% hold a
+        detection with two or more candidates, the rows a class table sorts
+        (28 of these 150; eval_inputs alone gave 13 of 600 draws)."""
+        drawn = []
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(mixed_inputs())
+        def record(inputs):
+            drawn.append(has_multi_candidate_detection(inputs))
+
+        record()
+        assert len(drawn) == 150 and sum(drawn) >= 0.05 * len(drawn)
+
+
 class TestIoUArray:
     @SETTINGS
     @given(st.lists(boxes(), min_size=1, max_size=6), st.lists(boxes(), min_size=1, max_size=6))
     def test_matrix_equals_scalar_on_grid_boxes(self, preds, gts):
-        a = np.array([b.as_array() for b in preds])
-        g = np.array([b.as_array() for b in gts])
+        a, g = np.array(preds, np.float64), np.array(gts, np.float64)
         table = iou_array(a[:, None], g[None])
         assert table.shape == (len(preds), len(gts))
         for i, p in enumerate(preds):
@@ -220,7 +248,7 @@ MIXED = EvalInput.build(
 
 class TestMatchingAgainstOracle:
     @SETTINGS
-    @given(eval_inputs(), st.sampled_from(MATCH_TAUS))
+    @given(mixed_inputs(), st.sampled_from(MATCH_TAUS))
     @example(WIDE_FIRST, 0.1)
     @example(NAN_OUTSIDE_WINDOW, -1.0)
     @example(NAN_OUTSIDE_WINDOW, 0.0)
@@ -279,7 +307,7 @@ class TestClassTableAgainstOracle:
         assert metrics._class_table(fresh(MIXED), 1).gt_indices.size == 0
 
     @SETTINGS
-    @given(st.one_of(eval_inputs(), crowded_inputs()))
+    @given(mixed_inputs())
     @example(fresh(MIXED))
     @example(fresh(WIDE_FIRST))
     def test_table_fields(self, inputs):
@@ -291,7 +319,7 @@ class TestClassTableAgainstOracle:
 
     @SETTINGS
     @given(
-        st.one_of(eval_inputs(min_gts=1), crowded_inputs()),
+        mixed_inputs(min_gts=1),
         st.lists(st.sampled_from(TAUS), min_size=1, max_size=4, unique=True),
         st.sampled_from(GRIDS),
         st.sampled_from(TAUS),
@@ -328,13 +356,13 @@ class TestInterpolatedPrecision:
 
 class TestMetricsAgainstOracle:
     @SETTINGS
-    @given(eval_inputs(min_gts=1), st.lists(st.sampled_from(TAUS), min_size=1, max_size=4, unique=True), st.sampled_from(GRIDS))
+    @given(mixed_inputs(min_gts=1), st.lists(st.sampled_from(TAUS), min_size=1, max_size=4, unique=True), st.sampled_from(GRIDS))
     def test_mean_ap(self, inputs, taus, grid):
         with np.errstate(all="ignore"):
             assert mean_ap(inputs, taus, grid) == oracle_mean_ap(inputs, taus, grid)
 
     @SETTINGS
-    @given(eval_inputs(), st.sampled_from(TAUS), st.sampled_from((float("-inf"), 0.0, 0.25, 0.6, 1.0, 3.0)))
+    @given(mixed_inputs(), st.sampled_from(TAUS), st.sampled_from((float("-inf"), 0.0, 0.25, 0.6, 1.0, 3.0)))
     def test_lrp_at(self, inputs, tau, threshold):
         with np.errstate(all="ignore"):
             try:
@@ -346,7 +374,7 @@ class TestMetricsAgainstOracle:
             assert_same_lrp(lrp_at(inputs, tau, threshold), want)
 
     @SETTINGS
-    @given(eval_inputs(min_gts=1), st.sampled_from(TAUS))
+    @given(mixed_inputs(min_gts=1), st.sampled_from(TAUS))
     def test_olrp(self, inputs, tau):
         with np.errstate(all="ignore"):
             assert_same_lrp(olrp(inputs, tau), oracle_olrp(inputs, tau))

@@ -48,7 +48,7 @@ def central_fd(f, x, h=1e-6):
 class TestBox:
     def test_round_trip(self):
         b = Box(0.5, 1.0, 2.5, 3.0)
-        np.testing.assert_array_equal(b.as_array(), [0.5, 1.0, 2.5, 3.0])
+        np.testing.assert_array_equal(np.asarray(b), [0.5, 1.0, 2.5, 3.0])
 
     def test_rejects_disordered_corners(self):
         with pytest.raises(ValueError):

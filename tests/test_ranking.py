@@ -425,14 +425,9 @@ class TestNegOrder:
 class _TargetAbovePrimaryDef(RankingLossDef):
     """Deliberately inconsistent: the target exceeds the primary term."""
 
-    name = "inconsistent"
-
-    def normalizer(self, scenario):
-        return scenario.n_pos
-
-    def local_errors(self, scenario, stats, kind):
+    def terms(self, scenario, stats, kind):
         n = scenario.n_pos
-        return np.zeros(n), np.ones(n)
+        return np.zeros(n), np.ones(n), 0.0, 0.0, np.zeros((n, 4)), 0
 
 
 class TestAssembly:
