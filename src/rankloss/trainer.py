@@ -196,8 +196,8 @@ class TrainLog:
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the toy training loop. epochs must be an integer
-    >= 1; lr finite and > 0; box_lr (default lr) finite and >= 0, where 0
-    freezes the boxes."""
+    >= 1; step a StepKind; lr finite and > 0; box_lr (default lr) finite
+    and >= 0, where 0 freezes the boxes."""
 
     loss: str = "alrp"
     epochs: int = 100
