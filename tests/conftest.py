@@ -5,7 +5,9 @@ oracles for the sort-based engine (rankloss.ranking.step_sums), its window
 sums over the full length of the data, kept as oracles for the sums at the
 window edges (StepRelation.col_sums and the unit-weight row sums), the
 support test over all of the data, kept as the oracle for the kept suffix
-that StepRelation reads off its window edges, the forms that a loss call
+that StepRelation reads off its window edges, the per-datum cell refs and
+cell ends, kept as the oracle for the ramp terms the build looks up at the
+window edges, the forms that a loss call
 and a trainer epoch replaced by fewer numpy calls (the prefix sums through
 ndarray.sum and np.cumsum, the window search with two step() checks per
 guess and a bisection over all of the data, the overlap pass with eight
@@ -251,8 +253,9 @@ def naive_pair_tables(scenario, loss_def, kind):
 
 # ---------------------------------------------------------------------------
 # StepRelation's window sums over the full length of the data: every running
-# and unit-weight prefix sum taken datum by datum. The relation takes them
-# only at the window edges and from counts, and must give the same bits.
+# and unit-weight prefix sum taken datum by datum, and the ramp terms read off
+# per-datum cell arrays. The relation takes them only at the window edges and
+# from counts, and must give the same bits.
 # ---------------------------------------------------------------------------
 
 
@@ -269,6 +272,28 @@ def oracle_window_sums(rel, w):
         )
         out = out + ramp / (2.0 * rel.kind.delta)
     return out
+
+
+def oracle_ramp_terms(rel, queries):
+    """(t, mid, c1, c2) of a smooth StepRelation with data from the per-datum
+    arrays of each datum's cell ref and cell end, which the build read at
+    the window edges before it looked them up there alone."""
+    x, lo, hi, d = rel.x, rel.lo, rel.hi, rel.kind.delta
+    q, n = np.asarray(queries, dtype=np.float64), x.size
+    cell = np.floor(x / (4.0 * d))
+    bounds = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1], [True])))
+    size = np.diff(bounds)
+    ref = np.concatenate((np.repeat(x[bounds[:-1]], size), [0.0]))
+    cell_end = np.concatenate((np.repeat(bounds[1:], size), [n]))
+    t = x - ref[:-1]
+    mid = np.minimum(cell_end[lo], hi)
+    c1 = np.where(lo < mid, ref[lo] - q + d, 0.0)
+    c2 = np.where(mid < hi, ref[mid] - q + d, 0.0)
+    t_lo = t[np.minimum(lo, n - 1)]
+    low = np.flatnonzero((lo < mid) & (t_lo + c1 <= 0.0))
+    v = (x[lo[low]] - q[low]) + d
+    c1[low] = np.maximum(v - t_lo[low], np.nextafter(-t_lo[low], np.inf))
+    return t, mid, c1, c2
 
 
 def oracle_col_sums(rel, weights):

@@ -5,6 +5,9 @@ exactly on a support edge, a single positive, no negatives and all-equal
 scores. The window sums at the edges are compared with their full-length
 oracles by ==, and counted: the running sums in col_sums are no longer
 than the distinct window edges, and no all-ones array is prefix-summed.
+The prefixes taken at the window edges only equal, by bytes, the
+full-length ones there, on terms over 60 decades and on windows of low
+step mass, in either branch of their exactness check.
 The window search and the prefix sums equal, by bytes, the forms with more
 numpy calls that they replaced, kept in conftest.
 The memory of one loss call on a layout of low step mass is bounded, and
@@ -28,6 +31,7 @@ from conftest import (
     oracle_col_sums,
     oracle_loss,
     oracle_prefix,
+    oracle_ramp_terms,
     oracle_support,
     oracle_window_sums,
     oracle_windows,
@@ -367,7 +371,121 @@ def prefix_terms(draw):
     return v.reshape(rows, n) if rows else v
 
 
+# In [0.5, 1), with all 53 bits drawn: the roundings that group-dependent sums move need them.
+MANTISSAS = st.integers(2**52, 2**53 - 1).map(lambda k: k * 2.0**-53)
+
+
+@st.composite
+def wide_terms(draw):
+    """(v, at): up to 40 terms and sorted distinct positions from 0 to
+    v.size. Each term is a mantissa in [1, 2) times a power of two, within
+    30 bits of the others, or over 60 decades (2**0 to 2**-200, with terms
+    near half an ulp of others, where grouping them moves a rounding); all
+    scaled by 2**800, 1 or 2**-900 (near the subnormals); among them signed
+    zeros and, in half the draws, NaN and inf."""
+    n = draw(st.integers(1, 40))
+    exponents = draw(st.sampled_from([st.integers(0, 30), st.sampled_from([0, 0, 53, 54, 106, 107, 108, 200])]))
+    mantissas = st.one_of(st.sampled_from([1.0, 1.5]), st.floats(1.0, 2.0, exclude_max=True))
+    scale = draw(st.sampled_from([2.0**800, 1.0, 2.0**-900]))
+    finite = st.builds(lambda m, k, sign: sign * math.ldexp(m, -k) * scale, mantissas, exponents, st.sampled_from([1.0, -1.0]))
+    special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf] if draw(st.booleans()) else [0.0, -0.0])
+    v = draw(st.lists(st.one_of(finite, finite, finite, finite, special), min_size=n, max_size=n))
+    inner = draw(st.lists(st.integers(1, n - 1), max_size=n)) if n > 1 else []
+    return np.array(v, dtype=np.float64), np.array(sorted({0, n, *inner}), dtype=np.intp)
+
+
+@st.composite
+def near_zero_relations(draw):
+    """(data, queries, delta): two queries. The top one's window has its
+    lower edge at 0.0 or at a datum up to 60 decades below delta, holds a
+    run of data a few ulps of delta inside that edge and no datum at full
+    height, so its step mass is low enough to show the last bits of the
+    prefixes of t below it. The other query, -delta / 2, keeps the data
+    below: ten or more down to -1.5 delta, and data at 0.0 and on either
+    side of it, up to 5, 35 or 60 decades below delta, whose low parts meet
+    those of the ten in one running sum or in segment sums."""
+    delta = draw(st.sampled_from([0.5, 1e-3, 1.0]))
+    decades = st.integers(0, draw(st.sampled_from([5, 35, 60]))).map(lambda k: 10.0**-k)
+    tiny = st.builds(lambda u, p, sign: sign * delta * u * p, MANTISSAS, decades, st.sampled_from([1.0, -1.0]))
+    edge = draw(st.one_of(st.just(0.0), tiny.map(abs)))
+    data = draw(st.lists(MANTISSAS.map(lambda u: -1.5 * u * delta), min_size=10, max_size=20))
+    data += draw(st.lists(st.one_of(st.just(0.0), tiny), min_size=3, max_size=15))
+    data += [edge + j * np.spacing(delta) for j in draw(st.lists(st.integers(1, 6), min_size=1, max_size=20))]
+    return np.array(data), np.array([edge + delta, -delta / 2]), delta
+
+
+def edge_form_taken(fn):
+    """(fn(), whether it took _prefix's edge form): the edge form sums its
+    segments by np.add.reduceat, seen as builtin calls, and nothing else in
+    the engine calls it."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "reduceat":
+            calls.append(1)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(previous)
+    return out, bool(calls)
+
+
+def prefix_at_positions(drawn):
+    """_prefix(v, at) against the full-length _prefix(v) at the positions;
+    returns whether the edge form ran, which it must not on a non-finite term."""
+    v, at = drawn
+    with np.errstate(invalid="ignore", over="ignore"):
+        (got, edge), want = edge_form_taken(lambda: ranking._prefix(v, at)), ranking._prefix(v)[:, at]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isfinite(v).all() or not edge
+    return edge
+
+
+def unit_sums_at_edges(drawn):
+    """StepRelation._sums() against oracle_window_sums with unit weights,
+    every relation with more data than three per query sent to the edge
+    form (no size floor); returns whether _prefix's edge form ran."""
+    data, queries, delta = drawn
+    rel = StepRelation(data, queries, StepKind.smoothed(delta))
+    with mock.patch.object(ranking, "_EDGE_FORM_MIN", 0):
+        got, edge = edge_form_taken(rel._sums)
+    assert got.tobytes() == oracle_window_sums(rel, np.ones(rel.x.size)).tobytes()
+    return edge
+
+
 class TestWindowEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_terms())
+    def test_prefix_at_positions_equals_the_full_length_prefix(self, drawn):
+        """By bytes, whichever branch the exactness check picks; the
+        prefixes run over the segments between the positions only where
+        the check proves the running sums exact."""
+        prefix_at_positions(drawn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_zero_relations())
+    def test_unit_sums_at_the_edges_on_near_zero_layouts(self, drawn):
+        """By bytes: a window of low step mass shows any bit the edge form
+        moved in the prefixes below it."""
+        unit_sums_at_edges(drawn)
+
+    @pytest.mark.parametrize("strategy, check", ((wide_terms(), prefix_at_positions), (near_zero_relations(), unit_sums_at_edges)), ids=("prefix", "sums"))
+    def test_drawn_inputs_take_both_branches(self, strategy, check):
+        """Over 150 derandomised draws, at least 5% take the edge form and
+        at least 5% the full-length running sums."""
+        edges = []
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(strategy)
+        def record(drawn):
+            edges.append(check(drawn))
+
+        record()
+        assert len(edges) == 150 and 0.05 * len(edges) <= sum(edges) <= 0.95 * len(edges)
+
     @settings(max_examples=300, deadline=None)
     @given(edge_relations())
     def test_sums_at_the_edges_equal_the_full_length_sums(self, drawn):
@@ -408,25 +526,35 @@ class TestWindowEdges:
     def test_a_loss_runs_its_sums_over_edges_not_data(self):
         """One smooth loss at 50 x 20 000: col_sums takes its three running
         sums in one call, on a stack of three rows over the distinct window
-        edges (at most 3P), and the unit weights of the step mass never
-        reach a prefix sum, as an array or as a row of a stack."""
+        edges (at most 3P), the unit weights of the step mass never reach a
+        prefix sum, as an array or as a row of a stack, and N_FP's unit-weight
+        row sums take the prefixes of t at the distinct edges and n only, in
+        the edge form: this layout passes _prefix's exactness check."""
         scn = generate_scenario(ScenarioGenSpec(n_pos=50, n_neg=20_000, seed=4))
         kind = StepKind.smoothed(0.5)
         rel = StepRelation(scn.neg_scores(), scn.pos_scores(), kind)
         edges = np.unique(np.concatenate((rel.lo, rel.mid, rel.hi)))
         n_edges = np.count_nonzero(edges < rel.x.size)
-        running, prefixed = [], []
+        running, prefixed, positions = [], [], []
 
         def count(calls, fn):
-            return lambda v: calls.append(np.array(v)) or fn(v)
+            def counted_call(v, *args, **kwargs):
+                calls.append(np.array(v))
+                if args or kwargs:
+                    positions.append((v.size, *args, *kwargs.values()))
+                return fn(v, *args, **kwargs)
+
+            return counted_call
 
         with mock.patch.object(ranking, "_running", count(running, ranking._running)), mock.patch.object(
             ranking, "_prefix", count(prefixed, ranking._prefix)
         ):
-            alrp_loss(scn, kind)
+            edge = edge_form_taken(lambda: alrp_loss(scn, kind))[1]
         assert rel.x.size > 10_000 and len(running) == 1 and running[0].shape[0] == 3
         assert running[0].shape[1] <= n_edges <= 3 * scn.n_pos
         assert not any(row.size and np.all(row == 1.0) for v in prefixed for row in np.atleast_2d(v))
+        assert len(positions) == 1 and positions[0][0] == rel.x.size
+        assert np.array_equal(positions[0][1], np.union1d(edges, [rel.x.size])) and edge
 
 
 @st.composite
@@ -641,6 +769,17 @@ class TestExactSums:
             bound = Fraction(2.0**-51) * sum(Fraction(abs(w)) for w in weights[held[:, k]].tolist())
             assert abs(Fraction(cols[k]) - exact) <= bound
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(edge_relations().map(lambda r: r[:3]), low_mass_windows().map(lambda r: (r[0], r[1], StepKind.smoothed(r[2])))))
+    def test_ramp_terms_equal_the_per_datum_lookups(self, drawn):
+        """t, mid, c1 and c2, by bytes, against the build that made each
+        datum's cell ref and cell end."""
+        data, queries, kind = drawn
+        rel = StepRelation(data, queries, kind)
+        if kind.smooth and rel.x.size:
+            want = oracle_ramp_terms(rel, queries)
+            assert all(got.tobytes() == w.tobytes() for got, w in zip((rel.t, rel.mid, rel.c1, rel.c2), want))
+
     def test_a_window_one_ulp_inside_its_edge_above_a_far_ref(self):
         """delta 0.5: the datum 1 + 2**-52 lies one ulp inside the window
         of 1.5, and its cell's ref 2**-53 lies 2 delta below the window.
@@ -703,7 +842,7 @@ class TestCallCount:
     def test_a_small_loss_call_makes_few_python_level_calls(self):
         """The same call, counted by every Python function and builtin it
         enters, numpy's Python layers (np.flatnonzero, np.cumsum, ...)
-        included: 263 (127 functions and 136 builtins), against 606 (374
+        included: 245 (112 functions and 133 builtins), against 606 (374
         and 232) when the window search checked each guess with two step()
         calls, the overlap pass made eight _slope calls and the sums went
         through numpy's Python wrappers."""
@@ -722,7 +861,7 @@ class TestCallCount:
             alrp_loss(scn, kind)
         finally:
             sys.setprofile(previous)
-        assert counts["call"] + counts["c_call"] <= 263
+        assert counts["call"] + counts["c_call"] <= 245
 
 
 def counted(monkeypatch, owners, name):
