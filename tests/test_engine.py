@@ -540,8 +540,7 @@ class TestWindowEdges:
         def count(calls, fn):
             def counted_call(v, *args, **kwargs):
                 calls.append(np.array(v))
-                if args or kwargs:
-                    positions.append((v.size, *args, *kwargs.values()))
+                positions.extend((v.size, at) for at in (*args, *kwargs.values()))
                 return fn(v, *args, **kwargs)
 
             return counted_call
