@@ -8,7 +8,14 @@ on [0, 10], positives on [5.5, 10], rounded to 3 decimals) and each step
 (smooth delta = 1, exact), it times ``losses.alrp_loss`` and, on the
 negatives-vs-positives relation behind N_FP, the ``StepRelation`` build
 (from the negatives alone, so it sorts them), ``row_sums()`` and
-``col_sums``. Two rows time perfbench's ``loss`` op,
+``col_sums``, and ``ranking.assemble_gradients`` of the aLRP loss with
+the scenario's rank statistics and errors given. A relation keeps the
+window edges it finds on its first sum, so each timed sum and assembly
+gets a shallow copy of a relation that has made no sum (the copy is
+timed too, about a microsecond): the assembly's is built on the
+scenario's kept negative order, as ``rank_stats`` builds it, with the
+scores as its data (a tree whose relation reads no data for a given
+order ignores them). Two rows time perfbench's ``loss`` op,
 its five calls (aLRP smooth delta 0.5, exact and ``use_fast``, AP and NDCG
 smooth) at 200 x 100 000: on one scenario for every op,
 as perfbench runs it, and on a fresh scenario per op (``with_scores`` of
@@ -70,6 +77,7 @@ Not collected by the tests (pytest's testpaths is tests/).
 from __future__ import annotations
 
 import argparse
+import copy
 import glob
 import hashlib
 import importlib.util
@@ -127,11 +135,19 @@ def grid_calls(rl, n_pos, n_neg, seed, smooth):
     share = np.random.default_rng(seed).uniform(0.0, 1.0, n_pos) / n_pos
     kind = rl.ranking.StepKind.smoothed(1.0) if smooth else rl.ranking.StepKind.exact()
     rel = rl.ranking.StepRelation(neg, pos, kind)
+    loss_def, stats = rl.losses.ALRPLossDef(), rl.ranking.rank_stats(scn, kind)
+    errors = loss_def.terms(scn, stats, kind)[:2]
+    behind_n_fp = rl.ranking.StepRelation(scn.scores, pos, kind, scn.neg_order())
+
+    def fresh_stats():
+        return rl.ranking.RankStats(stats.rank, stats.rank_pos, stats.n_fp, copy.copy(behind_n_fp))
+
     return {
         "alrp_loss": lambda: rl.losses.alrp_loss(scn, kind),
         "StepRelation": lambda: rl.ranking.StepRelation(neg, pos, kind),
-        "row_sums": rel.row_sums,
-        "col_sums": lambda: rel.col_sums(share),
+        "row_sums": lambda: copy.copy(rel).row_sums(),
+        "col_sums": lambda: copy.copy(rel).col_sums(share),
+        "assemble_gradients": lambda: rl.ranking.assemble_gradients(scn, loss_def, kind, fresh_stats(), errors),
     }
 
 

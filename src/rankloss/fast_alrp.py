@@ -57,7 +57,7 @@ def pruned_size(scenario, config=FastConfig()):
     if not config.prune:
         return scenario.n_neg
     kind, ps = StepKind(not config.exact, config.delta), scenario.pos_scores()
-    return int(StepRelation(None, ps[[ps.argmin()]], kind, scenario.neg_order()).idx.size)
+    return int(StepRelation(scenario.scores, ps[[ps.argmin()]], kind, scenario.neg_order()).idx.size)
 
 
 def operation_count(n_pos, n_neg, n_kept):

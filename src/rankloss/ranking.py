@@ -243,13 +243,13 @@ class Scenario:
         return self.scores[self.neg_index]
 
     def neg_order(self):
-        """(order, sorted): the positions in neg_scores() of the negatives
-        in ascending score order, and their scores in that order; sorted
-        on first use, then kept."""
+        """(order, sorted): the anchor positions (in scores, not in
+        neg_scores()) of the negatives in ascending score order, and their
+        scores in that order; sorted on first use, then kept."""
         if self._neg_order is None:
             scores = self.neg_scores()
             order = scores.argsort()
-            self._neg_order = (_frozen(order), _frozen(scores[order]))
+            self._neg_order = (_frozen(self.neg_index[order]), _frozen(scores[order]))
         return self._neg_order
 
     def pos_boxes(self):
@@ -430,9 +430,11 @@ class StepRelation:
     datum whose step value against that query is > 0; the rest take no
     part.
 
-    order, if given, is the data's ascending order as (positions in the
-    data, the data at those positions), such as Scenario.neg_order() keeps
-    for reuse; data is then not read. Without it the data are sorted here.
+    order, if given, is the data's ascending order as (their positions in
+    the array data, their values), such as Scenario.neg_order() keeps for a
+    scenario's negatives among its scores; data is then read for its size
+    only, the length of col_sums' output, which the positions index.
+    Without it, data are the values themselves, sorted here.
     Only the order of tied data can differ between two such orders, and no
     unweighted row sum or column sum depends on it: a datum's terms depend
     on its value and on window edges, and an edge never splits tied values
@@ -465,11 +467,13 @@ class StepRelation:
     def __init__(self, data, queries, kind, order=None):
         q = np.asarray(queries, dtype=np.float64)
         if order is None:
-            x = np.asarray(data, dtype=np.float64)
-            idx = x.argsort()
-            order = (idx, x[idx])
+            data = np.asarray(data, dtype=np.float64)
+            idx = data.argsort()
+            order = (idx, data[idx])
+        elif data is None:
+            raise ValueError("StepRelation: a given order needs data, the array its positions index")
         idx, x = order
-        self.kind, self.size, self._edges = kind, x.size, None
+        self.kind, self.size, self._edges = kind, data.size, None
         d = kind.delta
         if kind.smooth and x.size:
             lo, hi = _windows(x, q, kind)
@@ -537,16 +541,18 @@ class StepRelation:
 
     def row_sums(self, weights=None):
         """sum_k w_k H(x_k - q_i) for every query (w_k = 1 by default; each
-        w_k must be >= 0)."""
+        w_k must be >= 0). A NaN w_k of a kept datum makes every row sum NaN,
+        as the prefix sums (and their grid, from the total) carry it to n."""
         out = self._sums(None if weights is None else _weights(weights)[self.idx])
         # Terms are non-negative: clip rounding at a support edge.
         return np.maximum(out, 0.0)
 
     def col_sums(self, weights):
-        """sum_i w_i H(x_k - q_i) for every datum, in data order (each w_i
-        must be >= 0): each query's weight, spread over its own windows by
-        running sums, taken at the distinct window edges below n and held
-        between them."""
+        """sum_i w_i H(x_k - q_i) for every datum, at its position in an array
+        of data's size, 0 where no datum is kept (each w_i must be >= 0):
+        each query's weight, spread over its own windows by running sums,
+        taken at the distinct window edges below n and held between them. A
+        NaN w_i makes the sums NaN at and above its window (from its lo)."""
         w = _weights(weights)
         n, out = self.x.size, np.zeros(self.size)
         if not n:
@@ -610,7 +616,7 @@ class RankStats:
     rank      = 1 + sum_{k in P, k != i} H(x_ik) + sum_{j in N} H(x_ij)
     rank_pos  = the positive-only part (including the self term 1)
     n_fp      = the negative part, i.e. rank - rank_pos
-    relation  = the negatives-to-positives StepRelation behind n_fp
+    relation  = the StepRelation behind n_fp, on the scores and neg_order
     Fractional in smooth mode.
     """
 
@@ -627,7 +633,7 @@ def rank_stats(scenario, kind):
     # The sum over all positives includes the self pair H(0); the self term
     # of rank_pos is 1 instead.
     rank_pos = step_sums(ps, ps, kind) + (1.0 - float(step(0.0, kind)))
-    relation = StepRelation(None, ps, kind, scenario.neg_order())
+    relation = StepRelation(scenario.scores, ps, kind, scenario.neg_order())
     n_fp = relation.row_sums()
     return RankStats(rank_pos + n_fp, rank_pos, n_fp, relation)
 
@@ -701,14 +707,13 @@ def assemble_gradients(scenario, loss_def, kind, stats=None, errors=None):
     gap = np.maximum(gap, 0.0)
     # Delta x_ij = (l*(i) - l(i)) p(j|i); positive grad is its row sum.
     mass = (stats.n_fp > 0.0).astype(np.float64)
-    grads = np.zeros(scenario.scores.size)
+    share = np.divide(gap, stats.n_fp * z, out=np.zeros(gap.shape), where=mass > 0.0)
+    # Each negative's gradient, written once at its anchor position: the column sums of rank_stats' relation.
+    grads = stats.relation.col_sums(share)
     if loss_def.unconditional_positive_grads:
         grads[scenario.pos_index] = -gap / z
     else:
         grads[scenario.pos_index] = -gap * mass / z
-    share = np.divide(gap, stats.n_fp * z, out=np.zeros(gap.shape), where=mass > 0.0)
-    # Each negative's gradient: the column sums of the relation behind N_FP.
-    grads[scenario.neg_index] = stats.relation.col_sums(share)
     loss_value = float((ell * mass).sum()) / z
     direct = float(ell.sum()) / z
     return GradReport(

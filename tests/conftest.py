@@ -4,6 +4,9 @@ per-positive loops that define every rank statistic and gradient, kept as
 oracles for the sort-based engine (rankloss.ranking.step_sums), its window
 sums over the full length of the data, kept as oracles for the sums at the
 window edges (StepRelation.col_sums and the unit-weight row sums), the
+gradient assembly that wrote the column sums into an array of one entry
+per negative and then copied it to the anchors, kept as the oracle for
+the one write per negative at its anchor position, the
 support test over all of the data, kept as the oracle for the kept suffix
 that StepRelation reads off its window edges, the per-datum cell refs and
 cell ends, kept as the oracle for the ramp terms the build looks up at the
@@ -82,6 +85,7 @@ from rankloss.ranking import (
     GradReport,
     RankStats,
     Scenario,
+    StepRelation,
     _prefix,
     _running,
     _sum,
@@ -527,6 +531,30 @@ def oracle_assemble_gradients(scenario, loss_def, kind):
     )
 
 
+def oracle_two_step_assembly(scenario, loss_def, kind):
+    """assemble_gradients as it wrote the negatives' gradients twice: the
+    column sums of a relation on the negatives' own positions (neg_scores(),
+    argsorted as Scenario.neg_order sorts them) into an array of one entry
+    per negative, then that array into the anchors at neg_index. The rank
+    statistics and the errors are the library's."""
+    stats = rank_stats(scenario, kind)
+    ell, ell_star = loss_def.terms(scenario, stats, kind)[:2]
+    z = float(loss_def.normalizer(scenario))
+    gap = np.maximum(ell - ell_star, 0.0)
+    mass = (stats.n_fp > 0.0).astype(np.float64)
+    grads = np.zeros(scenario.scores.size)
+    if loss_def.unconditional_positive_grads:
+        grads[scenario.pos_index] = -gap / z
+    else:
+        grads[scenario.pos_index] = -gap * mass / z
+    share = np.divide(gap, stats.n_fp * z, out=np.zeros(gap.shape), where=mass > 0.0)
+    ns = scenario.neg_scores()
+    order = ns.argsort()
+    grads[scenario.neg_index] = StepRelation(ns, scenario.pos_scores(), kind, (order, ns[order])).col_sums(share)
+    loss_value = float((ell * mass).sum()) / z
+    return GradReport(score_grads=grads, loss_value=loss_value, primary_term_sum_check=abs(float(ell.sum()) / z - loss_value))
+
+
 def oracle_support(data, queries, kind):
     """Positions of the data with a nonzero step value against the lowest
     query: one step() over all of the data. The lowest query has the widest
@@ -645,12 +673,12 @@ class OracleScenario:
         return self.scores[self.neg_index]
 
     def neg_order(self):
-        """(order, sorted) of the negatives by ascending score, from a
-        Python sort of their positions on every call (ties keep their
-        order, where np.argsort need not)."""
+        """(order, sorted) of the negatives by ascending score, as their
+        anchor positions and scores, from a Python sort of their positions
+        on every call (ties keep their order, where np.argsort need not)."""
         ns = self.neg_scores()
         order = np.array(sorted(range(ns.size), key=lambda k: ns[k]), dtype=np.intp)
-        return order, ns[order]
+        return self.neg_index[order], ns[order]
 
     def pos_boxes(self):
         return np.stack([np.asarray(self.anchors[i].box, np.float64) for i in self.pos_index])

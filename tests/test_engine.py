@@ -33,6 +33,7 @@ from conftest import (
     oracle_prefix,
     oracle_ramp_terms,
     oracle_support,
+    oracle_two_step_assembly,
     oracle_window_sums,
     oracle_windows,
 )
@@ -228,6 +229,19 @@ class TestStepSums:
         np.testing.assert_array_equal(
             StepRelation(data, queries, kind).col_sums(weights), StepRelation(data, [0.5, 4.9], kind).col_sums([1.0, 1.0])
         )
+
+    @pytest.mark.parametrize("kind", (StepKind.smoothed(1.0), StepKind.exact()), ids=("smooth", "exact"))
+    def test_one_nan_weight_makes_every_row_sum_nan(self, kind):
+        """A NaN weight on a kept datum runs on through the prefix sums (and
+        their grid, taken from the NaN total) to n, where every row's
+        full-height segment ends: query 4.9's window holds only the datum
+        5.0, yet its sum is NaN too. A NaN query weight makes the column
+        sums NaN from its window's lo on: query 3.0's window starts at 5.0
+        under both steps, and the data below it keep finite sums."""
+        rel = StepRelation([0.0, 1.0, 2.0, 5.0], [0.5, 3.0, 4.9], kind)
+        assert np.isnan(rel.row_sums([1.0, np.nan, 1.0, 1.0])).all()
+        cols = rel.col_sums([1.0, np.nan, 1.0])
+        assert np.isnan(cols[3]) and np.isfinite(cols[:3]).all()
 
     def test_exact_counts_are_integers(self):
         rng = np.random.default_rng(5)
@@ -598,7 +612,7 @@ class TestGivenOrder:
         sums and column sums are equal by bytes."""
         data, queries, kind, weights, order = drawn
         own = StepRelation(data, queries, kind)
-        given_order = StepRelation(None, queries, kind, (order, data[order]))
+        given_order = StepRelation(data, queries, kind, (order, data[order]))
         assert own.x.tobytes() == given_order.x.tobytes()
         assert np.array_equal(np.sort(own.idx), np.sort(given_order.idx))
         assert np.array_equal(given_order.idx, order[data.size - own.idx.size :])
@@ -651,6 +665,96 @@ class TestGivenOrder:
         with mock.patch.object(ranking, "step", counting):
             alrp_loss(scn, kind)
         assert sizes and max(sizes) <= 4 * scn.n_pos and sum(sizes) <= 161
+
+
+@st.composite
+def assembly_scenarios(draw):
+    """(scenario, kind, layout): positives, negatives and 0-3 ignored
+    anchors in a drawn anchor order, so that a negative's anchor position
+    differs from its position among the negatives. Layouts: scores on a
+    3-decimal grid, the negatives often on a positive's score (ties);
+    every negative below every positive's support (none kept); no
+    negatives. The exact step or smooth delta 0.1, 0.5 or 1."""
+    kind = draw(st.sampled_from([StepKind.exact(), StepKind.smoothed(0.1), StepKind.smoothed(0.5), StepKind.smoothed(1.0)]))
+    layout = draw(st.sampled_from(["decimals", "none kept", "no negatives"]))
+    decimals = st.integers(0, 3000).map(lambda k: k / 1000)
+    pos = draw(st.lists(decimals, min_size=1, max_size=12))
+    n_neg = 0 if layout == "no negatives" else draw(st.integers(1, 60))
+    neg = draw(st.lists(st.one_of(decimals, st.sampled_from(pos)), min_size=n_neg, max_size=n_neg))
+    if layout == "none kept":
+        neg = [v - 5.0 for v in neg]  # below -2, under every support's lower edge, at or above -1
+    n_ignored = draw(st.integers(0, 3))
+    labels = [POS] * len(pos) + [NEG] * n_neg + [IGNORE] * n_ignored
+    scores = pos + neg + draw(st.lists(decimals, min_size=n_ignored, max_size=n_ignored))
+    perm = draw(st.permutations(range(len(labels))))
+    labels, scores = [labels[k] for k in perm], [scores[k] for k in perm]
+    gts = [[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(len(pos))]
+    boxes = [[3.0 * k, 0.0, 3.0 * k + 1.0, f] for k, f in enumerate(draw(st.lists(st.floats(0.55, 0.95), min_size=len(pos), max_size=len(pos))))]
+    return Scenario.from_columns(labels, scores, np.arange(len(pos)), boxes, gts), kind, layout
+
+
+TWO_STEP_DEFS = {"ap": APLossDef(), "alrp": ALRPLossDef(), "alrp-wrong-target": WrongTargetALRPDef(), "ndcg": NDCGLossDef()}
+
+
+class TestOneWritePerNegative:
+    """The assembly writes each kept negative's gradient once, at its anchor
+    position, as the column sums of rank_stats' relation: the same bytes as
+    the column sums in an array of one entry per negative, then copied."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(assembly_scenarios())
+    def test_every_loss_equals_the_two_step_assembly_by_bytes(self, drawn):
+        scn, kind, layout = drawn
+        if layout == "none kept":
+            assert rank_stats(scn, kind).relation.idx.size == 0
+        calls = {**LOSSES, "alrp-fast": lambda s, k: alrp_loss(s, k, use_fast=True)}
+        for name, fn in calls.items():
+            got, want = fn(scn, kind).grad_report, oracle_two_step_assembly(scn, TWO_STEP_DEFS[name.replace("-fast", "")], kind)
+            assert got.score_grads.tobytes() == want.score_grads.tobytes(), name
+            assert (got.loss_value, got.primary_term_sum_check) == (want.loss_value, want.primary_term_sum_check), name
+
+    @pytest.mark.parametrize("kind", (StepKind.smoothed(0.5), StepKind.exact()), ids=("smooth", "exact"))
+    def test_a_relation_on_anchor_positions_writes_inside_its_own_output(self, kind):
+        """rank_stats' relation takes the scores as its data, so its column
+        sums have one entry per anchor: each kept negative's sum at its
+        anchor position, +0.0 at every other anchor. The negatives sit
+        behind three positives and two ignored anchors, so every anchor
+        position lies at or past n_neg. A given order without the array
+        its positions index is refused: its output would have no length
+        to check them against."""
+        labels = [POS] * 3 + [IGNORE] * 2 + [NEG] * 4
+        scores = [0.3, 0.6, 0.9, 2.0, -1.0, 0.7, 0.0, -3.0, 0.4]
+        gts = [[3.0 * k, 0.0, 3.0 * k + 1.0, 1.0] for k in range(3)]
+        scn = Scenario.from_columns(labels, scores, [0, 1, 2], [[3.0 * k, 0.0, 3.0 * k + 1.0, 0.8] for k in range(3)], gts)
+        rel, w = rank_stats(scn, kind).relation, np.array([0.25, 1.0, 0.5])
+        cols = rel.col_sums(w)
+        assert cols.size == scn.scores.size and scn.neg_index.min() >= scn.n_neg and 0 < rel.idx.size < scn.n_neg
+        assert cols[scn.neg_index].tobytes() == StepRelation(scn.neg_scores(), scn.pos_scores(), kind).col_sums(w).tobytes()
+        others = np.setdiff1d(np.arange(cols.size), scn.neg_index)
+        assert cols[others].tobytes() == np.zeros(others.size).tobytes()
+        with pytest.raises(ValueError, match="^StepRelation: a given order needs data, the array its positions index$"):
+            StepRelation(None, scn.pos_scores(), kind, scn.neg_order())
+
+    def test_one_exact_assembly_traces_at_most_two_and_a_half_gradient_arrays(self):
+        """One exact aLRP assembly at 20 x 20 000, its rank statistics (a
+        fresh relation, so col_sums finds the window edges) and errors
+        given, peaks at 2.5 x 8 (N + P) bytes under tracemalloc: the
+        anchor-order gradients and the column sums held over the kept
+        negatives read 2.01 x. Column sums into an array of one entry per
+        negative, then copied to the anchors, read 3.01 x."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=20_000, seed=0))
+        kind, loss_def = StepKind.exact(), ALRPLossDef()
+        stats = rank_stats(scn, kind)
+        errors = loss_def.terms(scn, stats, kind)[:2]
+        assemble_gradients(scn, loss_def, kind, stats, errors)  # any first-call set-up
+        stats = rank_stats(scn, kind)
+        tracemalloc.start()
+        try:
+            assemble_gradients(scn, loss_def, kind, stats, errors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * scn.scores.size
 
 
 @st.composite
@@ -841,10 +945,11 @@ class TestCallCount:
     def test_a_small_loss_call_makes_few_python_level_calls(self):
         """The same call, counted by every Python function and builtin it
         enters, numpy's Python layers (np.flatnonzero, np.cumsum, ...)
-        included: 245 (112 functions and 133 builtins), against 606 (374
+        included: 244 (112 functions and 132 builtins), against 606 (374
         and 232) when the window search checked each guess with two step()
         calls, the overlap pass made eight _slope calls and the sums went
-        through numpy's Python wrappers."""
+        through numpy's Python wrappers, and 245 when the assembly zeroed
+        its own gradient array beside the column sums'."""
         scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=200, seed=0))
         kind = StepKind.smoothed(0.5)
         alrp_loss(scn, kind)  # any first-call set-up
@@ -860,7 +965,7 @@ class TestCallCount:
             alrp_loss(scn, kind)
         finally:
             sys.setprofile(previous)
-        assert counts["call"] + counts["c_call"] <= 245
+        assert counts["call"] + counts["c_call"] <= 244
 
 
 def counted(monkeypatch, owners, name):

@@ -384,10 +384,12 @@ class TestNegOrder:
     with_positive_boxes."""
 
     def test_is_the_sorted_negatives_and_is_kept(self):
+        """order holds anchor positions: every negative's once, and the scores there are sorted."""
         scn = fixture_scenario("shuffled")
         order, ns = scn.neg_order()
         np.testing.assert_array_equal(ns, np.sort(scn.neg_scores()))
-        np.testing.assert_array_equal(scn.neg_scores()[order], ns)
+        np.testing.assert_array_equal(np.sort(order), scn.neg_index)
+        np.testing.assert_array_equal(scn.scores[order], ns)
         assert scn.neg_order() is scn.neg_order()
         with pytest.raises(ValueError):
             ns[0] = 1.0
@@ -400,7 +402,7 @@ class TestNegOrder:
         new = scn.with_scores(-scn.scores)
         order, ns = new.neg_order()
         np.testing.assert_array_equal(ns, np.sort(new.neg_scores()))
-        np.testing.assert_array_equal(new.neg_scores()[order], ns)
+        np.testing.assert_array_equal(new.scores[order], ns)
         assert scn.neg_order() is before
         again = Scenario.from_columns(new.labels, new.scores, new.pos_gt, new.pos_box, new.gts, new.loc_kind)
         for kind in STEP_KINDS:
