@@ -431,10 +431,9 @@ class StepRelation:
     part.
 
     order, if given, is the data's ascending order as (their positions in
-    the array data, their values), such as Scenario.neg_order() keeps for a
-    scenario's negatives among its scores; data is then read for its size
-    only, the length of col_sums' output, which the positions index.
-    Without it, data are the values themselves, sorted here.
+    the array data, their values), as Scenario.neg_order() keeps the
+    negatives among a scenario's scores; data then only sets the length of
+    col_sums' output, which the positions index. Else data are sorted here.
     Only the order of tied data can differ between two such orders, and no
     unweighted row sum or column sum depends on it: a datum's terms depend
     on its value and on window edges, and an edge never splits tied values
@@ -688,10 +687,10 @@ def assemble_gradients(scenario, loss_def, kind, stats=None, errors=None):
     Never materializes the |P| x |N| table: with p(j|i) = H(x_ij)/N_FP(i),
     a positive's row of the table sums to 1 (or 0 without step mass) and a
     negative's column is a column sum of the StepRelation that gave N_FP,
-    so each positive's error goes to exactly the negatives it counts. Raises
-    if any target exceeds its primary term (the update would push the wrong
-    way). A caller that has the rank statistics or the local errors and
-    targets (l, l*) passes them as stats and errors.
+    written once, at its anchor position. Raises if any target exceeds its
+    primary term (the update would push the wrong way). A caller that has
+    the rank statistics (rank_stats') or the local errors and targets (l,
+    l*) passes them as stats and errors.
     """
     stats = rank_stats(scenario, kind) if stats is None else stats
     ell, ell_star = loss_def.terms(scenario, stats, kind)[:2] if errors is None else errors
@@ -708,8 +707,9 @@ def assemble_gradients(scenario, loss_def, kind, stats=None, errors=None):
     # Delta x_ij = (l*(i) - l(i)) p(j|i); positive grad is its row sum.
     mass = (stats.n_fp > 0.0).astype(np.float64)
     share = np.divide(gap, stats.n_fp * z, out=np.zeros(gap.shape), where=mass > 0.0)
-    # Each negative's gradient, written once at its anchor position: the column sums of rank_stats' relation.
     grads = stats.relation.col_sums(share)
+    if grads.size != scenario.scores.size:
+        raise ValueError("stats.relation gives %d column sums for %d anchors: not rank_stats' relation" % (grads.size, scenario.scores.size))
     if loss_def.unconditional_positive_grads:
         grads[scenario.pos_index] = -gap / z
     else:

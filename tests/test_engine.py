@@ -9,7 +9,8 @@ The prefixes taken at the window edges only equal, by bytes, the
 full-length ones there, on terms over 60 decades and on windows of low
 step mass, in either branch of their exactness check.
 The window search and the prefix sums equal, by bytes, the forms with more
-numpy calls that they replaced, kept in conftest.
+numpy calls that they replaced, kept in conftest, and so does the assembly's
+one write per negative the two-step assembly, whose traced bytes it cuts.
 The memory of one loss call on a layout of low step mass is bounded, and
 the calls into the package's own functions during one small loss call and
 the calls of the traced layer entry points are counted."""
@@ -57,6 +58,7 @@ from rankloss.ranking import (
     NEG,
     POS,
     AnchorRecord,
+    RankStats,
     Scenario,
     StepKind,
     StepRelation,
@@ -734,6 +736,18 @@ class TestOneWritePerNegative:
         assert cols[others].tobytes() == np.zeros(others.size).tobytes()
         with pytest.raises(ValueError, match="^StepRelation: a given order needs data, the array its positions index$"):
             StepRelation(None, scn.pos_scores(), kind, scn.neg_order())
+
+    def test_stats_on_the_negatives_own_positions_are_refused(self):
+        """Rank statistics whose relation the caller built on the negatives
+        alone give one column sum per negative, which the assembly would
+        take for the anchors' gradients: refused, with both counts."""
+        scn = generate_scenario(ScenarioGenSpec(n_pos=6, n_neg=40, seed=1))
+        kind = StepKind.exact()
+        stats = rank_stats(scn, kind)
+        own = RankStats(stats.rank, stats.rank_pos, stats.n_fp, StepRelation(scn.neg_scores(), scn.pos_scores(), kind))
+        message = r"^stats\.relation gives 40 column sums for 46 anchors: not rank_stats' relation$"
+        with pytest.raises(ValueError, match=message):
+            assemble_gradients(scn, ALRPLossDef(), kind, own)
 
     def test_one_exact_assembly_traces_at_most_two_and_a_half_gradient_arrays(self):
         """One exact aLRP assembly at 20 x 20 000, its rank statistics (a
