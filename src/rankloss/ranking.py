@@ -247,9 +247,9 @@ class Scenario:
         neg_scores()) of the negatives in ascending score order, and their
         scores in that order; sorted on first use, then kept."""
         if self._neg_order is None:
-            scores = self.neg_scores()
-            order = scores.argsort()
-            self._neg_order = (_frozen(self.neg_index[order]), _frozen(scores[order]))
+            # One gather at a time, so that at most two arrays of N live at once.
+            order = self.neg_index[self.neg_scores().argsort()]
+            self._neg_order = (_frozen(order), _frozen(self.scores[order]))
         return self._neg_order
 
     def pos_boxes(self):
