@@ -9,8 +9,9 @@ The prefixes taken at the window edges only equal, by bytes, the
 full-length ones there, on terms over 60 decades and on windows of low
 step mass, in either branch of their exactness check.
 The window search and the prefix sums equal, by bytes, the forms with more
-numpy calls that they replaced, kept in conftest, and so does the assembly's
-one write per negative the two-step assembly, whose traced bytes it cuts.
+numpy calls that they replaced, kept in conftest. So does the assembly's
+one write per negative equal the two-step assembly it replaced, and it
+traces fewer bytes.
 The memory of one loss call on a layout of low step mass is bounded, and
 the calls into the package's own functions during one small loss call and
 the calls of the traced layer entry points are counted."""
@@ -684,7 +685,7 @@ def assembly_scenarios(draw):
     n_neg = 0 if layout == "no negatives" else draw(st.integers(1, 60))
     neg = draw(st.lists(st.one_of(decimals, st.sampled_from(pos)), min_size=n_neg, max_size=n_neg))
     if layout == "none kept":
-        neg = [v - 5.0 for v in neg]  # below -2, under every support's lower edge, at or above -1
+        neg = [v - 5.0 for v in neg]  # at or below -2, under every support's lower edge (at or above -1)
     n_ignored = draw(st.integers(0, 3))
     labels = [POS] * len(pos) + [NEG] * n_neg + [IGNORE] * n_ignored
     scores = pos + neg + draw(st.lists(decimals, min_size=n_ignored, max_size=n_ignored))
