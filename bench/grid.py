@@ -5,8 +5,10 @@
 
 For each P x N in GRID (scores as in perfbench's ``loss`` workload: uniform
 on [0, 10], positives on [5.5, 10], rounded to 3 decimals) and each step
-(smooth delta = 1, exact), it times ``losses.alrp_loss`` and, on the
-negatives-vs-positives relation behind N_FP, the ``StepRelation`` build
+(smooth delta = 1, exact), it times ``losses.alrp_loss``,
+``ranking.rank_stats`` (on the scenario, which keeps its negatives'
+order) and, on the negatives-vs-positives relation behind N_FP, the
+``StepRelation`` build
 (from the negatives alone, so it sorts them), ``row_sums()`` and
 ``col_sums``, and ``ranking.assemble_gradients`` of the aLRP loss with
 the scenario's rank statistics and errors given. A relation keeps the
@@ -144,6 +146,7 @@ def grid_calls(rl, n_pos, n_neg, seed, smooth):
 
     return {
         "alrp_loss": lambda: rl.losses.alrp_loss(scn, kind),
+        "rank_stats": lambda: rl.ranking.rank_stats(scn, kind),
         "StepRelation": lambda: rl.ranking.StepRelation(neg, pos, kind),
         "row_sums": lambda: copy.copy(rel).row_sums(),
         "col_sums": lambda: copy.copy(rel).col_sums(share),

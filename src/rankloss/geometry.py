@@ -275,6 +275,13 @@ def _overlap_pass(pred, gt, variant):
         return _overlap_of(inter, union, hull), np.where(degenerate, 0.0, g).T.copy(), tie | degenerate
 
 
+def _overlap(a, b, variant):
+    """_overlap_pass's overlap of float64 box arrays alone, the same bits, with no gradient pass."""
+    with np.errstate(invalid="ignore"):
+        hull = _hull(a, b)[2] if variant == "giou" else None
+    return _overlap_of(*_inter_union(_sides(a, b), b), hull)
+
+
 def loc_error_and_grad_array(pred, gt, kind):
     """(E_loc, dE_loc/dpred, tie mask) over (P, 4) box arrays from one
     overlap pass: (P,) errors, unchecked (above 1 for a box below tau),
@@ -306,7 +313,7 @@ def iou(pred, gt):
 
 def giou(pred, gt):
     """Generalized IoU: IoU minus (hull \\ union) / hull, in [-1, 1]."""
-    return float(_single(_overlap_pass, pred, gt, "giou")[0][0])
+    return float(_single(_overlap, pred, gt, "giou")[0])
 
 
 def overlap_unit(pred, gt, kind):

@@ -77,7 +77,7 @@ def _exact_pos_loc_sums(scenario, e_loc):
 class APLossDef(RankingLossDef):
     def terms(self, scenario, stats, kind):
         ell = stats.n_fp / stats.rank
-        return ell, np.zeros_like(ell), float(ell.mean()), 0.0, np.zeros((scenario.n_pos, 4)), 0
+        return ell, np.zeros_like(ell), float(np.add.reduce(ell) / ell.size), 0.0, np.zeros((scenario.n_pos, 4)), 0
 
 
 class ALRPLossDef(RankingLossDef):
@@ -87,8 +87,8 @@ class ALRPLossDef(RankingLossDef):
         c = _exact_pos_loc_sums(scenario, e_loc)
         ell = (stats.n_fp + e_loc + c) / stats.rank
         ell_star = e_loc / stats.rank
-        cls_c = float((stats.n_fp / stats.rank).mean())
-        loc_c = float(((e_loc + c) / stats.rank).mean())
+        cls_t, loc_t = stats.n_fp / stats.rank, (e_loc + c) / stats.rank
+        cls_c, loc_c = float(np.add.reduce(cls_t) / cls_t.size), float(np.add.reduce(loc_t) / loc_t.size)
         w = alrp_soft_weights(scenario, kind, stats.rank)
         return ell, ell_star, cls_c, loc_c, w[:, None] * g, np.count_nonzero(tie)
 

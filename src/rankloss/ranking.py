@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LocErrorKind, _array, _column, _flag, _instance, _real, _real_entry, _real_scalar, _shaped, loc_error_and_grad_array
+from .geometry import LocErrorKind, _array, _column, _flag, _instance, _loc_error_of, _overlap, _real, _real_entry, _real_scalar, _shaped, _unit_of
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
 MAX_DELTA = 2.0**900
@@ -261,7 +261,8 @@ class Scenario:
     def loc_errors(self):
         """E_loc per positive, unchecked (may exceed 1 for an overlap that
         has drifted below tau; the metric-side check lives in geometry)."""
-        return loc_error_and_grad_array(self.pos_box, self.gts[self.pos_gt], self.loc_kind)[0]
+        kind = self.loc_kind
+        return _loc_error_of(_unit_of(_overlap(self.pos_box, self.gts[self.pos_gt], kind.variant), kind.variant), kind.tau)
 
     def _replace(self, attr, name, values, anchors, field):
         """Copy with the column attr replaced by values, checked as _set_columns checks it."""
@@ -290,10 +291,10 @@ def _prefix(v, at=None):
     """Prefix sums of v (leading 0) along its last axis, as a stacked (high,
     low) pair of arrays.
 
-    The high parts lie on a power-of-two grid, one per row, coarse enough
-    that their running sums are exact, so the difference of two prefixes
-    (see _sum) is as precise as the terms between them, however large the
-    prefix before them.
+    The high parts lie on a grid, one per row, coarse enough that their
+    running sums are exact, so the difference of two prefixes (see _sum) is
+    as precise as the terms between them. The grid is a power of two in
+    [2**-1022, 2**972], so v * (1 / grid), a faster pass, is v / grid.
 
     at, for a 1-D v: sorted distinct positions, the first 0 and the last
     v.size; the prefixes are then returned at those positions only, the
@@ -318,8 +319,8 @@ def _prefix(v, at=None):
         unit = np.spacing(np.minimum.reduce(np.subtract(bits, 1, out=bits)).view(np.float64))
         # With a finite total, unit <= grid: their ratio is a power of two up to 1 (0 below the subnormals).
         edge = total[0] < 2.0**1023 and n <= 2.0**54 * (unit / grid[0])
-    # In place, as in step(): high = rint(v / grid) * grid in a's buffer, then low = v - high in the same.
-    high = np.divide(v, grid, out=a)
+    # In place, as in step(): high = rint(v * (1 / grid)) * grid in a's buffer, then low = v - high in the same.
+    high = np.multiply(v, 1.0 / grid, out=a)
     high = np.multiply(np.rint(high, out=high), grid, out=high)
     if edge:
         # Each segment's sum between the positions, then the running sums of those.
@@ -382,9 +383,9 @@ def _windows(x, q, kind):
 
     The searchsorted guesses at q_i -/+ delta are right unless a rounding
     of q_i -/+ delta or of x_k - q_i moves the edge; one step() evaluation
-    checks them all, with their predecessors. A wrong guess is bisected
-    within _BRACKET positions on the side its check points to, and over all
-    of x only if the position found there fails the same check."""
+    checks them all, with their predecessors. One more checks the _BRACKET
+    positions beside each wrong guess, on the side its check points to, for
+    the first that holds; x is bisected whole only where that one fails too."""
     n, d = x.size, kind.delta
     guess = np.array((x.searchsorted(q - d, "right"), x.searchsorted(q + d, "left")))
     bad, past = _misplaced(x, q, kind, guess, _FLOORS)
@@ -392,9 +393,11 @@ def _windows(x, q, kind):
     if not row.size:
         return guess
     g, qb, floor, past = guess[row, i], q[i], _FLOORS[row, 0], past[row, i]
-    # The edge lies before a guess that holds with its predecessor, after one that does not hold.
+    # The edge lies in [lo, end]: before a guess that holds with its predecessor, after one that does not hold.
     lo = np.where(past, np.maximum(g - _BRACKET, 0), g + 1)
-    k = _bisect(x, qb, kind, floor, lo, np.where(past, g - 1, np.minimum(g + _BRACKET, n)))
+    end = np.where(past, g - 1, np.minimum(g + _BRACKET, n))[:, None]
+    k = lo[:, None] + np.arange(_BRACKET)  # up to end, as end - lo < _BRACKET
+    k = lo + (_holds(x, qb[:, None], kind, k, floor[:, None]) | (k >= end)).argmax(axis=1)
     far = _misplaced(x, qb, kind, k, floor)[0].nonzero()[0]
     if far.size:
         k[far] = _bisect(x, qb[far], kind, floor[far], np.zeros(far.size, np.intp), np.full(far.size, n, np.intp))
@@ -488,7 +491,7 @@ class StepRelation:
             self.mid = self.lo
             return
 
-        cell = np.floor(x / (4.0 * d))
+        np.floor(cell := x / (4.0 * d), out=cell)
         # Each cell's first datum, then n; each lo's cell ends at bounds[after].
         bounds = np.concatenate(([True], cell[1:] != cell[:-1], [True])).nonzero()[0]
         ref = x[bounds[:-1]].repeat(bounds[1:] - bounds[:-1])
@@ -576,17 +579,17 @@ class StepRelation:
         near = np.abs(np.frexp(np.add.reduce(np.abs(s), axis=-1))[0] - 0.75)
         if np.logical_or.reduce((0.25 - 2.0**-40 < near) & (near < 0.5)):
             bins = edges[:-1] + n * np.arange(len(s))[:, None]
-            held = _running(np.bincount(bins.ravel(), s.ravel(), len(s) * n).reshape(len(s), n))
+            r, c = _running(np.bincount(bins.ravel(), s.ravel(), len(s) * n).reshape(len(s), n)), 1
         else:
-            # Held from each edge below n to the next; the first edge is 0.
-            held = _running(s).repeat(edges[1:] - edges[:-1], axis=1)
-        g = held[0]
+            # Each row's running sums are held from each edge below n to the next; the first edge is 0.
+            r, c = _running(s), edges[1:] - edges[:-1]
+        g = r[1 if self.kind.smooth else 0].repeat(c)
         if self.kind.smooth:
-            # One buffer: held[0] + (t held[1] + held[2]) / (2 delta).
-            g = np.multiply(self.t, held[1])
-            g += held[2]
+            # One buffer, the rows held into it in turn: r[0] + (t r[1] + r[2]) / (2 delta).
+            g *= self.t
+            g += r[2].repeat(c)
             g /= 2.0 * self.kind.delta
-            g += held[0]
+            g += r[0].repeat(c)
         out[self.idx] = np.maximum(g, 0.0, out=g)
         return out
 

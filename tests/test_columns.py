@@ -119,6 +119,26 @@ class TestGeometryAgainstOracle:
         assert same(giou(p, g), oracle_giou(p, g))
         assert same(loc_error(p, g, kind, check=False), oracle_loc_error(p, g, kind, check=False))
 
+    @SETTINGS
+    @given(box_pairs, st.sampled_from(LOC_KINDS))
+    def test_values_alone_equal_the_gradient_pass(self, pairs, kind):
+        """The overlap and E_loc taken with no gradient pass (_overlap, so
+        the scalar giou, and Scenario.loc_errors) equal, by bytes, the first
+        output of the pass with gradients, on drawn boxes with two copies of
+        a point (zero union and zero hull) and an inverted box among them;
+        the scenario takes the pairs whose corners are all finite."""
+        pairs = [([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]), ([0.5, 0.2, 0.3, 0.9], [0.0, 0.0, 1.0, 1.0]), *pairs]
+        pred = np.array([p for p, _ in pairs], dtype=np.float64)
+        gt = np.array([g for _, g in pairs], dtype=np.float64)
+        for variant in ("iou", "giou"):
+            assert geometry._overlap(pred, gt, variant).tobytes() == geometry._overlap_pass(pred, gt, variant)[0].tobytes()
+        for p, g in pairs:
+            assert same(giou(p, g), geometry._overlap_pass(np.array([p]), np.array([g]), "giou")[0][0])
+        finite = np.isfinite(pred).all(axis=1) & np.isfinite(gt).all(axis=1)
+        n = int(finite.sum())
+        scn = Scenario.from_columns([POS] * n, np.zeros(n), np.arange(n), pred[finite], gt[finite], kind)
+        assert scn.loc_errors().tobytes() == loc_error_and_grad_array(pred[finite], gt[finite], kind)[0].tobytes()
+
     def test_zero_union_and_zero_hull(self):
         # Two copies of the same point: union and hull are both zero.
         point = [1.0, 1.0, 1.0, 1.0]

@@ -299,7 +299,7 @@ class TestOneCopyOfTheOverlap:
 
     @pytest.mark.parametrize("kind", (LocErrorKind.iou(), LocErrorKind.giou()), ids=str)
     def test_the_scalar_loc_error_evaluates_the_overlap_once(self, monkeypatch, kind):
-        name = "iou_array" if kind.variant == "iou" else "_overlap_pass"
+        name = "iou_array" if kind.variant == "iou" else "_overlap"
         calls, real = [], getattr(geometry, name)
         monkeypatch.setattr(geometry, name, lambda *args: calls.append(1) or real(*args))
         value = loc_error([0.1, 0.0, 1.0, 1.0], UNIT, kind)
