@@ -8,9 +8,8 @@ on [0, 10], positives on [5.5, 10], rounded to 3 decimals) and each step
 (smooth delta = 1, exact), it times ``losses.alrp_loss``,
 ``ranking.rank_stats`` (on the scenario, which keeps its negatives'
 order) and, on the negatives-vs-positives relation behind N_FP, the
-``StepRelation`` build
-(from the negatives alone, so it sorts them), ``row_sums()`` and
-``col_sums``, and ``ranking.assemble_gradients`` of the aLRP loss with
+``StepRelation`` build (from the negatives alone, so it sorts them),
+``row_sums()`` and ``col_sums``, and ``ranking.assemble_gradients`` of the aLRP loss with
 the scenario's rank statistics and errors given. A relation keeps the
 window edges it finds on its first sum, so each timed sum and assembly
 gets a shallow copy of a relation that has made no sum (the copy is

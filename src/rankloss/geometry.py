@@ -217,14 +217,20 @@ def _loc_error_of(v, tau):
     return (1.0 - v) / (1.0 - tau)
 
 
+def _overlap(a, b, variant):
+    """IoU or GIoU of float64 box arrays alone: _overlap_pass's overlap, the same bits, with no gradient pass."""
+    with np.errstate(invalid="ignore"):
+        hull = _hull(a, b)[2] if variant == "giou" else None
+    return _overlap_of(*_inter_union(_sides(a, b), b), hull)
+
+
 def iou_array(pred, gt):
     """``iou`` over box arrays of shape (..., 4) that broadcast.
 
     ``iou_array(dets[:, None], gts[None])`` is the (D, G) IoU matrix;
     ``iou_array(pred, gt)`` on two (P, 4) arrays is the row-wise IoU.
     """
-    a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
-    return _overlap_of(*_inter_union(_sides(a, b), b))
+    return _overlap(np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64), "iou")
 
 
 # Rows of the edges x1, y1, x2, y2: the low edges' overlap is a max, the high edges' a min; a
@@ -273,13 +279,6 @@ def _overlap_pass(pred, gt, variant):
             degenerate = degenerate | (hull <= 0.0)
         # A C-ordered copy, as the stacks' other order would change the rounding of a sum over its entries.
         return _overlap_of(inter, union, hull), np.where(degenerate, 0.0, g).T.copy(), tie | degenerate
-
-
-def _overlap(a, b, variant):
-    """_overlap_pass's overlap of float64 box arrays alone, the same bits, with no gradient pass."""
-    with np.errstate(invalid="ignore"):
-        hull = _hull(a, b)[2] if variant == "giou" else None
-    return _overlap_of(*_inter_union(_sides(a, b), b), hull)
 
 
 def loc_error_and_grad_array(pred, gt, kind):

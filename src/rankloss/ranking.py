@@ -385,7 +385,7 @@ def _windows(x, q, kind):
     of q_i -/+ delta or of x_k - q_i moves the edge; one step() evaluation
     checks them all, with their predecessors. One more checks the _BRACKET
     positions beside each wrong guess, on the side its check points to, for
-    the first that holds; x is bisected whole only where that one fails too."""
+    the first that holds; x is bisected whole where none does or it fails."""
     n, d = x.size, kind.delta
     guess = np.array((x.searchsorted(q - d, "right"), x.searchsorted(q + d, "left")))
     bad, past = _misplaced(x, q, kind, guess, _FLOORS)
@@ -393,11 +393,10 @@ def _windows(x, q, kind):
     if not row.size:
         return guess
     g, qb, floor, past = guess[row, i], q[i], _FLOORS[row, 0], past[row, i]
-    # The edge lies in [lo, end]: before a guess that holds with its predecessor, after one that does not hold.
+    # The edge lies before a guess that holds with its predecessor, after one that does not hold.
     lo = np.where(past, np.maximum(g - _BRACKET, 0), g + 1)
-    end = np.where(past, g - 1, np.minimum(g + _BRACKET, n))[:, None]
-    k = lo[:, None] + np.arange(_BRACKET)  # up to end, as end - lo < _BRACKET
-    k = lo + (_holds(x, qb[:, None], kind, k, floor[:, None]) | (k >= end)).argmax(axis=1)
+    k = lo[:, None] + np.arange(_BRACKET)
+    k = lo + _holds(x, qb[:, None], kind, k, floor[:, None]).argmax(axis=1)  # lo if none holds: it fails the check below
     far = _misplaced(x, qb, kind, k, floor)[0].nonzero()[0]
     if far.size:
         k[far] = _bisect(x, qb[far], kind, floor[far], np.zeros(far.size, np.intp), np.full(far.size, n, np.intp))
@@ -491,7 +490,8 @@ class StepRelation:
             self.mid = self.lo
             return
 
-        np.floor(cell := x / (4.0 * d), out=cell)
+        cell = x / (4.0 * d)
+        np.floor(cell, out=cell)
         # Each cell's first datum, then n; each lo's cell ends at bounds[after].
         bounds = np.concatenate(([True], cell[1:] != cell[:-1], [True])).nonzero()[0]
         ref = x[bounds[:-1]].repeat(bounds[1:] - bounds[:-1])
