@@ -765,27 +765,22 @@ class TestOneWritePerNegative:
         anchor-order gradients and the column sums held over the kept
         negatives read 2.01 x. Column sums into an array of one entry per
         negative, then copied to the anchors, read 3.01 x."""
-        scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=20_000, seed=0))
-        kind, loss_def = StepKind.exact(), ALRPLossDef()
-        stats = rank_stats(scn, kind)
-        errors = loss_def.terms(scn, stats, kind)[:2]
-        assemble_gradients(scn, loss_def, kind, stats, errors)  # any first-call set-up
-        stats = rank_stats(scn, kind)
-        tracemalloc.start()
-        try:
-            assemble_gradients(scn, loss_def, kind, stats, errors)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 8 * scn.scores.size
+        assert self.assembly_peak(StepKind.exact()) <= 2.5
 
     def test_one_smooth_assembly_traces_at_most_three_and_a_half_gradient_arrays(self):
         """The same assembly under the smooth step (delta 0.5) peaks at
         3.5 x 8 (N + P) bytes: col_sums holds each row of its running sums
         into one buffer in turn and reads 3.03 x. Its three rows held at
         once, a (3, n) array, read 5.02 x."""
+        assert self.assembly_peak(StepKind.smoothed(0.5)) <= 3.5
+
+    @staticmethod
+    def assembly_peak(kind):
+        """The tracemalloc peak, in 8 (N + P) bytes, of one aLRP assembly at
+        20 x 20 000 under kind, its rank statistics (a fresh relation, so
+        col_sums finds the window edges) and errors given."""
         scn = generate_scenario(ScenarioGenSpec(n_pos=20, n_neg=20_000, seed=0))
-        kind, loss_def = StepKind.smoothed(0.5), ALRPLossDef()
+        loss_def = ALRPLossDef()
         stats = rank_stats(scn, kind)
         errors = loss_def.terms(scn, stats, kind)[:2]
         assemble_gradients(scn, loss_def, kind, stats, errors)  # any first-call set-up
@@ -796,7 +791,7 @@ class TestOneWritePerNegative:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 8 * scn.scores.size
+        return peak / (8 * scn.scores.size)
 
 
 @st.composite
