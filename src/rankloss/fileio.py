@@ -7,6 +7,9 @@ original objects exactly: all numbers are written as JSON doubles, which
 round-trip float64 losslessly via repr.  Files are written from the columns
 in json.dump(indent=2)'s layout, byte for byte, and read by whole-column
 screens; one checker per kind of entry names the first offending field.
+A number no float64 holds (an integer such as 10**400 as a score, corner
+or tau) is refused at its field ("expected a finite number"), and a class
+outside int64 at its own ("expected an integer in the int64 range").
 """
 
 from __future__ import annotations
@@ -217,6 +220,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    """Write scenario to path as a version 1 scenario file, in
+    json.dump(indent=2)'s layout plus a newline, byte-stable. A ground truth
+    or positive box that load_scenario would refuse (a non-finite corner, or
+    corners out of order) is refused with the loader's FileFormatError
+    before the file is opened."""
     index, kind = scenario.pos_index, scenario.loc_kind
     _checked_boxes("gts[%d]", scenario.gts)
     _checked_boxes("anchors[%d].box", scenario.pos_box, index)
@@ -236,6 +244,11 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
+    """The Scenario in the file at path. A file that is not JSON, of another
+    version, or with an entry that is missing, of the wrong type, not
+    finite, out of range or out of order is refused with a FileFormatError
+    that names the field by path (anchors[3].score); what Scenario itself
+    refuses is named at "$" with its message."""
     return scenario_from_dict(_load_json(path))
 
 
@@ -295,6 +308,10 @@ def eval_from_dict(doc: dict) -> EvalInput:
 
 
 def save_eval(inputs: EvalInput, path) -> None:
+    """Write inputs to path as a version 1 evaluator input file, in
+    json.dump(indent=2)'s layout plus a newline, byte-stable. A box with a
+    non-finite corner, which load_eval would refuse, is refused with the
+    loader's FileFormatError before the file is opened."""
     _checked_boxes("detections[%d].box", inputs.det_boxes)
     _checked_boxes("ground_truths[%d].box", inputs.gt_boxes)
     dets = _rows(_DETECTION, inputs.det_scores, inputs.det_boxes, inputs.det_cls)
@@ -303,4 +320,9 @@ def save_eval(inputs: EvalInput, path) -> None:
 
 
 def load_eval(path) -> EvalInput:
+    """The EvalInput in the file at path. A file that is not JSON, of another
+    version, or with a detection or ground truth that is missing a field or
+    holds one of the wrong type, not finite, out of int64's range (a class)
+    or out of order (a box) is refused with a FileFormatError that names
+    the field by path (detections[1].score)."""
     return eval_from_dict(_load_json(path))

@@ -7,7 +7,19 @@ the first (predicted) box; the second (ground-truth) box is constant.
 The overlap expressions are piecewise smooth: min/max switch branches where
 two coordinates coincide. At such a tie the returned derivative is the mean
 of the two one-sided branch derivatives -- the value central finite
-differences converge to -- and the result is flagged as nonsmooth.
+differences converge to -- and the result is flagged as nonsmooth. The
+gradients differentiate the areas the values take, each side clamped at 0,
+so a zero-width or inverted predicted box gets the gradient of the value it
+scores; a zero side is a clamp tie, flagged where it reaches the value. Each
+overlap formula is written once (_sides, _inter_union, _hull), and every
+value, E_loc and gradient reads it; the IoU gradient builds no hull.
+
+This module also holds the input rules the whole package reads its callers'
+values by, each refusing by field name: _real_entry and _real_scalar (a real
+number: not a bool, numpy's included, a string or None), _flag (a switch
+is a bool), _instance (an object field holds only its type) and _real with
+_column (the one reader of every caller box and number column; a Box reads
+as an array of its corners, so it is taken wherever four numbers are).
 """
 
 from __future__ import annotations

@@ -75,12 +75,21 @@ def _exact_pos_loc_sums(scenario, e_loc):
 
 
 class APLossDef(RankingLossDef):
+    """The AP loss: l(i) = N_FP(i)/rank(i), l*(i) = 0, Z = |P|; its total,
+    all cls, is one minus average precision."""
+
     def terms(self, scenario, stats, kind):
         ell = stats.n_fp / stats.rank
         return ell, np.zeros_like(ell), float(np.add.reduce(ell) / ell.size), 0.0, np.zeros((scenario.n_pos, 4)), 0
 
 
 class ALRPLossDef(RankingLossDef):
+    """The average-LRP loss: l(i) = (N_FP(i) + E_loc(i) + C(i))/rank(i) and
+    l*(i) = E_loc(i)/rank(i), with C(i) the E_loc of the other positives
+    scored >= s_i (exact step), Z = |P|. Its cls part averages
+    N_FP(i)/rank(i), its loc part (E_loc(i) + C(i))/rank(i); E_loc and the
+    box gradients come from one overlap pass, weighted by alrp_soft_weights."""
+
     def terms(self, scenario, stats, kind):
         # One overlap pass: E_loc and dE_loc/d(box), which the soft weights turn into d(loc_component)/d(box).
         e_loc, g, tie = loc_error_and_grad_array(scenario.pos_box, scenario.pos_gt_boxes(), scenario.loc_kind)
@@ -107,6 +116,10 @@ class WrongTargetALRPDef(ALRPLossDef):
 
 
 class NDCGLossDef(RankingLossDef):
+    """The NDCG loss: l(i) = (G_max/|P| - G(i))/G_max with the gain
+    G(i) = 1/log2(1 + rank(i)) and the ideal gain G_max (ndcg_ideal_gain),
+    l*(i) = (G_max/|P| - 1)/G_max, Z = 1."""
+
     def normalizer(self, scenario):
         return 1.0
 
@@ -141,7 +154,10 @@ def alrp_soft_weights(scenario, kind=EXACT, rank=None):
 def _loss(scenario, kind, loss_def):
     """The LossBreakdown of loss_def: every loss entry point runs this. The
     rank statistics are computed once and feed the loss terms, the box
-    gradients and the score gradients."""
+    gradients and the score gradients: one call enters rank_stats,
+    assemble_gradients and (for aLRP) alrp_soft_weights once each. kind is
+    not checked here, as this runs in every loss call; a StepKind checks
+    itself when it is built."""
     stats = rank_stats(scenario, kind)
     ell, ell_star, cls_c, loc_c, box, n_nonsmooth = loss_def.terms(scenario, stats, kind)
     report = assemble_gradients(scenario, loss_def, kind, stats, (ell, ell_star))

@@ -4,6 +4,18 @@ This module evaluates *outputs* (scored boxes against ground truth), as
 opposed to the loss modules which differentiate through scores.  It also
 carries the reference losses used for side-by-side reporting and the
 rank-vector utilities shared with the trainer.
+
+The evaluator works on EvalInput's columns and builds no per-entry objects.
+Each class gets one candidate table per input (_class_table), shared by
+every IoU threshold and by mean_ap, olrp and lrp_at: each detection's
+ground truths with IoU > 0, found by a searchsorted window over the ground
+truths sorted by x1, highest IoU first. Each IoU threshold gets one greedy
+matching (_match) that walks the detections by descending score with a
+claimed flag per ground truth. The matching at a score threshold is a prefix
+of the full one, so LRP at every candidate threshold (oLRP) comes from
+cumulative TP / FP / FN counts and localisation sums over that prefix, the
+counts by binary searches on the sorted scores. Work and memory follow the
+candidate pairs, not detections x ground truths.
 """
 
 from __future__ import annotations

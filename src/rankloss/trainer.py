@@ -240,7 +240,13 @@ def train(scenario: Scenario, cfg: TrainConfig) -> TrainLog:
     scaled by the self-balance weight: 1.0 at epoch 0 and, with
     self-balancing on, epoch e's total / loc from epoch e + 1 on (kept
     while loc is 0). A non-finite total or box corner ends the run with
-    diverged_at set.
+    diverged_at set; the boxes are checked before the epoch's scenario is
+    built, since a Scenario refuses them.
+
+    Each epoch builds its scenario once (ToyModel.current_scenario), reads
+    the sigmoid scores back from it for the logit gradients, and makes one
+    positive_ious pass, whose IoUs give the mean IoU and the rank
+    correlation.
     """
     model = ToyModel(scenario)
     box_lr = cfg.lr if cfg.box_lr is None else cfg.box_lr

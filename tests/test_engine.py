@@ -831,11 +831,11 @@ class TestWindowSearch:
     @pytest.mark.parametrize(
         "data, q, edges, searches",
         (
-            ([-0.5] * 5 + [0.102] * 10 + [0.5] * 5, 0.002, (5, 5), []),
-            ([-0.5] * 5 + [0.102] * 40 + [0.5] * 5, 0.002, (5, 5), [True]),
-            ([0.102] * 10 + [0.5] * 5, 0.002, (0, 0), []),
-            ([-0.5] * 5 + [0.33499999999999996] * 3 + [0.5] * 2, 0.235, (5, 8), []),
-            ([-0.5] * 5 + [0.33499999999999996] * 3, 0.235, (5, 8), []),
+            ([-0.5] * 5 + [0.102] * 10 + [0.5] * 5, 0.002, (5, 5), 0),
+            ([-0.5] * 5 + [0.102] * 40 + [0.5] * 5, 0.002, (5, 5), 1),
+            ([0.102] * 10 + [0.5] * 5, 0.002, (0, 0), 0),
+            ([-0.5] * 5 + [0.33499999999999996] * 3 + [0.5] * 2, 0.235, (5, 8), 0),
+            ([-0.5] * 5 + [0.33499999999999996] * 3, 0.235, (5, 8), 0),
         ),
         ids=("bracket", "all-data", "clipped-at-0", "clipped-at-n", "none-before-n"),
     )
@@ -852,16 +852,16 @@ class TestWindowSearch:
         kind = StepKind.smoothed(0.1)
         x, q = np.array(data), np.array([q])
         assert x.searchsorted(q + 0.1, "left").tolist() != [edges[1]]  # a wrong guess
-        full, real = [], ranking._bisect
+        calls, real = [], ranking._bisect
 
-        def bisect(x, q, kind, floor, lo, hi):
-            full.append(bool(np.all((lo == 0) & (hi == x.size))))  # a search over all of the data
-            return real(x, q, kind, floor, lo, hi)
+        def bisect(x, q, kind, floor):
+            calls.append(q.size)  # a search over all of the data
+            return real(x, q, kind, floor)
 
         monkeypatch.setattr(ranking, "_bisect", bisect)
         lo, hi = ranking._windows(x, q, kind)
         want_lo, want_hi = oracle_windows(x, q, kind)
-        assert full == searches and (*lo, *hi) == (*want_lo, *want_hi) == edges
+        assert len(calls) == searches and (*lo, *hi) == (*want_lo, *want_hi) == edges
 
 
 def exact_step(x, q, delta):
