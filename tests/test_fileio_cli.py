@@ -1,6 +1,10 @@
-"""JSON round-trips with field-path error reporting, and the command-line
-interface's output and exit-code contract."""
+"""JSON round-trips with field-path error reporting, the command-line
+interface's output and exit-code contract, and the documentation: README's
+CLI lines and library example run, and every public name has a docstring."""
 
+import ast
+import dataclasses
+import inspect
 import json
 import re
 import shlex
@@ -20,6 +24,7 @@ from conftest import (
     oracle_eval_to_dict,
     oracle_scenario_to_dict,
 )
+import rankloss
 from rankloss import cli, losses
 from rankloss.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from rankloss.fast_alrp import FastConfig, pruned_size
@@ -856,6 +861,49 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if "csv" not in argv:
             strict_json(out)
+
+
+def readme_library_example():
+    """The ```python block of README's Library use section."""
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    return block
+
+
+def test_readme_library_example_gives_the_figures_it_quotes():
+    """Runs the example statement by statement. Each figure quoted in a
+    line's comment (0.6925 = 0.3583 + 0.3342: one per value of the line's
+    expression) equals that value to the figure's decimals."""
+    block = readme_library_example()
+    lines, namespace, checked = block.splitlines(), {}, 0
+    for stmt in ast.parse(block).body:
+        figures = re.findall(r"-?\d+\.\d+", lines[stmt.end_lineno - 1].partition("#")[2])
+        if not figures:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(stmt, ast.Expr), lines[stmt.lineno - 1]
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        values = value if isinstance(value, tuple) else (value,)
+        assert len(values) == len(figures), lines[stmt.lineno - 1]
+        for v, figure in zip(values, figures):
+            assert f"{v:.{len(figure.split('.')[1])}f}" == figure, (lines[stmt.lineno - 1], v)
+        checked += len(figures)
+    assert checked >= 6
+
+
+def test_every_public_class_and_function_has_a_docstring_of_its_own():
+    """Its own __doc__: not a base class's, and not the signature that
+    dataclass writes into a class that has none."""
+    missing = []
+    for name in rankloss.__all__:
+        obj = getattr(rankloss, name)
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        doc = vars(obj).get("__doc__") if inspect.isclass(obj) else obj.__doc__
+        generated = dataclasses.is_dataclass(obj) and doc == obj.__name__ + str(inspect.signature(obj)).replace(" -> None", "")
+        if not (doc and doc.strip()) or generated:
+            missing.append(name)
+    assert missing == []
 
 
 def test_bench_subcommand_is_gone(capsys):
