@@ -424,7 +424,7 @@ def _weights(weights):
     clip rounding at 0, which would hide a negative sum. Every loss's
     weights (gradient shares, 1/rank, E_loc) are >= 0. A NaN passes and
     gives NaN sums, so that a NaN E_loc (an overflowing GIoU) makes a NaN
-    loss, which the CLI reports as a numerical failure, not an error."""
+    loss rather than an error; the CLI reports it as a numerical failure."""
     w = np.asarray(weights, dtype=np.float64)
     bad = (w < 0.0).ravel().nonzero()[0]
     if bad.size:
@@ -521,9 +521,9 @@ class StepRelation:
 
     def _edge_ranks(self):
         """(edges, ranks): the distinct window edges, from 0 (the lowest
-        query's lo) to n, at most 3M + 1 for M queries, and the rank among them of each query's lo, mid
-        and hi (rows; one row, hi, for the exact step); found on
-        first use, then kept."""
+        query's lo) to n, at most 3M + 1 for M queries, and the rank among
+        them of each query's lo, mid and hi (rows; one row, hi, for the
+        exact step); found on first use, then kept."""
         if self._edges is None:
             sides = np.array((self.lo, self.mid, self.hi)) if self.kind.smooth else self.hi[None]
             # Marked, not np.unique: its first call raises the peak RSS by over 1 MB.
