@@ -46,18 +46,20 @@ per call, and on one input kept across calls, as perfbench's ``eval`` op
 runs it. One more row times ``fileio.load_eval`` of the x25 input, written
 to a temporary file by each tree's own ``save_eval``.
 
-The stage rows split that work at x25 and x50: ``table`` builds every
-class's candidate table with ``metrics._build_class_table`` (never
-its memo), ``match`` runs ``metrics._match`` at IoU 0.5 on those tables, ``AP
-reduction`` turns those matchings into AP on 101 recall points (``pr_curve``
-and ``interpolated_precision``), and ``LRP reduction`` runs oLRP's
+The stage rows split that work at x25 and x50 (9 reps at x50, where one
+row was bimodal over 3): ``table`` builds every class's candidate table
+with ``metrics._build_class_table`` (never its memo), ``match`` runs
+``metrics._match`` at IoU 0.5 on those tables, ``AP reduction`` turns those
+matchings into AP on 101 recall points (``pr_curve`` and
+``interpolated_precision``), and ``LRP reduction`` runs oLRP's
 ``metrics._lrp_tallies`` at every distinct score with the tables and
 matchings already made (the two calls that make them are replaced, for the
 call, by lookups).
 
 Three more rows time ``fileio.save_scenario`` and
 ``fileio.load_scenario`` of a ``generate_scenario`` draw at 200 x 100 000
-(a temporary file per tree), and ``metrics.olrp`` and ``metrics.lrp_at``
+(a temporary file per tree, IO_REPS calls per seed: two columns of one tree
+differed by up to 21% over 3), and ``metrics.olrp`` and ``metrics.lrp_at``
 (at score threshold 0.9) at IoU 0.5 on one class of G = 40 000 of the
 generator's ground truths, each matched by one ``geometry.boxes_with_iou``
 detection at an IoU uniform on [0.85, 0.95], with distinct scores uniform
@@ -98,12 +100,13 @@ GRID = ((300, 30_000), (1000, 100_000), (3000, 300_000))
 SEEDS = (1, 2, 3)
 REPS = 15
 EVAL_SCALES = ((1, REPS), (5, REPS), (25, 3))  # (every count times, reps)
-STAGE_SCALES = ((25, 5), (50, 3))
+STAGE_SCALES = ((25, 5), (50, 9))
 LOAD_EVAL_SCALE = 25
 IO_SIZE = (200, 100_000)
 LOSS_OP_SIZE = (200, 100_000)
 ONE_CLASS_G = 40_000
-SLOW_REPS = 3  # for the file I/O and one-class rows, of about 0.1 to 1 s a call
+IO_REPS = 9  # for the file I/O rows, of about 0.1 s a call
+SLOW_REPS = 3  # for the one-class rows, of about 0.05 to 0.3 s a call
 
 
 def quartiles(times):
@@ -329,8 +332,8 @@ def measure(packages):
         add("alrp_loss smooth low-mass 300x30000", {column: low_mass_call(rl, seed) for column, rl in packages.items()}, peak=True)
     with tempfile.TemporaryDirectory() as directory:
         for seed in SEEDS:
-            calls = {column: {**io_calls(rl, seed, directory), **one_class_calls(rl, seed)} for column, rl in packages.items()}
-            add_all(calls, SLOW_REPS, peak=True)
+            add_all({column: io_calls(rl, seed, directory) for column, rl in packages.items()}, IO_REPS, peak=True)
+            add_all({column: one_class_calls(rl, seed) for column, rl in packages.items()}, SLOW_REPS, peak=True)
     workloads = perfbench("workloads")
     with tempfile.TemporaryDirectory() as directory:
         for scale, reps in EVAL_SCALES:
@@ -402,6 +405,7 @@ def environment(src, rl, ref_ms):
         "reps": REPS,
         "eval_scales_reps": [list(pair) for pair in EVAL_SCALES],
         "stage_scales_reps": [list(pair) for pair in STAGE_SCALES],
+        "io_reps": IO_REPS,
         "seeds": list(SEEDS),
     }
 

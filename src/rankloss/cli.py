@@ -20,9 +20,10 @@ import sys
 import numpy as np
 
 from .fileio import load_eval, load_scenario
+from .geometry import check_positive
 from .losses import LOSS_NAMES, _named_loss, balance_ratio
 from .metrics import DEFAULT_TAUS, TEN_POINT_RECALLS, lrp_at, mean_ap, olrp
-from .ranking import StepKind, check_positive
+from .ranking import StepKind
 from .trainer import ScenarioGenSpec, TrainConfig, generate_scenario, train
 
 EXIT_OK = 0

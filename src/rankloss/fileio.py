@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .geometry import CORNER_ORDER, LocErrorKind, _real_entry
+from .geometry import CORNER_ORDER, LocErrorKind, _disordered, _not_finite, _out_of_order, _real_entry
 from .metrics import EvalInput
 from .ranking import IGNORE, NEG, POS, Scenario
 
@@ -100,20 +100,6 @@ _POSITIVE = '{\n      "label": "pos",\n      "score": %s,\n      "gt": %s,\n    
 _DETECTION = '{\n      "score": %s,\n      "box": ' + _BOX + ',\n      "class": %s\n    }'
 _GROUND_TRUTH = '{\n      "box": ' + _BOX + ',\n      "class": %s\n    }'
 _BLOCK = 4096  # entries per write
-
-
-def _checked_boxes(path: str, boxes: np.ndarray, at=None) -> None:
-    """Refuse, as the scenario loader would and before a file is opened, the
-    first box with a non-finite corner (named at the corner) or with corners
-    out of order (named at the box; an EvalInput holds none); box i is
-    path % at[i] (path % i without at)."""
-    finite = np.isfinite(boxes)
-    ordered = (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])
-    for i in np.flatnonzero(~(finite.all(axis=1) & ordered))[:1].tolist():
-        name = path % (i if at is None else at[i])
-        for k in np.flatnonzero(~finite[i])[:1].tolist():
-            raise FileFormatError(f"{name}[{k}]", "expected a finite number")
-        raise FileFormatError(name, CORNER_ORDER % tuple(boxes[i].tolist()))
 
 
 def _texts(column: np.ndarray) -> list:
@@ -222,12 +208,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def save_scenario(scenario: Scenario, path) -> None:
     """Write scenario to path as a version 1 scenario file, in
     json.dump(indent=2)'s layout plus a newline, byte-stable. A ground truth
-    or positive box that load_scenario would refuse (a non-finite corner, or
-    corners out of order) is refused with the loader's FileFormatError
-    before the file is opened."""
+    or positive box whose corners are out of order, which load_scenario
+    would refuse, is refused with the loader's FileFormatError before the
+    file is opened; a Scenario holds no corner that is not finite."""
     index, kind = scenario.pos_index, scenario.loc_kind
-    _checked_boxes("gts[%d]", scenario.gts)
-    _checked_boxes("anchors[%d].box", scenario.pos_box, index)
+    if found := _disordered(scenario.gts, "gts[%d]") or _disordered(scenario.pos_box, "anchors[%d].box", index):
+        raise FileFormatError(*found)
     n, plain = _rows(_ANCHOR, scenario.labels, scenario.scores)
     positives = _rows(_POSITIVE, scenario.scores[index], scenario.pos_gt, scenario.pos_box)[1]
 
@@ -287,8 +273,7 @@ def _entries(entries: list, name: str, checker, keys: tuple) -> list:
         corners = list(chain.from_iterable(boxes)) if quads else [None]
         if all(map(_floats_ok, [*scores, corners])) and set(map(type, cls)) <= {int}:
             box = np.reshape(corners, (-1, 4))
-            ordered = ((box[:, 0] <= box[:, 2]) & (box[:, 1] <= box[:, 3])).all()
-            if ordered and min(cls, default=0) in _INT64 and max(cls, default=0) in _INT64:
+            if not _out_of_order(box).any() and min(cls, default=0) in _INT64 and max(cls, default=0) in _INT64:
                 return [*scores, box, cls]
     return [list(column) for column in zip(*[checker(e, f"{name}[{i}]") for i, e in enumerate(entries)])]
 
@@ -310,10 +295,13 @@ def eval_from_dict(doc: dict) -> EvalInput:
 def save_eval(inputs: EvalInput, path) -> None:
     """Write inputs to path as a version 1 evaluator input file, in
     json.dump(indent=2)'s layout plus a newline, byte-stable. A box with a
-    non-finite corner, which load_eval would refuse, is refused with the
-    loader's FileFormatError before the file is opened."""
-    _checked_boxes("detections[%d].box", inputs.det_boxes)
-    _checked_boxes("ground_truths[%d].box", inputs.gt_boxes)
+    non-finite corner, which load_eval would refuse, is refused at that
+    corner with the loader's FileFormatError before the file is opened; an
+    EvalInput holds no box whose corners are out of order."""
+    for name, boxes in (("detections[%d].box", inputs.det_boxes), ("ground_truths[%d].box", inputs.gt_boxes)):
+        if found := _not_finite(boxes, name):
+            corner = np.isfinite(boxes[found[0]]).argmin()
+            raise FileFormatError("%s[%d]" % (name % found[0], corner), "expected a finite number")
     dets = _rows(_DETECTION, inputs.det_scores, inputs.det_boxes, inputs.det_cls)
     gts = _rows(_GROUND_TRUTH, inputs.gt_boxes, inputs.gt_cls)
     _write(path, ('{\n  "version": %d,\n  "detections": ' % EVAL_VERSION, dets, ',\n  "ground_truths": ', gts, "\n}\n"))

@@ -16,14 +16,20 @@ value, E_loc and gradient reads it; the IoU gradient builds no hull.
 
 This module also holds the input rules the whole package reads its callers'
 values by, each refusing by field name: _real_entry and _real_scalar (a real
-number: not a bool, numpy's included, a string or None), _flag (a switch
-is a bool), _instance (an object field holds only its type) and _real with
-_column (the one reader of every caller box and number column; a Box reads
-as an array of its corners, so it is taken wherever four numbers are).
+number: not a bool, numpy's included, a string or None), check_positive and
+check_integer (a count, rate or bound), _flag (a switch is a bool),
+_instance (an object field holds only its type), _real with _column (the
+one reader of every caller box and number column; a Box reads as an array
+of its corners, so it is taken wherever four numbers are) and _integers
+(an integer column). A column's values are checked by _not_finite (the
+first row not finite) and _out_of_order (the boxes whose corners are out of
+order; _disordered names the first), and a refused value is named
+column[row].
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -43,6 +49,18 @@ def _real_scalar(name, value):
     if not _real_entry(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
+
+
+def check_positive(name, value, zero_ok=False):
+    """Refuse, by name, a value that is not a real number (_real_scalar), finite and > 0 (>= 0 with zero_ok)."""
+    if not (math.isfinite(_real_scalar(name, value)) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
+def check_integer(name, value):
+    """Refuse, by name, a value that is not an integer (2.5, 2.0, "2", True)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _flag(name, value):
@@ -79,7 +97,7 @@ def _real(name, values):
     floats or integers, or as objects that are all real numbers (Python ints
     beyond int64) within float64's range: not strings, bools, None or
     complex numbers. A bool among numbers in a list is a number to numpy
-    before it is seen, as for ranking._integers; a ragged sequence is refused too."""
+    before it is seen, as for _integers; a ragged sequence is refused too."""
     column = _array(name, values, "real numbers")
     if column.dtype == object and all(map(_real_entry, column.flat)):
         try:
@@ -97,6 +115,52 @@ def _column(name, values, shape):
     if column.shape[:1] == shape[:1] == (0,):
         column = column.reshape(shape)
     return _shaped(name, column, shape)
+
+
+def _integers(name, values, dtype):
+    """(values as an array of the integer dtype, the mask of the entries
+    that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range,
+    whether a float, a uint64 or a Python int; and each entry that is not a
+    real number, such as a string, a bool or None. A bool among ints in a
+    list is an int to numpy before it is seen.) A ragged sequence is
+    refused by name, as _real refuses it."""
+    a = _array(name, values, "integers")
+    with np.errstate(invalid="ignore"):
+        if a.dtype.kind not in "fiu":
+            # Entry by entry as given: numpy converts a list that mixes numbers and strings to strings.
+            a = np.array(values, dtype=object)
+            real = [_real_entry(v) for v in a.flat]
+            a = np.where(np.array(real, dtype=bool).reshape(a.shape), a, np.nan)
+        info = np.iinfo(dtype)
+        # Exact comparisons, Python ints (an object array) included; NaN fails both.
+        bad = ~np.asarray((a >= info.min) & (a <= info.max), dtype=bool)
+        out = np.where(bad, 0, a).astype(dtype)
+    return out, bad | np.asarray(out != a, dtype=bool)
+
+
+def _not_finite(column, name, rows=None):
+    """(i, "<name % i> is not finite") for the first row k of column (an
+    entry, or a box of an (n, 4) column) that is not all finite, with
+    i = rows[k] (k without rows); None if every row is finite."""
+    finite = np.isfinite(column)
+    k = (~(finite if finite.ndim == 1 else np.logical_and.reduce(finite, axis=1))).nonzero()[0][:1]
+    i = k if rows is None else rows[k]
+    return (i[0], "%s is not finite" % (name % i[0])) if k.size else None
+
+
+def _out_of_order(boxes):
+    """The mask of the rows of (n, 4) boxes whose corners are out of order
+    (not x1 <= x2 and y1 <= y2: a NaN corner included); Box checks one."""
+    return ~((boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3]))
+
+
+def _disordered(boxes, name, rows=None):
+    """(name % i, Box's refusal of its corners) for the first box k of
+    (n, 4) boxes whose corners are out of order, with i = rows[k] (k
+    without rows); None if every box is in order."""
+    k = _out_of_order(boxes).nonzero()[0][:1]
+    i = k if rows is None else rows[k]
+    return (name % i[0], CORNER_ORDER % tuple(boxes[k[0]].tolist())) if k.size else None
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CORNER_ORDER, Box, _column, _instance, _loc_error_of, _real, _real_scalar, _shaped, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
-from .ranking import IGNORE, Scenario, _frozen, _integers
+from .geometry import Box, _column, _disordered, _instance, _integers, _loc_error_of, _not_finite, _real, _real_scalar, _shaped, boxes_with_iou, iou, iou_array  # noqa: F401 (perfbench traces ``iou`` by this module's name)
+from .ranking import IGNORE, Scenario, _frozen
 
 # Default IoU thresholds for the mean-AP sweep.
 DEFAULT_TAUS = (0.50, 0.65, 0.80, 0.95)
@@ -46,7 +46,7 @@ class Detection:
 
     def __post_init__(self) -> None:
         if not math.isfinite(_real_scalar("score", self.score)):
-            raise ValueError("detection score must be finite")
+            raise ValueError("score must be finite, got %r" % (self.score,))
         _instance("box", self.box, Box)
 
 
@@ -62,12 +62,13 @@ class GroundTruth:
 
 
 def _class_column(name, values, rows=None):
-    """values as int64 classes, refused by name unless each is an integer and they are one row of rows
-    entries (None: of their own number)."""
+    """values as int64 classes, refused by name unless they are one row of rows entries (None: of their
+    own number), then by name and row (det_cls[k]) unless each is an integer."""
     column, bad = _integers(name, values, np.int64)
+    _shaped(name, column, (column.size if rows is None else rows,))
     if bad.any():
-        raise ValueError("%s: class must be an integer, got %r" % (name, np.asarray(values)[bad].tolist()[0]))
-    return _shaped(name, column, (column.size if rows is None else rows,))
+        raise ValueError("%s[%d]: class must be an integer, got %r" % (name, bad.argmax(), np.asarray(values)[bad].tolist()[0]))
+    return column
 
 
 class EvalInput:
@@ -79,8 +80,10 @@ class EvalInput:
     or corner that is not a real number (a string, a bool or None; a bool
     among numbers in a list is read as 0 or 1, as for classes) and a
     class that is not an integer (a string, a bool or None included), then
-    what Detection and Box refuse (ground-truth boxes first); build()
-    gathers them from Detection / GroundTruth objects.
+    what Detection and Box refuse: a score that is not finite, then corners
+    out of order, ground-truth boxes first. A refused value is named by
+    column and row (det_scores[1], gt_boxes[0]). build() gathers the
+    columns from Detection / GroundTruth objects.
 
     Each class's candidate table (_class_table) is a memo, not a column:
     it is built on first use and kept, read-only, so mean_ap, olrp and
@@ -95,12 +98,10 @@ class EvalInput:
         self.det_boxes = _frozen(_column("det_boxes", det_boxes, (d, 4)))
         self.gt_cls = _frozen(_class_column("gt_cls", gt_cls))
         self.gt_boxes = _frozen(_column("gt_boxes", gt_boxes, (self.gt_cls.size, 4)))
-        if not np.isfinite(self.det_scores).all():
-            raise ValueError("detection score must be finite")
-        boxes = np.concatenate((self.gt_boxes, self.det_boxes))
-        bad = np.flatnonzero(~((boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])))
-        if bad.size:
-            raise ValueError(CORNER_ORDER % tuple(boxes[bad[0]].tolist()))
+        if found := _not_finite(self.det_scores, "det_scores[%d]"):
+            raise ValueError(found[1])
+        if found := _disordered(self.gt_boxes, "gt_boxes[%d]") or _disordered(self.det_boxes, "det_boxes[%d]"):
+            raise ValueError("%s: %s" % found)
         self._tables = {}
 
     @staticmethod

@@ -27,28 +27,14 @@ included, of one smooth aLRP call at 20 x 200.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LocErrorKind, _array, _column, _flag, _instance, _loc_error_of, _overlap, _real, _real_entry, _real_scalar, _shaped, _unit_of
+from .geometry import LocErrorKind, _column, _flag, _instance, _integers, _loc_error_of, _not_finite, _overlap, _real, _real_scalar, _shaped, _unit_of
 
 POS, NEG, IGNORE = "pos", "neg", "ignore"
 MAX_DELTA = 2.0**900
-
-
-def check_positive(name, value, zero_ok=False):
-    """Refuse, by name, a value that is not a real number (_real_scalar), finite and > 0 (>= 0 with zero_ok)."""
-    if not (math.isfinite(_real_scalar(name, value)) and (value >= 0.0 if zero_ok else value > 0.0)):
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
-
-
-def check_integer(name, value):
-    """Refuse, by name, a value that is not an integer (2.5, 2.0, "2", True)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +55,10 @@ class StepKind:
     delta: float = 1.0
 
     def __post_init__(self):
-        if _flag("smooth", self.smooth) and not 0.0 < _real_scalar("delta", self.delta) < np.inf:
+        smooth, delta = _flag("smooth", self.smooth), _real_scalar("delta", self.delta)
+        if smooth and not 0.0 < delta < np.inf:
             raise ValueError("smooth step needs a finite delta > 0, got %r" % (self.delta,))
-        if self.smooth and self.delta > MAX_DELTA:
+        if smooth and delta > MAX_DELTA:
             raise ValueError("smooth step needs a delta of at most 2**900, got %r" % (self.delta,))
 
     @classmethod
@@ -113,43 +100,14 @@ def _frozen(a):
     return a
 
 
-def _integers(name, values, dtype):
-    """(values as an array of the integer dtype, the mask of the entries
-    that do not convert exactly: 1.5, NaN, inf, or beyond dtype's range,
-    whether a float, a uint64 or a Python int; and each entry that is not a
-    real number, such as a string, a bool or None. A bool among ints in a
-    list is an int to numpy before it is seen.) A ragged sequence is
-    refused by name, as _real refuses it."""
-    a = _array(name, values, "integers")
-    with np.errstate(invalid="ignore"):
-        if a.dtype.kind not in "fiu":
-            # Entry by entry as given: numpy converts a list that mixes numbers and strings to strings.
-            a = np.array(values, dtype=object)
-            real = [_real_entry(v) for v in a.flat]
-            a = np.where(np.array(real, dtype=bool).reshape(a.shape), a, np.nan)
-        info = np.iinfo(dtype)
-        # Exact comparisons, Python ints (an object array) included; NaN fails both.
-        bad = ~np.asarray((a >= info.min) & (a <= info.max), dtype=bool)
-        out = np.where(bad, 0, a).astype(dtype)
-    return out, bad | np.asarray(out != a, dtype=bool)
-
-
-def _not_finite(column, anchors, field):
-    """(anchors[k], "anchors[%d].<field> is not finite") for the first row k of column not all finite, or None."""
-    finite = np.isfinite(column)
-    bad = (~(finite if finite.ndim == 1 else np.logical_and.reduce(finite, axis=1))).nonzero()[0]
-    return (anchors[bad[0]], "anchors[%d].%s is not finite" % (anchors[bad[0]], field)) if bad.size else None
-
-
 def _gt_array(gts):
     rows = [_real("gts[%d]" % j, g) for j, g in enumerate(gts)]
     for j, row in enumerate(rows):
         if row.shape != (4,):
             raise ValueError("gts[%d]: expected four entries, got shape %s" % (j, row.shape))
     gts = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-    bad = np.flatnonzero(~np.isfinite(gts).all(axis=1))
-    if bad.size:
-        raise ValueError("gts[%d] is not finite" % bad[0])
+    if found := _not_finite(gts, "gts[%d]"):
+        raise ValueError(found[1])
     return gts
 
 
@@ -209,7 +167,7 @@ class Scenario:
         labels = np.array(labels, dtype=str)
         unknown = np.flatnonzero(~np.isin(labels, (POS, NEG, IGNORE)))
         if unknown.size:
-            raise ValueError("unknown anchor label: %r" % (labels[unknown[0]].item(),))
+            raise ValueError("labels[%d]: unknown anchor label: %r" % (unknown[0], labels[unknown[0]].item()))
         pos_index = np.flatnonzero(labels == POS)
         if not pos_index.size:
             raise ValueError("scenario has no positive anchors")
@@ -222,7 +180,7 @@ class Scenario:
         # check in the order score, gt index, box.
         bad = pos_index[not_integer | (pos_gt < 0) | (pos_gt >= len(gts))]
         gt_error = (bad[0], "anchors[%d]: positive needs a valid gt index" % bad[0]) if bad.size else None
-        found = (_not_finite(scores, range(scores.size), "score"), gt_error, _not_finite(pos_box, pos_index, "box"))
+        found = (_not_finite(scores, "anchors[%d].score"), gt_error, _not_finite(pos_box, "anchors[%d].box", pos_index))
         problems = [(i, 2, message) for i, message in box_errors] + [(f[0], k, f[1]) for k, f in enumerate(found) if f]
         if problems:
             raise ValueError(min(problems)[2])
@@ -272,10 +230,10 @@ class Scenario:
         kind = self.loc_kind
         return _loc_error_of(_unit_of(_overlap(self.pos_box, self.gts[self.pos_gt], kind.variant), kind.variant), kind.tau)
 
-    def _replace(self, attr, name, values, anchors, field):
+    def _replace(self, attr, name, values, field, rows=None):
         """Copy with the column attr replaced by values, checked as _set_columns checks it."""
         column = _column(name, values, getattr(self, attr).shape)
-        if found := _not_finite(column, anchors, field):
+        if found := _not_finite(column, field, rows):
             raise ValueError(found[1])
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
@@ -285,12 +243,12 @@ class Scenario:
     def with_positive_boxes(self, boxes):
         """Copy of the scenario with the positives' predicted boxes replaced
         (order follows pos_index)."""
-        return self._replace("pos_box", "boxes", boxes, self.pos_index, "box")
+        return self._replace("pos_box", "boxes", boxes, "anchors[%d].box", self.pos_index)
 
     def with_scores(self, scores):
         """Copy of the scenario with every anchor's score replaced; its
         negatives are sorted again on first use."""
-        new = self._replace("scores", "scores", scores, range(self.scores.size), "score")
+        new = self._replace("scores", "scores", scores, "anchors[%d].score")
         new._neg_order = None
         return new
 

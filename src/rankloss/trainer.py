@@ -18,13 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import _flag, _instance, _real_scalar, boxes_with_iou
+from .geometry import _flag, _instance, _real_scalar, boxes_with_iou, check_integer, check_positive
 # perfbench wraps these by this module's names: train() calls positive_ious and ranking_correlation
 # once per epoch, and reaches the losses through losses._named_loss, so they stay bound here for it.
 from .losses import alrp_loss, ap_loss, ndcg_loss  # noqa: F401
 from .losses import LOSS_NAMES, _named_loss, balance_ratio
 from .metrics import _ious_by_score, positive_ious, ranking_correlation
-from .ranking import NEG, POS, Scenario, StepKind, check_integer, check_positive
+from .ranking import NEG, POS, Scenario, StepKind
 
 LOG_COLUMNS = (
     "epoch", "total", "cls", "loc", "ratio", "sb_weight", "rho", "mean_iou",

@@ -542,9 +542,9 @@ class TestEvalInputColumns:
 
     def test_constructor_refuses_what_the_objects_refuse(self):
         box = [0.0, 0.0, 1.0, 1.0]
-        with pytest.raises(ValueError, match="detection score must be finite"):
+        with pytest.raises(ValueError, match=r"^det_scores\[0\] is not finite$"):
             EvalInput([float("inf")], [0], [box], [0], [box])
-        with pytest.raises(ValueError, match=r"^box corners out of order: \(1.0, 0.0, 0.0, 1.0\)$"):
+        with pytest.raises(ValueError, match=r"^det_boxes\[0\]: box corners out of order: \(1.0, 0.0, 0.0, 1.0\)$"):
             EvalInput([0.5], [0], [[1.0, 0.0, 0.0, 1.0]], [0], [box])
 
     @pytest.mark.parametrize("value", (1.5, 1.7, -0.5, float("nan"), float("inf"), 1e20, "3", "a", None), ids=str)
@@ -553,9 +553,9 @@ class TestEvalInputColumns:
         A class of "3" was stored as 3, "a" raised numpy's unnamed error and
         None a TypeError."""
         box = [0.0, 0.0, 1.0, 1.0]
-        with pytest.raises(ValueError, match=r"^det_cls: class must be an integer, got %s$" % re.escape(repr(value))):
+        with pytest.raises(ValueError, match=r"^det_cls\[0\]: class must be an integer, got %s$" % re.escape(repr(value))):
             EvalInput([0.9], [value], [box], [1], [box])
-        with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %s$" % re.escape(repr(value))):
+        with pytest.raises(ValueError, match=r"^gt_cls\[1\]: class must be an integer, got %s$" % re.escape(repr(value))):
             EvalInput([0.9], [1], [box], [2, value], [box, box])
 
     @pytest.mark.parametrize("value", (2**70, -(2**70), 2**63, np.uint64(2**63), np.uint64(2**64 - 1)), ids=repr)
@@ -563,18 +563,18 @@ class TestEvalInputColumns:
         """2**70 raised numpy's OverflowError, which names no column, and
         np.uint64(2**63) was stored as -2**63."""
         box = [0.0, 0.0, 1.0, 1.0]
-        with pytest.raises(ValueError, match=r"^det_cls: class must be an integer, got %d$" % value):
+        with pytest.raises(ValueError, match=r"^det_cls\[0\]: class must be an integer, got %d$" % value):
             EvalInput([0.9], [value], [box], [1], [box])
-        with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %d$" % value):
+        with pytest.raises(ValueError, match=r"^gt_cls\[0\]: class must be an integer, got %d$" % value):
             EvalInput([0.9], [1], [box], [value], [box])
 
     @pytest.mark.parametrize("column", ([True], [False, True], np.array([True]), [np.True_]), ids=repr)
     def test_constructor_refuses_a_bool_class(self, column):
         """[True] was stored as class 1; the file reader refuses a bool too."""
         boxes = [BOX] * len(column)
-        with pytest.raises(ValueError, match=r"^det_cls: class must be an integer, got %r$" % bool(column[0])):
+        with pytest.raises(ValueError, match=r"^det_cls\[0\]: class must be an integer, got %r$" % bool(column[0])):
             EvalInput([0.9] * len(column), column, boxes, [1], [BOX])
-        with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got %r$" % bool(column[0])):
+        with pytest.raises(ValueError, match=r"^gt_cls\[0\]: class must be an integer, got %r$" % bool(column[0])):
             EvalInput([0.9], [1], [BOX], column, boxes)
 
     @pytest.mark.parametrize("value", ("0.5", True, "a", None), ids=repr)
@@ -627,7 +627,7 @@ class TestEvalInputColumns:
                 EvalInput(*columns)
 
     def test_a_string_class_is_named_among_numbers(self):
-        with pytest.raises(ValueError, match=r"^gt_cls: class must be an integer, got '7'$"):
+        with pytest.raises(ValueError, match=r"^gt_cls\[2\]: class must be an integer, got '7'$"):
             EvalInput([0.9], [1], [BOX], [1, 2.0, "7", 3], [BOX] * 4)
 
     @pytest.mark.parametrize(
@@ -680,16 +680,31 @@ class TestEvalInputColumns:
         assert inputs.det_cls.dtype == inputs.gt_cls.dtype == np.int64
 
 
+def refused_box(scenario):
+    """The EvalInput column and row of the first box scenario_to_eval's
+    input refuses: a ground truth out of order, else the kept row (ignored
+    anchors left out) of the first positive box out of order."""
+    for j, (x1, y1, x2, y2) in enumerate(scenario.gts.tolist()):
+        if not (x1 <= x2 and y1 <= y2):
+            return "gt_boxes[%d]" % j
+    kept = np.cumsum(scenario.labels != IGNORE) - 1
+    for i, (x1, y1, x2, y2) in zip(scenario.pos_index.tolist(), scenario.pos_box.tolist()):
+        if not (x1 <= x2 and y1 <= y2):
+            return "det_boxes[%d]" % kept[i]
+    return None
+
+
 class TestScenarioToEvalAgainstOracle:
     @SETTINGS
     @given(scenarios())
     def test_same_file_document_or_same_refusal(self, scenario):
+        """Box refuses a box out of order unnamed; EvalInput names it by column and row."""
         try:
             want = oracle_eval_to_dict(oracle_scenario_to_eval(scenario))
         except ValueError as exc:
             with pytest.raises(ValueError) as err:
                 scenario_to_eval(scenario)
-            assert str(err.value) == str(exc)
+            assert str(err.value) == "%s: %s" % (refused_box(scenario), exc)
             return
         # json text: signs of zero and int / float types count too.
         assert json.dumps(oracle_eval_to_dict(scenario_to_eval(scenario))) == json.dumps(want)

@@ -1,8 +1,9 @@
 """The input rules, reader by reader: every reader of caller boxes and
 scores takes real numbers through geometry._real (or _real_scalar for one
 score) and refuses anything else by its field name, every switch takes
-only a bool (geometry._flag), and every object field only its type
-(geometry._instance).
+only a bool (geometry._flag), every object field only its type
+(geometry._instance), and a value a column refuses is named by column and
+row (det_scores[1], labels[2]; anchors[3].box for a scenario's anchor).
 
 Before these rules, Scenario(anchors, gts) stored box=["0", "0", "1", "1"]
 as (0, 0, 1, 1), iou(["0", "0", "1", "1"], ...) returned 1.0, a ragged or
@@ -14,6 +15,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankloss.fast_alrp import FastConfig
 from rankloss.geometry import (
@@ -141,3 +144,117 @@ def test_an_object_field_refuses_what_is_not_its_type(where):
     field, kind, value, call = OBJECT_FIELDS[where]
     with pytest.raises(ValueError, match=r"^%s must be a %s, got %s$" % (field, kind, re.escape(repr(value)))):
         call(value)
+
+
+@pytest.mark.parametrize("delta", ("x", None), ids=repr)
+def test_an_exact_step_reads_delta_as_a_real_number(delta):
+    """StepKind(False, "x") and FastConfig(delta="x", exact=True) were
+    stored: only the smooth step read its delta."""
+    for call in (lambda: StepKind(False, delta), lambda: FastConfig(delta=delta, exact=True)):
+        with pytest.raises(ValueError, match=r"^delta must be a real number, got %s$" % re.escape(repr(delta))):
+            call()
+
+
+def _set(rows, k, value, corner=None):
+    """rows (a list of values, or of boxes) with row k, or its corner, set to value."""
+    rows = [list(r) if corner is not None else r for r in rows]
+    if corner is None:
+        rows[k] = value
+    else:
+        rows[k][corner] = value
+    return rows
+
+
+def _anchors(n, labels=None, scores=None, boxes=None, gts=None):
+    """Scenario.from_columns of n (negative, positive) anchor pairs, positive i at anchor 2i + 1 on gts[i]."""
+    return Scenario.from_columns(
+        labels or [NEG, POS] * n, scores or [0.5] * (2 * n), list(range(n)), boxes or [UNIT] * n, gts or [UNIT] * n
+    )
+
+
+def _eval(n, scores=None, det_cls=None, det_boxes=None, gt_cls=None, gt_boxes=None):
+    """EvalInput of n detections and n ground truths."""
+    return EvalInput(scores or [0.5] * n, det_cls or [0] * n, det_boxes or [UNIT] * n, gt_cls or [0] * n, gt_boxes or [UNIT] * n)
+
+
+OUT_OF_ORDER = [1.0, 0.0, 0.0, 1.0]
+
+# case -> (a call with a bad value at row k of n, the refusal that names it).
+NAMED_REFUSALS = {
+    "from_columns nan score": (
+        lambda n, k: _anchors(n, scores=_set([0.5] * (2 * n), 2 * k, np.nan)), "anchors[%(a)d].score is not finite"
+    ),
+    "from_columns inf score": (
+        lambda n, k: _anchors(n, scores=_set([0.5] * (2 * n), 2 * k + 1, np.inf)), "anchors[%(p)d].score is not finite"
+    ),
+    "from_columns unknown label": (
+        lambda n, k: _anchors(n, labels=_set([NEG, POS] * n, 2 * k, "bogus")), "labels[%(a)d]: unknown anchor label: 'bogus'"
+    ),
+    "from_columns nan corner": (
+        lambda n, k: _anchors(n, boxes=_set([UNIT] * n, k, np.nan, 2)), "anchors[%(p)d].box is not finite"
+    ),
+    "from_columns inf gt corner": (lambda n, k: _anchors(n, gts=_set([UNIT] * n, k, -np.inf, 1)), "gts[%(k)d] is not finite"),
+    "with_scores nan": (
+        lambda n, k: _anchors(n).with_scores(_set([0.5] * (2 * n), 2 * k, np.nan)), "anchors[%(a)d].score is not finite"
+    ),
+    "with_scores inf": (
+        lambda n, k: _anchors(n).with_scores(_set([0.5] * (2 * n), 2 * k + 1, -np.inf)), "anchors[%(p)d].score is not finite"
+    ),
+    "with_positive_boxes nan": (
+        lambda n, k: _anchors(n).with_positive_boxes(_set([UNIT] * n, k, np.nan, 0)), "anchors[%(p)d].box is not finite"
+    ),
+    "with_positive_boxes inf": (
+        lambda n, k: _anchors(n).with_positive_boxes(_set([UNIT] * n, k, np.inf, 3)), "anchors[%(p)d].box is not finite"
+    ),
+    "EvalInput nan score": (lambda n, k: _eval(n, scores=_set([0.5] * n, k, np.nan)), "det_scores[%(k)d] is not finite"),
+    "EvalInput inf score": (lambda n, k: _eval(n, scores=_set([0.5] * n, k, np.inf)), "det_scores[%(k)d] is not finite"),
+    "EvalInput gt out of order": (
+        lambda n, k: _eval(n, gt_boxes=_set([UNIT] * n, k, OUT_OF_ORDER)),
+        "gt_boxes[%(k)d]: box corners out of order: (1.0, 0.0, 0.0, 1.0)",
+    ),
+    "EvalInput detection out of order": (
+        lambda n, k: _eval(n, det_boxes=_set([UNIT] * n, k, OUT_OF_ORDER)),
+        "det_boxes[%(k)d]: box corners out of order: (1.0, 0.0, 0.0, 1.0)",
+    ),
+    "EvalInput nan corner": (
+        lambda n, k: _eval(n, det_boxes=_set([UNIT] * n, k, np.nan, 1)),
+        "det_boxes[%(k)d]: box corners out of order: (0.0, nan, 1.0, 1.0)",
+    ),
+    "EvalInput detection class": (
+        lambda n, k: _eval(n, det_cls=_set([0] * n, k, 1.5)), "det_cls[%(k)d]: class must be an integer, got 1.5"
+    ),
+    "EvalInput gt class": (
+        lambda n, k: _eval(n, gt_cls=_set([0] * n, k, np.inf)), "gt_cls[%(k)d]: class must be an integer, got inf"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_REFUSALS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_refused_column_value_is_named_by_column_and_row(case, data):
+    """A bad value at row k of a column of n rows is refused as column[k]
+    (anchors[a] for a scenario's anchor a, which a positive's box row k
+    is at). EvalInput named no row ("detection score must be finite", or
+    Box's message alone), and an unknown label none either."""
+    n = data.draw(st.integers(1, 5), label="n")
+    k = data.draw(st.integers(0, n - 1), label="k")
+    call, message = NAMED_REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call(n, k)
+    assert str(err.value) == message % {"k": k, "a": 2 * k, "p": 2 * k + 1}
+
+
+@pytest.mark.parametrize("score", (float("nan"), float("inf")), ids=repr)
+def test_a_detection_names_its_score(score):
+    """It said "detection score must be finite", without the value."""
+    with pytest.raises(ValueError, match=r"^score must be finite, got %r$" % score):
+        Detection(score, Box(*UNIT))
+
+
+def test_a_class_column_is_refused_by_its_shape_before_its_entries():
+    """A row is named only in a column of one row per entry."""
+    with pytest.raises(ValueError, match=r"^det_cls: expected shape \(1,\), got \(1, 1\)$"):
+        EvalInput([0.5], [[1.5]], [UNIT], [0], GTS)
+    with pytest.raises(ValueError, match=r"^gt_cls: expected shape \(2,\), got \(1, 2\)$"):
+        EvalInput([0.5], [0], [UNIT], [[0, 1.5]], [UNIT, UNIT])
