@@ -230,10 +230,11 @@ class Scenario:
         kind = self.loc_kind
         return _loc_error_of(_unit_of(_overlap(self.pos_box, self.gts[self.pos_gt], kind.variant), kind.variant), kind.tau)
 
-    def _replace(self, attr, name, values, field, rows=None):
-        """Copy with the column attr replaced by values, checked as _set_columns checks it."""
+    def _replace(self, attr, name, values, row_name, rows=None):
+        """Copy with the column attr replaced by values, checked as _set_columns checks it; row k
+        not finite is named row_name % rows[k] (row_name % k without rows)."""
         column = _column(name, values, getattr(self, attr).shape)
-        if found := _not_finite(column, field, rows):
+        if found := _not_finite(column, row_name, rows):
             raise ValueError(found[1])
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
