@@ -51,10 +51,10 @@ row was bimodal over 3): ``table`` builds every class's candidate table
 with ``metrics._build_class_table`` (never its memo), ``match`` runs
 ``metrics._match`` at IoU 0.5 on those tables, ``AP reduction`` turns those
 matchings into AP on 101 recall points (``pr_curve`` and
-``interpolated_precision``), and ``LRP reduction`` runs oLRP's
-``metrics._lrp_tallies`` at every distinct score with the tables and
-matchings already made (the two calls that make them are replaced, for the
-call, by lookups).
+``interpolated_precision``), and ``LRP reduction`` runs ``metrics.olrp`` at
+IoU 0.5 with the tables and matchings already made (the two calls that
+make them are replaced, for the call, by lookups): its tallies at every
+distinct score, its localisation sums and its minimum.
 
 Three more rows time ``fileio.save_scenario`` and
 ``fileio.load_scenario`` of a ``generate_scenario`` draw at 200 x 100 000
@@ -232,13 +232,12 @@ def stage_calls(rl, inputs):
     tables = {cls: m._build_class_table(own, cls) for cls in classes}
     matches = {id(table): m._match(table, 0.5) for table in tables.values()}
     grid = np.linspace(0.0, 1.0, 101)
-    scores = np.array(sorted(set(own.det_scores.tolist()), reverse=True))
 
     def lrp_reduction():
         real = m._class_table, m._match
         m._class_table, m._match = (lambda _, cls: tables[cls]), (lambda table, _: matches[id(table)])
         try:
-            m._lrp_tallies(own, 0.5, scores)
+            m.olrp(own, 0.5)
         finally:
             m._class_table, m._match = real
 

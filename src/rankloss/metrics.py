@@ -16,6 +16,20 @@ of the full one, so LRP at every candidate threshold (oLRP) comes from
 cumulative TP / FP / FN counts and localisation sums over that prefix, the
 counts by binary searches on the sorted scores. Work and memory follow the
 candidate pairs, not detections x ground truths.
+
+oLRP needs the localisation sums only at its minimum: a running sum per
+class brackets every threshold's value, and numpy's exact prefix sums are
+taken only at the thresholds whose bracket reaches the lowest upper end
+(_loc_bounds, _loc_sums), so that work is linear in the true positives,
+not quadratic.
+
+A mean_ap + olrp call is mostly interpreter time, so the evaluator calls
+ufuncs and array methods (np.add.reduce, np.add.accumulate, .nonzero(),
+.searchsorted()), not numpy's Python wrappers of them (np.mean,
+ndarray.mean, np.cumsum, np.flatnonzero, np.append, ...): the same float
+operations with fewer Python-level calls. The matcher writes its results
+into lists made once. tests/test_evaluator.py's TestEvalCallCount bounds
+the calls of one mean_ap + olrp on perfbench's eval input.
 """
 
 from __future__ import annotations
@@ -34,6 +48,9 @@ DEFAULT_TAUS = (0.50, 0.65, 0.80, 0.95)
 
 # Default recall sampling grid: ten evenly spaced points, 0.1 through 1.0.
 TEN_POINT_RECALLS = tuple(np.round(np.arange(1, 11) * 0.1, 10))
+
+# The "coco101" recall grid, 101 points from 0 to 1, made once.
+_COCO101 = _frozen(np.linspace(0.0, 1.0, 101))
 
 
 @dataclass(frozen=True)
@@ -63,11 +80,17 @@ class GroundTruth:
 
 def _class_column(name, values, rows=None):
     """values as int64 classes, refused by name unless they are one row of rows entries (None: of their
-    own number), then by name and row (det_cls[k]) unless each is an integer."""
+    own number), then by name and row (det_cls[k]) unless each is an integer, the entry shown as
+    numpy reads a column of numbers or bools and as given otherwise (1.5 among strings stays 1.5)."""
     column, bad = _integers(name, values, np.int64)
     _shaped(name, column, (column.size if rows is None else rows,))
     if bad.any():
-        raise ValueError("%s[%d]: class must be an integer, got %r" % (name, bad.argmax(), np.asarray(values)[bad].tolist()[0]))
+        given = np.asarray(values)
+        if given.dtype.kind not in "biuf":
+            # Entry by entry, as _integers reads them: numpy turns a list that mixes numbers and strings into strings.
+            given = np.array(values, dtype=object)
+        k = bad.argmax()
+        raise ValueError("%s[%d]: class must be an integer, got %r" % (name, k, given.tolist()[k]))
     return column
 
 
@@ -222,8 +245,10 @@ def _match(table: _ClassTable, tau: float) -> MatchResult:
     lenient = tau <= 0.0
     claimed = [False] * n_gt
     first_free = 0  # the lowest unclaimed ground truth, n_gt once all are
-    hits, hit_gts, hit_ious = [], [], []
-    for k in range(n_det) if lenient else np.flatnonzero(table.top >= tau).tolist():
+    # Each detection's matched ground truth (-1: none) and IoU, written in place: no list grows.
+    gt_index = table.gt_indices.tolist()
+    match_gt, match_iou = [-1] * n_det, [0.0] * n_det
+    for k in range(n_det) if lenient else (table.top >= tau).nonzero()[0].tolist():
         j = v = None
         for c in range(start[k], start[k + 1]):
             if cand_iou[c] < tau:
@@ -238,18 +263,11 @@ def _match(table: _ClassTable, tau: float) -> MatchResult:
                     break
         if j is not None:
             claimed[j] = True
-            hits.append(k)
-            hit_gts.append(j)
-            hit_ious.append(v)
+            match_gt[k], match_iou[k] = gt_index[j], v
             while first_free < n_gt and claimed[first_free]:
                 first_free += 1
-    is_tp = np.zeros(n_det, dtype=bool)
-    match_iou = np.zeros(n_det, dtype=np.float64)
-    match_gt = np.full(n_det, -1, dtype=np.int64)
-    is_tp[hits] = True
-    match_iou[hits] = hit_ious
-    match_gt[hits] = table.gt_indices[hit_gts]
-    return MatchResult(table.det_indices, is_tp, match_iou, match_gt, n_gt=int(n_gt))
+    match_gt = np.array(match_gt, dtype=np.int64)
+    return MatchResult(table.det_indices, match_gt >= 0, np.array(match_iou, dtype=np.float64), match_gt, n_gt=int(n_gt))
 
 
 def match_class(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth], cls: int, tau: float) -> MatchResult:
@@ -278,21 +296,19 @@ class PRCurve:
         # Monotone envelope: precision at recall r is the max precision over
         # all operating points whose recall is >= r. Recall never falls along
         # the curve, so the first such point is a binary search away; a recall
-        # the curve never reaches reads the appended 0.
-        envelope = np.maximum.accumulate(self.precision[::-1])[::-1]
-        first = np.searchsorted(self.recall, recall_points - 1e-12, "left")
-        return np.append(envelope, 0.0)[first]
+        # the curve never reaches reads the envelope's last entry, 0.
+        envelope = np.zeros(self.precision.size + 1)
+        np.maximum.accumulate(self.precision[::-1], out=envelope[:-1][::-1])
+        return envelope[self.recall.searchsorted(recall_points - 1e-12, "left")]
 
 
 def pr_curve(match: MatchResult) -> PRCurve:
     """Cumulative precision/recall along the score-sorted detection list."""
     if match.n_gt == 0:
         raise ValueError("precision/recall is undefined without ground truth")
-    tp = np.cumsum(match.is_tp.astype(np.float64))
-    fp = np.cumsum((~match.is_tp).astype(np.float64))
-    recall = tp / match.n_gt
-    precision = tp / np.maximum(tp + fp, 1.0)
-    return PRCurve(recall, precision, match.n_gt)
+    tp = np.add.accumulate(match.is_tp, dtype=np.float64)
+    # tp + fp is exactly k after k detections, so precision divides by k.
+    return PRCurve(tp / match.n_gt, tp / np.arange(1.0, tp.size + 1.0), match.n_gt)
 
 
 def _unit_list(name, values, what) -> np.ndarray:
@@ -311,7 +327,7 @@ def _unit_list(name, values, what) -> np.ndarray:
 def _recall_grid(recall_points) -> np.ndarray:
     if isinstance(recall_points, str):
         if recall_points == "coco101":
-            return np.linspace(0.0, 1.0, 101)
+            return _COCO101
         raise ValueError(f"unknown recall grid {recall_points!r}")
     return _unit_list("recall_points", recall_points, "recall point")
 
@@ -336,10 +352,11 @@ def mean_ap(inputs: EvalInput, taus: Sequence[float] = DEFAULT_TAUS, recall_poin
         raise ValueError("cannot evaluate without ground-truth objects")
     tables = [_class_table(inputs, cls) for cls in classes]
     by_tau = {}
+    # Each mean is np.mean's float operations: np.add.reduce's pairwise sum, then one division by the count.
     for tau in taus:
-        per_class = [float(pr_curve(_match(t, tau)).interpolated_precision(grid).mean()) for t in tables]
-        by_tau[tau] = float(np.mean(per_class))
-    return {"mean_ap": float(np.mean(list(by_tau.values()))), "by_tau": by_tau}
+        per_class = [float(np.add.reduce(pr_curve(_match(t, tau)).interpolated_precision(grid))) / grid.size for t in tables]
+        by_tau[tau] = float(np.add.reduce(per_class)) / len(per_class)
+    return {"mean_ap": float(np.add.reduce(list(by_tau.values()))) / len(by_tau), "by_tau": by_tau}
 
 
 @dataclass(frozen=True)
@@ -364,32 +381,71 @@ class LRPResult:
 
 
 def _lrp_tallies(inputs: EvalInput, tau: float, thresholds: np.ndarray):
-    """(n_tp, n_fp, n_fn, loc_sum) arrays, one entry per score threshold.
+    """(n_tp, n_fp, n_fn, parts): the counts, arrays of one entry per score
+    threshold, and each class's (tp, vals) in sorted class order, for
+    _loc_bounds and _loc_sums: tp its true positives scoring >= each
+    threshold, vals the localisation errors of all of them in matching
+    order, each in [0, 1] (a match's IoU lies in [tau, 1]).
 
     Each class is matched once; at threshold s its tallies are those of the
-    prefix scoring >= s, and it adds ``vals[:tp].sum()`` to the localisation
-    sum in sorted class order: the sums that matching the kept detections
-    alone would give, added in the same order.
+    prefix scoring >= s.
     """
     if not 0.0 <= _real_scalar("tau", tau) < 1.0:
         raise ValueError("LRP needs an IoU threshold in [0, 1)")
     classes = sorted(set(inputs.gt_cls.tolist()) | set(inputs.det_cls.tolist()))
     n_tp = n_fp = n_fn = np.zeros(thresholds.size, dtype=np.int64)
-    loc_sum = np.zeros(thresholds.size, dtype=np.float64)
+    parts = []
     for cls in classes:
         table = _class_table(inputs, cls)
         match = _match(table, tau)
-        vals = _loc_error_of(match.match_iou[match.is_tp], tau)
         # The count of scores >= each threshold, on the ascending -scores.
-        kept = np.searchsorted(-table.scores, -thresholds, "right")
-        tp = np.concatenate(([0], np.cumsum(match.is_tp)))[kept]
+        kept = (-table.scores).searchsorted(-thresholds, "right")
+        tp = np.zeros(match.is_tp.size + 1, dtype=np.int64)
+        np.add.accumulate(match.is_tp, out=tp[1:])
+        tp = tp[kept]
         n_tp, n_fp, n_fn = n_tp + tp, n_fp + (kept - tp), n_fn + (match.n_gt - tp)
-        # Only the prefixes some threshold reaches: one sum for lrp_at, not vals.size + 1.
-        reached = np.flatnonzero(np.bincount(tp, minlength=vals.size + 1))
+        parts.append((tp, _loc_error_of(match.match_iou[match.is_tp], tau)))
+    return n_tp, n_fp, n_fn, parts
+
+
+def _loc_sums(parts, at):
+    """The localisation sums at the thresholds at (indices into _lrp_tallies'
+    thresholds): each class adds vals[:t].sum(), t its true positives there,
+    in sorted class order, the sums that matching the kept detections alone
+    would give, added in the same order. Each distinct t is summed once, so
+    one threshold costs one sum per class."""
+    loc = np.zeros(len(at))
+    for tp, vals in parts:
+        t = tp[at]
+        reached = np.bincount(t, minlength=vals.size + 1).nonzero()[0]
         sums = np.zeros(vals.size + 1)
-        sums[reached] = [float(vals[:t].sum()) for t in reached.tolist()]
-        loc_sum = loc_sum + sums[tp]
-    return n_tp, n_fp, n_fn, loc_sum
+        sums[reached] = [float(vals[:s].sum()) for s in reached.tolist()]
+        loc = loc + sums[t]
+    return loc
+
+
+# The bracket's half-width is t 2**-50 of a running sum of t terms. Any order of float
+# additions (numpy's pairwise sum and a running sum alike) puts a sum of t >= 1 terms >= 0
+# within gamma S of their exact sum S, gamma = (t - 1) u / (1 - (t - 1) u), u = 2**-53
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 4): the two lie within
+# 2 gamma / (1 - gamma) of the running sum, below t 2**-52 of it for t < 2**40. The bracket
+# takes four times that, which also covers the roundings of its own products.
+_SUM_BRACKET = np.array(((-(2.0**-50),), (2.0**-50,)))
+
+
+def _loc_bounds(parts, size):
+    """(2, size): a lower and an upper bound on _loc_sums at each of the
+    size thresholds, from one running sum of each class's vals (>= 0): a
+    running sum r of t terms brackets vals[:t].sum() in r (1 -/+ t 2**-50).
+    Both bounds are added over the classes in _loc_sums' order, and every
+    rounded addition and division by a positive count is monotone, so an LRP
+    value computed from them brackets the one computed from _loc_sums."""
+    loc = np.zeros((2, size))
+    for tp, vals in parts:
+        run = np.zeros(vals.size + 1)
+        np.add.accumulate(vals, out=run[1:])
+        loc = loc + run[tp] * (1.0 + _SUM_BRACKET * tp)
+    return loc
 
 
 def lrp_at(inputs: EvalInput, tau: float = 0.5, score_threshold: float = float("-inf")) -> LRPResult:
@@ -406,8 +462,8 @@ def lrp_at(inputs: EvalInput, tau: float = 0.5, score_threshold: float = float("
     """
     if math.isnan(_real_scalar("score_threshold", score_threshold)):
         raise ValueError("LRP needs a score threshold that is not NaN")
-    tallies = _lrp_tallies(inputs, tau, np.array([score_threshold], dtype=np.float64))
-    n_tp, n_fp, n_fn, loc_sum = (v.item() for v in tallies)
+    n_tp, n_fp, n_fn, parts = _lrp_tallies(inputs, tau, np.array([score_threshold], dtype=np.float64))
+    n_tp, n_fp, n_fn, loc_sum = n_tp.item(), n_fp.item(), n_fn.item(), _loc_sums(parts, [0]).item()
     total = n_tp + n_fp + n_fn
     if total == 0:
         raise ValueError("LRP is undefined with no detections and no ground truth")
@@ -421,14 +477,26 @@ def olrp(inputs: EvalInput, tau: float = 0.5) -> LRPResult:
     Candidate thresholds are the distinct detection scores; ties in the
     minimum go to the highest threshold.  With no detections the value is
     1.0 at threshold +inf (everything is a false negative).
+
+    The value at every threshold is bracketed first (_loc_bounds). Only the
+    thresholds whose lower end reaches the lowest upper end can hold the
+    minimum; their values are computed exactly, with the localisation sums
+    of _loc_sums, and the first of their minima is the one returned. So the
+    exact sums cost one per class where the minimum is clear, and one per
+    kept threshold on a plateau of values within the bracket's width.
     """
     if not inputs.gt_cls.size:
         raise ValueError("oLRP needs ground-truth objects")
     scores = sorted(set(inputs.det_scores.tolist()), reverse=True) or [float("inf")]
-    n_tp, n_fp, n_fn, loc_sum = _lrp_tallies(inputs, tau, np.array(scores, dtype=np.float64))
-    values = (loc_sum + n_fp + n_fn) / (n_tp + n_fp + n_fn)
-    k = int(np.argmin(values))  # the first minimum: the highest threshold
-    return LRPResult(float(values[k]), int(n_tp[k]), int(n_fp[k]), int(n_fn[k]), float(loc_sum[k]), scores[k])
+    n_tp, n_fp, n_fn, parts = _lrp_tallies(inputs, tau, np.array(scores, dtype=np.float64))
+    total = n_tp + n_fp + n_fn  # >= the number of ground truths
+    low, high = (_loc_bounds(parts, total.size) + n_fp + n_fn) / total
+    keep = (low <= np.minimum.reduce(high)).nonzero()[0]
+    loc_sum = _loc_sums(parts, keep)
+    values = (loc_sum + n_fp[keep] + n_fn[keep]) / total[keep]
+    j = values.argmin()  # the first minimum: the highest threshold
+    k = keep[j]
+    return LRPResult(float(values[j]), int(n_tp[k]), int(n_fp[k]), int(n_fn[k]), float(loc_sum[j]), scores[k])
 
 
 # ---------------------------------------------------------------------------

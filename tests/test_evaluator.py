@@ -15,9 +15,12 @@ scenario_to_eval against the object-based oracle, on ignored anchors,
 ground truths no positive references and bad positive boxes."""
 
 import dataclasses
+import importlib.util
 import json
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,7 @@ from rankloss.metrics import (
 from rankloss.ranking import IGNORE, NEG, POS, Scenario
 
 SETTINGS = settings(max_examples=150, deadline=None)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 TAUS = (0.0, 0.3, 0.5, 0.75)
 # Matching and AP take any tau; at -1 every unclaimed box qualifies.
 MATCH_TAUS = (-1.0, *TAUS)
@@ -136,6 +140,24 @@ def has_multi_candidate_detection(inputs):
     """Whether some detection has two or more candidates (IoU > 0), by the oracle's class tables."""
     with np.errstate(all="ignore"):
         return any(np.diff(oracle_class_table(inputs, cls).start).max(initial=0) >= 2 for cls in inputs.classes())
+
+
+@st.composite
+def near_tied_inputs(draw):
+    """One class of 12 to 24 ground truths in a row, each with one
+    detection on scores with ties: at IoU exactly 0.5, at an IoU drawn in
+    [0.5, 1] (both by boxes_with_iou) or far from every box. At tau 0.5 an
+    IoU of exactly 0.5 is a localisation error of exactly 1, which leaves
+    LRP unchanged in exact arithmetic, so the values of the thresholds
+    around such matches tie but for the roundings of their sums: oLRP's
+    bracket keeps several of them, and their exact values decide (about a
+    sixth of the draws pick another threshold or sum by running sums)."""
+    kinds = draw(st.lists(st.sampled_from(("tied", "drawn", "far")), min_size=12, max_size=24))
+    n = len(kinds)
+    gts = np.array([[4.0 * k, 0.0, 4.0 * k + 2.0, 2.0] for k in range(n)])
+    boxes = boxes_with_iou(gts, np.array([draw(st.floats(0.5, 1.0)) if v == "drawn" else 0.5 for v in kinds]))
+    boxes[[v == "far" for v in kinds]] += [0.0, 10.0, 0.0, 10.0]
+    return EvalInput(np.divide(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)), 12.0), np.zeros(n), boxes, np.zeros(n), gts)
 
 
 @st.composite
@@ -379,6 +401,22 @@ class TestMetricsAgainstOracle:
         with np.errstate(all="ignore"):
             assert_same_lrp(olrp(inputs, tau), oracle_olrp(inputs, tau))
 
+    @SETTINGS
+    @given(near_tied_inputs())
+    def test_olrp_on_near_tied_values(self, inputs):
+        assert_same_lrp(olrp(inputs, 0.5), oracle_olrp(inputs, 0.5))
+
+    def test_a_detection_takes_its_better_candidate_after_a_lower_x1_one(self):
+        """The detection equals ground truth 1 (IoU 1) and overlaps ground
+        truth 0, whose x1 is lower, at IoU 1/3: a table that left its two
+        candidates in x1 order (unsorted) would find IoU 1/3 < 0.5 first and
+        match nothing, and mean AP at 0.5 would read 0, not 0.5."""
+        inputs = EvalInput([0.9], [0], [[1.0, 0.0, 3.0, 2.0]], [0, 0], [[0.0, 0.0, 2.0, 2.0], [1.0, 0.0, 3.0, 2.0]])
+        got = mean_ap(inputs, (0.5,))
+        assert got == oracle_mean_ap(inputs, (0.5,), TEN_POINT_RECALLS) and got["mean_ap"] == 0.5
+        assert_same_lrp(olrp(inputs, 0.5), oracle_olrp(inputs, 0.5))
+        assert olrp(inputs, 0.5).n_tp == 1
+
     @pytest.mark.parametrize("value", (False, np.bool_(True), "0.5", None), ids=repr)
     def test_a_tau_or_threshold_that_is_not_a_real_number_is_refused(self, value):
         """False was taken as tau 0 and True as threshold 1; a string raised a bare TypeError.
@@ -462,10 +500,10 @@ class TestCost:
             tracemalloc.stop()
         assert peak <= 32 * 8 * self.size(inputs)
 
-    def test_lrp_at_sums_only_the_prefix_it_reaches(self, monkeypatch):
-        """One class of 5000 matched pairs at IoU 0.9 with distinct scores:
-        the localisation errors summed by one lrp_at stay within a fixed
-        multiple of D + G (every prefix of them, before, was about 1.25e7)."""
+    @staticmethod
+    def summed_errors(monkeypatch):
+        """(one class of 5000 matched pairs at IoU 0.9 with distinct scores,
+        the list of the sizes of the localisation error arrays summed)."""
         n = 5000
         gts = np.array([[4.0 * k, 0.0, 4.0 * k + 2.0, 2.0] for k in range(n)])
         inputs = EvalInput(np.linspace(1.0, 0.5, n), np.zeros(n), boxes_with_iou(gts, np.full(n, 0.9)), np.zeros(n), gts)
@@ -480,10 +518,24 @@ class TestCost:
         monkeypatch.setattr(
             metrics, "_match", lambda table, tau: dataclasses.replace(m := real(table, tau), match_iou=m.match_iou.view(Counted))
         )
+        return inputs, summed
+
+    def test_lrp_at_sums_only_the_prefix_it_reaches(self, monkeypatch):
+        """The localisation errors summed by one lrp_at stay within a fixed
+        multiple of D + G (every prefix of them, before, was about 1.25e7)."""
+        inputs, summed = self.summed_errors(monkeypatch)
         for threshold in (float("-inf"), 0.75):
             summed.clear()
             assert lrp_at(inputs, 0.5, threshold).n_tp > 0
-            assert 0 < sum(summed) <= 2 * (2 * n)
+            assert 0 < sum(summed) <= 2 * (2 * 5000)
+
+    def test_olrp_sums_only_the_prefixes_its_bracket_keeps(self, monkeypatch):
+        """The localisation errors summed by one olrp stay within the same
+        multiple of D + G: the bracket keeps one threshold here (every
+        prefix, summed before, was about 1.25e7 errors)."""
+        inputs, summed = self.summed_errors(monkeypatch)
+        assert olrp(inputs, 0.5).n_tp == 5000
+        assert 0 < sum(summed) <= 2 * (2 * 5000)
 
     @pytest.mark.parametrize("inputs", (MIXED, many_matches(0)), ids=("mixed", "many matches"))
     def test_each_class_table_is_built_once(self, monkeypatch, inputs):
@@ -525,6 +577,58 @@ class TestCost:
         assert [type(getattr(table, f)) for f in ("start", "cand_gt", "cand_iou")] == [tuple] * 3
         with pytest.raises(ValueError, match="read-only"):
             metrics._match(table, 0.5).det_indices[...] = 0
+
+
+class TestLRPBracket:
+    @SETTINGS
+    @given(st.lists(st.lists(st.floats(0.0, 2.0), max_size=300), min_size=1, max_size=3), st.data())
+    def test_the_bracket_holds_the_exact_sums(self, classes, data):
+        """_loc_bounds below and above _loc_sums (numpy's pairwise sums,
+        added over the classes) at every threshold, on up to 300 terms a
+        class over every exponent down to the subnormals, zeros included."""
+        parts = []
+        for vals in classes:
+            tp = np.array(data.draw(st.lists(st.integers(0, len(vals)), min_size=8, max_size=8)))
+            parts.append((tp, np.array(vals, dtype=np.float64)))
+        low, high = metrics._loc_bounds(parts, 8)
+        exact = metrics._loc_sums(parts, np.arange(8))
+        assert np.all(low <= exact) and np.all(exact <= high)
+
+
+class TestEvalCallCount:
+    def test_mean_ap_and_olrp_make_few_python_level_calls(self):
+        """One perfbench eval op, mean_ap at the four default IoU thresholds
+        on the coco101 grid and olrp at 0.5, on perfbench's full-size eval
+        input (seed 1: 200 detections, 40 ground truths) after one warm-up
+        op, counted by every Python function and builtin it enters, numpy's
+        Python layers included: 237 (78 functions and 159 builtins), against
+        1150 (383 and 767) when the evaluator took its means by np.mean and
+        ndarray.mean, its running counts by np.cumsum, grew its matchings by
+        list.append and summed every prefix of the localisation errors; a
+        prototype that replaced numpy's wrappers alone entered 704."""
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        inputs = workloads.make_eval_input(1, **workloads.SIZES["full"]["eval"])
+
+        def op():
+            mean_ap(inputs, metrics.DEFAULT_TAUS, "coco101")
+            olrp(inputs, 0.5)
+
+        op()  # the class tables and any first-call set-up
+        counts = {"call": 0, "c_call": 0}
+
+        def profile(frame, event, arg):
+            if event in counts:
+                counts[event] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            op()
+        finally:
+            sys.setprofile(previous)
+        assert counts["call"] + counts["c_call"] <= 237
 
 
 class TestEvalInputColumns:
@@ -629,6 +733,14 @@ class TestEvalInputColumns:
     def test_a_string_class_is_named_among_numbers(self):
         with pytest.raises(ValueError, match=r"^gt_cls\[2\]: class must be an integer, got '7'$"):
             EvalInput([0.9], [1], [BOX], [1, 2.0, "7", 3], [BOX] * 4)
+
+    @pytest.mark.parametrize("column, shown", (([1.5, "7"], "1.5"), ([True, "x"], "True")), ids=("1.5", "True"))
+    def test_a_number_among_strings_is_named_as_given(self, column, shown):
+        """numpy reads such a list as strings: the refusal said got '1.5' and got 'True'."""
+        with pytest.raises(ValueError, match=r"^det_cls\[0\]: class must be an integer, got %s$" % re.escape(shown)):
+            EvalInput([0.5, 0.5], column, [BOX, BOX], [0], [BOX])
+        with pytest.raises(ValueError, match=r"^gt_cls\[0\]: class must be an integer, got %s$" % re.escape(shown)):
+            EvalInput([0.5], [0], [BOX], column, [BOX, BOX])
 
     @pytest.mark.parametrize(
         "columns, name, want, got",
