@@ -27,8 +27,8 @@ A mean_ap + olrp call is mostly interpreter time, so the evaluator calls
 ufuncs and array methods (np.add.reduce, np.add.accumulate, .nonzero(),
 .searchsorted()), not numpy's Python wrappers of them (np.mean,
 ndarray.mean, np.cumsum, np.flatnonzero, np.append, ...): the same float
-operations with fewer Python-level calls. The matcher writes its results
-into lists made once. tests/test_evaluator.py's TestEvalCallCount bounds
+operations with fewer Python-level calls. The matcher writes its claims
+into two lists made once, one entry per ground truth. tests/test_evaluator.py's TestEvalCallCount bounds
 the calls of one mean_ap + olrp on perfbench's eval input.
 """
 
@@ -243,31 +243,37 @@ def _match(table: _ClassTable, tau: float) -> MatchResult:
     n_det, n_gt = table.det_indices.size, table.gt_indices.size
     start, cand_gt, cand_iou = table.start, table.cand_gt, table.cand_iou
     lenient = tau <= 0.0
-    claimed = [False] * n_gt
+    # Each ground truth's detection (-1 while unclaimed) and IoU, written in place: at most n_gt
+    # hits, and no list grows.
+    claimed_by, claimed_iou = [-1] * n_gt, [0.0] * n_gt
     first_free = 0  # the lowest unclaimed ground truth, n_gt once all are
-    # Each detection's matched ground truth (-1: none) and IoU, written in place: no list grows.
-    gt_index = table.gt_indices.tolist()
-    match_gt, match_iou = [-1] * n_det, [0.0] * n_det
     for k in range(n_det) if lenient else (table.top >= tau).nonzero()[0].tolist():
         j = v = None
         for c in range(start[k], start[k + 1]):
             if cand_iou[c] < tau:
                 break
-            if not claimed[cand_gt[c]]:
+            if claimed_by[cand_gt[c]] < 0:
                 j, v = cand_gt[c], cand_iou[c]
                 break
         if j is None and lenient:
             for i in range(first_free, n_gt):  # no comprehension: it would make _match's locals closure cells
-                if not claimed[i] and (v := float(iou_array(table.det_boxes[k], table.gt_boxes[i]))) == v:  # not NaN
+                if claimed_by[i] < 0 and (v := float(iou_array(table.det_boxes[k], table.gt_boxes[i]))) == v:  # not NaN
                     j = i
                     break
         if j is not None:
-            claimed[j] = True
-            match_gt[k], match_iou[k] = gt_index[j], v
-            while first_free < n_gt and claimed[first_free]:
+            claimed_by[j], claimed_iou[j] = k, v
+            while first_free < n_gt and claimed_by[first_free] >= 0:
                 first_free += 1
-    match_gt = np.array(match_gt, dtype=np.int64)
-    return MatchResult(table.det_indices, match_gt >= 0, np.array(match_iou, dtype=np.float64), match_gt, n_gt=int(n_gt))
+    claimed_by = np.array(claimed_by, dtype=np.int64)
+    got = claimed_by >= 0
+    hits = claimed_by[got]
+    is_tp = np.zeros(n_det, dtype=bool)
+    match_iou = np.zeros(n_det, dtype=np.float64)
+    match_gt = np.full(n_det, -1, dtype=np.int64)
+    is_tp[hits] = True
+    match_iou[hits] = np.array(claimed_iou)[got]
+    match_gt[hits] = table.gt_indices[got]
+    return MatchResult(table.det_indices, is_tp, match_iou, match_gt, n_gt=int(n_gt))
 
 
 def match_class(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth], cls: int, tau: float) -> MatchResult:

@@ -150,8 +150,9 @@ def near_tied_inputs(draw):
     IoU of exactly 0.5 is a localisation error of exactly 1, which leaves
     LRP unchanged in exact arithmetic, so the values of the thresholds
     around such matches tie but for the roundings of their sums: oLRP's
-    bracket keeps several of them, and their exact values decide (about a
-    sixth of the draws pick another threshold or sum by running sums)."""
+    bracket keeps several of them, and their exact values decide. Of 600
+    derandomised draws, 180 kept two or more thresholds, and in 74 the
+    running sums alone would give another result."""
     kinds = draw(st.lists(st.sampled_from(("tied", "drawn", "far")), min_size=12, max_size=24))
     n = len(kinds)
     gts = np.array([[4.0 * k, 0.0, 4.0 * k + 2.0, 2.0] for k in range(n)])
@@ -601,7 +602,7 @@ class TestEvalCallCount:
         on the coco101 grid and olrp at 0.5, on perfbench's full-size eval
         input (seed 1: 200 detections, 40 ground truths) after one warm-up
         op, counted by every Python function and builtin it enters, numpy's
-        Python layers included: 237 (78 functions and 159 builtins), against
+        Python layers included: 277 (98 functions and 179 builtins), against
         1150 (383 and 767) when the evaluator took its means by np.mean and
         ndarray.mean, its running counts by np.cumsum, grew its matchings by
         list.append and summed every prefix of the localisation errors; a
@@ -628,7 +629,7 @@ class TestEvalCallCount:
             op()
         finally:
             sys.setprofile(previous)
-        assert counts["call"] + counts["c_call"] <= 237
+        assert counts["call"] + counts["c_call"] <= 277
 
 
 class TestEvalInputColumns:
