@@ -605,8 +605,9 @@ class TestEvalCallCount:
         Python layers included: 277 (98 functions and 179 builtins), against
         1150 (383 and 767) when the evaluator took its means by np.mean and
         ndarray.mean, its running counts by np.cumsum, grew its matchings by
-        list.append and summed every prefix of the localisation errors; a
-        prototype that replaced numpy's wrappers alone entered 704."""
+        list.append and summed every prefix of the localisation errors, and
+        697 with numpy's wrappers replaced but the appends and the prefix
+        sums kept."""
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
